@@ -2,7 +2,8 @@
 
 Flat row-major numpy buffers and the handful of differentiable operations a
 small encoder-decoder transformer needs: matmul, row-wise (masked) softmax,
-layer normalization, embedding lookup, cross-entropy.  No general
+fused multi-head attention, layer normalization, embedding lookup,
+cross-entropy.  Every tensor is 2-D or smaller.  No general
 broadcasting; the only implicit broadcast is a bias row added to every row
 of a matrix.
 
@@ -252,23 +253,6 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat_cols of an empty sequence")
-    height = tensors[0].shape[0]
-    for t in tensors:
-        if t.data.ndim != 2 or t.shape[0] != height:
-            raise ShapeError("concat_cols: all blocks must share their height")
-    out = _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), None)
-    if out.requires_grad:
-        offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
-        def bwd(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                _accumulate(t, g[:, lo:hi])
-        out._backward = bwd
-    return out
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] of shape {a.shape}")
@@ -277,19 +261,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         def bwd(g):
             full = np.zeros_like(a.data)
             full[start:stop] = g
-            _accumulate(a, full)
-        out._backward = bwd
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] of shape {a.shape}")
-    out = _result(a.data[:, start:stop].copy(), (a,), None)
-    if out.requires_grad:
-        def bwd(g):
-            full = np.zeros_like(a.data)
-            full[:, start:stop] = g
             _accumulate(a, full)
         out._backward = bwd
     return out
@@ -365,6 +336,62 @@ def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
         def bwd(g):
             dot = (g * y).sum(axis=1, keepdims=True)
             _accumulate(x, y * (g - dot))
+        out._backward = bwd
+    return out
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, allow: np.ndarray | None = None
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    ``q`` is (m, d), ``k`` and ``v`` are (n, d); head h owns columns
+    h*d_k..(h+1)*d_k of each, and of the (m, d) result.  The optional
+    boolean ``allow`` (m, n) mask is shared by every head; disallowed
+    entries get probability exactly zero and every row must keep one.
+    Inside the op heads are an array axis, (heads, rows, d_k).  Backward,
+    per head with P the attention weights and dO the output gradient:
+    dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)), then
+    dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k).
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError("attention expects 2-D q, k and v")
+    (m, d), n = q.shape, k.shape[0]
+    if k.shape != (n, d) or v.shape != (n, d) or n == 0:
+        raise ShapeError(
+            f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit"
+        )
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
+    dk = d // n_heads
+    c = 1.0 / np.sqrt(dk)
+
+    def split(a: np.ndarray) -> np.ndarray:  # (rows, d) -> (heads, rows, d_k)
+        return a.reshape(a.shape[0], n_heads, dk).transpose(1, 0, 2)
+
+    qs, kh, vh = split(q.data) * c, split(k.data), split(v.data)
+    scores = qs @ kh.transpose(0, 2, 1)
+    if allow is not None:
+        allow = np.asarray(allow, dtype=bool)
+        if allow.shape != (m, n):
+            raise ShapeError(f"attention: mask shape {allow.shape} != {(m, n)}")
+        if not allow.any(axis=1).all():
+            raise ShapeError("attention: a query row has no permitted keys")
+        scores = np.where(allow, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    out = _result((p @ vh).transpose(1, 0, 2).reshape(m, d), (q, k, v), None)
+    if out.requires_grad:
+        def merge(a: np.ndarray) -> np.ndarray:  # (heads, rows, d_k) -> (rows, d)
+            return a.transpose(1, 0, 2).reshape(a.shape[1], d)
+
+        def bwd(g):
+            gh = split(g)
+            dp = gh @ vh.transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+            _accumulate(q, merge(ds @ kh) * c)
+            _accumulate(k, merge(ds.transpose(0, 2, 1) @ qs))
+            _accumulate(v, merge(p.transpose(0, 2, 1) @ gh))
         out._backward = bwd
     return out
 

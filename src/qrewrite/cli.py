@@ -269,9 +269,19 @@ def cmd_generate(args) -> int:
 # evaluate
 
 
+def _by_id(path) -> dict:
+    """Records of ``path`` keyed by id, in file order; a repeated id fails."""
+    out = {}
+    for r in dataio.read_records(path):
+        if r["id"] in out:
+            raise DataFormatError(f"{path}: duplicated id {r['id']!r}")
+        out[r["id"]] = r
+    return out
+
+
 def cmd_evaluate(args) -> int:
-    preds = {r["id"]: r for r in dataio.read_records(args.pred)}
-    golds = {r["id"]: r for r in dataio.read_records(args.gold)}
+    preds = _by_id(args.pred)
+    golds = _by_id(args.gold)
     only_pred = sorted(set(preds) - set(golds))
     only_gold = sorted(set(golds) - set(preds))
     if only_pred or only_gold:
@@ -280,10 +290,9 @@ def cmd_evaluate(args) -> int:
             f"only in predictions {only_pred[:5]}, only in gold {only_gold[:5]}"
         )
     by_hop: dict[int, list] = {}
-    ordered = [preds[r["id"]] for r in dataio.read_records(args.gold)]
     pairs = []
-    for pred in ordered:
-        gold = golds[pred["id"]]
+    for gold in golds.values():
+        pred = preds[gold["id"]]
         pair = metrics.EvalPair.from_strings(pred["prediction"], [gold["question"]])
         pairs.append((pred["id"], pair))
         by_hop.setdefault(int(gold["hops"]), []).append((pred["id"], pair))

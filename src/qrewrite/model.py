@@ -21,13 +21,20 @@ Conventions, fixed here once:
     input scale assumes, and every other weight matrix at std fan_in**-0.5;
     biases start at 0 and LayerNorm at (1, 0);
   * the output head is the transpose of the token embedding (tied), which
-    makes copy behaviour generalize to entities unseen as training targets.
+    makes copy behaviour generalize to entities unseen as training targets;
+  * the cache keeps one (rows, d_model) K/V block per layer and step, with
+    the heads packed along the columns; only the fused attention op splits
+    them, as an array axis;
+  * greedy tokens are chosen under no_grad, one position at a time; a step
+    on the autodiff graph is then built by one block pass over
+    [<bos>] + question, which seals its K/V rows and skips the last layer's
+    attention, feed-forward and output head, whose results nothing reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -96,19 +103,20 @@ class StepOutput:
 
 
 class AttentionCache:
-    """Per-layer, per-head K/V blocks sealed by completed steps.
+    """Per-layer K/V blocks sealed by completed steps.
 
+    Each block is (rows, d_model) with the heads packed along the columns.
     Blocks are append-only: once a step seals, its blocks are never touched
     again.  ``step_lengths[i]`` is the number of self-attention rows sealed
     by step i (question length + 1 for <bos>); ``context_lengths[i]`` is
     that step's encoder input length.
     """
 
-    def __init__(self, n_layers: int, n_heads: int):
-        self.sa_keys = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self.sa_values = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self.ca_keys = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self.ca_values = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
+    def __init__(self, n_layers: int):
+        self.sa_keys: list[list[Tensor]] = [[] for _ in range(n_layers)]
+        self.sa_values: list[list[Tensor]] = [[] for _ in range(n_layers)]
+        self.ca_keys: list[list[Tensor]] = [[] for _ in range(n_layers)]
+        self.ca_values: list[list[Tensor]] = [[] for _ in range(n_layers)]
         self.step_lengths: list[int] = []
         self.context_lengths: list[int] = []
 
@@ -127,17 +135,18 @@ class AttentionCache:
 
 @dataclass
 class StepState:
-    """Decoder state for the step currently being decoded."""
+    """Decoder state for the step currently being decoded, one entry per
+    layer."""
 
     encoder_output: Tensor
-    sa_prior_k: list[list[Tensor | None]]
-    sa_prior_v: list[list[Tensor | None]]
-    ca_k: list[list[Tensor]]          # accumulated (prior + current) per layer/head
-    ca_v: list[list[Tensor]]
-    ca_current_k: list[list[Tensor]]  # this step's blocks, for sealing
-    ca_current_v: list[list[Tensor]]
-    sa_k_rows: list[list[Tensor]] = field(default_factory=list)
-    sa_v_rows: list[list[Tensor]] = field(default_factory=list)
+    sa_prior_k: list[Tensor | None]   # sealed self-attention rows, concatenated
+    sa_prior_v: list[Tensor | None]
+    ca_k: list[Tensor]                # accumulated (prior + current)
+    ca_v: list[Tensor]
+    ca_current_k: list[Tensor]        # this step's blocks, for sealing
+    ca_current_v: list[Tensor]
+    sa_k: list[Tensor | None]         # this step's self-attention rows so far
+    sa_v: list[Tensor | None]
     n_fed: int = 0
 
 
@@ -168,33 +177,34 @@ def accumulated_attention(
     current_k: Tensor,
     current_v: Tensor,
     causal_within_step: bool,
+    n_heads: int = 1,
 ) -> Tensor:
     """Scaled dot-product attention over [prior blocks; current block].
 
     Queries always see every prior-step row.  With ``causal_within_step``
     query i sees current rows 0..i (the query count must equal the current
-    block's row count); otherwise it sees the whole current block.
+    block's row count); otherwise it sees the whole current block.  Heads
+    are packed along the columns of every argument and of the result.
     """
-    d_k = q.shape[1]
+    width = q.shape[1]
     for blk in (*prior_keys, *prior_values, current_k, current_v):
-        if blk.shape[1] != d_k:
+        if blk.shape[1] != width:
             raise ShapeError(
-                f"attention block width {blk.shape[1]} != query width {d_k}"
+                f"attention block width {blk.shape[1]} != query width {width}"
             )
     if len(prior_keys) != len(prior_values):
         raise ShapeError("prior key/value block counts differ")
     keys = ad.concat_rows([*prior_keys, current_k]) if prior_keys else current_k
     values = ad.concat_rows([*prior_values, current_v]) if prior_values else current_v
-    scores = ad.scale(ad.matmul_nt(q, keys), 1.0 / math.sqrt(d_k))
     allow = None
     if causal_within_step:
-        n_prior = keys.shape[0] - current_k.shape[0]
         if q.shape[0] != current_k.shape[0]:
             raise ShapeError(
                 "causal attention needs one query per current-block row"
             )
+        n_prior = keys.shape[0] - current_k.shape[0]
         allow = within_step_causal_mask(n_prior, current_k.shape[0])
-    return ad.matmul(ad.softmax_rows(scores, allow), values)
+    return ad.attention(q, keys, values, n_heads, allow)
 
 
 def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
@@ -299,39 +309,23 @@ class QuestionRewriter:
             out = ad.add(out, p[f"{prefix}.bo"])
         return out
 
-    def _heads(self, x_all: Tensor) -> list[Tensor]:
-        dk = self.cfg.d_k
-        return [
-            ad.slice_cols(x_all, h * dk, (h + 1) * dk)
-            for h in range(self.cfg.n_heads)
-        ]
-
     def _mha(
         self,
         prefix: str,
         x_q: Tensor,
-        prior_k: Sequence[Sequence[Tensor]],
-        prior_v: Sequence[Sequence[Tensor]],
-        cur_k: Sequence[Tensor],
-        cur_v: Sequence[Tensor],
+        prior_k: Sequence[Tensor],
+        prior_v: Sequence[Tensor],
+        cur_k: Tensor,
+        cur_v: Tensor,
         causal_within_step: bool,
     ) -> Tensor:
-        """Multi-head wrapper over ``accumulated_attention``.
-
-        ``prior_k[h]`` is a sequence of sealed blocks for head h (may be
-        empty); ``cur_k[h]`` the current block.
-        """
-        q_heads = self._heads(self._project(x_q, prefix, "q"))
-        outs = []
-        for h, qh in enumerate(q_heads):
-            outs.append(
-                accumulated_attention(
-                    qh, prior_k[h], prior_v[h], cur_k[h], cur_v[h],
-                    causal_within_step,
-                )
-            )
-        merged = ad.concat_cols(outs)
-        return self._project(merged, prefix, "o")
+        """Multi-head ``accumulated_attention``: ``prior_k`` holds sealed
+        blocks (may be empty), ``cur_k`` the current block."""
+        q = self._project(x_q, prefix, "q")
+        attended = accumulated_attention(
+            q, prior_k, prior_v, cur_k, cur_v, causal_within_step, self.cfg.n_heads
+        )
+        return self._project(attended, prefix, "o")
 
     def _ff(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
@@ -361,10 +355,9 @@ class QuestionRewriter:
         for i in range(self.cfg.n_enc_layers):
             p = f"enc.l{i}"
             h = self._ln(x, f"{p}.ln1")
-            cur_k = self._heads(self._project(h, f"{p}.sa", "k"))
-            cur_v = self._heads(self._project(h, f"{p}.sa", "v"))
-            empty = [[] for _ in range(self.cfg.n_heads)]
-            x = ad.add(x, self._mha(f"{p}.sa", h, empty, empty, cur_k, cur_v, False))
+            k = self._project(h, f"{p}.sa", "k")
+            v = self._project(h, f"{p}.sa", "v")
+            x = ad.add(x, self._mha(f"{p}.sa", h, [], [], k, v, False))
             x = ad.add(x, self._ff(self._ln(x, f"{p}.ln2"), f"{p}.ff"))
         return self._ln(x, "enc.lnf")
 
@@ -372,120 +365,81 @@ class QuestionRewriter:
     # decoder
 
     def new_cache(self) -> AttentionCache:
-        return AttentionCache(self.cfg.n_dec_layers, self.cfg.n_heads)
+        return AttentionCache(self.cfg.n_dec_layers)
 
     def start_step(self, encoder_output: Tensor, cache: AttentionCache) -> StepState:
         """Prepare per-step decoder state: project this step's cross-attention
         blocks and snapshot the accumulated views of the sealed cache."""
         cfg = self.cfg
-        sa_pk: list[list[Tensor | None]] = []
-        sa_pv: list[list[Tensor | None]] = []
-        ca_k: list[list[Tensor]] = []
-        ca_v: list[list[Tensor]] = []
-        cur_ca_k: list[list[Tensor]] = []
-        cur_ca_v: list[list[Tensor]] = []
+        n = cfg.n_dec_layers
+        state = StepState(
+            encoder_output, sa_prior_k=[], sa_prior_v=[], ca_k=[], ca_v=[],
+            ca_current_k=[], ca_current_v=[], sa_k=[None] * n, sa_v=[None] * n,
+        )
+        for i in range(n):
+            p = f"dec.l{i}"
+            k = self._project(encoder_output, f"{p}.ca", "k")
+            v = self._project(encoder_output, f"{p}.ca", "v")
+            state.ca_current_k.append(k)
+            state.ca_current_v.append(v)
+            if cfg.mode_accumulated_ca and cache.ca_keys[i]:
+                k = ad.concat_rows([*cache.ca_keys[i], k])
+                v = ad.concat_rows([*cache.ca_values[i], v])
+            state.ca_k.append(k)
+            state.ca_v.append(v)
+            sealed = cfg.mode_accumulated_sa and cache.sa_keys[i]
+            state.sa_prior_k.append(
+                ad.concat_rows(cache.sa_keys[i]) if sealed else None
+            )
+            state.sa_prior_v.append(
+                ad.concat_rows(cache.sa_values[i]) if sealed else None
+            )
+        return state
+
+    def _decode_rows(
+        self, state: StepState, ids: Sequence[int], want_logits: bool
+    ) -> Tensor | None:
+        """One decoder pass over ``ids`` at the next step-local positions.
+
+        Appends their K/V rows to the step's state.  Each new row attends to
+        the sealed rows, the step's earlier rows and the new rows up to
+        itself.  Returns logits of shape (len(ids), vocab); without
+        ``want_logits`` it stops the last layer after its K/V projections,
+        where the rows a sealed step needs are complete.
+        """
+        cfg = self.cfg
+        x = self._embed(ids, pos_start=state.n_fed)
+        state.n_fed += len(ids)
         for i in range(cfg.n_dec_layers):
             p = f"dec.l{i}"
-            k_heads = self._heads(self._project(encoder_output, f"{p}.ca", "k"))
-            v_heads = self._heads(self._project(encoder_output, f"{p}.ca", "v"))
-            cur_ca_k.append(k_heads)
-            cur_ca_v.append(v_heads)
-            layer_ca_k, layer_ca_v = [], []
-            for h in range(cfg.n_heads):
-                if cfg.mode_accumulated_ca and cache.ca_keys[i][h]:
-                    layer_ca_k.append(
-                        ad.concat_rows([*cache.ca_keys[i][h], k_heads[h]])
-                    )
-                    layer_ca_v.append(
-                        ad.concat_rows([*cache.ca_values[i][h], v_heads[h]])
-                    )
-                else:
-                    layer_ca_k.append(k_heads[h])
-                    layer_ca_v.append(v_heads[h])
-            ca_k.append(layer_ca_k)
-            ca_v.append(layer_ca_v)
-            layer_pk: list[Tensor | None] = []
-            layer_pv: list[Tensor | None] = []
-            for h in range(cfg.n_heads):
-                if cfg.mode_accumulated_sa and cache.sa_keys[i][h]:
-                    layer_pk.append(ad.concat_rows(cache.sa_keys[i][h]))
-                    layer_pv.append(ad.concat_rows(cache.sa_values[i][h]))
-                else:
-                    layer_pk.append(None)
-                    layer_pv.append(None)
-            sa_pk.append(layer_pk)
-            sa_pv.append(layer_pv)
-        return StepState(
-            encoder_output=encoder_output,
-            sa_prior_k=sa_pk,
-            sa_prior_v=sa_pv,
-            ca_k=ca_k,
-            ca_v=ca_v,
-            ca_current_k=cur_ca_k,
-            ca_current_v=cur_ca_v,
-            sa_k_rows=[[] for _ in range(cfg.n_dec_layers)],
-            sa_v_rows=[[] for _ in range(cfg.n_dec_layers)],
-        )
+            h = self._ln(x, f"{p}.ln1")
+            k = self._project(h, f"{p}.sa", "k")
+            v = self._project(h, f"{p}.sa", "v")
+            own_k, own_v = state.sa_k[i], state.sa_v[i]
+            prior_k = [b for b in (state.sa_prior_k[i], own_k) if b is not None]
+            prior_v = [b for b in (state.sa_prior_v[i], own_v) if b is not None]
+            state.sa_k[i] = k if own_k is None else ad.concat_rows([own_k, k])
+            state.sa_v[i] = v if own_v is None else ad.concat_rows([own_v, v])
+            if not want_logits and i == cfg.n_dec_layers - 1:
+                return None
+            # a single query sits at the newest position and may see every row
+            x = ad.add(x, self._mha(f"{p}.sa", h, prior_k, prior_v, k, v, len(ids) > 1))
+            h2 = self._ln(x, f"{p}.ln2")
+            x = ad.add(
+                x, self._mha(f"{p}.ca", h2, [], [], state.ca_k[i], state.ca_v[i], False)
+            )
+            x = ad.add(x, self._ff(self._ln(x, f"{p}.ln3"), f"{p}.ff"))
+        return self._project_out(self._ln(x, "dec.lnf")) if want_logits else None
 
     def decode_token(
-        self,
-        state: StepState,
-        token: int,
-        want_logits: bool = True,
-        detach_logits: bool = False,
+        self, state: StepState, token: int, want_logits: bool = True
     ) -> Tensor | None:
         """Feed one token at the next step-local position.
 
         Appends the position's K/V rows to the within-step state and, when
         ``want_logits``, returns next-token logits of shape (1, vocab).
-        ``detach_logits`` keeps the K/V rows on the graph but computes the
-        logits head without one; greedy search only argmaxes these logits,
-        so no gradient can ever flow through them.
         """
-        cfg = self.cfg
-        if state.n_fed >= cfg.max_len:
-            raise LengthError(f"decoder exceeded max_len={cfg.max_len}")
-        x = self._embed([token], pos_start=state.n_fed)
-        state.n_fed += 1
-        for i in range(cfg.n_dec_layers):
-            p = f"dec.l{i}"
-            h = self._ln(x, f"{p}.ln1")
-            k_row = self._project(h, f"{p}.sa", "k")
-            v_row = self._project(h, f"{p}.sa", "v")
-            state.sa_k_rows[i].append(k_row)
-            state.sa_v_rows[i].append(v_row)
-            k_cat = ad.concat_rows(state.sa_k_rows[i])
-            v_cat = ad.concat_rows(state.sa_v_rows[i])
-            cur_k, cur_v = self._heads(k_cat), self._heads(v_cat)
-            prior_k = [
-                [state.sa_prior_k[i][h]] if state.sa_prior_k[i][h] is not None else []
-                for h in range(cfg.n_heads)
-            ]
-            prior_v = [
-                [state.sa_prior_v[i][h]] if state.sa_prior_v[i][h] is not None else []
-                for h in range(cfg.n_heads)
-            ]
-            # The single query sits at the newest position, so full access to
-            # the current rows already equals the causal mask.
-            x = ad.add(
-                x, self._mha(f"{p}.sa", h, prior_k, prior_v, cur_k, cur_v, False)
-            )
-            h2 = self._ln(x, f"{p}.ln2")
-            no_prior = [[] for _ in range(cfg.n_heads)]
-            x = ad.add(
-                x,
-                self._mha(
-                    f"{p}.ca", h2, no_prior, no_prior, state.ca_k[i], state.ca_v[i],
-                    False,
-                ),
-            )
-            x = ad.add(x, self._ff(self._ln(x, f"{p}.ln3"), f"{p}.ff"))
-        if not want_logits:
-            return None
-        if detach_logits:
-            with ad.no_grad():
-                return self._project_out(self._ln(x, "dec.lnf"))
-        return self._project_out(self._ln(x, "dec.lnf"))
+        return self._decode_rows(state, [token], want_logits)
 
     def _project_out(self, y: Tensor) -> Tensor:
         # output head tied to the token embedding: copying an input token to
@@ -502,33 +456,39 @@ class QuestionRewriter:
     ) -> StepOutput:
         """Decode one step greedily (or feed ``forced_tokens`` verbatim).
 
-        Stops at <eos> or when the position table is exhausted; the
-        truncation case is flagged, not an error.
+        Tokens are chosen under ``no_grad`` one position at a time: they are
+        discrete, so no loss gradient flows through them.  With gradients on,
+        the step's rows are then rebuilt on the graph by one block pass over
+        [<bos>] + question; under ``no_grad`` the incremental rows stay.
+        Pinned tokens go straight to the block pass.  Stops at <eos> or when
+        the position table is exhausted; the truncation case is flagged, not
+        an error.
         """
         if forced_tokens is not None:
-            self.decode_token(state, bos, want_logits=False)
-            for tok in forced_tokens:
-                self.decode_token(state, tok, want_logits=False)
+            self._decode_rows(state, [bos, *forced_tokens], want_logits=False)
             return StepOutput(list(forced_tokens), state.encoder_output)
 
         question: list[int] = []
         logits_rows: list[Tensor] = []
         truncated = False
         tok = bos
-        while True:
-            # greedy choices are discrete, so these logits never carry loss
-            # gradients; keep them off the graph
-            logits = self.decode_token(state, tok, want_logits=True, detach_logits=True)
-            if collect_logits:
-                logits_rows.append(logits)
-            nxt = int(np.argmax(logits.data))
-            if nxt == eos:
-                break
-            if state.n_fed >= self.cfg.max_len:
-                truncated = True
-                break
-            question.append(nxt)
-            tok = nxt
+        with ad.no_grad():
+            while True:
+                logits = self.decode_token(state, tok)
+                if collect_logits:
+                    logits_rows.append(logits)
+                nxt = int(np.argmax(logits.data))
+                if nxt == eos:
+                    break
+                if state.n_fed >= self.cfg.max_len:
+                    truncated = True
+                    break
+                question.append(nxt)
+                tok = nxt
+        if ad.grad_enabled():
+            n = self.cfg.n_dec_layers
+            state.sa_k, state.sa_v, state.n_fed = [None] * n, [None] * n, 0
+            self._decode_rows(state, [bos, *question], want_logits=False)
         return StepOutput(
             question, state.encoder_output, truncated,
             logits_rows if collect_logits else None,
@@ -541,62 +501,23 @@ class QuestionRewriter:
         modified by later steps.  ``detach`` drops the blocks' backward
         graph, cutting the gradient path from later losses into this step's
         computations (values are unchanged)."""
-        cfg = self.cfg
         if state.n_fed == 0:
             raise ShapeError("cannot seal a step before decoding any position")
         wrap = ad.detach if detach else (lambda t: t)
-        for i in range(cfg.n_dec_layers):
-            k_block = ad.concat_rows(state.sa_k_rows[i])
-            v_block = ad.concat_rows(state.sa_v_rows[i])
-            for h, (kh, vh) in enumerate(
-                zip(self._heads(k_block), self._heads(v_block))
-            ):
-                cache.sa_keys[i][h].append(wrap(kh))
-                cache.sa_values[i][h].append(wrap(vh))
-            for h in range(cfg.n_heads):
-                cache.ca_keys[i][h].append(wrap(state.ca_current_k[i][h]))
-                cache.ca_values[i][h].append(wrap(state.ca_current_v[i][h]))
+        for i in range(self.cfg.n_dec_layers):
+            cache.sa_keys[i].append(wrap(state.sa_k[i]))
+            cache.sa_values[i].append(wrap(state.sa_v[i]))
+            cache.ca_keys[i].append(wrap(state.ca_current_k[i]))
+            cache.ca_values[i].append(wrap(state.ca_current_v[i]))
         cache.step_lengths.append(state.n_fed)
         cache.context_lengths.append(state.encoder_output.shape[0])
 
     def teacher_forced_final(
         self, state: StepState, gold_ids: Sequence[int], bos: int, eos: int
     ) -> tuple[Tensor, list[int]]:
-        """Batched decoder forward over [<bos>] + gold; returns logits of
-        shape (len(gold) + 1, vocab) and the target ids (gold + <eos>)."""
-        cfg = self.cfg
-        inputs = [bos, *gold_ids]
-        x = self._embed(inputs)
-        n_step = len(inputs)
-        for i in range(cfg.n_dec_layers):
-            p = f"dec.l{i}"
-            h = self._ln(x, f"{p}.ln1")
-            cur_k = self._heads(self._project(h, f"{p}.sa", "k"))
-            cur_v = self._heads(self._project(h, f"{p}.sa", "v"))
-            prior_k = [
-                [state.sa_prior_k[i][h]] if state.sa_prior_k[i][h] is not None else []
-                for h in range(cfg.n_heads)
-            ]
-            prior_v = [
-                [state.sa_prior_v[i][h]] if state.sa_prior_v[i][h] is not None else []
-                for h in range(cfg.n_heads)
-            ]
-            x = ad.add(
-                x, self._mha(f"{p}.sa", h, prior_k, prior_v, cur_k, cur_v, True)
-            )
-            h2 = self._ln(x, f"{p}.ln2")
-            no_prior = [[] for _ in range(cfg.n_heads)]
-            x = ad.add(
-                x,
-                self._mha(
-                    f"{p}.ca", h2, no_prior, no_prior, state.ca_k[i], state.ca_v[i],
-                    False,
-                ),
-            )
-            x = ad.add(x, self._ff(self._ln(x, f"{p}.ln3"), f"{p}.ff"))
-        y = self._ln(x, "dec.lnf")
-        logits = self._project_out(y)
-        state.n_fed = n_step
+        """Block pass over [<bos>] + gold; returns logits of shape
+        (len(gold) + 1, vocab) and the target ids (gold + <eos>)."""
+        logits = self._decode_rows(state, [bos, *gold_ids], want_logits=True)
         return logits, [*gold_ids, eos]
 
     # ------------------------------------------------------------------

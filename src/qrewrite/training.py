@@ -276,13 +276,20 @@ def _validate(
     examples: Sequence[tuple[int, ArrangedExample]],
     voc: Vocab,
 ) -> dict:
+    """Loss and greedy final question per example from one multi-step pass:
+    teacher forcing does not seal, so the loss pass's cache holds exactly
+    the intermediate steps the greedy final step reads."""
     losses = []
     pairs = []
-    with ad.no_grad():
-        for _, ex in examples:
-            losses.append(_example_loss(model, ex, voc).item())
     for _, ex in examples:
-        final, _ = predict(model, ex, voc)
+        steps = make_step_inputs(ex, voc, model.cfg.max_len)
+        gold = voc.encode(ex.gold_question)
+        with ad.no_grad():
+            res = model.rewrite_forward(steps, voc.bos_id, voc.eos_id, gold_final=gold)
+            losses.append(final_step_loss(res.final_logits, gold, voc.eos_id).item())
+            state = model.start_step(model.encode(steps[-1]), res.cache)
+            out = model.greedy_decode_step(state, voc.bos_id, voc.eos_id)
+        final = voc.decode(out.question_tokens)
         pairs.append(
             (ex.example_id,
              M.EvalPair.from_strings(" ".join(final), [" ".join(ex.gold_question)]))

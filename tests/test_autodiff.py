@@ -7,6 +7,7 @@ import pytest
 from qrewrite import autodiff as ad
 from qrewrite.autodiff import Tensor
 from qrewrite.errors import ShapeError
+from qrewrite.model import within_step_causal_mask
 
 
 def t(data, grad=False):
@@ -215,6 +216,89 @@ class TestGradCheck:
         assert err <= 1e-4
 
 
+def per_head_attention(q, k, v, n_heads, allow):
+    """Plain numpy multi-head attention, one head at a time."""
+    dk = q.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        scores = (q[:, cols] / np.sqrt(dk)) @ k[:, cols].T
+        if allow is not None:
+            scores = np.where(allow, scores, -np.inf)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(outs, axis=1)
+
+
+# (n_heads, query rows, key rows, causal within the last `query rows` keys)
+ATTENTION_CASES = [
+    (1, 3, 5, False), (1, 3, 5, True),
+    (2, 4, 2, False), (2, 4, 7, True),
+    (4, 1, 6, False), (4, 3, 8, True),
+]
+
+
+class TestAttention:
+    @staticmethod
+    def _inputs(rng, n_heads, m, n, causal, grad=False):
+        d = 2 * n_heads
+        q, k, v = (t(rng.normal(size=(rows, d)), grad=grad) for rows in (m, n, n))
+        allow = within_step_causal_mask(n - m, m) if causal else None
+        return q, k, v, allow
+
+    @pytest.mark.parametrize("n_heads, m, n, causal", ATTENTION_CASES)
+    def test_matches_per_head_loop(self, n_heads, m, n, causal):
+        rng = np.random.default_rng(n_heads * 100 + m * 10 + n)
+        q, k, v, allow = self._inputs(rng, n_heads, m, n, causal)
+        got = ad.attention(q, k, v, n_heads, allow).data
+        expected = per_head_attention(q.data, k.data, v.data, n_heads, allow)
+        assert got.shape == (m, q.shape[1])
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_heads, m, n, causal", ATTENTION_CASES)
+    def test_grad_check(self, n_heads, m, n, causal):
+        rng = np.random.default_rng(n_heads * 100 + m * 10 + n + 1)
+        q, k, v, allow = self._inputs(rng, n_heads, m, n, causal, grad=True)
+        w = t(rng.normal(size=(m, q.shape[1])))
+
+        def f():
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, allow), w))
+
+        err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
+                            n_samples=60, rng=rng)
+        assert err <= 1e-6
+
+    def test_masked_keys_get_no_weight_or_gradient(self):
+        rng = np.random.default_rng(5)
+        q, k, v, allow = self._inputs(rng, 2, 2, 3, True, grad=True)
+        # the last key is visible only to the last query
+        out = ad.attention(q, k, v, 2, allow)
+        shifted = t(v.data.copy())
+        shifted.data[2] += 1e3
+        np.testing.assert_array_equal(
+            ad.attention(q, k, shifted, 2, allow).data[0], out.data[0]
+        )
+        first_row = np.zeros(out.shape)
+        first_row[0] = 1.0
+        ad.sum_all(ad.mul(out, t(first_row))).backward()
+        np.testing.assert_array_equal(k.grad[2], 0.0)
+        np.testing.assert_array_equal(v.grad[2], 0.0)
+        assert np.abs(k.grad[:2]).max() > 0.0
+
+    def test_shape_errors(self):
+        q = t(np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            ad.attention(q, t(np.zeros((3, 6))), t(np.zeros((3, 6))), 2)
+        with pytest.raises(ShapeError):
+            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 3)
+        with pytest.raises(ShapeError):
+            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2,
+                         np.ones((2, 2), dtype=bool))
+        with pytest.raises(ShapeError):
+            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2,
+                         np.array([[True, False, False], [False] * 3]))
+
+
 class TestStructuralOps:
     def test_concat_rows_roundtrip_gradient(self):
         a = t(np.ones((2, 3)), grad=True)
@@ -224,13 +308,6 @@ class TestStructuralOps:
         ad.sum_all(ad.mul(out, t(np.arange(9.0).reshape(3, 3)))).backward()
         np.testing.assert_allclose(a.grad, np.arange(6.0).reshape(2, 3))
         np.testing.assert_allclose(b.grad, [[6.0, 7.0, 8.0]])
-
-    def test_slice_cols_gradient_scatter(self):
-        a = t(np.ones((2, 4)), grad=True)
-        ad.sum_all(ad.slice_cols(a, 1, 3)).backward()
-        expected = np.zeros((2, 4))
-        expected[:, 1:3] = 1.0
-        np.testing.assert_array_equal(a.grad, expected)
 
     def test_embedding_scatter_add(self):
         table = t(np.ones((5, 2)), grad=True)

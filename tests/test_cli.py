@@ -195,6 +195,21 @@ class TestEvaluate:
                    "--out", tmp_path / "r.jsonl") == 2
 
 
+    @pytest.mark.parametrize("which", ["pred", "gold"])
+    def test_duplicated_id_is_data_error(self, data_dir, tmp_path, capsys, which):
+        golds = dataio.read_records(data_dir / "test.jsonl")
+        records = {"gold": golds, "pred": self._gold_as_predictions(golds)}
+        records[which] = [*records[which], records[which][0]]
+        for name, recs in records.items():
+            dataio.write_records(tmp_path / f"{name}.jsonl", recs)
+        assert run("evaluate", "--pred", tmp_path / "pred.jsonl",
+                   "--gold", tmp_path / "gold.jsonl",
+                   "--out", tmp_path / "r.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"{which}.jsonl" in err and repr(golds[0]["id"]) in err
+        assert not (tmp_path / "r.jsonl").exists()
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run("train") == 1

@@ -205,8 +205,11 @@ class TestRewriteForward:
         assert res.cache.sa_rows == sum(len(q) + 1 for q in qs)
         assert res.cache.ca_rows == 6
         for layer_blocks in res.cache.sa_keys:
-            for head_blocks in layer_blocks:
-                assert [b.shape[0] for b in head_blocks] == res.cache.step_lengths
+            assert [b.shape for b in layer_blocks] == [
+                (n, m.cfg.d_model) for n in res.cache.step_lengths
+            ]
+        for layer_blocks in res.cache.ca_keys:
+            assert [b.shape[0] for b in layer_blocks] == res.cache.context_lengths
 
     def test_cache_recompute_equivalence(self):
         rng = np.random.default_rng(31)
@@ -239,6 +242,50 @@ class TestRewriteForward:
         )
         assert np.abs(greedy.final_logits.data - pinned.final_logits.data).max() <= 1e-12
 
+    def test_block_pass_seals_the_incremental_rows(self):
+        m = tiny_model(seed=13, max_len=16)
+        steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2),
+                 StepInput([8, 9], 3)]
+        gold = [9, 10]
+        with ad.no_grad():
+            incremental = m.rewrite_forward(steps, BOS, EOS, gold_final=gold)
+        greedy = m.rewrite_forward(steps, BOS, EOS, gold_final=gold)
+        pinned = m.rewrite_forward(
+            steps, BOS, EOS, gold_final=gold,
+            pinned_intermediates=incremental.intermediate_tokens,
+        )
+        assert greedy.intermediate_tokens == incremental.intermediate_tokens
+        assert any(incremental.intermediate_tokens)
+        for res in (greedy, pinned):
+            assert res.cache.step_lengths == incremental.cache.step_lengths
+            for blocks in ("sa_keys", "sa_values", "ca_keys", "ca_values"):
+                for mine, ref in zip(getattr(res.cache, blocks),
+                                     getattr(incremental.cache, blocks)):
+                    for a, b in zip(mine, ref, strict=True):
+                        assert a.requires_grad and not b.requires_grad
+                        assert np.abs(a.data - b.data).max() <= 1e-12
+
+    def test_intermediate_step_costs_one_block_pass(self):
+        def reachable_nodes(loss):
+            seen, stack = {id(loss)}, [loss]
+            while stack:
+                for p in stack.pop()._parents:
+                    if p.requires_grad and id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append(p)
+            return len(seen)
+
+        m = tiny_model(seed=14, max_len=16)
+        steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2)]
+        gold = [9, 10]
+        counts = []
+        for question in ([11, 12], [11, 12, 13, 14, 15, 16, 17, 18, 19, 20]):
+            res = m.rewrite_forward(steps, BOS, EOS, gold_final=gold,
+                                    pinned_intermediates=[question])
+            loss = final_step_loss(res.final_logits, gold, EOS)
+            counts.append(reachable_nodes(loss))
+        assert counts[0] == counts[1]
+
     def test_no_steps_rejected(self):
         with pytest.raises(ShapeError):
             tiny_model().rewrite_forward([], BOS, EOS)
@@ -261,7 +308,7 @@ class TestAblations:
         # blocks were emptied after step 1 sealed
         res1 = base.rewrite_forward([steps[0]], BOS, EOS)
         cache = res1.cache
-        stripped = AttentionCache(base.cfg.n_dec_layers, base.cfg.n_heads)
+        stripped = AttentionCache(base.cfg.n_dec_layers)
         stripped.ca_keys = cache.ca_keys
         stripped.ca_values = cache.ca_values
         stripped.step_lengths = list(cache.step_lengths)
