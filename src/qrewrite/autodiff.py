@@ -151,9 +151,14 @@ def zero_grads(params: Iterable[Tensor] | Mapping[str, Tensor]) -> None:
         t.grad = None
 
 
+def constant(data: np.ndarray) -> Tensor:
+    """Wrap a float array as a tensor without a graph, sharing its memory."""
+    return _result(data, (), None)
+
+
 def detach(a: Tensor) -> Tensor:
     """Same values, no backward graph: a gradient stopper."""
-    return Tensor(a.data)
+    return constant(a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +402,29 @@ def attention(
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of ``x`` to zero mean / unit variance, then affine."""
+    """Normalize each row of ``x`` to zero mean / unit variance, then affine.
+
+    The row means are the sums over ``d`` columns divided by ``d``, the same
+    reductions ``np.mean`` and ``np.var`` run, so the result is bit-equal to
+    theirs without their Python-level wrappers.
+    """
     if x.data.ndim != 2 or x.shape[1] == 0:
         raise ShapeError(f"layer_norm expects a non-empty matrix, got {x.shape}")
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the row width")
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    centred = x.data - x.data.sum(axis=1, keepdims=True) / d
+    var = np.square(centred).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat = centred * inv
     out = _result(xhat * gain.data + bias.data, (x, gain, bias), None)
     if out.requires_grad:
         def bwd(g):
             dxhat = g * gain.data
             gx = inv * (
                 dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+                - dxhat.sum(axis=1, keepdims=True) / d
+                - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
             )
             _accumulate(x, gx)
             _accumulate(gain, (g * xhat).sum(axis=0))

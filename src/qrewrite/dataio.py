@@ -54,9 +54,14 @@ def read_records(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})")
+            if not isinstance(rec, dict):
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
+                )
+            records.append(rec)
     return records
 
 
@@ -178,39 +183,61 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.ndarray], dict | None]:
-    """Returns (config, vocab hash, parameter arrays, trainer state or None)."""
+    """Returns (config, vocab hash, parameter arrays, trainer state or None).
+
+    A truncated file, bytes after the last tensor or a header config that
+    ``ModelConfig`` rejects raise ``DataFormatError`` naming the file.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise DataFormatError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
     version, float_size, has_trainer = struct.unpack("<HBB", raw[4:8])
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
     if float_size not in (4, 8):
         raise DataFormatError(f"{path}: bad float size {float_size}")
     (blob_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
-    dtype = np.dtype(f"<f{float_size}")
     offset = 12 + blob_len
-    arrays: dict[str, np.ndarray] = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * float_size
-        arrays[spec["name"]] = np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy()
-        offset = end
-    trainer = None
-    if has_trainer:
+    if offset > len(raw):
+        raise DataFormatError(f"{path}: truncated checkpoint header")
+    header = json.loads(raw[12:offset].decode("utf-8"))
+    dtype = np.dtype(f"<f{float_size}")
+
+    def read_tensors(specs) -> list[tuple[str, np.ndarray]]:
+        nonlocal offset
         tensors = []
-        for spec in header["trainer"]["tensors"]:
+        for spec in specs:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             end = offset + count * float_size
+            if end > len(raw):
+                raise DataFormatError(
+                    f"{path}: truncated checkpoint: tensor {spec['name']!r} ends at "
+                    f"byte {end} of {len(raw)}"
+                )
             tensors.append(
                 (spec["name"], np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy())
             )
             offset = end
-        trainer = {"step": header["trainer"]["step"], "tensors": tensors}
-    cfg = ModelConfig.from_dict(header["config"])
+        return tensors
+
+    arrays = dict(read_tensors(header["tensors"]))
+    trainer = None
+    if has_trainer:
+        trainer = {
+            "step": header["trainer"]["step"],
+            "tensors": read_tensors(header["trainer"]["tensors"]),
+        }
+    if offset != len(raw):
+        raise DataFormatError(
+            f"{path}: {len(raw) - offset} trailing bytes after the last tensor"
+        )
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+    except TypeError as exc:
+        raise DataFormatError(f"{path}: bad model config in header ({exc})")
     return cfg, header["vocab_sha256"], arrays, trainer
 
 

@@ -28,7 +28,13 @@ Conventions, fixed here once:
   * greedy tokens are chosen under no_grad, one position at a time; a step
     on the autodiff graph is then built by one block pass over
     [<bos>] + question, which seals its K/V rows and skips the last layer's
-    attention, feed-forward and output head, whose results nothing reads.
+    attention, feed-forward and output head, whose results nothing reads;
+  * a step whose first pass runs under no_grad decodes into preallocated
+    numpy buffers, one K and one V per layer of (sealed rows + max_len,
+    d_model): the sealed rows are copied in once, each pass writes its new
+    rows in place and attends over one contiguous view, and sealing hands
+    the cache the view of the step's own rows.  The buffer of a sealed step
+    is never written again, since every step gets new buffers.
 """
 
 from __future__ import annotations
@@ -148,6 +154,10 @@ class StepState:
     sa_k: list[Tensor | None]         # this step's self-attention rows so far
     sa_v: list[Tensor | None]
     n_fed: int = 0
+    # set by a no_grad first pass: per layer, the sealed rows, then max_len
+    # rows for this step
+    sa_buf_k: list[np.ndarray] | None = None
+    sa_buf_v: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -159,6 +169,7 @@ class RewriteResult:
     truncated: list[bool]
     cache: AttentionCache
     step_logits: list[list[Tensor]] | None = None
+    final_encoder_output: Tensor | None = None
 
 
 def within_step_causal_mask(n_prior: int, n_step: int) -> np.ndarray:
@@ -182,9 +193,10 @@ def accumulated_attention(
     """Scaled dot-product attention over [prior blocks; current block].
 
     Queries always see every prior-step row.  With ``causal_within_step``
-    query i sees current rows 0..i (the query count must equal the current
-    block's row count); otherwise it sees the whole current block.  Heads
-    are packed along the columns of every argument and of the result.
+    the m queries belong to the last m rows of the current block (m may not
+    exceed its row count) and query i sees the current rows up to its own;
+    otherwise every query sees the whole current block.  Heads are packed
+    along the columns of every argument and of the result.
     """
     width = q.shape[1]
     for blk in (*prior_keys, *prior_values, current_k, current_v):
@@ -198,12 +210,11 @@ def accumulated_attention(
     values = ad.concat_rows([*prior_values, current_v]) if prior_values else current_v
     allow = None
     if causal_within_step:
-        if q.shape[0] != current_k.shape[0]:
+        if q.shape[0] > current_k.shape[0]:
             raise ShapeError(
-                "causal attention needs one query per current-block row"
+                "causal attention needs at most one query per current-block row"
             )
-        n_prior = keys.shape[0] - current_k.shape[0]
-        allow = within_step_causal_mask(n_prior, current_k.shape[0])
+        allow = within_step_causal_mask(keys.shape[0] - q.shape[0], q.shape[0])
     return ad.attention(q, keys, values, n_heads, allow)
 
 
@@ -342,7 +353,7 @@ class QuestionRewriter:
         e = ad.scale(
             ad.embedding(self.params["emb.tok"], ids), math.sqrt(self.cfg.d_model)
         )
-        return ad.add(e, Tensor(self._pos[pos_start : pos_start + n]))
+        return ad.add(e, ad.constant(self._pos[pos_start : pos_start + n]))
 
     # ------------------------------------------------------------------
     # encoder
@@ -401,25 +412,44 @@ class QuestionRewriter:
     ) -> Tensor | None:
         """One decoder pass over ``ids`` at the next step-local positions.
 
-        Appends their K/V rows to the step's state.  Each new row attends to
-        the sealed rows, the step's earlier rows and the new rows up to
-        itself.  Returns logits of shape (len(ids), vocab); without
-        ``want_logits`` it stops the last layer after its K/V projections,
-        where the rows a sealed step needs are complete.
+        Appends their K/V rows to the step's state: into the step's buffers
+        when its first pass ran under ``no_grad``, else as graph tensors.
+        Each new row attends to the sealed rows, the step's earlier rows and
+        the new rows up to itself.  Returns logits of shape (len(ids),
+        vocab); without ``want_logits`` it stops the last layer after its
+        K/V projections, where the rows a sealed step needs are complete.
         """
         cfg = self.cfg
         x = self._embed(ids, pos_start=state.n_fed)
+        grad = ad.grad_enabled()
+        if state.n_fed == 0 and not grad:
+            state.sa_buf_k = [self._rows_buffer(b) for b in state.sa_prior_k]
+            state.sa_buf_v = [self._rows_buffer(b) for b in state.sa_prior_v]
+        elif grad and state.sa_buf_k is not None:
+            # rows decoded under no_grad carry no graph; later rows join them
+            rows = [self._step_rows(state, i) for i in range(cfg.n_dec_layers)]
+            state.sa_k = [k for k, _ in rows]
+            state.sa_v = [v for _, v in rows]
+            state.sa_buf_k = state.sa_buf_v = None
         state.n_fed += len(ids)
         for i in range(cfg.n_dec_layers):
             p = f"dec.l{i}"
             h = self._ln(x, f"{p}.ln1")
             k = self._project(h, f"{p}.sa", "k")
             v = self._project(h, f"{p}.sa", "v")
-            own_k, own_v = state.sa_k[i], state.sa_v[i]
-            prior_k = [b for b in (state.sa_prior_k[i], own_k) if b is not None]
-            prior_v = [b for b in (state.sa_prior_v[i], own_v) if b is not None]
-            state.sa_k[i] = k if own_k is None else ad.concat_rows([own_k, k])
-            state.sa_v[i] = v if own_v is None else ad.concat_rows([own_v, v])
+            if state.sa_buf_k is not None:
+                buf_k, buf_v = state.sa_buf_k[i], state.sa_buf_v[i]
+                end = buf_k.shape[0] - cfg.max_len + state.n_fed
+                buf_k[end - len(ids) : end] = k.data
+                buf_v[end - len(ids) : end] = v.data
+                prior_k, prior_v = [], []
+                k, v = ad.constant(buf_k[:end]), ad.constant(buf_v[:end])
+            else:
+                own_k, own_v = state.sa_k[i], state.sa_v[i]
+                prior_k = [b for b in (state.sa_prior_k[i], own_k) if b is not None]
+                prior_v = [b for b in (state.sa_prior_v[i], own_v) if b is not None]
+                state.sa_k[i] = k if own_k is None else ad.concat_rows([own_k, k])
+                state.sa_v[i] = v if own_v is None else ad.concat_rows([own_v, v])
             if not want_logits and i == cfg.n_dec_layers - 1:
                 return None
             # a single query sits at the newest position and may see every row
@@ -488,11 +518,29 @@ class QuestionRewriter:
         if ad.grad_enabled():
             n = self.cfg.n_dec_layers
             state.sa_k, state.sa_v, state.n_fed = [None] * n, [None] * n, 0
+            state.sa_buf_k = state.sa_buf_v = None
             self._decode_rows(state, [bos, *question], want_logits=False)
         return StepOutput(
             question, state.encoder_output, truncated,
             logits_rows if collect_logits else None,
         )
+
+    def _rows_buffer(self, sealed: Tensor | None) -> np.ndarray:
+        """A (sealed rows + max_len, d_model) buffer holding ``sealed``."""
+        n_sealed = 0 if sealed is None else sealed.shape[0]
+        buf = np.empty((n_sealed + self.cfg.max_len, self.cfg.d_model), self.dtype)
+        if sealed is not None:
+            buf[:n_sealed] = sealed.data
+        return buf
+
+    def _step_rows(self, state: StepState, i: int) -> tuple[Tensor, Tensor]:
+        """Layer ``i``'s self-attention K and V rows of the current step."""
+        if state.sa_buf_k is None:
+            return state.sa_k[i], state.sa_v[i]
+        buf_k, buf_v = state.sa_buf_k[i], state.sa_buf_v[i]
+        start = buf_k.shape[0] - self.cfg.max_len
+        rows = slice(start, start + state.n_fed)
+        return ad.constant(buf_k[rows]), ad.constant(buf_v[rows])
 
     def seal_step(
         self, state: StepState, cache: AttentionCache, detach: bool = False
@@ -505,8 +553,9 @@ class QuestionRewriter:
             raise ShapeError("cannot seal a step before decoding any position")
         wrap = ad.detach if detach else (lambda t: t)
         for i in range(self.cfg.n_dec_layers):
-            cache.sa_keys[i].append(wrap(state.sa_k[i]))
-            cache.sa_values[i].append(wrap(state.sa_v[i]))
+            k, v = self._step_rows(state, i)
+            cache.sa_keys[i].append(wrap(k))
+            cache.sa_values[i].append(wrap(v))
             cache.ca_keys[i].append(wrap(state.ca_current_k[i]))
             cache.ca_values[i].append(wrap(state.ca_current_v[i]))
         cache.step_lengths.append(state.n_fed)
@@ -577,7 +626,7 @@ class QuestionRewriter:
                 logits, targets = self.teacher_forced_final(state, gold_final, bos, eos)
                 return RewriteResult(
                     intermediates, None, logits, targets, truncated, cache,
-                    step_logits if collect_logits else None,
+                    step_logits if collect_logits else None, h_enc,
                 )
             out = self.greedy_decode_step(
                 state, bos, eos, collect_logits=collect_logits
@@ -588,7 +637,7 @@ class QuestionRewriter:
                 step_logits.append(out.logits_rows or [])
             return RewriteResult(
                 intermediates, out.question_tokens, None, None, truncated, cache,
-                step_logits if collect_logits else None,
+                step_logits if collect_logits else None, h_enc,
             )
         raise AssertionError("unreachable")
 

@@ -278,7 +278,8 @@ def _validate(
 ) -> dict:
     """Loss and greedy final question per example from one multi-step pass:
     teacher forcing does not seal, so the loss pass's cache holds exactly
-    the intermediate steps the greedy final step reads."""
+    the intermediate steps the greedy final step reads, and its final-step
+    encoding is the one that step decodes from."""
     losses = []
     pairs = []
     for _, ex in examples:
@@ -287,7 +288,7 @@ def _validate(
         with ad.no_grad():
             res = model.rewrite_forward(steps, voc.bos_id, voc.eos_id, gold_final=gold)
             losses.append(final_step_loss(res.final_logits, gold, voc.eos_id).item())
-            state = model.start_step(model.encode(steps[-1]), res.cache)
+            state = model.start_step(res.final_encoder_output, res.cache)
             out = model.greedy_decode_step(state, voc.bos_id, voc.eos_id)
         final = voc.decode(out.question_tokens)
         pairs.append(

@@ -102,6 +102,20 @@ class TestLayerNorm:
         out = ad.layer_norm_rows(t([[1.0, 2.0, 9.0]]), t(np.zeros(3)), bias)
         np.testing.assert_allclose(out.data, [bias.data], atol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 7, 33])
+    def test_equals_mean_var_formula(self, dtype, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(3.0, 5.0, size=(rows, 64)).astype(dtype)
+        gain = rng.normal(size=64).astype(dtype)
+        bias = rng.normal(size=64).astype(dtype)
+        out = ad.layer_norm_rows(Tensor(x), Tensor(gain), Tensor(bias))
+        mean = x.mean(axis=1, keepdims=True)
+        var = x.var(axis=1, keepdims=True)
+        ref = (x - mean) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, ref)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

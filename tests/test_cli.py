@@ -91,6 +91,31 @@ class TestArrange:
                    "--out", tmp_path / "o.jsonl") == 2
 
 
+@pytest.mark.parametrize("command", ["arrange", "generate"])
+def test_non_object_record_is_data_error(command, data_dir, train_dir, tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    src.write_text((data_dir / "test.jsonl").read_text() + "[1, 2]\n")
+    n_lines = len(src.read_text().splitlines())
+    if command == "arrange":
+        argv = ["arrange", "--in", src]
+    else:
+        argv = ["generate", "--checkpoint", train_dir / "checkpoint-final.bin",
+                "--data", src, "--vocab", data_dir / "vocab.txt"]
+    assert run(*argv, "--out", tmp_path / "out.jsonl") == 2
+    err = capsys.readouterr().err
+    assert f"in.jsonl:{n_lines}: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
+def test_truncated_checkpoint_is_data_error(data_dir, train_dir, tmp_path, capsys):
+    ck = tmp_path / "checkpoint.bin"
+    ck.write_bytes((train_dir / "checkpoint-final.bin").read_bytes()[:-3])
+    assert run("generate", "--checkpoint", ck, "--data", data_dir / "test.jsonl",
+               "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "p.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin: truncated" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_artifacts(self, train_dir):
         for name in ("checkpoint-H1.bin", "checkpoint-H2.bin",

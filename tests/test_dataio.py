@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ def sample_record(hops=2):
     }
 
 
+def corrupt_checkpoint(path, defect):
+    """Rewrite a saved checkpoint with one defect."""
+    raw = path.read_bytes()
+    if defect == "truncated":
+        raw = raw[:-5]
+    elif defect == "trailing_bytes":
+        raw += b"\x00" * 8
+    else:  # a config key ModelConfig does not know
+        (n,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12 : 12 + n])
+        header["config"]["n_experts"] = 4
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        raw = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :]
+    path.write_bytes(raw)
+
+
 class TestRecords:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -36,6 +53,12 @@ class TestRecords:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a"}\nnot json\n')
         with pytest.raises(DataFormatError, match="2"):
+            dataio.read_records(path)
+
+    def test_non_object_line(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text('{"id": "a"}\n[1, 2]\n')
+        with pytest.raises(DataFormatError, match=r"list\.jsonl:2: expected a JSON object"):
             dataio.read_records(path)
 
     def test_hops_document_mismatch(self):
@@ -111,6 +134,14 @@ class TestCheckpoints:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(DataFormatError, match="magic"):
+            dataio.load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", ["truncated", "trailing_bytes", "unknown_config_key"])
+    def test_malformed_checkpoint(self, tmp_path, defect):
+        path = tmp_path / "ck.bin"
+        dataio.save_checkpoint(path, self._model(), vocab_sha256="00" * 32)
+        corrupt_checkpoint(path, defect)
+        with pytest.raises(DataFormatError, match="ck.bin"):
             dataio.load_checkpoint(path)
 
     def test_trainer_state_roundtrip(self, tmp_path):

@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,15 +21,27 @@ from reference_impl import ref_encode, ref_replay, ref_seq2seq
 
 BOS, EOS = 1, 2
 
+# (mode_accumulated_sa, mode_accumulated_ca): full model and each ablation
+ACCUMULATION_MODES = [(True, True), (False, True), (True, False)]
+# f32 results are compared at 1e-5, about 80 f32 ulps at values of order 1;
+# the f64 bounds stay those of the tests below
+F32_TOLERANCE = 1e-5
 
-def tiny_model(seed=0, vocab=40, **overrides):
+
+def tiny_model(seed=0, vocab=40, dtype=np.float64, **overrides):
     kw = dict(
         vocab_size=vocab, d_model=16, n_heads=2, d_ff=24,
         n_enc_layers=2, n_dec_layers=2, max_len=32,
     )
     kw.update(overrides)
     cfg = ModelConfig(**kw)
-    return QuestionRewriter(cfg, rng=np.random.default_rng(seed))
+    return QuestionRewriter(cfg, rng=np.random.default_rng(seed), dtype=dtype)
+
+
+def decoder_variants():
+    """(steps, mode_accumulated_sa, mode_accumulated_ca, dtype) for 1-4
+    steps, each accumulation mode and both precisions."""
+    return itertools.product(range(1, 5), ACCUMULATION_MODES, (np.float64, np.float32))
 
 
 def param_arrays(model):
@@ -103,16 +118,18 @@ class TestAccumulatedAttention:
             m = int(rng.integers(1, 5))
             cur_k = Tensor(rng.normal(size=(m, d_k)))
             cur_v = Tensor(rng.normal(size=(m, d_k)))
-            q = Tensor(rng.normal(size=(m, d_k)))
+            # causal queries may be the last few rows of the current block
             causal = bool(rng.integers(0, 2))
+            n_q = int(rng.integers(1, m + 1)) if causal else m
+            q = Tensor(rng.normal(size=(n_q, d_k)))
 
             split = accumulated_attention(q, blocks_k, blocks_v, cur_k, cur_v, causal)
 
             merged_k = Tensor(np.concatenate([b.data for b in blocks_k] + [cur_k.data]))
             merged_v = Tensor(np.concatenate([b.data for b in blocks_v] + [cur_v.data]))
-            n_prior = merged_k.shape[0] - m
+            n_prior = merged_k.shape[0] - n_q
             scores = ad.scale(ad.matmul(q, ad.transpose(merged_k)), 1 / np.sqrt(d_k))
-            allow = within_step_causal_mask(n_prior, m) if causal else None
+            allow = within_step_causal_mask(n_prior, n_q) if causal else None
             whole = ad.matmul(ad.softmax_rows(scores, allow), merged_v)
             assert np.abs(split.data - whole.data).max() <= 1e-12
 
@@ -134,18 +151,20 @@ class TestDecoding:
         assert logits.shape == (1, m.cfg.vocab_size)
 
     def test_incremental_equals_batched_teacher_forcing(self):
+        # on the graph and, under no_grad, in the step buffers
         m = tiny_model(seed=5)
         enc = StepInput([3, 4, 5, 6], 1)
         prefix = [7, 8, 9, 10, 11]
+        for grad in (True, False):
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                cache = m.new_cache()
+                state = m.start_step(m.encode(enc), cache)
+                rows = [m.decode_token(state, tok).data for tok in [BOS, *prefix]]
 
-        cache = m.new_cache()
-        state = m.start_step(m.encode(enc), cache)
-        rows = [m.decode_token(state, tok).data for tok in [BOS, *prefix]]
-
-        cache2 = m.new_cache()
-        state2 = m.start_step(m.encode(enc), cache2)
-        logits, _ = m.teacher_forced_final(state2, prefix, BOS, EOS)
-        assert np.abs(np.concatenate(rows) - logits.data).max() <= 1e-10
+                cache2 = m.new_cache()
+                state2 = m.start_step(m.encode(enc), cache2)
+                logits, _ = m.teacher_forced_final(state2, prefix, BOS, EOS)
+            assert np.abs(np.concatenate(rows) - logits.data).max() <= 1e-10
 
     def test_max_len_exceeded(self):
         m = tiny_model(max_len=4)
@@ -165,6 +184,41 @@ class TestDecoding:
         m.seal_step(state, cache)
         assert out.question_tokens == []
         assert cache.step_lengths == [1]  # the <bos> row only
+
+    def test_no_grad_decoding_concatenates_nothing(self, monkeypatch):
+        m = tiny_model(seed=17, max_len=16)
+        with ad.no_grad():
+            cache = m.new_cache()
+            state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), cache)
+            m.greedy_decode_step(state, BOS, EOS)
+            m.seal_step(state, cache)
+            state = m.start_step(m.encode(StepInput([6, 7], 2)), cache)
+            calls = []
+            concat_rows = ad.concat_rows
+            monkeypatch.setattr(
+                ad, "concat_rows", lambda ts: calls.append(len(ts)) or concat_rows(ts)
+            )
+            out = m.greedy_decode_step(state, BOS, EOS)
+        assert len(out.question_tokens) > 1
+        assert calls == []
+
+    def test_gradient_pass_after_no_grad_rows(self):
+        # rows decoded under no_grad stay constants; a later pass with
+        # gradients still puts its own K/V rows on the graph
+        m = tiny_model(seed=18)
+        enc = StepInput([3, 4, 5], 1)
+        tokens = [BOS, 7, 8, 9]
+        state = m.start_step(m.encode(enc), m.new_cache())
+        with ad.no_grad():
+            for tok in tokens[:-1]:
+                m.decode_token(state, tok)
+        logits = m.decode_token(state, tokens[-1])
+        ref_state = m.start_step(m.encode(enc), m.new_cache())
+        ref = [m.decode_token(ref_state, tok) for tok in tokens][-1]
+        assert np.abs(logits.data - ref.data).max() <= 1e-12
+        ad.sum_all(logits).backward()
+        last = m.cfg.n_dec_layers - 1
+        assert np.abs(m.params[f"dec.l{last}.sa.wk"].grad).max() > 0.0
 
     def test_tie_break_lowest_token_id(self):
         m = tiny_model()
@@ -212,24 +266,30 @@ class TestRewriteForward:
             assert [b.shape[0] for b in layer_blocks] == res.cache.context_lengths
 
     def test_cache_recompute_equivalence(self):
+        # greedy logits, decoded into the step buffers, against a cache-free
+        # replay; with gradients on, earlier steps are sealed by block passes
         rng = np.random.default_rng(31)
-        for trial in range(3):
-            m = tiny_model(seed=100 + trial, max_len=16)
+        cases = itertools.product(decoder_variants(), (False, True))
+        for trial, ((n_steps, (sa, ca), dtype), grad) in enumerate(cases):
+            m = tiny_model(seed=100 + trial, max_len=16, dtype=dtype,
+                           mode_accumulated_sa=sa, mode_accumulated_ca=ca)
             steps = [
                 StepInput(list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(2, 6))), t + 1)
-                for t in range(3)
+                for t in range(n_steps)
             ]
-            res = m.rewrite_forward(steps, BOS, EOS, collect_logits=True)
+            with ad.no_grad() if not grad else contextlib.nullcontext():
+                res = m.rewrite_forward(steps, BOS, EOS, collect_logits=True)
             questions = [*res.intermediate_tokens, res.final_tokens]
             dec_inputs = [[BOS, *q] for q in questions]
             ref_logits = ref_replay(
                 param_arrays(m), m.cfg.to_dict(),
                 [s.tokens for s in steps], dec_inputs,
             )
-            for step_rows, ref_step in zip(res.step_logits, ref_logits):
+            tol = 1e-10 if dtype == np.float64 else F32_TOLERANCE
+            for step_rows, ref_step in zip(res.step_logits, ref_logits, strict=True):
                 mine = np.concatenate([r.data for r in step_rows])
                 assert mine.shape == ref_step.shape
-                assert np.abs(mine - ref_step).max() <= 1e-10
+                assert np.abs(mine - ref_step).max() <= tol, (n_steps, sa, ca, dtype, grad)
 
     def test_pinned_intermediates_match_greedy(self):
         m = tiny_model(seed=12, max_len=16)
@@ -243,27 +303,54 @@ class TestRewriteForward:
         assert np.abs(greedy.final_logits.data - pinned.final_logits.data).max() <= 1e-12
 
     def test_block_pass_seals_the_incremental_rows(self):
-        m = tiny_model(seed=13, max_len=16)
-        steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2),
-                 StepInput([8, 9], 3)]
-        gold = [9, 10]
-        with ad.no_grad():
-            incremental = m.rewrite_forward(steps, BOS, EOS, gold_final=gold)
-        greedy = m.rewrite_forward(steps, BOS, EOS, gold_final=gold)
-        pinned = m.rewrite_forward(
-            steps, BOS, EOS, gold_final=gold,
-            pinned_intermediates=incremental.intermediate_tokens,
-        )
-        assert greedy.intermediate_tokens == incremental.intermediate_tokens
-        assert any(incremental.intermediate_tokens)
-        for res in (greedy, pinned):
-            assert res.cache.step_lengths == incremental.cache.step_lengths
-            for blocks in ("sa_keys", "sa_values", "ca_keys", "ca_values"):
-                for mine, ref in zip(getattr(res.cache, blocks),
-                                     getattr(incremental.cache, blocks)):
-                    for a, b in zip(mine, ref, strict=True):
-                        assert a.requires_grad and not b.requires_grad
-                        assert np.abs(a.data - b.data).max() <= 1e-12
+        # every step, the final one included, is greedy and sealed: under
+        # no_grad from its buffers, with gradients by a block pass
+        all_steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2),
+                     StepInput([8, 9], 3), StepInput([10, 3, 6], 4)]
+        for n_steps, (sa, ca), dtype in decoder_variants():
+            m = tiny_model(seed=13, max_len=16, dtype=dtype,
+                           mode_accumulated_sa=sa, mode_accumulated_ca=ca)
+            steps = all_steps[:n_steps]
+            with ad.no_grad():
+                incremental = m.rewrite_forward(steps, BOS, EOS)
+            greedy = m.rewrite_forward(steps, BOS, EOS)
+            pinned = m.rewrite_forward(
+                steps, BOS, EOS, pinned_intermediates=incremental.intermediate_tokens,
+            )
+            questions = [*incremental.intermediate_tokens, incremental.final_tokens]
+            assert all(questions)
+            tol = 1e-12 if dtype == np.float64 else F32_TOLERANCE
+            for res in (greedy, pinned):
+                assert [*res.intermediate_tokens, res.final_tokens] == questions
+                assert res.cache.step_lengths == incremental.cache.step_lengths
+                for blocks in ("sa_keys", "sa_values", "ca_keys", "ca_values"):
+                    for mine, ref in zip(getattr(res.cache, blocks),
+                                         getattr(incremental.cache, blocks)):
+                        for a, b in zip(mine, ref, strict=True):
+                            assert a.requires_grad and not b.requires_grad
+                            assert np.abs(a.data - b.data).max() <= tol, (
+                                n_steps, sa, ca, dtype, blocks
+                            )
+
+    def test_sealed_blocks_unchanged_by_later_steps(self):
+        steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2), StepInput([8, 9], 3)]
+        for sa, ca in ACCUMULATION_MODES:
+            m = tiny_model(seed=16, max_len=16, mode_accumulated_sa=sa,
+                           mode_accumulated_ca=ca)
+            cache = m.new_cache()
+            snapshots = []
+            with ad.no_grad():
+                for step in steps:
+                    state = m.start_step(m.encode(step), cache)
+                    m.greedy_decode_step(state, BOS, EOS)
+                    m.seal_step(state, cache)
+                    snapshots.append([[b.data.copy() for b in blocks]
+                                      for blocks in cache.sa_keys + cache.sa_values])
+            final = cache.sa_keys + cache.sa_values
+            for snapshot in snapshots:
+                for copies, blocks in zip(snapshot, final, strict=True):
+                    for old, block in zip(copies, blocks):
+                        assert np.array_equal(old, block.data), (sa, ca)
 
     def test_intermediate_step_costs_one_block_pass(self):
         def reachable_nodes(loss):

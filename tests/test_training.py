@@ -12,6 +12,7 @@ from qrewrite.training import (
     AdamW,
     ComplexityDataset,
     CurriculumConfig,
+    _validate,
     build_iteration_dataset,
     clip_grad_norm,
     loss_weight,
@@ -222,3 +223,22 @@ def test_train_plan_shorter_than_warmup_runs():
     result = train(model, dataset, cfg, voc)
     assert result.total_steps == 2
     assert math.isfinite(result.final_train_loss)
+
+
+def test_validation_encodes_each_step_once(monkeypatch):
+    world = synthetic.generate_world(3, {"person": 10, "film": 8, "city": 6, "country": 6})
+    rec = synthetic.generate_example(world, 2, seed=0)
+    voc = Vocab.build(synthetic.collect_tokens([rec]))
+    example = dataio.arranged_example(dataio.arrange_record(rec))
+    model = QuestionRewriter(
+        ModelConfig(vocab_size=len(voc), d_model=16, n_heads=2, d_ff=24,
+                    n_enc_layers=1, n_dec_layers=1, max_len=48),
+        rng=np.random.default_rng(0),
+    )
+    calls = []
+    encode = QuestionRewriter.encode
+    monkeypatch.setattr(QuestionRewriter, "encode",
+                        lambda self, step: calls.append(step) or encode(self, step))
+    record = _validate(model, [(2, example)], voc)
+    assert len(calls) == 2
+    assert math.isfinite(record["val_loss"])
