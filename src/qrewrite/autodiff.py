@@ -2,8 +2,8 @@
 
 Flat row-major numpy buffers and the handful of differentiable operations a
 small encoder-decoder transformer needs: matmul, row-wise (masked) softmax,
-fused multi-head attention, layer normalization, embedding lookup,
-cross-entropy.  Every tensor is 2-D or smaller.  No general
+fused multi-head attention (also over row segments packed into one op),
+layer normalization, embedding lookup, cross-entropy.  Every tensor is 2-D or smaller.  No general
 broadcasting; the only implicit broadcast is a bias row added to every row
 of a matrix.
 
@@ -345,8 +345,71 @@ def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
     return out
 
 
+class Segments:
+    """Independent attention problems packed along the rows of one op.
+
+    Segment s owns query rows ``q_offsets[s]:q_offsets[s + 1]`` and key rows
+    ``k_starts[s]:k_starts[s] + k_lens[s]``.  With ``causal`` its queries
+    are the last rows of its keys and each sees the keys up to its own row;
+    otherwise every query sees all of its segment's keys.
+    """
+
+    __slots__ = ("q_offsets", "k_starts", "k_lens", "causal", "_padded")
+
+    def __init__(self, q_offsets, k_starts, k_lens, causal: bool = False):
+        self.q_offsets = np.asarray(q_offsets, dtype=np.intp)
+        self.k_starts = np.asarray(k_starts, dtype=np.intp)
+        self.k_lens = np.asarray(k_lens, dtype=np.intp)
+        self.causal = causal
+        self._padded = None
+        n_seg = self.k_lens.shape[0]
+        if (n_seg == 0 or self.q_offsets.shape != (n_seg + 1,)
+                or self.k_starts.shape != (n_seg,) or self.q_offsets[0] != 0):
+            raise ShapeError("segments: q_offsets from 0, one more than the segments")
+        counts = np.diff(self.q_offsets)
+        if min(counts.min(), self.k_lens.min()) < 1 or self.k_starts.min() < 0:
+            raise ShapeError("segments: every segment needs queries and keys")
+        if causal and (counts > self.k_lens).any():
+            raise ShapeError("segments: causal queries exceed their segment's keys")
+
+    def __len__(self) -> int:
+        return self.k_lens.shape[0]
+
+    def padded(self):
+        """Gather plan for the (segments, rows, n_max) layout, built once:
+        (m_max, n_max, q_index, q_valid, k_index, k_valid, allow).  Padding
+        repeats a row of the segment; ``allow`` masks it, and is None when
+        nothing needs masking.  ``q_index`` is None when every segment has
+        m_max queries, which then are a plain reshape."""
+        if self._padded is None:
+            counts = np.diff(self.q_offsets)
+            m_max, n_max = int(counts.max()), int(self.k_lens.max())
+            rows, cols = np.arange(m_max), np.arange(n_max)
+            q_valid = rows < counts[:, None]
+            q_index = None
+            if not q_valid.all():
+                last = counts[:, None] - 1
+                q_index = self.q_offsets[:-1, None] + np.minimum(rows, last)
+            k_valid = cols < self.k_lens[:, None]
+            k_last = self.k_lens[:, None] - 1
+            k_index = self.k_starts[:, None] + np.minimum(cols, k_last)
+            if self.causal:
+                limit = (self.k_lens - counts)[:, None] + 1 + rows
+            else:
+                limit = np.broadcast_to(self.k_lens[:, None], q_valid.shape)
+            allow = cols < limit[:, :, None]
+            self._padded = (m_max, n_max, q_index, q_valid, k_index, k_valid,
+                            None if allow.all() else allow)
+        return self._padded
+
+
 def attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, allow: np.ndarray | None = None
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    allow: np.ndarray | None = None,
+    segments: Segments | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention as one graph node.
 
@@ -358,6 +421,11 @@ def attention(
     per head with P the attention weights and dO the output gradient:
     dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)), then
     dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k).
+
+    ``segments`` (instead of ``allow``) packs independent problems into
+    the rows.  One segment is plain attention over its key rows.  Several
+    run as one padded (segments, heads, rows, n_max) batched matmul with a
+    length mask, and the same backward per segment.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError("attention expects 2-D q, k and v")
@@ -370,16 +438,30 @@ def attention(
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
     dk = d // n_heads
     c = 1.0 / np.sqrt(dk)
+    kd, vd, window = k.data, v.data, slice(0, n)
+    if segments is not None:
+        if allow is not None:
+            raise ShapeError("attention: pass an allow mask or segments, not both")
+        ends = segments.k_starts + segments.k_lens
+        if segments.q_offsets[-1] != m or ends.max() > n:
+            raise ShapeError(f"attention: segments do not fit q {q.shape}, k {k.shape}")
+        if len(segments) > 1:
+            return _packed_attention(q, k, v, n_heads, segments)
+        lo, n_seg = int(segments.k_starts[0]), int(segments.k_lens[0])
+        window = slice(lo, lo + n_seg)
+        kd, vd = kd[window], vd[window]
+        if segments.causal and m > 1:
+            allow = np.arange(n_seg) < (n_seg - m + 1 + np.arange(m))[:, None]
 
     def split(a: np.ndarray) -> np.ndarray:  # (rows, d) -> (heads, rows, d_k)
         return a.reshape(a.shape[0], n_heads, dk).transpose(1, 0, 2)
 
-    qs, kh, vh = split(q.data) * c, split(k.data), split(v.data)
+    qs, kh, vh = split(q.data) * c, split(kd), split(vd)
     scores = qs @ kh.transpose(0, 2, 1)
     if allow is not None:
         allow = np.asarray(allow, dtype=bool)
-        if allow.shape != (m, n):
-            raise ShapeError(f"attention: mask shape {allow.shape} != {(m, n)}")
+        if allow.shape != scores.shape[1:]:
+            raise ShapeError(f"attention: mask {allow.shape} != {scores.shape[1:]}")
         if not allow.any(axis=1).all():
             raise ShapeError("attention: a query row has no permitted keys")
         scores = np.where(allow, scores, -np.inf)
@@ -395,8 +477,65 @@ def attention(
             dp = gh @ vh.transpose(0, 2, 1)
             ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
             _accumulate(q, merge(ds @ kh) * c)
-            _accumulate(k, merge(ds.transpose(0, 2, 1) @ qs))
-            _accumulate(v, merge(p.transpose(0, 2, 1) @ gh))
+            for t, grad in ((k, merge(ds.transpose(0, 2, 1) @ qs)),
+                            (v, merge(p.transpose(0, 2, 1) @ gh))):
+                if grad.shape[0] != n:  # a segment's window of the rows
+                    full = np.zeros_like(t.data)
+                    full[window] = grad
+                    grad = full
+                _accumulate(t, grad)
+        out._backward = bwd
+    return out
+
+
+def _packed_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments: Segments
+) -> Tensor:
+    """``attention`` over several segments, padded to (segments, heads,
+    m_max, n_max); padded key columns are masked and padded query rows
+    dropped from the result."""
+    (m, d), n_seg = q.shape, len(segments)
+    dk = d // n_heads
+    c = 1.0 / np.sqrt(dk)
+    m_max, n_max, q_index, q_valid, k_index, k_valid, allow = segments.padded()
+
+    def split(a: np.ndarray) -> np.ndarray:  # (seg, rows, d) -> (seg, heads, rows, d_k)
+        return a.reshape(n_seg, a.shape[1], n_heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # (seg, heads, rows, d_k) -> (seg, rows, d)
+        return a.transpose(0, 2, 1, 3).reshape(n_seg, a.shape[2], d)
+
+    def unpad(a: np.ndarray) -> np.ndarray:  # (seg, m_max, d) -> (m, d)
+        return a.reshape(m, d) if q_index is None else a[q_valid]
+
+    q3 = q.data.reshape(n_seg, m_max, d) if q_index is None else q.data[q_index]
+    qs, kh, vh = split(q3) * c, split(k.data[k_index]), split(v.data[k_index])
+    scores = qs @ kh.transpose(0, 1, 3, 2)
+    if allow is not None:
+        scores = np.where(allow[:, None], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    p = e / e.sum(axis=3, keepdims=True)
+    out = _result(unpad(merge(p @ vh)), (q, k, v), None)
+    if out.requires_grad:
+        key_rows = k_index[k_valid]
+
+        def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
+            full = np.zeros_like(t.data)
+            np.add.at(full, key_rows, padded[k_valid])
+            _accumulate(t, full)
+
+        def bwd(g):
+            if q_index is None:
+                g3 = g.reshape(n_seg, m_max, d)
+            else:
+                g3 = np.zeros((n_seg, m_max, d), dtype=g.dtype)
+                g3[q_valid] = g
+            gh = split(g3)
+            dp = gh @ vh.transpose(0, 1, 3, 2)
+            ds = p * (dp - (dp * p).sum(axis=3, keepdims=True))
+            _accumulate(q, unpad(merge(ds @ kh)) * c)
+            scatter(k, merge(ds.transpose(0, 1, 3, 2) @ qs))
+            scatter(v, merge(p.transpose(0, 1, 3, 2) @ gh))
         out._backward = bwd
     return out
 

@@ -232,23 +232,36 @@ def cmd_generate(args) -> int:
         mode_overrides=overrides,
     )
     records = dataio.read_records(args.data)
-    out = []
-    failures = 0
+    prepared = []  # per record: (example, step inputs), or the error it raised
     for rec in records:
         try:
             ex = dataio.arranged_example(rec)
-            final, intermediates = training.predict(model, ex, voc)
+            prepared.append((ex, make_step_inputs(ex, voc, model.cfg.max_len)))
         except (DataFormatError, LengthError) as exc:
-            # record-scoped: keep count parity, score as an empty prediction
-            failures += 1
             _eprint(f"record {rec.get('id', '?')!r}: {exc}")
+            prepared.append(exc)
+    decodable = [p for p in prepared if not isinstance(p, Exception)]
+    results = iter(model.rewrite_packed(
+        [steps for _, steps in decodable], voc.bos_id, voc.eos_id
+    ))
+    out, truncated = [], []
+    for rec, p in zip(records, prepared):
+        if isinstance(p, Exception):
+            # record-scoped: keep count parity, score as an empty prediction
             out.append({"id": rec.get("id", "?"), "hops": rec.get("hops", 0),
-                        "prediction": "", "error": str(exc)})
+                        "prediction": "", "error": str(p)})
             continue
-        pred = {"id": ex.example_id, "hops": ex.hops, "prediction": " ".join(final)}
+        ex, res = p[0], next(results)
+        pred = {"id": ex.example_id, "hops": ex.hops,
+                "prediction": " ".join(voc.decode(res.final_tokens))}
         if args.emit_intermediates:
-            pred["intermediates"] = [" ".join(q) for q in intermediates]
+            pred["intermediates"] = [
+                " ".join(voc.decode(q)) for q in res.intermediate_tokens
+            ]
         out.append(pred)
+        if any(res.truncated):
+            truncated.append(ex.example_id)
+    failures = len(records) - len(decodable)
     if failures:
         _eprint(f"{failures} records failed; emitted empty predictions for them")
     dataio.write_records(args.out, out)
@@ -260,6 +273,7 @@ def cmd_generate(args) -> int:
         None,
         {"data": args.data, "checkpoint": args.checkpoint, "vocab": args.vocab},
         [Path(args.out).name],
+        {"truncated_records": len(truncated), "truncated_ids": truncated},
     )
     print(f"generated {len(out)} predictions")
     return 0

@@ -185,8 +185,9 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.ndarray], dict | None]:
     """Returns (config, vocab hash, parameter arrays, trainer state or None).
 
-    A truncated file, bytes after the last tensor or a header config that
-    ``ModelConfig`` rejects raise ``DataFormatError`` naming the file.
+    A truncated file, bytes after the last tensor, a header that is not a
+    JSON object or lacks a key, or a header config that ``ModelConfig``
+    rejects raise ``DataFormatError`` naming the file.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -202,14 +203,26 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     offset = 12 + blob_len
     if offset > len(raw):
         raise DataFormatError(f"{path}: truncated checkpoint header")
-    header = json.loads(raw[12:offset].decode("utf-8"))
+    try:
+        header = json.loads(raw[12:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: checkpoint header is not JSON ({exc})")
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
+    required = ["config", "tensors", "vocab_sha256"] + ["trainer"] * has_trainer
+    for key in required:
+        if key not in header:
+            raise DataFormatError(f"{path}: checkpoint header lacks {key!r}")
     dtype = np.dtype(f"<f{float_size}")
 
     def read_tensors(specs) -> list[tuple[str, np.ndarray]]:
         nonlocal offset
         tensors = []
         for spec in specs:
-            shape = tuple(spec["shape"])
+            try:
+                shape = tuple(spec["shape"])
+            except (KeyError, TypeError) as exc:
+                raise DataFormatError(f"{path}: bad tensor entry in header ({exc!r})")
             count = int(np.prod(shape)) if shape else 1
             end = offset + count * float_size
             if end > len(raw):
@@ -311,13 +324,17 @@ def write_manifest(
     seed: int | None,
     inputs: dict[str, str | Path],
     outputs: Sequence[str],
+    report: dict | None = None,
 ) -> Path:
+    """Write ``manifest-<command>.json``; ``report`` adds what the run
+    found (e.g. truncated records) under its own keys."""
     manifest = {
         "command": command,
         "config": config_snapshot,
         "seed": seed,
         "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
         "outputs": sorted(outputs),
+        **(report or {}),
     }
     path = Path(out_dir) / f"manifest-{command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

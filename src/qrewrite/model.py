@@ -22,19 +22,22 @@ Conventions, fixed here once:
     biases start at 0 and LayerNorm at (1, 0);
   * the output head is the transpose of the token embedding (tied), which
     makes copy behaviour generalize to entities unseen as training targets;
-  * the cache keeps one (rows, d_model) K/V block per layer and step, with
-    the heads packed along the columns; only the fused attention op splits
-    them, as an array axis;
+  * on the graph the cache keeps one (rows, d_model) K/V block per layer
+    and step, with the heads packed along the columns; only the fused
+    attention op splits them, as an array axis;
   * greedy tokens are chosen under no_grad, one position at a time; a step
     on the autodiff graph is then built by one block pass over
     [<bos>] + question, which seals its K/V rows and skips the last layer's
     attention, feed-forward and output head, whose results nothing reads;
-  * a step whose first pass runs under no_grad decodes into preallocated
-    numpy buffers, one K and one V per layer of (sealed rows + max_len,
-    d_model): the sealed rows are copied in once, each pass writes its new
-    rows in place and attends over one contiguous view, and sealing hands
-    the cache the view of the step's own rows.  The buffer of a sealed step
-    is never written again, since every step gets new buffers.
+  * under no_grad a pack of examples runs in lockstep: one encoder pass per
+    step, then one decoder pass per position with one row per live example.
+    Each example is a segment of the packed rows and attends only to its
+    own rows.  The pack's cache is one preallocated K and one V store per
+    layer (self- and cross-attention) in which every segment owns a fixed
+    range of rows: a step writes its rows in place after the segment's
+    sealed rows and sealing advances the segment's offset, so no row is
+    copied or concatenated.  One example decoded alone is the pack of one,
+    and a step on the graph is the one-segment case of the same pass.
 """
 
 from __future__ import annotations
@@ -100,16 +103,19 @@ class StepInput:
     step_index: int
 
 
+PACK_SIZE = 32  # examples decoded in lockstep per pack under no_grad
+
+
 @dataclass
 class StepOutput:
     question_tokens: list[int]
-    encoder_output: Tensor
     truncated: bool = False
     logits_rows: list[Tensor] | None = None
 
 
 class AttentionCache:
-    """Per-layer K/V blocks sealed by completed steps.
+    """Per-layer K/V blocks sealed by completed steps of one example, on the
+    autodiff graph.
 
     Each block is (rows, d_model) with the heads packed along the columns.
     Blocks are append-only: once a step seals, its blocks are never touched
@@ -139,10 +145,75 @@ class AttentionCache:
         return sum(self.context_lengths)
 
 
+class PackCache:
+    """K/V rows sealed by completed steps of a pack of examples (no_grad).
+
+    Per decoder layer there is one self-attention K and V store and one
+    cross-attention K and V store, each (segments * capacity, d_model).
+    Segment s owns the ``capacity`` rows from s * capacity, and its first
+    ``sa_len[s]`` (``ca_len[s]``) rows are sealed.  A step writes its rows
+    after them in place and sealing advances the offsets.  A store that a
+    segment would outgrow is reallocated at twice the capacity, so a pack
+    sized upfront never is.  ``step_lengths[s]`` and ``context_lengths[s]``
+    are as in ``AttentionCache``, per segment.
+    """
+
+    def __init__(self, n_layers: int, n_segments: int, d_model: int, dtype,
+                 sa_capacity: int, ca_capacity: int):
+        def stores(capacity: int) -> list[np.ndarray]:
+            return [np.empty((n_segments * capacity, d_model), dtype)
+                    for _ in range(n_layers)]
+
+        self.sa_capacity, self.ca_capacity = sa_capacity, ca_capacity
+        self.sa_k, self.sa_v = stores(sa_capacity), stores(sa_capacity)
+        self.ca_k, self.ca_v = stores(ca_capacity), stores(ca_capacity)
+        self.sa_len = np.zeros(n_segments, dtype=np.intp)
+        self.ca_len = np.zeros(n_segments, dtype=np.intp)
+        self.step_lengths: list[list[int]] = [[] for _ in range(n_segments)]
+        self.context_lengths: list[list[int]] = [[] for _ in range(n_segments)]
+
+    def reserve(self, kind: str, rows: int) -> None:
+        """Let every segment hold ``rows`` rows in the ``kind`` ("sa" or
+        "ca") stores, growing them if needed."""
+        capacity = getattr(self, f"{kind}_capacity")
+        if rows <= capacity:
+            return
+        grown_capacity = max(rows, 2 * capacity)
+        n_seg = len(self.step_lengths)
+        for name in (f"{kind}_k", f"{kind}_v"):
+            grown = []
+            for old in getattr(self, name):
+                new = np.empty((n_seg * grown_capacity, old.shape[1]), old.dtype)
+                new.reshape(n_seg, grown_capacity, -1)[:, :capacity] = old.reshape(
+                    n_seg, capacity, -1
+                )
+                grown.append(new)
+            setattr(self, name, grown)
+        setattr(self, f"{kind}_capacity", grown_capacity)
+
+    def segment(self, s: int) -> AttentionCache:
+        """Segment ``s``'s sealed rows as per-step blocks (views, no copy)."""
+        view = AttentionCache(len(self.sa_k))
+        for attr, stores, capacity, lengths in (
+            ("sa_keys", self.sa_k, self.sa_capacity, self.step_lengths[s]),
+            ("sa_values", self.sa_v, self.sa_capacity, self.step_lengths[s]),
+            ("ca_keys", self.ca_k, self.ca_capacity, self.context_lengths[s]),
+            ("ca_values", self.ca_v, self.ca_capacity, self.context_lengths[s]),
+        ):
+            bounds = (s * capacity + np.cumsum([0, *lengths])).tolist()
+            setattr(view, attr, [
+                [ad.constant(store[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+                for store in stores
+            ])
+        view.step_lengths = list(self.step_lengths[s])
+        view.context_lengths = list(self.context_lengths[s])
+        return view
+
+
 @dataclass
 class StepState:
-    """Decoder state for the step currently being decoded, one entry per
-    layer."""
+    """Decoder state of one example's current step on the autodiff graph,
+    one entry per layer."""
 
     encoder_output: Tensor
     sa_prior_k: list[Tensor | None]   # sealed self-attention rows, concatenated
@@ -154,10 +225,117 @@ class StepState:
     sa_k: list[Tensor | None]         # this step's self-attention rows so far
     sa_v: list[Tensor | None]
     n_fed: int = 0
-    # set by a no_grad first pass: per layer, the sealed rows, then max_len
-    # rows for this step
-    sa_buf_k: list[np.ndarray] | None = None
-    sa_buf_v: list[np.ndarray] | None = None
+    allow: np.ndarray | None = None  # this pass's within-step causal mask
+    n_segments = 1
+
+    def positions(self, ids, active) -> slice:
+        (row,) = ids
+        return slice(self.n_fed, self.n_fed + len(row))
+
+    def advance(self, ids, active, positions) -> None:
+        (row,) = ids
+        sealed = self.sa_prior_k[0]
+        n_prior = self.n_fed + (0 if sealed is None else sealed.shape[0])
+        self.n_fed += len(row)
+        # a single query sits at the newest position and may see every row
+        self.allow = within_step_causal_mask(n_prior, len(row)) if len(row) > 1 else None
+
+    def self_rows(self, i: int, k: Tensor, v: Tensor):
+        """Append layer ``i``'s new K/V rows; returns the keys and values the
+        new rows attend to, with their allow mask and (no) segments."""
+        own_k, own_v = self.sa_k[i], self.sa_v[i]
+        prior_k = [b for b in (self.sa_prior_k[i], own_k) if b is not None]
+        prior_v = [b for b in (self.sa_prior_v[i], own_v) if b is not None]
+        self.sa_k[i] = k if own_k is None else ad.concat_rows([own_k, k])
+        self.sa_v[i] = v if own_v is None else ad.concat_rows([own_v, v])
+        keys = ad.concat_rows([*prior_k, k]) if prior_k else k
+        values = ad.concat_rows([*prior_v, v]) if prior_v else v
+        return keys, values, self.allow, None
+
+    def cross_rows(self, i: int):
+        return self.ca_k[i], self.ca_v[i], None, None
+
+    def restart(self, active=None) -> None:
+        """Forget the step's rows, to decode it again from its first position."""
+        self.sa_k = [None] * len(self.sa_k)
+        self.sa_v = [None] * len(self.sa_v)
+        self.n_fed = 0
+
+
+class PackState:
+    """Decoder state of one step for the segments ``segs`` of a pack, whose
+    rows live in the ``PackCache`` stores (no_grad).
+
+    ``n_fed[j]`` rows of segment ``segs[j]`` are fed this step, right after
+    its sealed rows.  Its cross-attention reads its context rows
+    ``ca_from[j]:ca_end[j]``, where ``ca_lens[j]`` rows are this step's.
+    """
+
+    def __init__(self, cache: PackCache, segs: np.ndarray, ca_lens: np.ndarray,
+                 accumulated_sa: bool, accumulated_ca: bool):
+        self.cache, self.segs, self.ca_lens = cache, segs, ca_lens
+        self.ca_end = cache.ca_len[segs] + ca_lens
+        self.ca_from = self.ca_end - ca_lens
+        if accumulated_ca:
+            self.ca_from = np.zeros_like(ca_lens)
+        self.accumulated_sa = accumulated_sa
+        self.n_fed = np.zeros(len(segs), dtype=np.intp)
+        self._dest = self._sa = self._ca = self._ca_key = None
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.segs)
+
+    def positions(self, ids, active: np.ndarray) -> np.ndarray:
+        fed = self.n_fed[active]
+        if all(len(row) == 1 for row in ids):
+            return fed
+        return np.concatenate([np.arange(f, f + len(row)) for f, row in zip(fed, ids)])
+
+    def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
+        """Reserve this pass's rows and lay out its attention segments."""
+        if ad.grad_enabled():
+            raise ShapeError("a pack decodes under no_grad only")
+        cache = self.cache
+        lens = np.array([len(row) for row in ids], dtype=np.intp)
+        segs = self.segs[active]
+        start = cache.sa_len[segs]
+        end = start + self.n_fed[active] + lens
+        cache.reserve("sa", int(end.max()))
+        base = segs * cache.sa_capacity
+        self._dest = np.repeat(base + start, lens) + positions
+        q_offsets = np.concatenate(([0], np.cumsum(lens)))
+        first = 0 if self.accumulated_sa else start
+        self._sa = ad.Segments(q_offsets, base + first, end - first, causal=True)
+        key = (active.tobytes(), q_offsets.tobytes())
+        if self._ca is None or self._ca_key != key:  # else the last pass's layout
+            ca_from = self.ca_from[active]
+            self._ca = ad.Segments(q_offsets, segs * cache.ca_capacity + ca_from,
+                                   self.ca_end[active] - ca_from)
+            self._ca_key = key
+        self.n_fed[active] += lens
+
+    def self_rows(self, i: int, k: Tensor, v: Tensor):
+        store_k, store_v = self.cache.sa_k[i], self.cache.sa_v[i]
+        store_k[self._dest] = k.data
+        store_v[self._dest] = v.data
+        return ad.constant(store_k), ad.constant(store_v), None, self._sa
+
+    def cross_rows(self, i: int):
+        cache = self.cache
+        return ad.constant(cache.ca_k[i]), ad.constant(cache.ca_v[i]), None, self._ca
+
+    def restart(self, active=None) -> None:
+        """Forget the rows fed this step, to decode it again."""
+        self.n_fed[slice(None) if active is None else active] = 0
+
+    def drop(self, js) -> None:
+        """Leave out the segments at indices ``js`` (they are not sealed)."""
+        if not js:
+            return
+        keep = np.setdiff1d(np.arange(len(self.segs)), js)
+        for name in ("segs", "ca_lens", "ca_end", "ca_from", "n_fed"):
+            setattr(self, name, getattr(self, name)[keep])
 
 
 @dataclass
@@ -166,10 +344,9 @@ class RewriteResult:
     final_tokens: list[int] | None
     final_logits: Tensor | None
     final_targets: list[int] | None
-    truncated: list[bool]
-    cache: AttentionCache
+    truncated: list[bool]             # one flag per decoded step
+    cache: AttentionCache | None
     step_logits: list[list[Tensor]] | None = None
-    final_encoder_output: Tensor | None = None
 
 
 def within_step_causal_mask(n_prior: int, n_step: int) -> np.ndarray:
@@ -324,18 +501,16 @@ class QuestionRewriter:
         self,
         prefix: str,
         x_q: Tensor,
-        prior_k: Sequence[Tensor],
-        prior_v: Sequence[Tensor],
-        cur_k: Tensor,
-        cur_v: Tensor,
-        causal_within_step: bool,
+        keys: Tensor,
+        values: Tensor,
+        allow: np.ndarray | None = None,
+        segments: ad.Segments | None = None,
     ) -> Tensor:
-        """Multi-head ``accumulated_attention``: ``prior_k`` holds sealed
-        blocks (may be empty), ``cur_k`` the current block."""
+        """Multi-head attention of ``x_q``'s projected queries over ``keys``
+        and ``values`` (projected already), under an ``allow`` mask or split
+        into ``segments``."""
         q = self._project(x_q, prefix, "q")
-        attended = accumulated_attention(
-            q, prior_k, prior_v, cur_k, cur_v, causal_within_step, self.cfg.n_heads
-        )
+        attended = ad.attention(q, keys, values, self.cfg.n_heads, allow, segments)
         return self._project(attended, prefix, "o")
 
     def _ff(self, x: Tensor, prefix: str) -> Tensor:
@@ -343,46 +518,111 @@ class QuestionRewriter:
         h = ad.relu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         return ad.add(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _embed(self, ids: Sequence[int], pos_start: int = 0) -> Tensor:
-        n = len(ids)
-        if pos_start + n > self.cfg.max_len:
+    def _embed(
+        self, ids: Sequence[int], positions: slice | np.ndarray | None = None
+    ) -> Tensor:
+        """Scaled token embeddings plus the position rows ``positions``, a
+        slice or an index array (default 0, 1, ...)."""
+        if positions is None:
+            positions = slice(0, len(ids))
+        if isinstance(positions, slice):
+            last = positions.stop - 1
+        else:
+            last = int(positions.max())
+        if last >= self.cfg.max_len:
             raise LengthError(
-                f"sequence of {n} tokens from position {pos_start} exceeds "
+                f"{len(ids)} tokens reach position {last}, beyond "
                 f"max_len={self.cfg.max_len}"
             )
         e = ad.scale(
             ad.embedding(self.params["emb.tok"], ids), math.sqrt(self.cfg.d_model)
         )
-        return ad.add(e, ad.constant(self._pos[pos_start : pos_start + n]))
+        return ad.add(e, ad.constant(self._pos[positions]))
 
     # ------------------------------------------------------------------
     # encoder
 
-    def encode(self, step: StepInput) -> Tensor:
-        """Encoder stack over one step input; returns (l_t, d_model)."""
-        if len(step.tokens) == 0:
+    def encode(self, step: StepInput | Sequence[StepInput]) -> Tensor | list[Tensor]:
+        """Encoder stack over one step input; returns (l_t, d_model).  A list
+        of step inputs runs as one packed pass, each input a segment that
+        attends only to itself, and gives one encoding per input."""
+        steps = [step] if isinstance(step, StepInput) else step
+        if not all(s.tokens for s in steps):
             raise ShapeError("encode: empty token sequence")
-        x = self._embed(step.tokens)
+        ids, segments, positions = steps[0].tokens, None, None
+        if len(steps) > 1:
+            lens = [len(s.tokens) for s in steps]
+            bounds = np.cumsum([0, *lens])
+            segments = ad.Segments(bounds, bounds[:-1], lens)
+            positions = np.concatenate([np.arange(n) for n in lens])
+            ids = [t for s in steps for t in s.tokens]
+        x = self._embed(ids, positions)
         for i in range(self.cfg.n_enc_layers):
             p = f"enc.l{i}"
             h = self._ln(x, f"{p}.ln1")
             k = self._project(h, f"{p}.sa", "k")
             v = self._project(h, f"{p}.sa", "v")
-            x = ad.add(x, self._mha(f"{p}.sa", h, [], [], k, v, False))
+            x = ad.add(x, self._mha(f"{p}.sa", h, k, v, segments=segments))
             x = ad.add(x, self._ff(self._ln(x, f"{p}.ln2"), f"{p}.ff"))
-        return self._ln(x, "enc.lnf")
+        out = self._ln(x, "enc.lnf")
+        if segments is None:
+            return out if isinstance(step, StepInput) else [out]
+        return [ad.slice_rows(out, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # ------------------------------------------------------------------
     # decoder
 
-    def new_cache(self) -> AttentionCache:
-        return AttentionCache(self.cfg.n_dec_layers)
+    def new_cache(self) -> AttentionCache | PackCache:
+        """An empty cache for one example: per-step graph blocks, or under
+        ``no_grad`` a one-segment ``PackCache`` that grows as steps seal."""
+        if ad.grad_enabled():
+            return AttentionCache(self.cfg.n_dec_layers)
+        return self._pack_cache(1, self.cfg.max_len, self.cfg.max_len)
 
-    def start_step(self, encoder_output: Tensor, cache: AttentionCache) -> StepState:
-        """Prepare per-step decoder state: project this step's cross-attention
-        blocks and snapshot the accumulated views of the sealed cache."""
+    def _pack_cache(self, n_segments: int, sa_rows: int, ca_rows: int) -> PackCache:
+        cfg = self.cfg
+        return PackCache(cfg.n_dec_layers, n_segments, cfg.d_model, self.dtype,
+                         sa_rows, ca_rows)
+
+    def start_step(
+        self,
+        encoder_output: Tensor | Sequence[Tensor],
+        cache: AttentionCache | PackCache,
+        segments: Sequence[int] | None = None,
+    ) -> StepState | PackState:
+        """Open a step: project its cross-attention rows and expose the
+        sealed rows to it.
+
+        With an ``AttentionCache`` ``encoder_output`` is one example's
+        encoding, and the state snapshots the accumulated views of the
+        sealed blocks.  With a ``PackCache`` it is one encoding per segment
+        in ``segments`` (default: the pack's first ones), whose projected
+        rows are written into the stores in place.
+        """
         cfg = self.cfg
         n = cfg.n_dec_layers
+        if isinstance(cache, PackCache):
+            encs = encoder_output
+            if isinstance(encoder_output, Tensor):
+                encs = [encoder_output]
+            segs = np.arange(len(encs))
+            if segments is not None:
+                segs = np.asarray(segments, dtype=np.intp)
+            lens = np.array([e.shape[0] for e in encs], dtype=np.intp)
+            state = PackState(cache, segs, lens, cfg.mode_accumulated_sa,
+                              cfg.mode_accumulated_ca)
+            cache.reserve("ca", int(state.ca_end.max()))
+            offsets = np.cumsum(lens) - lens
+            first = segs * cache.ca_capacity + state.ca_end - lens
+            dest = np.repeat(first - offsets, lens)
+            dest += np.arange(int(lens.sum()))
+            rows = encs[0] if len(encs) == 1 else ad.constant(
+                np.concatenate([e.data for e in encs])
+            )
+            for i in range(n):
+                cache.ca_k[i][dest] = self._project(rows, f"dec.l{i}.ca", "k").data
+                cache.ca_v[i][dest] = self._project(rows, f"dec.l{i}.ca", "v").data
+            return state
         state = StepState(
             encoder_output, sa_prior_k=[], sa_prior_v=[], ca_k=[], ca_v=[],
             ca_current_k=[], ca_current_v=[], sa_k=[None] * n, sa_v=[None] * n,
@@ -408,165 +648,167 @@ class QuestionRewriter:
         return state
 
     def _decode_rows(
-        self, state: StepState, ids: Sequence[int], want_logits: bool
+        self,
+        state: StepState | PackState,
+        ids: Sequence[Sequence[int]],
+        want_logits: bool,
+        active: Sequence[int] | None = None,
     ) -> Tensor | None:
-        """One decoder pass over ``ids`` at the next step-local positions.
+        """One decoder pass: ``ids[j]`` are the next ids of the j-th fed
+        segment of ``state`` (its segments in order, or those indexed by
+        ``active``), at that segment's next step-local positions.
 
-        Appends their K/V rows to the step's state: into the step's buffers
-        when its first pass ran under ``no_grad``, else as graph tensors.
-        Each new row attends to the sealed rows, the step's earlier rows and
-        the new rows up to itself.  Returns logits of shape (len(ids),
-        vocab); without ``want_logits`` it stops the last layer after its
+        Appends their K/V rows to the step.  Each new row attends to its
+        segment's sealed rows, the step's earlier rows and the new rows up
+        to itself.  Returns logits of shape (rows fed, vocab), segment by
+        segment; without ``want_logits`` it stops the last layer after its
         K/V projections, where the rows a sealed step needs are complete.
         """
         cfg = self.cfg
-        x = self._embed(ids, pos_start=state.n_fed)
-        grad = ad.grad_enabled()
-        if state.n_fed == 0 and not grad:
-            state.sa_buf_k = [self._rows_buffer(b) for b in state.sa_prior_k]
-            state.sa_buf_v = [self._rows_buffer(b) for b in state.sa_prior_v]
-        elif grad and state.sa_buf_k is not None:
-            # rows decoded under no_grad carry no graph; later rows join them
-            rows = [self._step_rows(state, i) for i in range(cfg.n_dec_layers)]
-            state.sa_k = [k for k, _ in rows]
-            state.sa_v = [v for _, v in rows]
-            state.sa_buf_k = state.sa_buf_v = None
-        state.n_fed += len(ids)
+        active = (np.arange(state.n_segments) if active is None
+                  else np.asarray(active, dtype=np.intp))
+        if len(ids) != len(active):
+            raise ShapeError(f"{len(ids)} id rows for {len(active)} segments")
+        positions = state.positions(ids, active)
+        x = self._embed([t for row in ids for t in row], positions)
+        state.advance(ids, active, positions)
         for i in range(cfg.n_dec_layers):
             p = f"dec.l{i}"
             h = self._ln(x, f"{p}.ln1")
-            k = self._project(h, f"{p}.sa", "k")
-            v = self._project(h, f"{p}.sa", "v")
-            if state.sa_buf_k is not None:
-                buf_k, buf_v = state.sa_buf_k[i], state.sa_buf_v[i]
-                end = buf_k.shape[0] - cfg.max_len + state.n_fed
-                buf_k[end - len(ids) : end] = k.data
-                buf_v[end - len(ids) : end] = v.data
-                prior_k, prior_v = [], []
-                k, v = ad.constant(buf_k[:end]), ad.constant(buf_v[:end])
-            else:
-                own_k, own_v = state.sa_k[i], state.sa_v[i]
-                prior_k = [b for b in (state.sa_prior_k[i], own_k) if b is not None]
-                prior_v = [b for b in (state.sa_prior_v[i], own_v) if b is not None]
-                state.sa_k[i] = k if own_k is None else ad.concat_rows([own_k, k])
-                state.sa_v[i] = v if own_v is None else ad.concat_rows([own_v, v])
+            attend = state.self_rows(
+                i, self._project(h, f"{p}.sa", "k"), self._project(h, f"{p}.sa", "v")
+            )
             if not want_logits and i == cfg.n_dec_layers - 1:
                 return None
-            # a single query sits at the newest position and may see every row
-            x = ad.add(x, self._mha(f"{p}.sa", h, prior_k, prior_v, k, v, len(ids) > 1))
+            x = ad.add(x, self._mha(f"{p}.sa", h, *attend))
             h2 = self._ln(x, f"{p}.ln2")
-            x = ad.add(
-                x, self._mha(f"{p}.ca", h2, [], [], state.ca_k[i], state.ca_v[i], False)
-            )
+            x = ad.add(x, self._mha(f"{p}.ca", h2, *state.cross_rows(i)))
             x = ad.add(x, self._ff(self._ln(x, f"{p}.ln3"), f"{p}.ff"))
         return self._project_out(self._ln(x, "dec.lnf")) if want_logits else None
 
     def decode_token(
-        self, state: StepState, token: int, want_logits: bool = True
+        self,
+        state: StepState | PackState,
+        token: int | Sequence[int],
+        want_logits: bool = True,
+        active: Sequence[int] | None = None,
     ) -> Tensor | None:
-        """Feed one token at the next step-local position.
+        """Feed one token per segment at its next step-local position:
+        ``token`` is one id for a one-segment state, else one id per
+        segment of ``state`` (or per index in ``active``).
 
-        Appends the position's K/V rows to the within-step state and, when
-        ``want_logits``, returns next-token logits of shape (1, vocab).
+        Appends the positions' K/V rows to the step and, when
+        ``want_logits``, returns next-token logits of shape (segments fed,
+        vocab).
         """
-        return self._decode_rows(state, [token], want_logits)
+        tokens = [token] if isinstance(token, (int, np.integer)) else token
+        return self._decode_rows(state, [[t] for t in tokens], want_logits, active)
 
     def _project_out(self, y: Tensor) -> Tensor:
         # output head tied to the token embedding: copying an input token to
         # the output then generalizes to tokens never emitted in training
         return ad.add(ad.matmul_nt(y, self.params["emb.tok"]), self.params["out.b"])
 
+    def _greedy_lockstep(
+        self,
+        state: StepState | PackState,
+        bos: int,
+        eos: int,
+        collect_logits: bool = False,
+        active: Sequence[int] | None = None,
+    ) -> list[StepOutput]:
+        """Greedy-decode the step of every segment of ``state`` (or those
+        indexed by ``active``) from its first position, in lockstep under
+        ``no_grad``.
+
+        Each pass feeds one token per live segment.  A segment leaves at
+        <eos>, or when its step reaches max_len, which is flagged as
+        truncation, not an error.  Ties break toward the lowest token id.
+        """
+        live = list(range(state.n_segments) if active is None else active)
+        outs = {j: StepOutput([], False, [] if collect_logits else None) for j in live}
+        tokens = [bos] * len(live)
+        with ad.no_grad():
+            while live:
+                logits = self.decode_token(state, tokens, active=live)
+                still, tokens = [], []
+                picks = logits.data.argmax(axis=1).tolist()
+                for row, (j, tok) in enumerate(zip(live, picks)):
+                    out = outs[j]
+                    if collect_logits:
+                        out.logits_rows.append(ad.constant(logits.data[row : row + 1]))
+                    if tok == eos:
+                        continue
+                    if len(out.question_tokens) + 1 >= self.cfg.max_len:
+                        out.truncated = True
+                        continue
+                    out.question_tokens.append(tok)
+                    still.append(j)
+                    tokens.append(tok)
+                live = still
+        return list(outs.values())
+
     def greedy_decode_step(
         self,
-        state: StepState,
+        state: StepState | PackState,
         bos: int,
         eos: int,
         forced_tokens: Sequence[int] | None = None,
         collect_logits: bool = False,
     ) -> StepOutput:
-        """Decode one step greedily (or feed ``forced_tokens`` verbatim).
+        """Decode one example's step greedily (or feed ``forced_tokens``
+        verbatim).
 
         Tokens are chosen under ``no_grad`` one position at a time: they are
         discrete, so no loss gradient flows through them.  With gradients on,
         the step's rows are then rebuilt on the graph by one block pass over
         [<bos>] + question; under ``no_grad`` the incremental rows stay.
-        Pinned tokens go straight to the block pass.  Stops at <eos> or when
-        the position table is exhausted; the truncation case is flagged, not
-        an error.
+        Pinned tokens go straight to the block pass.
         """
         if forced_tokens is not None:
-            self._decode_rows(state, [bos, *forced_tokens], want_logits=False)
-            return StepOutput(list(forced_tokens), state.encoder_output)
-
-        question: list[int] = []
-        logits_rows: list[Tensor] = []
-        truncated = False
-        tok = bos
-        with ad.no_grad():
-            while True:
-                logits = self.decode_token(state, tok)
-                if collect_logits:
-                    logits_rows.append(logits)
-                nxt = int(np.argmax(logits.data))
-                if nxt == eos:
-                    break
-                if state.n_fed >= self.cfg.max_len:
-                    truncated = True
-                    break
-                question.append(nxt)
-                tok = nxt
+            self._decode_rows(state, [[bos, *forced_tokens]], want_logits=False)
+            return StepOutput(list(forced_tokens))
+        (out,) = self._greedy_lockstep(state, bos, eos, collect_logits)
         if ad.grad_enabled():
-            n = self.cfg.n_dec_layers
-            state.sa_k, state.sa_v, state.n_fed = [None] * n, [None] * n, 0
-            state.sa_buf_k = state.sa_buf_v = None
-            self._decode_rows(state, [bos, *question], want_logits=False)
-        return StepOutput(
-            question, state.encoder_output, truncated,
-            logits_rows if collect_logits else None,
-        )
-
-    def _rows_buffer(self, sealed: Tensor | None) -> np.ndarray:
-        """A (sealed rows + max_len, d_model) buffer holding ``sealed``."""
-        n_sealed = 0 if sealed is None else sealed.shape[0]
-        buf = np.empty((n_sealed + self.cfg.max_len, self.cfg.d_model), self.dtype)
-        if sealed is not None:
-            buf[:n_sealed] = sealed.data
-        return buf
-
-    def _step_rows(self, state: StepState, i: int) -> tuple[Tensor, Tensor]:
-        """Layer ``i``'s self-attention K and V rows of the current step."""
-        if state.sa_buf_k is None:
-            return state.sa_k[i], state.sa_v[i]
-        buf_k, buf_v = state.sa_buf_k[i], state.sa_buf_v[i]
-        start = buf_k.shape[0] - self.cfg.max_len
-        rows = slice(start, start + state.n_fed)
-        return ad.constant(buf_k[rows]), ad.constant(buf_v[rows])
+            state.restart()
+            self._decode_rows(state, [[bos, *out.question_tokens]], want_logits=False)
+        return out
 
     def seal_step(
-        self, state: StepState, cache: AttentionCache, detach: bool = False
+        self,
+        state: StepState | PackState,
+        cache: AttentionCache | PackCache,
+        detach: bool = False,
     ) -> None:
-        """Freeze this step's K/V into the cache.  Sealed blocks are never
+        """Freeze this step's K/V into the cache.  Sealed rows are never
         modified by later steps.  ``detach`` drops the blocks' backward
         graph, cutting the gradient path from later losses into this step's
         computations (values are unchanged)."""
-        if state.n_fed == 0:
+        if np.any(state.n_fed == 0):
             raise ShapeError("cannot seal a step before decoding any position")
+        if isinstance(state, PackState):
+            cache.sa_len[state.segs] += state.n_fed
+            cache.ca_len[state.segs] = state.ca_end
+            for s, rows, context in zip(state.segs.tolist(), state.n_fed.tolist(),
+                                        state.ca_lens.tolist()):
+                cache.step_lengths[s].append(rows)
+                cache.context_lengths[s].append(context)
+            return
         wrap = ad.detach if detach else (lambda t: t)
         for i in range(self.cfg.n_dec_layers):
-            k, v = self._step_rows(state, i)
-            cache.sa_keys[i].append(wrap(k))
-            cache.sa_values[i].append(wrap(v))
+            cache.sa_keys[i].append(wrap(state.sa_k[i]))
+            cache.sa_values[i].append(wrap(state.sa_v[i]))
             cache.ca_keys[i].append(wrap(state.ca_current_k[i]))
             cache.ca_values[i].append(wrap(state.ca_current_v[i]))
         cache.step_lengths.append(state.n_fed)
         cache.context_lengths.append(state.encoder_output.shape[0])
 
     def teacher_forced_final(
-        self, state: StepState, gold_ids: Sequence[int], bos: int, eos: int
+        self, state: StepState | PackState, gold_ids: Sequence[int], bos: int, eos: int
     ) -> tuple[Tensor, list[int]]:
         """Block pass over [<bos>] + gold; returns logits of shape
         (len(gold) + 1, vocab) and the target ids (gold + <eos>)."""
-        logits = self._decode_rows(state, [bos, *gold_ids], want_logits=True)
+        logits = self._decode_rows(state, [[bos, *gold_ids]], want_logits=True)
         return logits, [*gold_ids, eos]
 
     # ------------------------------------------------------------------
@@ -582,7 +824,7 @@ class QuestionRewriter:
         collect_logits: bool = False,
         detach_cache: bool = False,
     ) -> RewriteResult:
-        """Run the full multi-step rewrite.
+        """Run the full multi-step rewrite of one example.
 
         Steps 1..N-1 greedy-decode (or replay ``pinned_intermediates``) and
         seal their caches.  The final step greedy-decodes at inference time
@@ -590,7 +832,9 @@ class QuestionRewriter:
         per-position logits attached to the whole unrolled graph.
         ``detach_cache`` stops gradients at the sealed blocks; comparing
         gradients with and without it isolates the end-to-end path through
-        earlier steps (forward values are identical).
+        earlier steps (forward values are identical).  Under ``no_grad``
+        without pinned steps this is the one-example pack of
+        ``rewrite_packed``.
         """
         n = len(steps)
         if n == 0:
@@ -599,47 +843,129 @@ class QuestionRewriter:
             raise ShapeError(
                 f"{len(pinned_intermediates)} pinned steps for {n - 1} intermediates"
             )
+        if not ad.grad_enabled() and pinned_intermediates is None:
+            golds = None if gold_final is None else [gold_final]
+            (res,), cache = self._rewrite_pack(
+                [steps], bos, eos, golds, gold_final is None, collect_logits
+            )
+            res.cache = cache.segment(0)
+            return res
         cache = self.new_cache()
-        intermediates: list[list[int]] = []
-        truncated: list[bool] = []
-        step_logits: list[list[Tensor]] = []
+        res = RewriteResult([], None, None, None, [], cache,
+                            [] if collect_logits else None)
         for t, step in enumerate(steps, start=1):
-            h_enc = self.encode(step)
-            state = self.start_step(h_enc, cache)
-            if t < n:
-                forced = (
-                    pinned_intermediates[t - 1]
-                    if pinned_intermediates is not None
-                    else None
+            state = self.start_step(self.encode(step), cache)
+            if t == n and gold_final is not None:
+                res.final_logits, res.final_targets = self.teacher_forced_final(
+                    state, gold_final, bos, eos
                 )
-                out = self.greedy_decode_step(
-                    state, bos, eos, forced_tokens=forced,
-                    collect_logits=collect_logits,
-                )
-                self.seal_step(state, cache, detach=detach_cache)
-                intermediates.append(out.question_tokens)
-                truncated.append(out.truncated)
-                if collect_logits:
-                    step_logits.append(out.logits_rows or [])
-                continue
-            if gold_final is not None:
-                logits, targets = self.teacher_forced_final(state, gold_final, bos, eos)
-                return RewriteResult(
-                    intermediates, None, logits, targets, truncated, cache,
-                    step_logits if collect_logits else None, h_enc,
-                )
+                return res
+            forced = None
+            if t < n and pinned_intermediates is not None:
+                forced = pinned_intermediates[t - 1]
             out = self.greedy_decode_step(
-                state, bos, eos, collect_logits=collect_logits
+                state, bos, eos, forced_tokens=forced, collect_logits=collect_logits
             )
-            self.seal_step(state, cache)
-            truncated.append(out.truncated)
+            self.seal_step(state, cache, detach=detach_cache and t < n)
+            res.truncated.append(out.truncated)
             if collect_logits:
-                step_logits.append(out.logits_rows or [])
-            return RewriteResult(
-                intermediates, out.question_tokens, None, None, truncated, cache,
-                step_logits if collect_logits else None, h_enc,
-            )
-        raise AssertionError("unreachable")
+                res.step_logits.append(out.logits_rows or [])
+            if t < n:
+                res.intermediate_tokens.append(out.question_tokens)
+            else:
+                res.final_tokens = out.question_tokens
+        return res
+
+    def rewrite_packed(
+        self,
+        examples: Sequence[Sequence[StepInput]],
+        bos: int,
+        eos: int,
+        gold_finals: Sequence[Sequence[int]] | None = None,
+        greedy_finals: bool = True,
+        collect_logits: bool = False,
+    ) -> list[RewriteResult]:
+        """Rewrite many examples under ``no_grad``, in consecutive packs of
+        ``PACK_SIZE`` decoded in lockstep; results follow ``examples``.
+
+        Intermediate steps greedy-decode and seal.  With ``gold_finals``
+        each final step is teacher-forced (``final_logits``) and not sealed;
+        with ``greedy_finals`` it is (also) greedy-decoded, from the same
+        step state.  With neither, final steps are skipped.
+        """
+        results = []
+        for lo in range(0, len(examples), PACK_SIZE):
+            golds = None if gold_finals is None else gold_finals[lo : lo + PACK_SIZE]
+            results += self._rewrite_pack(
+                examples[lo : lo + PACK_SIZE], bos, eos, golds, greedy_finals,
+                collect_logits,
+            )[0]
+        return results
+
+    def _rewrite_pack(
+        self,
+        examples: Sequence[Sequence[StepInput]],
+        bos: int,
+        eos: int,
+        gold_finals: Sequence[Sequence[int]] | None,
+        greedy_finals: bool,
+        collect_logits: bool,
+    ) -> tuple[list[RewriteResult], PackCache]:
+        """One lockstep pack: at step t the segments are the examples with
+        at least t steps (whose step t has work to do)."""
+        n_steps = [len(steps) for steps in examples]
+        if not examples or min(n_steps) == 0:
+            raise ShapeError("rewrite_packed: every example needs a step")
+        cache = self._pack_cache(
+            len(examples), max(n_steps) * self.cfg.max_len,
+            max(sum(len(s.tokens) for s in steps) for steps in examples),
+        )
+        results = [RewriteResult([], None, None, None, [], None,
+                                 [] if collect_logits else None) for _ in examples]
+        with ad.no_grad():
+            for t in range(max(n_steps)):
+                decode_finals = greedy_finals or gold_finals is not None
+                live = [
+                    s for s, n in enumerate(n_steps)
+                    if t < n - 1 or (t == n - 1 and decode_finals)
+                ]
+                if not live:
+                    continue
+                state = self.start_step(
+                    self.encode([examples[s][t] for s in live]), cache, live
+                )
+                finals = [j for j, s in enumerate(live) if n_steps[s] == t + 1]
+                forced = finals if gold_finals is not None else []
+                if forced:
+                    golds = [gold_finals[live[j]] for j in forced]
+                    logits = self._decode_rows(
+                        state, [[bos, *g] for g in golds], True, forced
+                    ).data
+                    row = 0
+                    for j, gold in zip(forced, golds):
+                        res = results[live[j]]
+                        rows = logits[row : row + len(gold) + 1]
+                        res.final_logits = ad.constant(rows)
+                        res.final_targets = [*gold, eos]
+                        row += len(gold) + 1
+                    state.restart(forced)
+                greedy = [
+                    j for j in range(len(live)) if greedy_finals or j not in finals
+                ]
+                outs = self._greedy_lockstep(state, bos, eos, collect_logits, greedy)
+                for j, out in zip(greedy, outs):
+                    res = results[live[j]]
+                    res.truncated.append(out.truncated)
+                    if collect_logits:
+                        res.step_logits.append(out.logits_rows)
+                    if j in finals:
+                        res.final_tokens = out.question_tokens
+                    else:
+                        res.intermediate_tokens.append(out.question_tokens)
+                state.drop(forced)
+                if state.n_segments:
+                    self.seal_step(state, cache)
+        return results, cache
 
 
 def final_step_loss(logits: Tensor, gold_ids: Sequence[int], eos: int) -> Tensor:

@@ -30,7 +30,7 @@ from . import metrics as M
 from .autodiff import Tensor
 from .docgraph import ArrangedExample, make_step_inputs
 from .errors import ConfigError, DivergenceError
-from .model import QuestionRewriter, final_step_loss
+from .model import QuestionRewriter, StepInput, final_step_loss
 from .vocab import Vocab
 
 CURRICULUM_VARIANTS = ("adaptive", "standard", "step_by_step", "cumulative")
@@ -249,23 +249,46 @@ class TrainResult:
 
 
 def _example_loss(
-    model: QuestionRewriter, example: ArrangedExample, voc: Vocab
+    model: QuestionRewriter,
+    example: ArrangedExample,
+    voc: Vocab,
+    steps: Sequence[StepInput],
+    pinned: Sequence[Sequence[int]],
 ) -> Tensor:
-    steps = make_step_inputs(example, voc, model.cfg.max_len)
+    """The example's final-step loss on the graph, with its intermediate
+    questions ``pinned``."""
     gold = voc.encode(example.gold_question)
     result = model.rewrite_forward(
-        steps, voc.bos_id, voc.eos_id, gold_final=gold
+        steps, voc.bos_id, voc.eos_id, gold_final=gold, pinned_intermediates=pinned
     )
     return final_step_loss(result.final_logits, gold, voc.eos_id)
+
+
+def _batch_losses(
+    model: QuestionRewriter, examples: Sequence[ArrangedExample], voc: Vocab
+) -> list[Tensor]:
+    """Per-example losses of a batch: its intermediate questions come from
+    one packed no_grad decode, then each loss is one graph pass with them
+    pinned."""
+    steps = [make_step_inputs(ex, voc, model.cfg.max_len) for ex in examples]
+    picked = iter(model.rewrite_packed(
+        [s for s in steps if len(s) > 1], voc.bos_id, voc.eos_id, greedy_finals=False
+    ))
+    return [
+        _example_loss(
+            model, ex, voc, s, next(picked).intermediate_tokens if len(s) > 1 else []
+        )
+        for ex, s in zip(examples, steps)
+    ]
 
 
 def predict(
     model: QuestionRewriter, example: ArrangedExample, voc: Vocab
 ) -> tuple[list[str], list[list[str]]]:
-    """Greedy final question plus intermediate questions, as token lists."""
+    """Greedy final question plus intermediate questions, as token lists
+    (the one-example case of ``rewrite_packed``)."""
     steps = make_step_inputs(example, voc, model.cfg.max_len)
-    with ad.no_grad():
-        result = model.rewrite_forward(steps, voc.bos_id, voc.eos_id)
+    (result,) = model.rewrite_packed([steps], voc.bos_id, voc.eos_id)
     final = voc.decode(result.final_tokens)
     intermediates = [voc.decode(q) for q in result.intermediate_tokens]
     return final, intermediates
@@ -276,21 +299,17 @@ def _validate(
     examples: Sequence[tuple[int, ArrangedExample]],
     voc: Vocab,
 ) -> dict:
-    """Loss and greedy final question per example from one multi-step pass:
-    teacher forcing does not seal, so the loss pass's cache holds exactly
-    the intermediate steps the greedy final step reads, and its final-step
-    encoding is the one that step decodes from."""
+    """Loss and greedy final question per example from one lockstep pass
+    over the pool: each final step is teacher-forced for the loss, then
+    greedy-decoded from the same step state."""
+    steps = [make_step_inputs(ex, voc, model.cfg.max_len) for _, ex in examples]
+    golds = [voc.encode(ex.gold_question) for _, ex in examples]
+    results = model.rewrite_packed(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
     losses = []
     pairs = []
-    for _, ex in examples:
-        steps = make_step_inputs(ex, voc, model.cfg.max_len)
-        gold = voc.encode(ex.gold_question)
-        with ad.no_grad():
-            res = model.rewrite_forward(steps, voc.bos_id, voc.eos_id, gold_final=gold)
-            losses.append(final_step_loss(res.final_logits, gold, voc.eos_id).item())
-            state = model.start_step(res.final_encoder_output, res.cache)
-            out = model.greedy_decode_step(state, voc.bos_id, voc.eos_id)
-        final = voc.decode(out.question_tokens)
+    for (_, ex), gold, res in zip(examples, golds, results):
+        losses.append(final_step_loss(res.final_logits, gold, voc.eos_id).item())
+        final = voc.decode(res.final_tokens)
         pairs.append(
             (ex.example_id,
              M.EvalPair.from_strings(" ".join(final), [" ".join(ex.gold_question)]))
@@ -383,7 +402,7 @@ def train(
             for lo in range(0, len(pool), cfg.batch_size):
                 batch = pool[lo : lo + cfg.batch_size]
                 ad.zero_grads(model.params)
-                losses = [_example_loss(model, ex, voc) for _, ex in batch]
+                losses = _batch_losses(model, [ex for _, ex in batch], voc)
                 batch_loss = weighted_loss(
                     losses, [c for c, _ in batch], main,
                     cfg.gamma_low, cfg.gamma_high,

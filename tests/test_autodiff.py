@@ -252,6 +252,35 @@ ATTENTION_CASES = [
 ]
 
 
+# (n_heads, [(queries, keys), ...] per segment, causal): unequal query and
+# key counts across 2-3 segments
+SEGMENT_CASES = [
+    (1, [(2, 5), (1, 3)], False),
+    (2, [(3, 4), (1, 6), (2, 2)], True),
+    (4, [(1, 7), (3, 3)], True),
+    (2, [(2, 2), (4, 9), (1, 1)], False),
+]
+
+
+def packed_inputs(rng, n_heads, shapes, causal, grad=False):
+    """q and k/v with each segment's keys at a gap after the previous
+    one's, the matching ``Segments``, and each segment's (q, k, v, allow)."""
+    d = 2 * n_heads
+    q = t(rng.normal(size=(sum(m for m, _ in shapes), d)), grad=grad)
+    starts = np.cumsum([0] + [n + 2 for _, n in shapes])[:-1]
+    k, v = (t(rng.normal(size=(int(starts[-1]) + shapes[-1][1] + 1, d)), grad=grad)
+            for _ in range(2))
+    segments = ad.Segments(np.cumsum([0] + [m for m, _ in shapes]), starts,
+                           [n for _, n in shapes], causal)
+    alone, q_lo = [], 0
+    for (m, n), lo in zip(shapes, starts):
+        allow = within_step_causal_mask(n - m, m) if causal else None
+        keys = slice(lo, lo + n)
+        alone.append((q.data[q_lo:q_lo + m], k.data[keys], v.data[keys], allow))
+        q_lo += m
+    return q, k, v, segments, alone
+
+
 class TestAttention:
     @staticmethod
     def _inputs(rng, n_heads, m, n, causal, grad=False):
@@ -311,6 +340,66 @@ class TestAttention:
         with pytest.raises(ShapeError):
             ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2,
                          np.array([[True, False, False], [False] * 3]))
+
+
+    @pytest.mark.parametrize("n_heads, shapes, causal", SEGMENT_CASES)
+    def test_segments_attend_alone(self, n_heads, shapes, causal):
+        rng = np.random.default_rng(len(shapes) * 10 + n_heads)
+        q, k, v, segments, alone = packed_inputs(rng, n_heads, shapes, causal)
+        got = ad.attention(q, k, v, n_heads, segments=segments).data
+        expected = np.concatenate(
+            [per_head_attention(*qkv, n_heads, allow) for *qkv, allow in alone]
+        )
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_heads, shapes, causal", SEGMENT_CASES)
+    def test_segments_grad_check(self, n_heads, shapes, causal):
+        rng = np.random.default_rng(len(shapes) * 10 + n_heads + 1)
+        q, k, v, segments, _ = packed_inputs(rng, n_heads, shapes, causal, grad=True)
+        w = t(rng.normal(size=q.shape))
+
+        def f():
+            out = ad.attention(q, k, v, n_heads, segments=segments)
+            return ad.sum_all(ad.mul(out, w))
+
+        err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
+                            n_samples=80, rng=rng)
+        assert err <= 1e-6
+        # rows outside every segment get no gradient
+        outside = np.ones(k.shape[0], dtype=bool)
+        for lo, n in zip(segments.k_starts, segments.k_lens):
+            outside[lo:lo + n] = False
+        np.testing.assert_array_equal(k.grad[outside], 0.0)
+        np.testing.assert_array_equal(v.grad[outside], 0.0)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_one_segment_is_plain_attention(self, causal):
+        rng = np.random.default_rng(3)
+        q, k, v, allow = TestAttention._inputs(rng, 2, 3, 5, causal, grad=True)
+        segments = ad.Segments([0, 3], [0], [5], causal)
+        plain = ad.attention(q, k, v, 2, allow)
+        one = ad.attention(q, k, v, 2, segments=segments)
+        np.testing.assert_array_equal(one.data, plain.data)
+        ad.sum_all(plain).backward()
+        grads = [x.grad.copy() for x in (q, k, v)]
+        ad.zero_grads([q, k, v])
+        ad.sum_all(one).backward()
+        for x, g in zip((q, k, v), grads):
+            np.testing.assert_array_equal(x.grad, g)
+
+    def test_segments_shape_errors(self):
+        q, k = t(np.zeros((3, 4))), t(np.zeros((5, 4)))
+        with pytest.raises(ShapeError):  # a segment without queries
+            ad.Segments([0, 3, 3], [0, 2], [2, 3])
+        with pytest.raises(ShapeError):  # more causal queries than keys
+            ad.Segments([0, 3], [0], [2], causal=True)
+        with pytest.raises(ShapeError):  # keys past the end of k
+            ad.attention(q, k, k, 2, segments=ad.Segments([0, 1, 3], [0, 3], [2, 3]))
+        with pytest.raises(ShapeError):  # queries do not cover q
+            ad.attention(q, k, k, 2, segments=ad.Segments([0, 1, 2], [0, 2], [2, 3]))
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, k, 2, np.ones((3, 5), dtype=bool),
+                         segments=ad.Segments([0, 3], [0], [5]))
 
 
 class TestStructuralOps:

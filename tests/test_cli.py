@@ -1,10 +1,15 @@
 import json
-
+from dataclasses import replace
 
 import pytest
 
-from qrewrite import dataio
+from qrewrite import dataio, training
 from qrewrite.cli import main
+from qrewrite.docgraph import make_step_inputs
+from qrewrite.model import QuestionRewriter
+from qrewrite.vocab import Vocab
+
+from test_dataio import corrupt_checkpoint
 
 
 def run(*argv):
@@ -114,6 +119,117 @@ def test_truncated_checkpoint_is_data_error(data_dir, train_dir, tmp_path, capsy
                "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "p.jsonl") == 2
     err = capsys.readouterr().err
     assert "checkpoint.bin: truncated" in err and "Traceback" not in err
+
+
+def test_checkpoint_header_without_key_is_data_error(data_dir, train_dir, tmp_path,
+                                                     capsys):
+    ck = tmp_path / "checkpoint.bin"
+    ck.write_bytes((train_dir / "checkpoint-final.bin").read_bytes())
+    corrupt_checkpoint(ck, "no_vocab_sha256")
+    assert run("generate", "--checkpoint", ck, "--data", data_dir / "test.jsonl",
+               "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "p.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin: checkpoint header lacks 'vocab_sha256'" in err
+    assert "Traceback" not in err
+
+
+TINY_CONFIG = {
+    "d_model": 16, "n_heads": 2, "d_ff": 24, "n_enc_layers": 1, "n_dec_layers": 1,
+    "lr_alpha": 1e-3, "warmup_steps": 2, "batch_size": 8,
+    "epochs_per_main_complexity": 1, "curriculum": "adaptive", "val_max_examples": 4,
+    "seed": 5,
+}
+
+
+def test_four_hop_train_and_generate(tmp_path, monkeypatch):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run("gen-data", "--out", data, "--hops", "1,2,3,4", "--train", "4",
+               "--valid", "1", "--test", "2", "--entities", "30", "--seed", "11") == 0
+    for split in ("train", "valid", "test"):
+        assert run("arrange", "--in", data / f"{split}.jsonl",
+                   "--out", data / f"{split}.jsonl") == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    assert run("train", "--config", cfg, "--data", data, "--out", out) == 0
+
+    # one pack holds every test record; it loses two segments at each step
+    segments = []
+    start_step = QuestionRewriter.start_step
+
+    def spy(self, encoder_output, cache, segments_=None):
+        segments.append(len(encoder_output))
+        return start_step(self, encoder_output, cache, segments_)
+
+    monkeypatch.setattr(QuestionRewriter, "start_step", spy)
+    preds = [tmp_path / f"pred{i}.jsonl" for i in range(2)]
+    for pred in preds:
+        assert run("generate", "--checkpoint", out / "checkpoint-final.bin",
+                   "--data", data / "test.jsonl", "--vocab", data / "vocab.txt",
+                   "--out", pred, "--emit-intermediates") == 0
+    assert segments == [8, 6, 4, 2] * 2
+    assert preds[0].read_bytes() == preds[1].read_bytes()
+    lines = dataio.read_records(preds[0])
+    assert sorted(r["hops"] for r in lines) == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert all(len(r["intermediates"]) == r["hops"] - 1 for r in lines)
+
+    # each record decoded alone gives its line of the pack
+    monkeypatch.undo()
+    voc = Vocab.load(data / "vocab.txt")
+    model = dataio.load_model(out / "checkpoint-final.bin")
+    for rec, line in zip(dataio.read_records(data / "test.jsonl"), lines):
+        ex = dataio.arranged_example(rec)
+        final, intermediates = training.predict(model, ex, voc)
+        assert line["prediction"] == " ".join(final)
+        assert line["intermediates"] == [" ".join(q) for q in intermediates]
+
+
+def test_generate_keeps_failed_records_in_place(data_dir, train_dir, tmp_path, capsys):
+    records = dataio.read_records(data_dir / "test.jsonl")
+    broken = [dict(r) for r in records]
+    del broken[1]["arrangement"]  # DataFormatError
+    doc = dict(broken[4]["documents"][0])
+    doc["text"] += " filler" * 500  # LengthError: longer than max_len
+    broken[4]["documents"] = [doc, *broken[4]["documents"][1:]]
+    dataio.write_records(tmp_path / "broken.jsonl", broken)
+    for name in ("test", "broken"):
+        src = data_dir / "test.jsonl" if name == "test" else tmp_path / "broken.jsonl"
+        assert run("generate", "--checkpoint", train_dir / "checkpoint-final.bin",
+                   "--data", src, "--vocab", data_dir / "vocab.txt",
+                   "--out", tmp_path / f"{name}.pred.jsonl") == 0
+    assert "2 records failed" in capsys.readouterr().err
+    clean = dataio.read_records(tmp_path / "test.pred.jsonl")
+    got = dataio.read_records(tmp_path / "broken.pred.jsonl")
+    assert [r["id"] for r in got] == [r["id"] for r in records]
+    for i, (line, ref) in enumerate(zip(got, clean)):
+        if i in (1, 4):
+            assert line["prediction"] == "" and line["error"]
+        else:
+            assert line == ref
+
+
+@pytest.mark.parametrize("eos_bias", [-1e4, 1e4])
+def test_generate_reports_truncation(eos_bias, data_dir, train_dir, tmp_path):
+    # the smallest max_len the test records fit, with <eos> never (or
+    # always) the greedy choice: every record truncates (or none does)
+    voc = Vocab.load(data_dir / "vocab.txt")
+    trained = dataio.load_model(train_dir / "checkpoint-final.bin")
+    records = dataio.read_records(data_dir / "test.jsonl")
+    max_len = max(len(s.tokens) for rec in records
+                  for s in make_step_inputs(dataio.arranged_example(rec), voc, 10**6))
+    model = QuestionRewriter(replace(trained.cfg, max_len=max_len))
+    model.load_param_arrays({k: p.data for k, p in trained.params.items()})
+    model.params["out.b"].data[voc.eos_id] += eos_bias
+    ck = tmp_path / "short.bin"
+    dataio.save_checkpoint(ck, model, voc.sha256())
+    assert run("generate", "--checkpoint", ck, "--data", data_dir / "test.jsonl",
+               "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "p.jsonl") == 0
+    manifest = json.loads((tmp_path / "manifest-generate.json").read_text())
+    ids = [r["id"] for r in records] if eos_bias < 0 else []
+    assert manifest["truncated_records"] == len(ids)
+    assert manifest["truncated_ids"] == ids
+    for line in dataio.read_records(tmp_path / "p.jsonl"):
+        assert set(line) == {"id", "hops", "prediction"}
+        assert len(line["prediction"].split()) == (max_len - 1 if eos_bias < 0 else 0)
 
 
 class TestTrain:

@@ -33,11 +33,16 @@ def corrupt_checkpoint(path, defect):
         raw = raw[:-5]
     elif defect == "trailing_bytes":
         raw += b"\x00" * 8
-    else:  # a config key ModelConfig does not know
+    else:
         (n,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12 : 12 + n])
-        header["config"]["n_experts"] = 4
+        if defect == "unknown_config_key":  # a key ModelConfig does not know
+            header["config"]["n_experts"] = 4
+        elif defect.startswith("no_"):
+            del header[defect[3:]]
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        if defect == "header_not_json":
+            blob = blob[:-1]
         raw = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :]
     path.write_bytes(raw)
 
@@ -136,13 +141,18 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="magic"):
             dataio.load_checkpoint(path)
 
-    @pytest.mark.parametrize("defect", ["truncated", "trailing_bytes", "unknown_config_key"])
+    @pytest.mark.parametrize("defect", [
+        "truncated", "trailing_bytes", "unknown_config_key", "header_not_json",
+        "no_tensors", "no_config", "no_vocab_sha256",
+    ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"
         dataio.save_checkpoint(path, self._model(), vocab_sha256="00" * 32)
         corrupt_checkpoint(path, defect)
-        with pytest.raises(DataFormatError, match="ck.bin"):
+        with pytest.raises(DataFormatError, match="ck.bin") as err:
             dataio.load_checkpoint(path)
+        if defect.startswith("no_"):
+            assert repr(defect[3:]) in str(err.value)
 
     def test_trainer_state_roundtrip(self, tmp_path):
         m = self._model()
