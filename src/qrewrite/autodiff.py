@@ -264,9 +264,10 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     out = _result(a.data[start:stop].copy(), (a,), None)
     if out.requires_grad:
         def bwd(g):
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            _accumulate(a, full)
+            # only rows start:stop change: add into them in place
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[start:stop] += g
         out._backward = bwd
     return out
 
@@ -508,8 +509,11 @@ def _packed_attention(
     def unpad(a: np.ndarray) -> np.ndarray:  # (seg, m_max, d) -> (m, d)
         return a.reshape(m, d) if q_index is None else a[q_valid]
 
-    q3 = q.data.reshape(n_seg, m_max, d) if q_index is None else q.data[q_index]
-    qs, kh, vh = split(q3) * c, split(k.data[k_index]), split(v.data[k_index])
+    def operands():  # scaled queries, keys and values, padded and split
+        q3 = q.data.reshape(n_seg, m_max, d) if q_index is None else q.data[q_index]
+        return split(q3) * c, split(k.data[k_index]), split(v.data[k_index])
+
+    qs, kh, vh = operands()
     scores = qs @ kh.transpose(0, 1, 3, 2)
     if allow is not None:
         scores = np.where(allow[:, None], scores, -np.inf)
@@ -518,13 +522,20 @@ def _packed_attention(
     out = _result(unpad(merge(p @ vh)), (q, k, v), None)
     if out.requires_grad:
         key_rows = k_index[k_valid]
+        starts, ends = segments.k_starts, segments.k_starts + segments.k_lens
+        order = np.argsort(starts, kind="stable")
+        disjoint = (starts[order][1:] >= ends[order][:-1]).all()
 
         def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
             full = np.zeros_like(t.data)
-            np.add.at(full, key_rows, padded[k_valid])
+            if disjoint:  # no key row is shared, so a plain store sums nothing
+                full[key_rows] = padded[k_valid]
+            else:
+                np.add.at(full, key_rows, padded[k_valid])
             _accumulate(t, full)
 
         def bwd(g):
+            qs, kh, vh = operands()  # rebuilt rather than kept alive until now
             if q_index is None:
                 g3 = g.reshape(n_seg, m_max, d)
             else:
@@ -576,14 +587,6 @@ def sum_all(a: Tensor) -> Tensor:
     out = _result(np.asarray(a.data.sum()), (a,), None)
     if out.requires_grad:
         out._backward = lambda g: _accumulate(a, np.full_like(a.data, float(g)))
-    return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = _result(np.asarray(a.data.mean()), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, np.full_like(a.data, float(g) / n))
     return out
 
 

@@ -303,23 +303,22 @@ def cmd_evaluate(args) -> int:
             f"id mismatch between predictions and gold: "
             f"only in predictions {only_pred[:5]}, only in gold {only_gold[:5]}"
         )
-    by_hop: dict[int, list] = {}
     pairs = []
     for gold in golds.values():
         pred = preds[gold["id"]]
         pair = metrics.EvalPair.from_strings(pred["prediction"], [gold["question"]])
         pairs.append((pred["id"], pair))
-        by_hop.setdefault(int(gold["hops"]), []).append((pred["id"], pair))
 
     lines = []
-    overall, records = metrics.corpus_eval(pairs)
-    for rec, (_, _pair) in zip(records, pairs):
+    names = tuple(metrics.METRICS)
+    overall, records = metrics.corpus_eval(pairs, names)
+    by_hop: dict[int, list[dict]] = {}
+    for rec in records:
         rec["hops"] = int(golds[rec["id"]]["hops"])
         lines.append({"type": "example", **rec})
-    per_hop = {}
-    for hops in sorted(by_hop):
-        summary, _ = metrics.corpus_eval(by_hop[hops])
-        per_hop[str(hops)] = summary
+        by_hop.setdefault(rec["hops"], []).append(rec)
+    per_hop = {str(hops): metrics.summarize(by_hop[hops], names)
+               for hops in sorted(by_hop)}
     lines.append({"type": "summary", "overall": overall, "per_hop": per_hop})
     dataio.write_records(args.out, lines)
     dataio.write_manifest(

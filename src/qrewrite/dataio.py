@@ -4,14 +4,18 @@ Dataset, prediction and report files are line-delimited JSON; the order of
 records is preserved and files are streamable.  Checkpoints are a small
 binary format: magic "E2QR", version, a JSON header naming the tensors, and
 raw little-endian buffers, so that save -> load -> forward is bit-exact at
-the stored precision.
+the stored precision.  Record files, checkpoints and manifests are written
+to a temporary file beside the target and then renamed over it, so an
+interrupted write leaves the old file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,9 +41,25 @@ def json_line(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
+@contextmanager
+def _atomic_open(path: str | Path, mode: str):
+    """Open a temporary file beside ``path`` and rename it over ``path``
+    once the block completes; on error remove it and leave ``path`` as it
+    was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w") as fh:
         for rec in records:
             fh.write(json_line(rec) + "\n")
             n += 1
@@ -170,7 +190,7 @@ def save_checkpoint(
         extra_buffers = [a for _, a in trainer_state["tensors"]]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     dtype = np.dtype(f"<f{float_size}")
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<HBB", CHECKPOINT_VERSION, float_size,
                              1 if trainer_state else 0))
@@ -337,5 +357,6 @@ def write_manifest(
         **(report or {}),
     }
     path = Path(out_dir) / f"manifest-{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _atomic_open(path, "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

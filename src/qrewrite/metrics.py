@@ -209,8 +209,14 @@ def corpus_eval(
         for name in metric_names:
             rec[name] = METRICS[name](pair)
         records.append(rec)
+    return summarize(records, metric_names), records
+
+
+def summarize(records: Sequence[dict], metric_names: Sequence[str]) -> dict[str, float]:
+    """Mean of each metric over per-example records, in their order, plus
+    the record count."""
     summary = {
         name: sum(r[name] for r in records) / len(records) for name in metric_names
     }
     summary["count"] = len(records)
-    return summary, records
+    return summary

@@ -22,22 +22,29 @@ Conventions, fixed here once:
     biases start at 0 and LayerNorm at (1, 0);
   * the output head is the transpose of the token embedding (tied), which
     makes copy behaviour generalize to entities unseen as training targets;
-  * on the graph the cache keeps one (rows, d_model) K/V block per layer
-    and step, with the heads packed along the columns; only the fused
-    attention op splits them, as an array axis;
-  * greedy tokens are chosen under no_grad, one position at a time; a step
-    on the autodiff graph is then built by one block pass over
-    [<bos>] + question, which seals its K/V rows and skips the last layer's
-    attention, feed-forward and output head, whose results nothing reads;
-  * under no_grad a pack of examples runs in lockstep: one encoder pass per
-    step, then one decoder pass per position with one row per live example.
-    Each example is a segment of the packed rows and attends only to its
-    own rows.  The pack's cache is one preallocated K and one V store per
+  * a batch of examples runs in lockstep, each example a segment of the
+    packed rows that attends only to its own rows: at step t one encoder
+    pass serves the examples with at least t steps, and decoder passes
+    feed rows of every live segment;
+  * greedy tokens are chosen under no_grad, one position per pass;
+  * on the autodiff graph a batch is one graph: at each step one decoder
+    block pass over [<bos>] + gold teacher-forces the final questions and
+    one over [<bos>] + question seals the others, whose greedy tokens come
+    from a no_grad pack over the graph's rows; one backward serves the
+    batch loss.  The cache keeps one (rows, d_model) K/V block per
+    layer and step, stacking the step's segments, with the heads packed
+    along the columns; only the fused attention op splits them, as an
+    array axis.  A pass gathers each segment's sealed and new rows into
+    contiguous keys by a row lookup whose backward scatter-adds, so the
+    final loss reaches every earlier step of its own example.  A sealing
+    pass skips the last layer's attention, feed-forward and output head,
+    whose results nothing reads;
+  * under no_grad a pack's cache is one preallocated K and one V store per
     layer (self- and cross-attention) in which every segment owns a fixed
     range of rows: a step writes its rows in place after the segment's
     sealed rows and sealing advances the segment's offset, so no row is
-    copied or concatenated.  One example decoded alone is the pack of one,
-    and a step on the graph is the one-segment case of the same pass.
+    copied or concatenated;
+  * one example, on the graph or not, is the batch or pack of one.
 """
 
 from __future__ import annotations
@@ -114,35 +121,59 @@ class StepOutput:
 
 
 class AttentionCache:
-    """Per-layer K/V blocks sealed by completed steps of one example, on the
-    autodiff graph.
+    """Per-layer K/V blocks sealed by completed steps of a batch of
+    examples, on the autodiff graph.
 
-    Each block is (rows, d_model) with the heads packed along the columns.
-    Blocks are append-only: once a step seals, its blocks are never touched
-    again.  ``step_lengths[i]`` is the number of self-attention rows sealed
-    by step i (question length + 1 for <bos>); ``context_lengths[i]`` is
-    that step's encoder input length.
+    Each sealed step appends, per layer, one (rows, d_model) block of
+    self-attention keys, self-attention values, cross-attention keys and
+    cross-attention values, with the heads packed along the columns.  A
+    block stacks the rows of the segments that sealed the step, in segment
+    order.  Segment s sealed ``step_lengths[s][t]`` self-attention rows at
+    step t (question length + 1 for <bos>) over ``context_lengths[s][t]``
+    encoder rows.  A segment seals its steps in order, so block t holds the
+    segments with more than t sealed steps.  Blocks are
+    append-only: once a step seals, its blocks are never touched again.
     """
 
-    def __init__(self, n_layers: int):
+    def __init__(self, n_layers: int, n_segments: int = 1):
         self.sa_keys: list[list[Tensor]] = [[] for _ in range(n_layers)]
         self.sa_values: list[list[Tensor]] = [[] for _ in range(n_layers)]
         self.ca_keys: list[list[Tensor]] = [[] for _ in range(n_layers)]
         self.ca_values: list[list[Tensor]] = [[] for _ in range(n_layers)]
-        self.step_lengths: list[int] = []
-        self.context_lengths: list[int] = []
+        self.step_lengths: list[list[int]] = [[] for _ in range(n_segments)]
+        self.context_lengths: list[list[int]] = [[] for _ in range(n_segments)]
 
-    @property
-    def steps_completed(self) -> int:
-        return len(self.step_lengths)
 
-    @property
-    def sa_rows(self) -> int:
-        return sum(self.step_lengths)
+def _sealed_rows(
+    lengths: Sequence[Sequence[int]], segs: Sequence[int]
+) -> tuple[list[np.ndarray], int]:
+    """Rows of each segment in ``segs`` in the stacked sealed blocks of an
+    ``AttentionCache`` whose per-segment row counts are ``lengths``, and
+    the stacked row count."""
+    rows: dict[int, list[np.ndarray]] = {s: [] for s in segs}
+    offset = 0
+    for t in range(max(map(len, lengths), default=0)):
+        for s, counts in enumerate(lengths):
+            if t < len(counts):
+                if s in rows:
+                    rows[s].append(np.arange(offset, offset + counts[t]))
+                offset += counts[t]
+    empty = np.zeros(0, dtype=np.intp)
+    return [np.concatenate(rows[s]) if rows[s] else empty for s in segs], offset
 
-    @property
-    def ca_rows(self) -> int:
-        return sum(self.context_lengths)
+
+def _gather(blocks: Sequence[Tensor], index: np.ndarray | None) -> Tensor:
+    """Rows ``index`` of the stacked ``blocks``; None takes them all."""
+    rows = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
+    # a row lookup whose backward scatter-adds into the looked-up rows
+    return rows if index is None else ad.embedding(rows, index)
+
+
+def _unless_identity(index: np.ndarray, n: int) -> np.ndarray | None:
+    """``index``, or None when it takes all ``n`` rows in order."""
+    if len(index) == n and (index == np.arange(n)).all():
+        return None
+    return index
 
 
 class PackCache:
@@ -192,7 +223,8 @@ class PackCache:
         setattr(self, f"{kind}_capacity", grown_capacity)
 
     def segment(self, s: int) -> AttentionCache:
-        """Segment ``s``'s sealed rows as per-step blocks (views, no copy)."""
+        """Segment ``s``'s sealed rows as a one-segment cache of per-step
+        blocks (views, no copy)."""
         view = AttentionCache(len(self.sa_k))
         for attr, stores, capacity, lengths in (
             ("sa_keys", self.sa_k, self.sa_capacity, self.step_lengths[s]),
@@ -205,64 +237,142 @@ class PackCache:
                 [ad.constant(store[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
                 for store in stores
             ])
-        view.step_lengths = list(self.step_lengths[s])
-        view.context_lengths = list(self.context_lengths[s])
+        view.step_lengths = [list(self.step_lengths[s])]
+        view.context_lengths = [list(self.context_lengths[s])]
         return view
 
 
-@dataclass
-class StepState:
-    """Decoder state of one example's current step on the autodiff graph,
-    one entry per layer."""
+class _StepRows:
+    """What both step states share: ``n_fed[j]`` rows of segment
+    ``segs[j]`` are fed this step, at step-local positions from 0."""
 
-    encoder_output: Tensor
-    sa_prior_k: list[Tensor | None]   # sealed self-attention rows, concatenated
-    sa_prior_v: list[Tensor | None]
-    ca_k: list[Tensor]                # accumulated (prior + current)
-    ca_v: list[Tensor]
-    ca_current_k: list[Tensor]        # this step's blocks, for sealing
-    ca_current_v: list[Tensor]
-    sa_k: list[Tensor | None]         # this step's self-attention rows so far
-    sa_v: list[Tensor | None]
-    n_fed: int = 0
-    allow: np.ndarray | None = None  # this pass's within-step causal mask
-    n_segments = 1
+    segs: np.ndarray
+    n_fed: np.ndarray
 
-    def positions(self, ids, active) -> slice:
-        (row,) = ids
-        return slice(self.n_fed, self.n_fed + len(row))
+    @property
+    def n_segments(self) -> int:
+        return len(self.segs)
 
-    def advance(self, ids, active, positions) -> None:
-        (row,) = ids
-        sealed = self.sa_prior_k[0]
-        n_prior = self.n_fed + (0 if sealed is None else sealed.shape[0])
-        self.n_fed += len(row)
-        # a single query sits at the newest position and may see every row
-        self.allow = within_step_causal_mask(n_prior, len(row)) if len(row) > 1 else None
+    def positions(self, ids, active: np.ndarray) -> np.ndarray:
+        fed = self.n_fed[active]
+        if all(len(row) == 1 for row in ids):
+            return fed
+        return np.concatenate([np.arange(f, f + len(row)) for f, row in zip(fed, ids)])
+
+
+class GraphState(_StepRows):
+    """Decoder state of one step for the segments ``segs`` of a batch, on
+    the autodiff graph (or on constants under no_grad).
+
+    Per layer, self-attention keys come from ``sa_k[i]``: the cache's
+    sealed blocks (with accumulated self-attention), then one block per
+    pass of this step.  ``sealed[j]`` and ``own[j]`` index segment j's
+    sealed rows and this step's rows in their stack; ``n_blocks`` and
+    ``n_sealed`` count the sealed blocks and rows.  Cross-attention keys
+    ``ca_k[i]`` hold segment j's context rows at ``ca_starts[j]``, of which
+    ``ca_own[j]`` index its rows in this step's block ``ca_current_k[i]``.
+    A pass gathers each fed segment's keys into contiguous rows.
+    """
+
+    def __init__(self, cache: AttentionCache, segs: np.ndarray, ca_lens: np.ndarray,
+                 ca_current_k: list[Tensor], ca_current_v: list[Tensor],
+                 accumulated_sa: bool, accumulated_ca: bool):
+        n_seg, seg_list = len(segs), segs.tolist()
+        self.segs, self.ca_lens = segs, ca_lens
+        self.n_fed = np.zeros(n_seg, dtype=np.intp)
+        with_sa = accumulated_sa and any(cache.sa_keys)
+        self.sa_k = [list(b) if with_sa else [] for b in cache.sa_keys]
+        self.sa_v = [list(b) if with_sa else [] for b in cache.sa_values]
+        self.n_blocks = len(self.sa_k[0]) if self.sa_k else 0
+        self.sealed, self.n_sealed = [np.zeros(0, dtype=np.intp)] * n_seg, 0
+        if with_sa:
+            self.sealed, self.n_sealed = _sealed_rows(cache.step_lengths, seg_list)
+        self.n_rows = self.n_sealed
+        self.own = [np.zeros(0, dtype=np.intp)] * n_seg
+
+        with_ca = accumulated_ca and any(cache.ca_keys)
+        prior, n_prior = [np.zeros(0, dtype=np.intp)] * n_seg, 0
+        if with_ca:
+            prior, n_prior = _sealed_rows(cache.context_lengths, seg_list)
+        offsets = np.cumsum(ca_lens) - ca_lens
+        self.ca_own = [np.arange(o, o + n) for o, n in zip(offsets, ca_lens)]
+        self.ca_klens = np.array([len(p) for p in prior], dtype=np.intp) + ca_lens
+        self.ca_starts = np.cumsum(self.ca_klens) - self.ca_klens
+        index = _unless_identity(
+            np.concatenate([np.concatenate((p, n_prior + own))
+                            for p, own in zip(prior, self.ca_own)]),
+            n_prior + int(ca_lens.sum()),
+        )
+        self.ca_current_k, self.ca_current_v = ca_current_k, ca_current_v
+        self.ca_k = [_gather([*blocks, k] if with_ca else [k], index)
+                     for blocks, k in zip(cache.ca_keys, ca_current_k)]
+        self.ca_v = [_gather([*blocks, v] if with_ca else [v], index)
+                     for blocks, v in zip(cache.ca_values, ca_current_v)]
+        self._index = self._sa = self._ca = None
+
+    def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
+        """Lay out this pass's attention segments: each fed segment's keys
+        are its sealed rows, its rows fed earlier this step and its new
+        rows, in that order."""
+        lens = np.array([len(row) for row in ids], dtype=np.intp)
+        q_offsets = np.concatenate(([0], np.cumsum(lens)))
+        new = self.n_rows + np.arange(q_offsets[-1])
+        keys, k_lens = [], []
+        for j, lo, hi in zip(active.tolist(), q_offsets[:-1], q_offsets[1:]):
+            self.own[j] = np.concatenate((self.own[j], new[lo:hi]))
+            keys += (self.sealed[j], self.own[j])
+            k_lens.append(len(self.sealed[j]) + len(self.own[j]))
+        self.n_rows += int(q_offsets[-1])
+        self.n_fed[active] += lens
+        self._index = _unless_identity(np.concatenate(keys), self.n_rows)
+        k_lens = np.array(k_lens, dtype=np.intp)
+        self._sa = ad.Segments(q_offsets, np.cumsum(k_lens) - k_lens, k_lens, causal=True)
+        self._ca = ad.Segments(q_offsets, self.ca_starts[active], self.ca_klens[active])
 
     def self_rows(self, i: int, k: Tensor, v: Tensor):
         """Append layer ``i``'s new K/V rows; returns the keys and values the
-        new rows attend to, with their allow mask and (no) segments."""
-        own_k, own_v = self.sa_k[i], self.sa_v[i]
-        prior_k = [b for b in (self.sa_prior_k[i], own_k) if b is not None]
-        prior_v = [b for b in (self.sa_prior_v[i], own_v) if b is not None]
-        self.sa_k[i] = k if own_k is None else ad.concat_rows([own_k, k])
-        self.sa_v[i] = v if own_v is None else ad.concat_rows([own_v, v])
-        keys = ad.concat_rows([*prior_k, k]) if prior_k else k
-        values = ad.concat_rows([*prior_v, v]) if prior_v else v
-        return keys, values, self.allow, None
+        pass attends to, with no allow mask and its segments."""
+        self.sa_k[i].append(k)
+        self.sa_v[i].append(v)
+        return (_gather(self.sa_k[i], self._index), _gather(self.sa_v[i], self._index),
+                None, self._sa)
 
     def cross_rows(self, i: int):
-        return self.ca_k[i], self.ca_v[i], None, None
+        return self.ca_k[i], self.ca_v[i], None, self._ca
 
-    def restart(self, active=None) -> None:
-        """Forget the step's rows, to decode it again from its first position."""
-        self.sa_k = [None] * len(self.sa_k)
-        self.sa_v = [None] * len(self.sa_v)
-        self.n_fed = 0
+    def restart(self) -> None:
+        """Forget the rows fed this step, to decode it again from its first
+        position."""
+        self.own = [np.zeros(0, dtype=np.intp)] * len(self.segs)
+        self.n_fed[:] = 0
+        self.sa_k = [blocks[: self.n_blocks] for blocks in self.sa_k]
+        self.sa_v = [blocks[: self.n_blocks] for blocks in self.sa_v]
+        self.n_rows = self.n_sealed
+
+    def drop(self, js) -> None:
+        """Leave out the segments at indices ``js`` (they are not sealed)."""
+        if not js:
+            return
+        keep = [j for j in range(len(self.segs)) if j not in js]
+        for name in ("segs", "ca_lens", "n_fed", "ca_starts", "ca_klens"):
+            setattr(self, name, getattr(self, name)[keep])
+        for name in ("sealed", "own", "ca_own"):
+            setattr(self, name, [getattr(self, name)[j] for j in keep])
+
+    def sealed_blocks(self, i: int) -> tuple[Tensor, ...]:
+        """Layer ``i``'s K/V blocks of this step, segment by segment: self-
+        attention keys and values, then cross-attention keys and values."""
+        sa_index = _unless_identity(np.concatenate(self.own) - self.n_sealed,
+                                    self.n_rows - self.n_sealed)
+        ca_index = _unless_identity(np.concatenate(self.ca_own),
+                                    self.ca_current_k[i].shape[0])
+        return (_gather(self.sa_k[i][self.n_blocks:], sa_index),
+                _gather(self.sa_v[i][self.n_blocks:], sa_index),
+                _gather([self.ca_current_k[i]], ca_index),
+                _gather([self.ca_current_v[i]], ca_index))
 
 
-class PackState:
+class PackState(_StepRows):
     """Decoder state of one step for the segments ``segs`` of a pack, whose
     rows live in the ``PackCache`` stores (no_grad).
 
@@ -281,16 +391,6 @@ class PackState:
         self.accumulated_sa = accumulated_sa
         self.n_fed = np.zeros(len(segs), dtype=np.intp)
         self._dest = self._sa = self._ca = self._ca_key = None
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segs)
-
-    def positions(self, ids, active: np.ndarray) -> np.ndarray:
-        fed = self.n_fed[active]
-        if all(len(row) == 1 for row in ids):
-            return fed
-        return np.concatenate([np.arange(f, f + len(row)) for f, row in zip(fed, ids)])
 
     def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
         """Reserve this pass's rows and lay out its attention segments."""
@@ -589,67 +689,46 @@ class QuestionRewriter:
         encoder_output: Tensor | Sequence[Tensor],
         cache: AttentionCache | PackCache,
         segments: Sequence[int] | None = None,
-    ) -> StepState | PackState:
+    ) -> GraphState | PackState:
         """Open a step: project its cross-attention rows and expose the
         sealed rows to it.
 
-        With an ``AttentionCache`` ``encoder_output`` is one example's
-        encoding, and the state snapshots the accumulated views of the
-        sealed blocks.  With a ``PackCache`` it is one encoding per segment
-        in ``segments`` (default: the pack's first ones), whose projected
-        rows are written into the stores in place.
+        ``encoder_output`` is one encoding per segment in ``segments``
+        (default: the first ones), or one example's encoding.  With an
+        ``AttentionCache`` the projected rows stay on the graph; with a
+        ``PackCache`` they are written into the stores in place.
         """
         cfg = self.cfg
         n = cfg.n_dec_layers
-        if isinstance(cache, PackCache):
-            encs = encoder_output
-            if isinstance(encoder_output, Tensor):
-                encs = [encoder_output]
-            segs = np.arange(len(encs))
-            if segments is not None:
-                segs = np.asarray(segments, dtype=np.intp)
-            lens = np.array([e.shape[0] for e in encs], dtype=np.intp)
-            state = PackState(cache, segs, lens, cfg.mode_accumulated_sa,
+        encs = [encoder_output] if isinstance(encoder_output, Tensor) else encoder_output
+        segs = np.arange(len(encs))
+        if segments is not None:
+            segs = np.asarray(segments, dtype=np.intp)
+        lens = np.array([e.shape[0] for e in encs], dtype=np.intp)
+        if not isinstance(cache, PackCache):
+            rows = encs[0] if len(encs) == 1 else ad.concat_rows(encs)
+            ks = [self._project(rows, f"dec.l{i}.ca", "k") for i in range(n)]
+            vs = [self._project(rows, f"dec.l{i}.ca", "v") for i in range(n)]
+            return GraphState(cache, segs, lens, ks, vs, cfg.mode_accumulated_sa,
                               cfg.mode_accumulated_ca)
-            cache.reserve("ca", int(state.ca_end.max()))
-            offsets = np.cumsum(lens) - lens
-            first = segs * cache.ca_capacity + state.ca_end - lens
-            dest = np.repeat(first - offsets, lens)
-            dest += np.arange(int(lens.sum()))
-            rows = encs[0] if len(encs) == 1 else ad.constant(
-                np.concatenate([e.data for e in encs])
-            )
-            for i in range(n):
-                cache.ca_k[i][dest] = self._project(rows, f"dec.l{i}.ca", "k").data
-                cache.ca_v[i][dest] = self._project(rows, f"dec.l{i}.ca", "v").data
-            return state
-        state = StepState(
-            encoder_output, sa_prior_k=[], sa_prior_v=[], ca_k=[], ca_v=[],
-            ca_current_k=[], ca_current_v=[], sa_k=[None] * n, sa_v=[None] * n,
+        state = PackState(cache, segs, lens, cfg.mode_accumulated_sa,
+                          cfg.mode_accumulated_ca)
+        cache.reserve("ca", int(state.ca_end.max()))
+        offsets = np.cumsum(lens) - lens
+        first = segs * cache.ca_capacity + state.ca_end - lens
+        dest = np.repeat(first - offsets, lens)
+        dest += np.arange(int(lens.sum()))
+        rows = encs[0] if len(encs) == 1 else ad.constant(
+            np.concatenate([e.data for e in encs])
         )
         for i in range(n):
-            p = f"dec.l{i}"
-            k = self._project(encoder_output, f"{p}.ca", "k")
-            v = self._project(encoder_output, f"{p}.ca", "v")
-            state.ca_current_k.append(k)
-            state.ca_current_v.append(v)
-            if cfg.mode_accumulated_ca and cache.ca_keys[i]:
-                k = ad.concat_rows([*cache.ca_keys[i], k])
-                v = ad.concat_rows([*cache.ca_values[i], v])
-            state.ca_k.append(k)
-            state.ca_v.append(v)
-            sealed = cfg.mode_accumulated_sa and cache.sa_keys[i]
-            state.sa_prior_k.append(
-                ad.concat_rows(cache.sa_keys[i]) if sealed else None
-            )
-            state.sa_prior_v.append(
-                ad.concat_rows(cache.sa_values[i]) if sealed else None
-            )
+            cache.ca_k[i][dest] = self._project(rows, f"dec.l{i}.ca", "k").data
+            cache.ca_v[i][dest] = self._project(rows, f"dec.l{i}.ca", "v").data
         return state
 
     def _decode_rows(
         self,
-        state: StepState | PackState,
+        state: GraphState | PackState,
         ids: Sequence[Sequence[int]],
         want_logits: bool,
         active: Sequence[int] | None = None,
@@ -688,7 +767,7 @@ class QuestionRewriter:
 
     def decode_token(
         self,
-        state: StepState | PackState,
+        state: GraphState | PackState,
         token: int | Sequence[int],
         want_logits: bool = True,
         active: Sequence[int] | None = None,
@@ -711,7 +790,7 @@ class QuestionRewriter:
 
     def _greedy_lockstep(
         self,
-        state: StepState | PackState,
+        state: GraphState | PackState,
         bos: int,
         eos: int,
         collect_logits: bool = False,
@@ -750,7 +829,7 @@ class QuestionRewriter:
 
     def greedy_decode_step(
         self,
-        state: StepState | PackState,
+        state: GraphState | PackState,
         bos: int,
         eos: int,
         forced_tokens: Sequence[int] | None = None,
@@ -776,7 +855,7 @@ class QuestionRewriter:
 
     def seal_step(
         self,
-        state: StepState | PackState,
+        state: GraphState | PackState,
         cache: AttentionCache | PackCache,
         detach: bool = False,
     ) -> None:
@@ -789,22 +868,24 @@ class QuestionRewriter:
         if isinstance(state, PackState):
             cache.sa_len[state.segs] += state.n_fed
             cache.ca_len[state.segs] = state.ca_end
-            for s, rows, context in zip(state.segs.tolist(), state.n_fed.tolist(),
-                                        state.ca_lens.tolist()):
-                cache.step_lengths[s].append(rows)
-                cache.context_lengths[s].append(context)
-            return
-        wrap = ad.detach if detach else (lambda t: t)
-        for i in range(self.cfg.n_dec_layers):
-            cache.sa_keys[i].append(wrap(state.sa_k[i]))
-            cache.sa_values[i].append(wrap(state.sa_v[i]))
-            cache.ca_keys[i].append(wrap(state.ca_current_k[i]))
-            cache.ca_values[i].append(wrap(state.ca_current_v[i]))
-        cache.step_lengths.append(state.n_fed)
-        cache.context_lengths.append(state.encoder_output.shape[0])
+        else:
+            n_sealed = max(map(len, cache.step_lengths))
+            if any(len(cache.step_lengths[s]) != n_sealed for s in state.segs.tolist()):
+                raise ShapeError("segments must seal their steps together, in order")
+            wrap = ad.detach if detach else (lambda t: t)
+            for i in range(self.cfg.n_dec_layers):
+                for blocks, block in zip(
+                    (cache.sa_keys, cache.sa_values, cache.ca_keys, cache.ca_values),
+                    state.sealed_blocks(i),
+                ):
+                    blocks[i].append(wrap(block))
+        for s, rows, context in zip(state.segs.tolist(), state.n_fed.tolist(),
+                                    state.ca_lens.tolist()):
+            cache.step_lengths[s].append(rows)
+            cache.context_lengths[s].append(context)
 
     def teacher_forced_final(
-        self, state: StepState | PackState, gold_ids: Sequence[int], bos: int, eos: int
+        self, state: GraphState | PackState, gold_ids: Sequence[int], bos: int, eos: int
     ) -> tuple[Tensor, list[int]]:
         """Block pass over [<bos>] + gold; returns logits of shape
         (len(gold) + 1, vocab) and the target ids (gold + <eos>)."""
@@ -834,15 +915,9 @@ class QuestionRewriter:
         gradients with and without it isolates the end-to-end path through
         earlier steps (forward values are identical).  Under ``no_grad``
         without pinned steps this is the one-example pack of
-        ``rewrite_packed``.
+        ``rewrite_packed``, otherwise the one-example batch of
+        ``rewrite_batch``.
         """
-        n = len(steps)
-        if n == 0:
-            raise ShapeError("rewrite_forward: no steps")
-        if pinned_intermediates is not None and len(pinned_intermediates) != n - 1:
-            raise ShapeError(
-                f"{len(pinned_intermediates)} pinned steps for {n - 1} intermediates"
-            )
         if not ad.grad_enabled() and pinned_intermediates is None:
             golds = None if gold_final is None else [gold_final]
             (res,), cache = self._rewrite_pack(
@@ -850,31 +925,132 @@ class QuestionRewriter:
             )
             res.cache = cache.segment(0)
             return res
-        cache = self.new_cache()
-        res = RewriteResult([], None, None, None, [], cache,
-                            [] if collect_logits else None)
-        for t, step in enumerate(steps, start=1):
-            state = self.start_step(self.encode(step), cache)
-            if t == n and gold_final is not None:
-                res.final_logits, res.final_targets = self.teacher_forced_final(
-                    state, gold_final, bos, eos
-                )
-                return res
-            forced = None
-            if t < n and pinned_intermediates is not None:
-                forced = pinned_intermediates[t - 1]
-            out = self.greedy_decode_step(
-                state, bos, eos, forced_tokens=forced, collect_logits=collect_logits
-            )
-            self.seal_step(state, cache, detach=detach_cache and t < n)
-            res.truncated.append(out.truncated)
-            if collect_logits:
-                res.step_logits.append(out.logits_rows or [])
-            if t < n:
-                res.intermediate_tokens.append(out.question_tokens)
-            else:
-                res.final_tokens = out.question_tokens
+        (res,), res.cache = self._rewrite_graph(
+            [steps], bos, eos,
+            None if gold_final is None else [gold_final],
+            None if pinned_intermediates is None else [pinned_intermediates],
+            collect_logits, detach_cache,
+        )
         return res
+
+    def rewrite_batch(
+        self,
+        examples: Sequence[Sequence[StepInput]],
+        bos: int,
+        eos: int,
+        gold_finals: Sequence[Sequence[int]] | None = None,
+        pinned_intermediates: Sequence[Sequence[Sequence[int]]] | None = None,
+        detach_cache: bool = False,
+    ) -> list[RewriteResult]:
+        """``rewrite_forward`` of every example of a batch, on one autodiff
+        graph; results follow ``examples``."""
+        return self._rewrite_graph(examples, bos, eos, gold_finals,
+                                   pinned_intermediates, False, detach_cache)[0]
+
+    def _rewrite_graph(
+        self,
+        examples: Sequence[Sequence[StepInput]],
+        bos: int,
+        eos: int,
+        gold_finals: Sequence[Sequence[int]] | None,
+        pinned: Sequence[Sequence[Sequence[int]]] | None,
+        collect_logits: bool,
+        detach_cache: bool,
+    ) -> tuple[list[RewriteResult], AttentionCache]:
+        """One graph over a batch: at step t the segments are the examples
+        with at least t steps, and one encoder pass serves them.  Final
+        steps with a gold question are teacher-forced by one block pass.
+        Every other step's question is pinned or greedy-decoded in a
+        no_grad pack, then sealed by one more block pass."""
+        n_steps = [len(steps) for steps in examples]
+        if not examples or min(n_steps) == 0:
+            raise ShapeError("rewrite: every example needs a step")
+        if pinned is not None and [len(p) + 1 for p in pinned] != n_steps:
+            raise ShapeError("pinned intermediates do not match the steps")
+        cache = AttentionCache(self.cfg.n_dec_layers, len(examples))
+        results = [RewriteResult([], None, None, None, [], None,
+                                 [] if collect_logits else None) for _ in examples]
+        for t in range(max(n_steps)):
+            live = [s for s, n in enumerate(n_steps) if t < n]
+            encs = self.encode([examples[s][t] for s in live])
+            state = self.start_step(encs, cache, live)
+            final = [n_steps[s] == t + 1 for s in live]
+            forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
+            if forced:
+                golds = [gold_finals[live[j]] for j in forced]
+                logits = self._decode_rows(
+                    state, [[bos, *g] for g in golds], True, forced
+                )
+                row = 0
+                for j, gold in zip(forced, golds):
+                    res = results[live[j]]
+                    res.final_logits = logits if len(forced) == 1 else ad.slice_rows(
+                        logits, row, row + len(gold) + 1
+                    )
+                    res.final_targets = [*gold, eos]
+                    row += len(gold) + 1
+                state.drop(forced)
+                state.restart()
+            sealed = [j for j in range(len(live)) if j not in forced]
+            if not sealed:
+                continue
+            greedy = [j for j in sealed if final[j] or pinned is None]
+            picks = dict(zip(greedy, self._pick(
+                cache, [live[j] for j in greedy], [encs[j] for j in greedy],
+                bos, eos, collect_logits,
+            ) if greedy else []))
+            rows = []
+            for j in sealed:
+                res = results[live[j]]
+                out = picks[j] if j in picks else StepOutput(list(pinned[live[j]][t]))
+                rows.append([bos, *out.question_tokens])
+                res.truncated.append(out.truncated)
+                if collect_logits:
+                    res.step_logits.append(out.logits_rows or [])
+                if final[j]:
+                    res.final_tokens = out.question_tokens
+                else:
+                    res.intermediate_tokens.append(out.question_tokens)
+            self._decode_rows(state, rows, want_logits=False)
+            self.seal_step(state, cache, detach=detach_cache)
+        return results, cache
+
+    def _pick(
+        self,
+        cache: AttentionCache,
+        segs: Sequence[int],
+        encs: Sequence[Tensor],
+        bos: int,
+        eos: int,
+        collect_logits: bool,
+    ) -> list[StepOutput]:
+        """Greedy-decode the current step of the cache's segments ``segs``,
+        with encodings ``encs``, in lockstep under no_grad: a pack copies
+        their sealed rows from the graph's blocks."""
+        with ad.no_grad():
+            sa, _ = _sealed_rows(cache.step_lengths, segs)
+            ca, _ = _sealed_rows(cache.context_lengths, segs)
+            pack = self._pack_cache(
+                len(segs), max(map(len, sa)) + self.cfg.max_len,
+                max(len(r) + e.shape[0] for r, e in zip(ca, encs)),
+            )
+            for stores, graph, rows, capacity in (
+                (pack.sa_k, cache.sa_keys, sa, pack.sa_capacity),
+                (pack.sa_v, cache.sa_values, sa, pack.sa_capacity),
+                (pack.ca_k, cache.ca_keys, ca, pack.ca_capacity),
+                (pack.ca_v, cache.ca_values, ca, pack.ca_capacity),
+            ):
+                src = np.concatenate(rows)
+                dest = np.concatenate(
+                    [j * capacity + np.arange(len(r)) for j, r in enumerate(rows)]
+                )
+                for store, blocks in zip(stores, graph):
+                    if blocks:
+                        store[dest] = np.concatenate([b.data for b in blocks])[src]
+            pack.sa_len[:] = [len(r) for r in sa]
+            pack.ca_len[:] = [len(r) for r in ca]
+            state = self.start_step(encs, pack)
+            return self._greedy_lockstep(state, bos, eos, collect_logits)
 
     def rewrite_packed(
         self,
@@ -882,23 +1058,20 @@ class QuestionRewriter:
         bos: int,
         eos: int,
         gold_finals: Sequence[Sequence[int]] | None = None,
-        greedy_finals: bool = True,
         collect_logits: bool = False,
     ) -> list[RewriteResult]:
         """Rewrite many examples under ``no_grad``, in consecutive packs of
         ``PACK_SIZE`` decoded in lockstep; results follow ``examples``.
 
-        Intermediate steps greedy-decode and seal.  With ``gold_finals``
-        each final step is teacher-forced (``final_logits``) and not sealed;
-        with ``greedy_finals`` it is (also) greedy-decoded, from the same
-        step state.  With neither, final steps are skipped.
+        Every step greedy-decodes; intermediate steps seal.  With
+        ``gold_finals`` each final step is also teacher-forced
+        (``final_logits``) from the same step state.
         """
         results = []
         for lo in range(0, len(examples), PACK_SIZE):
             golds = None if gold_finals is None else gold_finals[lo : lo + PACK_SIZE]
             results += self._rewrite_pack(
-                examples[lo : lo + PACK_SIZE], bos, eos, golds, greedy_finals,
-                collect_logits,
+                examples[lo : lo + PACK_SIZE], bos, eos, golds, True, collect_logits,
             )[0]
         return results
 
@@ -912,7 +1085,8 @@ class QuestionRewriter:
         collect_logits: bool,
     ) -> tuple[list[RewriteResult], PackCache]:
         """One lockstep pack: at step t the segments are the examples with
-        at least t steps (whose step t has work to do)."""
+        at least t steps.  Without ``greedy_finals`` the final steps are
+        only teacher-forced."""
         n_steps = [len(steps) for steps in examples]
         if not examples or min(n_steps) == 0:
             raise ShapeError("rewrite_packed: every example needs a step")
@@ -924,13 +1098,7 @@ class QuestionRewriter:
                                  [] if collect_logits else None) for _ in examples]
         with ad.no_grad():
             for t in range(max(n_steps)):
-                decode_finals = greedy_finals or gold_finals is not None
-                live = [
-                    s for s, n in enumerate(n_steps)
-                    if t < n - 1 or (t == n - 1 and decode_finals)
-                ]
-                if not live:
-                    continue
+                live = [s for s, n in enumerate(n_steps) if t < n]
                 state = self.start_step(
                     self.encode([examples[s][t] for s in live]), cache, live
                 )

@@ -255,8 +255,9 @@ def _example_loss(
     steps: Sequence[StepInput],
     pinned: Sequence[Sequence[int]],
 ) -> Tensor:
-    """The example's final-step loss on the graph, with its intermediate
-    questions ``pinned``."""
+    """The example's final-step loss on its own graph, with its
+    intermediate questions ``pinned``: the batch of one of
+    ``_batch_losses``."""
     gold = voc.encode(example.gold_question)
     result = model.rewrite_forward(
         steps, voc.bos_id, voc.eos_id, gold_final=gold, pinned_intermediates=pinned
@@ -267,19 +268,14 @@ def _example_loss(
 def _batch_losses(
     model: QuestionRewriter, examples: Sequence[ArrangedExample], voc: Vocab
 ) -> list[Tensor]:
-    """Per-example losses of a batch: its intermediate questions come from
-    one packed no_grad decode, then each loss is one graph pass with them
-    pinned."""
+    """Per-example final-step losses of a batch, from one graph: at each
+    step one packed pass picks the intermediate questions greedily and
+    seals them, or teacher-forces the final ones."""
     steps = [make_step_inputs(ex, voc, model.cfg.max_len) for ex in examples]
-    picked = iter(model.rewrite_packed(
-        [s for s in steps if len(s) > 1], voc.bos_id, voc.eos_id, greedy_finals=False
-    ))
-    return [
-        _example_loss(
-            model, ex, voc, s, next(picked).intermediate_tokens if len(s) > 1 else []
-        )
-        for ex, s in zip(examples, steps)
-    ]
+    golds = [voc.encode(ex.gold_question) for ex in examples]
+    results = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
+    return [final_step_loss(res.final_logits, gold, voc.eos_id)
+            for res, gold in zip(results, golds)]
 
 
 def predict(

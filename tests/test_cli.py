@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from qrewrite import dataio, training
+from qrewrite import dataio, metrics, training
 from qrewrite.cli import main
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import QuestionRewriter
@@ -316,6 +317,36 @@ class TestEvaluate:
         assert summary["type"] == "summary"
         assert summary["overall"]["rouge_l"] == pytest.approx(1.0)
         assert summary["overall"]["exact_match"] == pytest.approx(1.0)
+
+    def test_each_pair_scored_once(self, data_dir, tmp_path, monkeypatch):
+        golds = dataio.read_records(data_dir / "test.jsonl")
+        preds = self._gold_as_predictions(golds)
+        for rec in preds[::2]:
+            rec["prediction"] = "who directed film_1 ?"
+        pred, report = tmp_path / "pred.jsonl", tmp_path / "report.jsonl"
+        dataio.write_records(pred, preds)
+        calls = Counter()
+        for name, fn in metrics.METRICS.items():
+            monkeypatch.setitem(metrics.METRICS, name,
+                                lambda pair, fn=fn, name=name: calls.update([name]) or fn(pair))
+        assert run("evaluate", "--pred", pred, "--gold", data_dir / "test.jsonl",
+                   "--out", report) == 0
+        assert calls == {name: len(golds) for name in metrics.METRICS}
+        # the report as scoring every hop group again wrote it
+        pairs = [(p["id"], metrics.EvalPair.from_strings(p["prediction"], [g["question"]]))
+                 for p, g in zip(preds, golds)]
+        overall, records = metrics.corpus_eval(pairs)
+        lines = [{"type": "example", **rec, "hops": g["hops"]}
+                 for rec, g in zip(records, golds)]
+        per_hop = {
+            str(h): metrics.corpus_eval(
+                [pair for pair, g in zip(pairs, golds) if g["hops"] == h])[0]
+            for h in sorted({g["hops"] for g in golds})
+        }
+        lines.append({"type": "summary", "overall": overall, "per_hop": per_hop})
+        assert len(per_hop) == 2
+        assert report.read_text(encoding="utf-8") == "".join(
+            dataio.json_line(line) + "\n" for line in lines)
 
     def test_hop_grouping_sums_to_total(self, data_dir, tmp_path):
         golds = dataio.read_records(data_dir / "test.jsonl")

@@ -207,3 +207,47 @@ class TestManifest:
         assert manifest["seed"] == 7
         assert manifest["inputs"]["data"] == dataio.sha256_file(data)
         assert manifest["outputs"] == ["out.bin"]
+
+
+class _FailingFile:
+    """A file that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("writer", ["records", "checkpoint", "manifest"])
+def test_interrupted_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
+    model = TestCheckpoints()._model()
+
+    def write():
+        if writer == "records":
+            dataio.write_records(tmp_path / "out.jsonl", [sample_record(), sample_record(1)])
+            return tmp_path / "out.jsonl"
+        if writer == "checkpoint":
+            dataio.save_checkpoint(tmp_path / "ck.bin", model, vocab_sha256="00" * 32)
+            return tmp_path / "ck.bin"
+        return dataio.write_manifest(tmp_path, "train", {"k": 1}, 7, {}, ["out.bin"])
+
+    path = write()
+    old = path.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    model.params["out.b"].data += 1.0  # the checkpoint would change
+    monkeypatch.setattr(dataio, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        write()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing

@@ -195,7 +195,7 @@ class TestDecoding:
         out = m.greedy_decode_step(state, BOS, EOS)
         m.seal_step(state, cache)
         assert out.question_tokens == []
-        assert cache.step_lengths == [1]  # the <bos> row only
+        assert cache.step_lengths == [[1]]  # the <bos> row only
 
     def test_no_grad_decoding_concatenates_nothing(self, monkeypatch):
         m = tiny_model(seed=17, max_len=16)
@@ -261,23 +261,21 @@ class TestRewriteForward:
         res = m.rewrite_forward(steps, BOS, EOS)
         assert len(res.intermediate_tokens) == 2
         assert res.final_tokens is not None
-        assert res.cache.steps_completed == 3
+        assert len(res.cache.step_lengths[0]) == 3
 
     def test_cache_size_law(self):
         m = tiny_model(seed=2, max_len=10)
         steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2), StepInput([8], 3)]
         res = m.rewrite_forward(steps, BOS, EOS)
         qs = [*res.intermediate_tokens, res.final_tokens]
-        assert res.cache.step_lengths == [len(q) + 1 for q in qs]
-        assert res.cache.context_lengths == [3, 2, 1]
-        assert res.cache.sa_rows == sum(len(q) + 1 for q in qs)
-        assert res.cache.ca_rows == 6
+        assert res.cache.step_lengths == [[len(q) + 1 for q in qs]]
+        assert res.cache.context_lengths == [[3, 2, 1]]
         for layer_blocks in res.cache.sa_keys:
             assert [b.shape for b in layer_blocks] == [
-                (n, m.cfg.d_model) for n in res.cache.step_lengths
+                (n, m.cfg.d_model) for n in res.cache.step_lengths[0]
             ]
         for layer_blocks in res.cache.ca_keys:
-            assert [b.shape[0] for b in layer_blocks] == res.cache.context_lengths
+            assert [b.shape[0] for b in layer_blocks] == res.cache.context_lengths[0]
 
     def test_cache_recompute_equivalence(self):
         # greedy logits, decoded into the step buffers, against a cache-free
@@ -456,14 +454,11 @@ class TestPackedDecoding:
         golds = [list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(1, 6)))
                  for _ in examples]
         packed = m.rewrite_packed(examples, BOS, EOS, gold_finals=golds)
-        picks = m.rewrite_packed(examples, BOS, EOS, greedy_finals=False)
-        for steps, gold, res, pick in zip(examples, golds, packed, picks, strict=True):
+        for steps, gold, res in zip(examples, golds, packed, strict=True):
             with ad.no_grad():
                 forced = m.rewrite_forward(steps, BOS, EOS, gold_final=gold)
                 greedy = m.rewrite_forward(steps, BOS, EOS)
             assert res.intermediate_tokens == forced.intermediate_tokens
-            assert pick.intermediate_tokens == forced.intermediate_tokens
-            assert pick.final_tokens is None and pick.final_logits is None
             assert res.final_targets == forced.final_targets == [*gold, EOS]
             gap = res.final_logits.data - forced.final_logits.data
             assert np.abs(gap).max() <= 1e-12
@@ -479,6 +474,19 @@ class TestPackedDecoding:
         with pytest.raises(ShapeError):  # store rows carry no graph
             m.decode_token(state, [BOS, BOS])
 
+    def test_graph_segments_seal_in_order(self):
+        # block t of a graph cache holds the segments that sealed t steps
+        m = pack_model()
+        cache = AttentionCache(m.cfg.n_dec_layers, n_segments=2)
+        state = m.start_step(m.encode([StepInput([5], 1)]), cache, [1])
+        m.greedy_decode_step(state, BOS, EOS, forced_tokens=[7])
+        m.seal_step(state, cache)
+        state = m.start_step(m.encode([StepInput([3, 4], 1), StepInput([6], 2)]),
+                             cache, [0, 1])
+        m._decode_rows(state, [[BOS], [BOS]], want_logits=False)
+        with pytest.raises(ShapeError):
+            m.seal_step(state, cache)
+
     def test_packs_split_in_order(self, monkeypatch):
         m = pack_model()
         examples = pack_examples(np.random.default_rng(7), m.cfg.vocab_size)
@@ -491,8 +499,9 @@ class TestPackedDecoding:
 
 def test_shape_fuzz():
     """Seeded draws of d_model, heads (1, 2 or 4) and 1-3 layers per stack:
-    incremental decoding against the replay oracle, a 2-step loss against
-    finite differences, and packed against solo decoding."""
+    incremental decoding against the replay oracle, packed against solo
+    decoding, and the batched loss of 1-3-step examples against each
+    example's graph alone and against finite differences."""
     rng = np.random.default_rng(2024)
     for draw in range(10):
         n_heads = int(rng.choice([1, 2, 4]))
@@ -525,16 +534,33 @@ def test_shape_fuzz():
                 assert np.abs(mine - ref_step).max() <= 1e-10, shape
 
         # gradients at a fixed random point (see test_grad_check_two_step_unrolled)
+        # of the batched loss, against each example's graph alone
         for p in m.params.values():
             if p.data.ndim == 2:
                 p.data = rng.normal(0.0, 0.1, p.data.shape)
-        steps, gold = examples[2], [5, 6]
-        pinned = m.rewrite_forward(steps, BOS, EOS, gold_final=gold).intermediate_tokens
+        golds = [[5, 6], [7], [3, 8, 4]]
+        pinned = [m.rewrite_forward(steps, BOS, EOS, gold_final=gold).intermediate_tokens
+                  for steps, gold in zip(examples, golds)]
 
-        def f():
-            res = m.rewrite_forward(steps, BOS, EOS, gold_final=gold,
-                                    pinned_intermediates=pinned)
-            return final_step_loss(res.final_logits, gold, EOS)
+        def f(batched=True):
+            if batched:
+                results = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds,
+                                          pinned_intermediates=pinned)
+            else:
+                results = [m.rewrite_forward(steps, BOS, EOS, gold_final=gold,
+                                             pinned_intermediates=p)
+                           for steps, gold, p in zip(examples, golds, pinned)]
+            losses = [final_step_loss(r.final_logits, gold, EOS)
+                      for r, gold in zip(results, golds)]
+            return ad.scale(ad.add(ad.add(losses[0], losses[1]), losses[2]), 1 / 3)
+
+        grads = []
+        for batched in (True, False):
+            ad.zero_grads(m.params)
+            f(batched).backward()
+            grads.append({k: p.grad for k, p in m.params.items()})
+        for name, grad in grads[0].items():
+            assert np.abs(grad - grads[1][name]).max() <= 1e-12, (shape, name)
 
         # a ReLU kink inside the perturbation interval corrupts the central
         # difference; as `qrewrite grad-check` does, such a coordinate is
