@@ -350,9 +350,10 @@ class Segments:
     """Independent attention problems packed along the rows of one op.
 
     Segment s owns query rows ``q_offsets[s]:q_offsets[s + 1]`` and key rows
-    ``k_starts[s]:k_starts[s] + k_lens[s]``.  With ``causal`` its queries
-    are the last rows of its keys and each sees the keys up to its own row;
-    otherwise every query sees all of its segment's keys.
+    ``k_starts[s]:k_starts[s] + k_lens[s]``, after segment s - 1's, so no
+    two segments share a key row.  With ``causal`` its queries are the last
+    rows of its keys and each sees the keys up to its own row; otherwise
+    every query sees all of its segment's keys.
     """
 
     __slots__ = ("q_offsets", "k_starts", "k_lens", "causal", "_padded")
@@ -367,11 +368,13 @@ class Segments:
         if (n_seg == 0 or self.q_offsets.shape != (n_seg + 1,)
                 or self.k_starts.shape != (n_seg,) or self.q_offsets[0] != 0):
             raise ShapeError("segments: q_offsets from 0, one more than the segments")
-        counts = np.diff(self.q_offsets)
-        if min(counts.min(), self.k_lens.min()) < 1 or self.k_starts.min() < 0:
+        counts = self.q_offsets[1:] - self.q_offsets[:-1]
+        if min(counts.min(), self.k_lens.min()) < 1 or self.k_starts[0] < 0:
             raise ShapeError("segments: every segment needs queries and keys")
         if causal and (counts > self.k_lens).any():
             raise ShapeError("segments: causal queries exceed their segment's keys")
+        if (self.k_starts[1:] < (self.k_starts + self.k_lens)[:-1]).any():
+            raise ShapeError("segments: each segment's keys must follow the last's")
 
     def __len__(self) -> int:
         return self.k_lens.shape[0]
@@ -522,16 +525,10 @@ def _packed_attention(
     out = _result(unpad(merge(p @ vh)), (q, k, v), None)
     if out.requires_grad:
         key_rows = k_index[k_valid]
-        starts, ends = segments.k_starts, segments.k_starts + segments.k_lens
-        order = np.argsort(starts, kind="stable")
-        disjoint = (starts[order][1:] >= ends[order][:-1]).all()
 
         def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
             full = np.zeros_like(t.data)
-            if disjoint:  # no key row is shared, so a plain store sums nothing
-                full[key_rows] = padded[k_valid]
-            else:
-                np.add.at(full, key_rows, padded[k_valid])
+            full[key_rows] = padded[k_valid]  # segments share no key row
             _accumulate(t, full)
 
         def bwd(g):

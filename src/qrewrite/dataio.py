@@ -6,7 +6,9 @@ binary format: magic "E2QR", version, a JSON header naming the tensors, and
 raw little-endian buffers, so that save -> load -> forward is bit-exact at
 the stored precision.  Record files, checkpoints and manifests are written
 to a temporary file beside the target and then renamed over it, so an
-interrupted write leaves the old file (or none), never a truncated one.
+interrupted command leaves the old file (or none), never a truncated one.
+The temporary file is not fsynced: after an OS crash or a power loss the
+rename may reach the disk before the data does.
 """
 
 from __future__ import annotations

@@ -244,10 +244,13 @@ class PackCache:
 
 class _StepRows:
     """What both step states share: ``n_fed[j]`` rows of segment
-    ``segs[j]`` are fed this step, at step-local positions from 0."""
+    ``segs[j]`` are fed this step, at step-local positions from 0.
+    ``_arrays`` and ``_lists`` name the per-segment arrays and lists."""
 
     segs: np.ndarray
     n_fed: np.ndarray
+    _arrays: tuple[str, ...]
+    _lists: tuple[str, ...] = ()
 
     @property
     def n_segments(self) -> int:
@@ -258,6 +261,16 @@ class _StepRows:
         if all(len(row) == 1 for row in ids):
             return fed
         return np.concatenate([np.arange(f, f + len(row)) for f, row in zip(fed, ids)])
+
+    def drop(self, js) -> None:
+        """Leave out the segments at indices ``js`` (they are not sealed)."""
+        if not js:
+            return
+        keep = np.setdiff1d(np.arange(len(self.segs)), js)
+        for name in self._arrays:
+            setattr(self, name, getattr(self, name)[keep])
+        for name in self._lists:
+            setattr(self, name, [getattr(self, name)[j] for j in keep])
 
 
 class GraphState(_StepRows):
@@ -273,6 +286,9 @@ class GraphState(_StepRows):
     ``ca_own[j]`` index its rows in this step's block ``ca_current_k[i]``.
     A pass gathers each fed segment's keys into contiguous rows.
     """
+
+    _arrays = ("segs", "ca_lens", "n_fed", "ca_starts", "ca_klens")
+    _lists = ("sealed", "own", "ca_own")
 
     def __init__(self, cache: AttentionCache, segs: np.ndarray, ca_lens: np.ndarray,
                  ca_current_k: list[Tensor], ca_current_v: list[Tensor],
@@ -329,11 +345,14 @@ class GraphState(_StepRows):
         self._sa = ad.Segments(q_offsets, np.cumsum(k_lens) - k_lens, k_lens, causal=True)
         self._ca = ad.Segments(q_offsets, self.ca_starts[active], self.ca_klens[active])
 
-    def self_rows(self, i: int, k: Tensor, v: Tensor):
-        """Append layer ``i``'s new K/V rows; returns the keys and values the
-        pass attends to, with no allow mask and its segments."""
+    def append_rows(self, i: int, k: Tensor, v: Tensor) -> None:
+        """Append layer ``i``'s new K/V rows to the step."""
         self.sa_k[i].append(k)
         self.sa_v[i].append(v)
+
+    def self_rows(self, i: int):
+        """Layer ``i``'s keys and values the pass attends to, with no allow
+        mask and its segments."""
         return (_gather(self.sa_k[i], self._index), _gather(self.sa_v[i], self._index),
                 None, self._sa)
 
@@ -348,16 +367,6 @@ class GraphState(_StepRows):
         self.sa_k = [blocks[: self.n_blocks] for blocks in self.sa_k]
         self.sa_v = [blocks[: self.n_blocks] for blocks in self.sa_v]
         self.n_rows = self.n_sealed
-
-    def drop(self, js) -> None:
-        """Leave out the segments at indices ``js`` (they are not sealed)."""
-        if not js:
-            return
-        keep = [j for j in range(len(self.segs)) if j not in js]
-        for name in ("segs", "ca_lens", "n_fed", "ca_starts", "ca_klens"):
-            setattr(self, name, getattr(self, name)[keep])
-        for name in ("sealed", "own", "ca_own"):
-            setattr(self, name, [getattr(self, name)[j] for j in keep])
 
     def sealed_blocks(self, i: int) -> tuple[Tensor, ...]:
         """Layer ``i``'s K/V blocks of this step, segment by segment: self-
@@ -380,6 +389,8 @@ class PackState(_StepRows):
     its sealed rows.  Its cross-attention reads its context rows
     ``ca_from[j]:ca_end[j]``, where ``ca_lens[j]`` rows are this step's.
     """
+
+    _arrays = ("segs", "ca_lens", "ca_end", "ca_from", "n_fed")
 
     def __init__(self, cache: PackCache, segs: np.ndarray, ca_lens: np.ndarray,
                  accumulated_sa: bool, accumulated_ca: bool):
@@ -415,11 +426,13 @@ class PackState(_StepRows):
             self._ca_key = key
         self.n_fed[active] += lens
 
-    def self_rows(self, i: int, k: Tensor, v: Tensor):
-        store_k, store_v = self.cache.sa_k[i], self.cache.sa_v[i]
-        store_k[self._dest] = k.data
-        store_v[self._dest] = v.data
-        return ad.constant(store_k), ad.constant(store_v), None, self._sa
+    def append_rows(self, i: int, k: Tensor, v: Tensor) -> None:
+        self.cache.sa_k[i][self._dest] = k.data
+        self.cache.sa_v[i][self._dest] = v.data
+
+    def self_rows(self, i: int):
+        cache = self.cache
+        return ad.constant(cache.sa_k[i]), ad.constant(cache.sa_v[i]), None, self._sa
 
     def cross_rows(self, i: int):
         cache = self.cache
@@ -428,14 +441,6 @@ class PackState(_StepRows):
     def restart(self, active=None) -> None:
         """Forget the rows fed this step, to decode it again."""
         self.n_fed[slice(None) if active is None else active] = 0
-
-    def drop(self, js) -> None:
-        """Leave out the segments at indices ``js`` (they are not sealed)."""
-        if not js:
-            return
-        keep = np.setdiff1d(np.arange(len(self.segs)), js)
-        for name in ("segs", "ca_lens", "ca_end", "ca_from", "n_fed"):
-            setattr(self, name, getattr(self, name)[keep])
 
 
 @dataclass
@@ -754,12 +759,12 @@ class QuestionRewriter:
         for i in range(cfg.n_dec_layers):
             p = f"dec.l{i}"
             h = self._ln(x, f"{p}.ln1")
-            attend = state.self_rows(
+            state.append_rows(
                 i, self._project(h, f"{p}.sa", "k"), self._project(h, f"{p}.sa", "v")
             )
             if not want_logits and i == cfg.n_dec_layers - 1:
                 return None
-            x = ad.add(x, self._mha(f"{p}.sa", h, *attend))
+            x = ad.add(x, self._mha(f"{p}.sa", h, *state.self_rows(i)))
             h2 = self._ln(x, f"{p}.ln2")
             x = ad.add(x, self._mha(f"{p}.ca", h2, *state.cross_rows(i)))
             x = ad.add(x, self._ff(self._ln(x, f"{p}.ln3"), f"{p}.ff"))
@@ -918,16 +923,15 @@ class QuestionRewriter:
         ``rewrite_packed``, otherwise the one-example batch of
         ``rewrite_batch``.
         """
+        golds = None if gold_final is None else [gold_final]
         if not ad.grad_enabled() and pinned_intermediates is None:
-            golds = None if gold_final is None else [gold_final]
             (res,), cache = self._rewrite_pack(
                 [steps], bos, eos, golds, gold_final is None, collect_logits
             )
             res.cache = cache.segment(0)
             return res
-        (res,), res.cache = self._rewrite_graph(
-            [steps], bos, eos,
-            None if gold_final is None else [gold_final],
+        (res,), res.cache = self.rewrite_batch(
+            [steps], bos, eos, golds,
             None if pinned_intermediates is None else [pinned_intermediates],
             collect_logits, detach_cache,
         )
@@ -940,31 +944,22 @@ class QuestionRewriter:
         eos: int,
         gold_finals: Sequence[Sequence[int]] | None = None,
         pinned_intermediates: Sequence[Sequence[Sequence[int]]] | None = None,
+        collect_logits: bool = False,
         detach_cache: bool = False,
-    ) -> list[RewriteResult]:
-        """``rewrite_forward`` of every example of a batch, on one autodiff
-        graph; results follow ``examples``."""
-        return self._rewrite_graph(examples, bos, eos, gold_finals,
-                                   pinned_intermediates, False, detach_cache)[0]
-
-    def _rewrite_graph(
-        self,
-        examples: Sequence[Sequence[StepInput]],
-        bos: int,
-        eos: int,
-        gold_finals: Sequence[Sequence[int]] | None,
-        pinned: Sequence[Sequence[Sequence[int]]] | None,
-        collect_logits: bool,
-        detach_cache: bool,
     ) -> tuple[list[RewriteResult], AttentionCache]:
-        """One graph over a batch: at step t the segments are the examples
-        with at least t steps, and one encoder pass serves them.  Final
-        steps with a gold question are teacher-forced by one block pass.
-        Every other step's question is pinned or greedy-decoded in a
-        no_grad pack, then sealed by one more block pass."""
+        """``rewrite_forward`` of every example of a batch, on one autodiff
+        graph; returns the results, which follow ``examples``, and the
+        batch's cache.
+
+        At step t the segments are the examples with at least t steps, and
+        one encoder pass serves them.  Final steps with a gold question are
+        teacher-forced by one block pass.  Every other step's question is
+        pinned or greedy-decoded in a no_grad pack, then sealed by one more
+        block pass."""
         n_steps = [len(steps) for steps in examples]
         if not examples or min(n_steps) == 0:
             raise ShapeError("rewrite: every example needs a step")
+        pinned = pinned_intermediates
         if pinned is not None and [len(p) + 1 for p in pinned] != n_steps:
             raise ShapeError("pinned intermediates do not match the steps")
         cache = AttentionCache(self.cfg.n_dec_layers, len(examples))

@@ -273,7 +273,7 @@ def _batch_losses(
     seals them, or teacher-forces the final ones."""
     steps = [make_step_inputs(ex, voc, model.cfg.max_len) for ex in examples]
     golds = [voc.encode(ex.gold_question) for ex in examples]
-    results = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
+    results, _ = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
     return [final_step_loss(res.final_logits, gold, voc.eos_id)
             for res, gold in zip(results, golds)]
 

@@ -393,6 +393,12 @@ class TestAttention:
             ad.Segments([0, 3, 3], [0, 2], [2, 3])
         with pytest.raises(ShapeError):  # more causal queries than keys
             ad.Segments([0, 3], [0], [2], causal=True)
+        for starts, lens in (([0, 2], [3, 2]), ([3, 0], [2, 4])):
+            with pytest.raises(ShapeError):  # two segments share a key row
+                ad.Segments([0, 1, 3], starts, lens)
+        with pytest.raises(ShapeError):  # disjoint, but out of order
+            ad.Segments([0, 1, 3], [2, 0], [3, 2])
+        ad.Segments([0, 1, 3], [0, 2], [2, 3])  # adjacent ranges
         with pytest.raises(ShapeError):  # keys past the end of k
             ad.attention(q, k, k, 2, segments=ad.Segments([0, 1, 3], [0, 3], [2, 3]))
         with pytest.raises(ShapeError):  # queries do not cover q

@@ -544,8 +544,8 @@ def test_shape_fuzz():
 
         def f(batched=True):
             if batched:
-                results = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds,
-                                          pinned_intermediates=pinned)
+                results, _ = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds,
+                                             pinned_intermediates=pinned)
             else:
                 results = [m.rewrite_forward(steps, BOS, EOS, gold_final=gold,
                                              pinned_intermediates=p)

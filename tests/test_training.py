@@ -280,8 +280,8 @@ def batch_inputs(model, examples, voc):
 
 
 def batched_loss(model, examples, voc, steps, golds, pinned, detach=False):
-    results = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds,
-                                  pinned_intermediates=pinned, detach_cache=detach)
+    results, _ = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds,
+                                     pinned_intermediates=pinned, detach_cache=detach)
     losses = [final_step_loss(r.final_logits, g, voc.eos_id)
               for r, g in zip(results, golds)]
     return weighted_loss(losses, [ex.hops for ex in examples], 2, 0.8, 0.1)
