@@ -231,15 +231,6 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    out = _result(a.data.T.copy(), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: _accumulate(a, g.T)
-    return out
-
-
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     """Stack 2-D tensors vertically; backward splits the gradient back."""
     if not tensors:
@@ -298,21 +289,6 @@ def relu(a: Tensor) -> Tensor:
     if out.requires_grad:
         mask = a.data > 0
         out._backward = lambda g: _accumulate(a, g * mask)
-    return out
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax of a 1-D vector, computed with max subtraction."""
-    if x.data.ndim != 1 or x.shape[0] == 0:
-        raise ShapeError(f"softmax expects a non-empty vector, got {x.shape}")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    y = e / e.sum()
-    out = _result(y, (x,), None)
-    if out.requires_grad:
-        def bwd(g):
-            _accumulate(x, y * (g - float(np.dot(g, y))))
-        out._backward = bwd
     return out
 
 
@@ -587,16 +563,11 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy(
-    logits: Tensor,
-    targets: Sequence[int],
-    mask: Sequence[int] | None = None,
-) -> Tensor:
-    """Mean negative log-likelihood over unmasked positions.
+def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Mean negative log-likelihood over the positions.
 
-    ``logits`` is (T, V); ``targets`` holds T token ids; ``mask`` marks
-    positions that count (1) or not (0).  Computed as log-softmax with max
-    subtraction.
+    ``logits`` is (T, V); ``targets`` holds T token ids.  Computed as
+    log-softmax with max subtraction.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects 2-D logits, got {logits.shape}")
@@ -604,28 +575,22 @@ def cross_entropy(
     idx = np.asarray(targets, dtype=np.intp)
     if idx.shape != (t,):
         raise ShapeError(f"cross_entropy: {t} logit rows vs {idx.shape} targets")
-    keep = np.ones(t, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if keep.shape != (t,):
-        raise ShapeError("cross_entropy: mask length differs from targets")
-    if not keep.any():
-        raise ShapeError("cross_entropy: no unmasked positions")
-    used = idx[keep]
-    if used.min() < 0 or used.max() >= v:
+    if t == 0:
+        raise ShapeError("cross_entropy: no positions")
+    if idx.min() < 0 or idx.max() >= v:
         raise IndexError(f"target id out of range [0, {v})")
 
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    n = int(keep.sum())
-    loss = -logp[np.arange(t), idx][keep].sum() / n
+    loss = -logp[np.arange(t), idx].sum() / t
     out = _result(np.asarray(loss), (logits,), None)
     if out.requires_grad:
         def bwd(g):
             probs = np.exp(logp)
             grad = probs.copy()
             grad[np.arange(t), idx] -= 1.0
-            grad[~keep] = 0.0
-            _accumulate(logits, grad * (float(g) / n))
+            _accumulate(logits, grad * (float(g) / t))
         out._backward = bwd
     return out
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataio, metrics, synthetic, training
-from .docgraph import make_step_inputs
+from .docgraph import assemble_step_tokens, make_step_inputs
 from .errors import (
     ArrangementError,
     CompatibilityError,
@@ -139,8 +139,6 @@ def _required_max_len(datasets, voc) -> int:
         for group in ds.groups.values():
             for ex in group:
                 for t in range(ex.hops):
-                    from .docgraph import assemble_step_tokens
-
                     bridge = sorted(ex.bridges[t]) if t < ex.hops - 1 else None
                     n = len(assemble_step_tokens(ex.answer, bridge, ex.documents[t]))
                     need = max(need, n)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .docgraph import ArrangedExample, Document, arrange
-from .errors import CompatibilityError, ConfigError, DataFormatError
+from .errors import CompatibilityError, ConfigError, DataFormatError, ShapeError
 from .model import ModelConfig, QuestionRewriter
 from .training import CurriculumConfig
 
@@ -165,12 +165,7 @@ def arranged_example(rec: dict) -> ArrangedExample:
 # checkpoints
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: QuestionRewriter,
-    vocab_sha256: str,
-    trainer_state: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, model: QuestionRewriter, vocab_sha256: str) -> None:
     float_size = model.dtype.itemsize
     names = list(model.params)
     header = {
@@ -180,47 +175,38 @@ def save_checkpoint(
             {"name": n, "shape": list(model.params[n].data.shape)} for n in names
         ],
     }
-    extra_buffers: list[np.ndarray] = []
-    if trainer_state is not None:
-        header["trainer"] = {
-            "step": trainer_state["step"],
-            "tensors": [
-                {"name": n, "shape": list(a.shape)}
-                for n, a in trainer_state["tensors"]
-            ],
-        }
-        extra_buffers = [a for _, a in trainer_state["tensors"]]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     dtype = np.dtype(f"<f{float_size}")
     with _atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HBB", CHECKPOINT_VERSION, float_size,
-                             1 if trainer_state else 0))
+        # the last header byte is a flag that this version keeps at 0
+        fh.write(struct.pack("<HBB", CHECKPOINT_VERSION, float_size, 0))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for n in names:
             fh.write(np.ascontiguousarray(model.params[n].data, dtype=dtype).tobytes())
-        for arr in extra_buffers:
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.ndarray], dict | None]:
-    """Returns (config, vocab hash, parameter arrays, trainer state or None).
+def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.ndarray]]:
+    """Returns (config, vocab hash, parameter arrays).
 
-    A truncated file, bytes after the last tensor, a header that is not a
-    JSON object or lacks a key, or a header config that ``ModelConfig``
-    rejects raise ``DataFormatError`` naming the file.
+    A truncated file, bytes after the last tensor, a set header flag, a
+    header that is not a JSON object or lacks a key, a tensor entry without
+    a name or a shape of non-negative integers, or a header config that
+    ``ModelConfig`` rejects raise ``DataFormatError`` naming the file.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
     if len(raw) < 12:
         raise DataFormatError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
-    version, float_size, has_trainer = struct.unpack("<HBB", raw[4:8])
+    version, float_size, flag = struct.unpack("<HBB", raw[4:8])
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
     if float_size not in (4, 8):
         raise DataFormatError(f"{path}: bad float size {float_size}")
+    if flag:
+        raise DataFormatError(f"{path}: unsupported checkpoint header flag {flag}")
     (blob_len,) = struct.unpack("<I", raw[8:12])
     offset = 12 + blob_len
     if offset > len(raw):
@@ -231,49 +217,36 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
         raise DataFormatError(f"{path}: checkpoint header is not JSON ({exc})")
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
-    required = ["config", "tensors", "vocab_sha256"] + ["trainer"] * has_trainer
-    for key in required:
+    for key in ("config", "tensors", "vocab_sha256"):
         if key not in header:
             raise DataFormatError(f"{path}: checkpoint header lacks {key!r}")
     dtype = np.dtype(f"<f{float_size}")
-
-    def read_tensors(specs) -> list[tuple[str, np.ndarray]]:
-        nonlocal offset
-        tensors = []
-        for spec in specs:
-            try:
-                shape = tuple(spec["shape"])
-            except (KeyError, TypeError) as exc:
-                raise DataFormatError(f"{path}: bad tensor entry in header ({exc!r})")
-            count = int(np.prod(shape)) if shape else 1
-            end = offset + count * float_size
-            if end > len(raw):
-                raise DataFormatError(
-                    f"{path}: truncated checkpoint: tensor {spec['name']!r} ends at "
-                    f"byte {end} of {len(raw)}"
-                )
-            tensors.append(
-                (spec["name"], np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy())
+    arrays = {}
+    for spec in header["tensors"]:
+        try:
+            name, shape = spec["name"], tuple(spec["shape"])
+        except (KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}: bad tensor entry in header ({exc!r})")
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise DataFormatError(f"{path}: tensor {name!r} has a bad shape {spec['shape']!r}")
+        count = int(np.prod(shape)) if shape else 1
+        end = offset + count * float_size
+        if end > len(raw):
+            raise DataFormatError(
+                f"{path}: truncated checkpoint: tensor {name!r} ends at "
+                f"byte {end} of {len(raw)}"
             )
-            offset = end
-        return tensors
-
-    arrays = dict(read_tensors(header["tensors"]))
-    trainer = None
-    if has_trainer:
-        trainer = {
-            "step": header["trainer"]["step"],
-            "tensors": read_tensors(header["trainer"]["tensors"]),
-        }
+        arrays[name] = np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy()
+        offset = end
     if offset != len(raw):
         raise DataFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after the last tensor"
         )
     try:
         cfg = ModelConfig.from_dict(header["config"])
-    except TypeError as exc:
+    except (TypeError, ShapeError) as exc:
         raise DataFormatError(f"{path}: bad model config in header ({exc})")
-    return cfg, header["vocab_sha256"], arrays, trainer
+    return cfg, header["vocab_sha256"], arrays
 
 
 def load_model(
@@ -282,7 +255,7 @@ def load_model(
     dtype=None,
     mode_overrides: dict | None = None,
 ) -> QuestionRewriter:
-    cfg, vhash, arrays, _ = load_checkpoint(path)
+    cfg, vhash, arrays = load_checkpoint(path)
     if expect_vocab_sha256 is not None and vhash != expect_vocab_sha256:
         raise CompatibilityError(
             f"checkpoint was trained with vocabulary {vhash[:12]}..., "
@@ -292,7 +265,10 @@ def load_model(
         cfg = ModelConfig.from_dict({**cfg.to_dict(), **mode_overrides})
     stored = np.dtype(f"<f{next(iter(arrays.values())).itemsize}") if arrays else np.float64
     model = QuestionRewriter(cfg, dtype=dtype or stored)
-    model.load_param_arrays(arrays)
+    try:
+        model.load_param_arrays(arrays)
+    except ShapeError as exc:
+        raise DataFormatError(f"{path}: tensors do not fit the header config ({exc})")
     return model
 
 

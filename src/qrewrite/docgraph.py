@@ -40,14 +40,15 @@ class DocumentGraph:
     nodes: list[int]
     edges: dict[tuple[int, int], frozenset[str]]  # keys are sorted id pairs
 
+    def __post_init__(self):
+        # adjacency lists in ascending id, built once for the BFS
+        self._adjacent: dict[int, list[int]] = {n: [] for n in self.nodes}
+        for a, b in sorted(self.edges):
+            self._adjacent[a].append(b)
+            self._adjacent[b].append(a)
+
     def neighbors(self, node: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
+        return self._adjacent[node]
 
 
 @dataclass

@@ -41,16 +41,17 @@ Conventions, fixed here once:
     whose results nothing reads;
   * under no_grad a pack's cache is one preallocated K and one V store per
     layer (self- and cross-attention) in which every segment owns a fixed
-    range of rows: a step writes its rows in place after the segment's
-    sealed rows and sealing advances the segment's offset, so no row is
-    copied or concatenated;
-  * one example, on the graph or not, is the batch or pack of one.
+    range of rows, sized upfront for the pack: a step writes its rows in
+    place after the segment's sealed rows and sealing advances the
+    segment's offset, so no row is copied or concatenated;
+  * packs serve many examples at once (generation and validation); one
+    example, with gradients or under no_grad, is the graph batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -85,17 +86,7 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "n_enc_layers": self.n_enc_layers,
-            "n_dec_layers": self.n_dec_layers,
-            "max_len": self.max_len,
-            "mode_accumulated_sa": self.mode_accumulated_sa,
-            "mode_accumulated_ca": self.mode_accumulated_ca,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -183,10 +174,7 @@ class PackCache:
     cross-attention K and V store, each (segments * capacity, d_model).
     Segment s owns the ``capacity`` rows from s * capacity, and its first
     ``sa_len[s]`` (``ca_len[s]``) rows are sealed.  A step writes its rows
-    after them in place and sealing advances the offsets.  A store that a
-    segment would outgrow is reallocated at twice the capacity, so a pack
-    sized upfront never is.  ``step_lengths[s]`` and ``context_lengths[s]``
-    are as in ``AttentionCache``, per segment.
+    after them in place and sealing advances the offsets.
     """
 
     def __init__(self, n_layers: int, n_segments: int, d_model: int, dtype,
@@ -200,46 +188,14 @@ class PackCache:
         self.ca_k, self.ca_v = stores(ca_capacity), stores(ca_capacity)
         self.sa_len = np.zeros(n_segments, dtype=np.intp)
         self.ca_len = np.zeros(n_segments, dtype=np.intp)
-        self.step_lengths: list[list[int]] = [[] for _ in range(n_segments)]
-        self.context_lengths: list[list[int]] = [[] for _ in range(n_segments)]
 
-    def reserve(self, kind: str, rows: int) -> None:
-        """Let every segment hold ``rows`` rows in the ``kind`` ("sa" or
-        "ca") stores, growing them if needed."""
+    def check_capacity(self, kind: str, rows: int) -> None:
+        """Raise ``ShapeError`` unless ``rows`` rows fit in a segment of the
+        ``kind`` ("sa" or "ca") stores: past its capacity a segment would
+        write into the next segment's rows."""
         capacity = getattr(self, f"{kind}_capacity")
-        if rows <= capacity:
-            return
-        grown_capacity = max(rows, 2 * capacity)
-        n_seg = len(self.step_lengths)
-        for name in (f"{kind}_k", f"{kind}_v"):
-            grown = []
-            for old in getattr(self, name):
-                new = np.empty((n_seg * grown_capacity, old.shape[1]), old.dtype)
-                new.reshape(n_seg, grown_capacity, -1)[:, :capacity] = old.reshape(
-                    n_seg, capacity, -1
-                )
-                grown.append(new)
-            setattr(self, name, grown)
-        setattr(self, f"{kind}_capacity", grown_capacity)
-
-    def segment(self, s: int) -> AttentionCache:
-        """Segment ``s``'s sealed rows as a one-segment cache of per-step
-        blocks (views, no copy)."""
-        view = AttentionCache(len(self.sa_k))
-        for attr, stores, capacity, lengths in (
-            ("sa_keys", self.sa_k, self.sa_capacity, self.step_lengths[s]),
-            ("sa_values", self.sa_v, self.sa_capacity, self.step_lengths[s]),
-            ("ca_keys", self.ca_k, self.ca_capacity, self.context_lengths[s]),
-            ("ca_values", self.ca_v, self.ca_capacity, self.context_lengths[s]),
-        ):
-            bounds = (s * capacity + np.cumsum([0, *lengths])).tolist()
-            setattr(view, attr, [
-                [ad.constant(store[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-                for store in stores
-            ])
-        view.step_lengths = [list(self.step_lengths[s])]
-        view.context_lengths = [list(self.context_lengths[s])]
-        return view
+        if rows > capacity:
+            raise ShapeError(f"{rows} {kind} rows overflow a pack segment of {capacity}")
 
 
 class _StepRows:
@@ -351,13 +307,13 @@ class GraphState(_StepRows):
         self.sa_v[i].append(v)
 
     def self_rows(self, i: int):
-        """Layer ``i``'s keys and values the pass attends to, with no allow
-        mask and its segments."""
+        """Layer ``i``'s keys and values the pass attends to, and its
+        segments."""
         return (_gather(self.sa_k[i], self._index), _gather(self.sa_v[i], self._index),
-                None, self._sa)
+                self._sa)
 
     def cross_rows(self, i: int):
-        return self.ca_k[i], self.ca_v[i], None, self._ca
+        return self.ca_k[i], self.ca_v[i], self._ca
 
     def restart(self) -> None:
         """Forget the rows fed this step, to decode it again from its first
@@ -404,7 +360,7 @@ class PackState(_StepRows):
         self._dest = self._sa = self._ca = self._ca_key = None
 
     def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
-        """Reserve this pass's rows and lay out its attention segments."""
+        """Place this pass's rows and lay out its attention segments."""
         if ad.grad_enabled():
             raise ShapeError("a pack decodes under no_grad only")
         cache = self.cache
@@ -412,7 +368,7 @@ class PackState(_StepRows):
         segs = self.segs[active]
         start = cache.sa_len[segs]
         end = start + self.n_fed[active] + lens
-        cache.reserve("sa", int(end.max()))
+        cache.check_capacity("sa", int(end.max()))
         base = segs * cache.sa_capacity
         self._dest = np.repeat(base + start, lens) + positions
         q_offsets = np.concatenate(([0], np.cumsum(lens)))
@@ -432,15 +388,16 @@ class PackState(_StepRows):
 
     def self_rows(self, i: int):
         cache = self.cache
-        return ad.constant(cache.sa_k[i]), ad.constant(cache.sa_v[i]), None, self._sa
+        return ad.constant(cache.sa_k[i]), ad.constant(cache.sa_v[i]), self._sa
 
     def cross_rows(self, i: int):
         cache = self.cache
-        return ad.constant(cache.ca_k[i]), ad.constant(cache.ca_v[i]), None, self._ca
+        return ad.constant(cache.ca_k[i]), ad.constant(cache.ca_v[i]), self._ca
 
-    def restart(self, active=None) -> None:
-        """Forget the rows fed this step, to decode it again."""
-        self.n_fed[slice(None) if active is None else active] = 0
+    def restart(self, active) -> None:
+        """Forget the rows the segments at indices ``active`` fed this step,
+        to decode it again."""
+        self.n_fed[active] = 0
 
 
 @dataclass
@@ -576,9 +533,6 @@ class QuestionRewriter:
         self._add_param("dec.lnf.b", np.zeros(d))
         self._add_param("out.b", np.zeros(cfg.vocab_size))
 
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         if set(arrays) != set(self.params):
             missing = set(self.params) ^ set(arrays)
@@ -608,14 +562,12 @@ class QuestionRewriter:
         x_q: Tensor,
         keys: Tensor,
         values: Tensor,
-        allow: np.ndarray | None = None,
-        segments: ad.Segments | None = None,
+        segments: ad.Segments | None,
     ) -> Tensor:
         """Multi-head attention of ``x_q``'s projected queries over ``keys``
-        and ``values`` (projected already), under an ``allow`` mask or split
-        into ``segments``."""
+        and ``values`` (projected already), split into ``segments``."""
         q = self._project(x_q, prefix, "q")
-        attended = ad.attention(q, keys, values, self.cfg.n_heads, allow, segments)
+        attended = ad.attention(q, keys, values, self.cfg.n_heads, segments=segments)
         return self._project(attended, prefix, "o")
 
     def _ff(self, x: Tensor, prefix: str) -> Tensor:
@@ -667,7 +619,7 @@ class QuestionRewriter:
             h = self._ln(x, f"{p}.ln1")
             k = self._project(h, f"{p}.sa", "k")
             v = self._project(h, f"{p}.sa", "v")
-            x = ad.add(x, self._mha(f"{p}.sa", h, k, v, segments=segments))
+            x = ad.add(x, self._mha(f"{p}.sa", h, k, v, segments))
             x = ad.add(x, self._ff(self._ln(x, f"{p}.ln2"), f"{p}.ff"))
         out = self._ln(x, "enc.lnf")
         if segments is None:
@@ -676,13 +628,6 @@ class QuestionRewriter:
 
     # ------------------------------------------------------------------
     # decoder
-
-    def new_cache(self) -> AttentionCache | PackCache:
-        """An empty cache for one example: per-step graph blocks, or under
-        ``no_grad`` a one-segment ``PackCache`` that grows as steps seal."""
-        if ad.grad_enabled():
-            return AttentionCache(self.cfg.n_dec_layers)
-        return self._pack_cache(1, self.cfg.max_len, self.cfg.max_len)
 
     def _pack_cache(self, n_segments: int, sa_rows: int, ca_rows: int) -> PackCache:
         cfg = self.cfg
@@ -718,7 +663,7 @@ class QuestionRewriter:
                               cfg.mode_accumulated_ca)
         state = PackState(cache, segs, lens, cfg.mode_accumulated_sa,
                           cfg.mode_accumulated_ca)
-        cache.reserve("ca", int(state.ca_end.max()))
+        cache.check_capacity("ca", int(state.ca_end.max()))
         offsets = np.cumsum(lens) - lens
         first = segs * cache.ca_capacity + state.ca_end - lens
         dest = np.repeat(first - offsets, lens)
@@ -873,17 +818,17 @@ class QuestionRewriter:
         if isinstance(state, PackState):
             cache.sa_len[state.segs] += state.n_fed
             cache.ca_len[state.segs] = state.ca_end
-        else:
-            n_sealed = max(map(len, cache.step_lengths))
-            if any(len(cache.step_lengths[s]) != n_sealed for s in state.segs.tolist()):
-                raise ShapeError("segments must seal their steps together, in order")
-            wrap = ad.detach if detach else (lambda t: t)
-            for i in range(self.cfg.n_dec_layers):
-                for blocks, block in zip(
-                    (cache.sa_keys, cache.sa_values, cache.ca_keys, cache.ca_values),
-                    state.sealed_blocks(i),
-                ):
-                    blocks[i].append(wrap(block))
+            return
+        n_sealed = max(map(len, cache.step_lengths))
+        if any(len(cache.step_lengths[s]) != n_sealed for s in state.segs.tolist()):
+            raise ShapeError("segments must seal their steps together, in order")
+        wrap = ad.detach if detach else (lambda t: t)
+        for i in range(self.cfg.n_dec_layers):
+            for blocks, block in zip(
+                (cache.sa_keys, cache.sa_values, cache.ca_keys, cache.ca_values),
+                state.sealed_blocks(i),
+            ):
+                blocks[i].append(wrap(block))
         for s, rows, context in zip(state.segs.tolist(), state.n_fed.tolist(),
                                     state.ca_lens.tolist()):
             cache.step_lengths[s].append(rows)
@@ -918,20 +863,12 @@ class QuestionRewriter:
         per-position logits attached to the whole unrolled graph.
         ``detach_cache`` stops gradients at the sealed blocks; comparing
         gradients with and without it isolates the end-to-end path through
-        earlier steps (forward values are identical).  Under ``no_grad``
-        without pinned steps this is the one-example pack of
-        ``rewrite_packed``, otherwise the one-example batch of
-        ``rewrite_batch``.
+        earlier steps (forward values are identical).  This is the batch
+        of one of ``rewrite_batch``, with gradients or under ``no_grad``;
+        ``res.cache`` holds its sealed blocks.
         """
-        golds = None if gold_final is None else [gold_final]
-        if not ad.grad_enabled() and pinned_intermediates is None:
-            (res,), cache = self._rewrite_pack(
-                [steps], bos, eos, golds, gold_final is None, collect_logits
-            )
-            res.cache = cache.segment(0)
-            return res
         (res,), res.cache = self.rewrite_batch(
-            [steps], bos, eos, golds,
+            [steps], bos, eos, None if gold_final is None else [gold_final],
             None if pinned_intermediates is None else [pinned_intermediates],
             collect_logits, detach_cache,
         )
@@ -1066,8 +1003,8 @@ class QuestionRewriter:
         for lo in range(0, len(examples), PACK_SIZE):
             golds = None if gold_finals is None else gold_finals[lo : lo + PACK_SIZE]
             results += self._rewrite_pack(
-                examples[lo : lo + PACK_SIZE], bos, eos, golds, True, collect_logits,
-            )[0]
+                examples[lo : lo + PACK_SIZE], bos, eos, golds, collect_logits
+            )
         return results
 
     def _rewrite_pack(
@@ -1076,12 +1013,10 @@ class QuestionRewriter:
         bos: int,
         eos: int,
         gold_finals: Sequence[Sequence[int]] | None,
-        greedy_finals: bool,
         collect_logits: bool,
-    ) -> tuple[list[RewriteResult], PackCache]:
-        """One lockstep pack: at step t the segments are the examples with
-        at least t steps.  Without ``greedy_finals`` the final steps are
-        only teacher-forced."""
+    ) -> list[RewriteResult]:
+        """One lockstep pack of ``rewrite_packed``: at step t the segments
+        are the examples with at least t steps."""
         n_steps = [len(steps) for steps in examples]
         if not examples or min(n_steps) == 0:
             raise ShapeError("rewrite_packed: every example needs a step")
@@ -1112,11 +1047,8 @@ class QuestionRewriter:
                         res.final_targets = [*gold, eos]
                         row += len(gold) + 1
                     state.restart(forced)
-                greedy = [
-                    j for j in range(len(live)) if greedy_finals or j not in finals
-                ]
-                outs = self._greedy_lockstep(state, bos, eos, collect_logits, greedy)
-                for j, out in zip(greedy, outs):
+                outs = self._greedy_lockstep(state, bos, eos, collect_logits)
+                for j, out in enumerate(outs):
                     res = results[live[j]]
                     res.truncated.append(out.truncated)
                     if collect_logits:
@@ -1128,7 +1060,7 @@ class QuestionRewriter:
                 state.drop(forced)
                 if state.n_segments:
                     self.seal_step(state, cache)
-        return results, cache
+        return results
 
 
 def final_step_loss(logits: Tensor, gold_ids: Sequence[int], eos: int) -> Tensor:

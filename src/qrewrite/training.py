@@ -20,7 +20,7 @@ law |D| = sum_{h<=H} n(D_h) + sum_{h>H} floor(rho*n(D_h)) stays checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -76,21 +76,7 @@ class CurriculumConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_low": self.gamma_low,
-            "gamma_high": self.gamma_high,
-            "rho": self.rho,
-            "lr_alpha": self.lr_alpha,
-            "warmup_steps": self.warmup_steps,
-            "batch_size": self.batch_size,
-            "epochs_per_main_complexity": self.epochs_per_main_complexity,
-            "seed": self.seed,
-            "curriculum": self.curriculum,
-            "weight_decay": self.weight_decay,
-            "max_grad_norm": self.max_grad_norm,
-            "val_max_examples": self.val_max_examples,
-            "plateau_patience": self.plateau_patience,
-        }
+        return asdict(self)
 
 
 @dataclass

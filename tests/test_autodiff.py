@@ -47,32 +47,32 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = ad.softmax(t([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = ad.softmax_rows(t([[0.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=6)
             c = rng.normal() * 50
-            a = ad.softmax(t(x)).data
-            b = ad.softmax(t(x + c)).data
+            a = ad.softmax_rows(t([x])).data
+            b = ad.softmax_rows(t([x + c])).data
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_closed_form(self):
-        out = ad.softmax(t([0.0, math.log(3.0)]))
-        np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-15)
+        out = ad.softmax_rows(t([[0.0, math.log(3.0)]]))
+        np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
 
     def test_empty_vector(self):
         with pytest.raises(ShapeError):
-            ad.softmax(t(np.zeros(0)))
+            ad.softmax_rows(t(np.zeros((1, 0))))
 
     def test_sums_to_one_for_extreme_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             scale = 10 ** rng.uniform(-3, 2.7)
             x = rng.normal(size=rng.integers(1, 9)) * scale
-            y = ad.softmax(t(x)).data
+            y = ad.softmax_rows(t([x])).data
             assert abs(y.sum() - 1.0) <= 1e-12
             assert (y >= 0).all()  # extreme gaps may underflow to exact 0
 
@@ -137,11 +137,6 @@ class TestCrossEntropy:
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
             ad.cross_entropy(t(np.zeros((1, 4))), [4])
-
-    def test_mask_selects_positions(self):
-        logits = t(np.zeros((2, 4)))
-        loss = ad.cross_entropy(logits, [0, 3], mask=[1, 0])
-        assert abs(loss.item() - math.log(4.0)) < 1e-12
 
 
 class TestBackward:

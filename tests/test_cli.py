@@ -134,6 +134,21 @@ def test_checkpoint_header_without_key_is_data_error(data_dir, train_dir, tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("defect", [
+    "invalid_config", "tensor_name_mismatch", "tensor_without_name",
+])
+def test_checkpoint_header_that_misfits_the_model_is_data_error(
+    data_dir, train_dir, tmp_path, capsys, defect
+):
+    ck = tmp_path / "checkpoint.bin"
+    ck.write_bytes((train_dir / "checkpoint-final.bin").read_bytes())
+    corrupt_checkpoint(ck, defect)
+    assert run("generate", "--checkpoint", ck, "--data", data_dir / "test.jsonl",
+               "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "p.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin: " in err and "Traceback" not in err
+
+
 TINY_CONFIG = {
     "d_model": 16, "n_heads": 2, "d_ff": 24, "n_enc_layers": 1, "n_dec_layers": 1,
     "lr_alpha": 1e-3, "warmup_steps": 2, "batch_size": 8,
@@ -389,6 +404,10 @@ class TestExitCodes:
 
     def test_grad_check_wrong_precision_is_usage_error(self):
         assert run("grad-check", "--precision", "f32") == 1
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_grad_check_passes(self, steps):
+        assert run("grad-check", "--steps", steps) == 0
 
 
 class TestDeterminism:

@@ -49,6 +49,27 @@ def param_arrays(model):
     return {k: v.data for k, v in model.params.items()}
 
 
+def pack_of_one(m, n_steps=1):
+    """An empty one-segment pack cache with room for ``n_steps`` steps."""
+    return m._pack_cache(1, n_steps * m.cfg.max_len, n_steps * m.cfg.max_len)
+
+
+def pack_blocks(pack, step_lengths, context_lengths):
+    """Segment 0's sealed rows of ``pack`` as an ``AttentionCache`` of
+    per-step blocks (constants) whose step t sealed ``step_lengths[t]``
+    self-attention and ``context_lengths[t]`` cross-attention rows."""
+    view = AttentionCache(len(pack.sa_k))
+    for attr, stores, lengths in (
+        ("sa_keys", pack.sa_k, step_lengths), ("sa_values", pack.sa_v, step_lengths),
+        ("ca_keys", pack.ca_k, context_lengths), ("ca_values", pack.ca_v, context_lengths),
+    ):
+        bounds = np.cumsum([0, *lengths]).tolist()
+        setattr(view, attr, [[Tensor(store[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+                             for store in stores])
+    view.step_lengths, view.context_lengths = [list(step_lengths)], [list(context_lengths)]
+    return view
+
+
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ShapeError):
@@ -140,7 +161,7 @@ class TestAccumulatedAttention:
             merged_k = Tensor(np.concatenate([b.data for b in blocks_k] + [cur_k.data]))
             merged_v = Tensor(np.concatenate([b.data for b in blocks_v] + [cur_v.data]))
             n_prior = merged_k.shape[0] - n_q
-            scores = ad.scale(ad.matmul(q, ad.transpose(merged_k)), 1 / np.sqrt(d_k))
+            scores = ad.scale(ad.matmul(q, Tensor(merged_k.data.T)), 1 / np.sqrt(d_k))
             allow = within_step_causal_mask(n_prior, n_q) if causal else None
             whole = ad.matmul(ad.softmax_rows(scores, allow), merged_v)
             assert np.abs(split.data - whole.data).max() <= 1e-12
@@ -157,30 +178,31 @@ class TestAccumulatedAttention:
 class TestDecoding:
     def test_logits_shape(self):
         m = tiny_model()
-        cache = m.new_cache()
+        cache = AttentionCache(m.cfg.n_dec_layers)
         state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), cache)
         logits = m.decode_token(state, BOS)
         assert logits.shape == (1, m.cfg.vocab_size)
 
     def test_incremental_equals_batched_teacher_forcing(self):
-        # on the graph and, under no_grad, in the step buffers
+        # on the graph and, under no_grad, in a pack's stores
         m = tiny_model(seed=5)
         enc = StepInput([3, 4, 5, 6], 1)
         prefix = [7, 8, 9, 10, 11]
         for grad in (True, False):
+            def empty_cache():
+                return AttentionCache(m.cfg.n_dec_layers) if grad else pack_of_one(m)
+
             with contextlib.nullcontext() if grad else ad.no_grad():
-                cache = m.new_cache()
-                state = m.start_step(m.encode(enc), cache)
+                state = m.start_step(m.encode(enc), empty_cache())
                 rows = [m.decode_token(state, tok).data for tok in [BOS, *prefix]]
 
-                cache2 = m.new_cache()
-                state2 = m.start_step(m.encode(enc), cache2)
+                state2 = m.start_step(m.encode(enc), empty_cache())
                 logits, _ = m.teacher_forced_final(state2, prefix, BOS, EOS)
             assert np.abs(np.concatenate(rows) - logits.data).max() <= 1e-10
 
     def test_max_len_exceeded(self):
         m = tiny_model(max_len=4)
-        cache = m.new_cache()
+        cache = AttentionCache(m.cfg.n_dec_layers)
         state = m.start_step(m.encode(StepInput([3, 4], 1)), cache)
         for tok in [BOS, 5, 6, 7]:
             m.decode_token(state, tok)
@@ -190,7 +212,7 @@ class TestDecoding:
     def test_forced_eos_gives_empty_question(self):
         m = tiny_model()
         m.params["out.b"].data[EOS] = 1e4  # always argmax to <eos>
-        cache = m.new_cache()
+        cache = AttentionCache(m.cfg.n_dec_layers)
         state = m.start_step(m.encode(StepInput([3, 4], 1)), cache)
         out = m.greedy_decode_step(state, BOS, EOS)
         m.seal_step(state, cache)
@@ -205,7 +227,7 @@ class TestDecoding:
             ad, "concat_rows", lambda ts: calls.append(len(ts)) or concat_rows(ts)
         )
         with ad.no_grad():
-            cache = m.new_cache()
+            cache = pack_of_one(m, n_steps=2)
             state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), cache)
             m.greedy_decode_step(state, BOS, EOS)
             m.seal_step(state, cache)
@@ -222,12 +244,12 @@ class TestDecoding:
         m = tiny_model(seed=18)
         enc = StepInput([3, 4, 5], 1)
         tokens = [BOS, 7, 8, 9]
-        state = m.start_step(m.encode(enc), m.new_cache())
+        state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
         with ad.no_grad():
             for tok in tokens[:-1]:
                 m.decode_token(state, tok)
         logits = m.decode_token(state, tokens[-1])
-        ref_state = m.start_step(m.encode(enc), m.new_cache())
+        ref_state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
         ref = [m.decode_token(ref_state, tok) for tok in tokens][-1]
         assert np.abs(logits.data - ref.data).max() <= 1e-12
         ad.sum_all(logits).backward()
@@ -239,7 +261,7 @@ class TestDecoding:
         # identical embedding rows make every logit equal -> argmax is id 0
         m.params["emb.tok"].data[:] = m.params["emb.tok"].data[:1]
         m.params["out.b"].data[:] = 0.0
-        cache = m.new_cache()
+        cache = AttentionCache(m.cfg.n_dec_layers)
         state = m.start_step(m.encode(StepInput([3], 1)), cache)
         out = m.greedy_decode_step(state, BOS, EOS)
         assert set(out.question_tokens) == {0}
@@ -278,8 +300,8 @@ class TestRewriteForward:
             assert [b.shape[0] for b in layer_blocks] == res.cache.context_lengths[0]
 
     def test_cache_recompute_equivalence(self):
-        # greedy logits, decoded into the step buffers, against a cache-free
-        # replay; with gradients on, earlier steps are sealed by block passes
+        # greedy logits, with and without gradients, against a cache-free
+        # replay
         rng = np.random.default_rng(31)
         cases = itertools.product(decoder_variants(), (False, True))
         for trial, ((n_steps, (sa, ca), dtype), grad) in enumerate(cases):
@@ -316,28 +338,35 @@ class TestRewriteForward:
 
     def test_block_pass_seals_the_incremental_rows(self):
         # every step, the final one included, is greedy and sealed: under
-        # no_grad from its buffers, with gradients by a block pass
+        # no_grad token by token into a pack's stores, with gradients by a
+        # block pass
         all_steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2),
                      StepInput([8, 9], 3), StepInput([10, 3, 6], 4)]
         for n_steps, (sa, ca), dtype in decoder_variants():
             m = tiny_model(seed=13, max_len=16, dtype=dtype,
                            mode_accumulated_sa=sa, mode_accumulated_ca=ca)
             steps = all_steps[:n_steps]
+            pack, questions = pack_of_one(m, n_steps), []
             with ad.no_grad():
-                incremental = m.rewrite_forward(steps, BOS, EOS)
+                for step in steps:
+                    state = m.start_step(m.encode(step), pack)
+                    questions.append(m.greedy_decode_step(state, BOS, EOS).question_tokens)
+                    m.seal_step(state, pack)
+            incremental = pack_blocks(pack, [len(q) + 1 for q in questions],
+                                      [len(s.tokens) for s in steps])
             greedy = m.rewrite_forward(steps, BOS, EOS)
             pinned = m.rewrite_forward(
-                steps, BOS, EOS, pinned_intermediates=incremental.intermediate_tokens,
+                steps, BOS, EOS, pinned_intermediates=questions[:-1],
             )
-            questions = [*incremental.intermediate_tokens, incremental.final_tokens]
             assert all(questions)
             tol = 1e-12 if dtype == np.float64 else F32_TOLERANCE
             for res in (greedy, pinned):
                 assert [*res.intermediate_tokens, res.final_tokens] == questions
-                assert res.cache.step_lengths == incremental.cache.step_lengths
+                assert res.cache.step_lengths == incremental.step_lengths
+                assert res.cache.context_lengths == incremental.context_lengths
                 for blocks in ("sa_keys", "sa_values", "ca_keys", "ca_values"):
                     for mine, ref in zip(getattr(res.cache, blocks),
-                                         getattr(incremental.cache, blocks)):
+                                         getattr(incremental, blocks), strict=True):
                         for a, b in zip(mine, ref, strict=True):
                             assert a.requires_grad and not b.requires_grad
                             assert np.abs(a.data - b.data).max() <= tol, (
@@ -345,25 +374,26 @@ class TestRewriteForward:
                             )
 
     def test_sealed_blocks_unchanged_by_later_steps(self):
-        # graph blocks decoded under no_grad, and the rows of a store that
-        # grows past its first max_len rows per segment
+        # graph blocks decoded under no_grad, and the rows of a pack's stores
         steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2), StepInput([8, 9], 3)]
         for (sa, ca), store in itertools.product(ACCUMULATION_MODES, (False, True)):
             m = tiny_model(seed=16, max_len=16, mode_accumulated_sa=sa,
                            mode_accumulated_ca=ca)
-            with ad.no_grad() if store else contextlib.nullcontext():
-                cache = m.new_cache()
+            cache = pack_of_one(m, len(steps)) if store else AttentionCache(m.cfg.n_dec_layers)
+            rows, contexts = [], []
 
             def blocks():
-                view = cache.segment(0) if store else cache
+                view = pack_blocks(cache, rows, contexts) if store else cache
                 return view.sa_keys + view.sa_values
 
             snapshots = []
             with ad.no_grad():
                 for step in steps:
                     state = m.start_step(m.encode(step), cache)
-                    m.greedy_decode_step(state, BOS, EOS)
+                    out = m.greedy_decode_step(state, BOS, EOS)
                     m.seal_step(state, cache)
+                    rows.append(len(out.question_tokens) + 1)
+                    contexts.append(len(step.tokens))
                     snapshots.append([[b.data.copy() for b in layer]
                                       for layer in blocks()])
             final = blocks()
@@ -473,6 +503,18 @@ class TestPackedDecoding:
                 m.decode_token(state, BOS)
         with pytest.raises(ShapeError):  # store rows carry no graph
             m.decode_token(state, [BOS, BOS])
+
+    def test_pack_capacity_is_checked(self):
+        # a segment past its capacity would write into its neighbour's rows
+        m = pack_model()
+        with ad.no_grad():
+            state = m.start_step(m.encode(StepInput([3, 4], 1)), m._pack_cache(2, 2, 12))
+            m.decode_token(state, BOS)
+            m.decode_token(state, 5)
+            with pytest.raises(ShapeError):
+                m.decode_token(state, 6)
+            with pytest.raises(ShapeError):
+                m.start_step(m.encode(StepInput([3, 4], 1)), m._pack_cache(1, 12, 1))
 
     def test_graph_segments_seal_in_order(self):
         # block t of a graph cache holds the segments that sealed t steps
