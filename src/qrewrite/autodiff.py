@@ -292,36 +292,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax of a 2-D tensor with an optional boolean mask.
-
-    Disallowed entries get probability exactly zero and receive no
-    gradient; each row must keep at least one allowed entry.
-    """
-    if x.data.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"softmax_rows expects a non-empty matrix, got {x.shape}")
-    if allow is None:
-        z = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(z)
-    else:
-        allow = np.asarray(allow, dtype=bool)
-        if allow.shape != x.shape:
-            raise ShapeError("softmax_rows: mask shape differs from input")
-        if not allow.any(axis=1).all():
-            raise ShapeError("softmax_rows: a row has no permitted entries")
-        masked = np.where(allow, x.data, -np.inf)
-        z = masked - masked.max(axis=1, keepdims=True)
-        e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = _result(y, (x,), None)
-    if out.requires_grad:
-        def bwd(g):
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(x, y * (g - dot))
-        out._backward = bwd
-    return out
-
-
 class Segments:
     """Independent attention problems packed along the rows of one op.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataio, metrics, synthetic, training
-from .docgraph import assemble_step_tokens, make_step_inputs
+from .docgraph import make_step_inputs, step_tokens
 from .errors import (
     ArrangementError,
     CompatibilityError,
@@ -24,6 +24,7 @@ from .errors import (
     DivergenceError,
     GenerationError,
     LengthError,
+    ShapeError,
 )
 from .model import ModelConfig, QuestionRewriter, final_step_loss
 from .vocab import Vocab
@@ -133,16 +134,14 @@ def _load_complexity_dataset(path: Path) -> training.ComplexityDataset:
     return training.ComplexityDataset(groups)
 
 
-def _required_max_len(datasets, voc) -> int:
+def _required_max_len(datasets) -> int:
+    """Positions that the longest step input, or gold question with <bos>
+    and <eos>, of ``datasets`` needs."""
     need = 1
     for ds in datasets:
         for group in ds.groups.values():
             for ex in group:
-                for t in range(ex.hops):
-                    bridge = sorted(ex.bridges[t]) if t < ex.hops - 1 else None
-                    n = len(assemble_step_tokens(ex.answer, bridge, ex.documents[t]))
-                    need = max(need, n)
-                need = max(need, len(ex.gold_question) + 2)
+                need = max(need, *map(len, step_tokens(ex)), len(ex.gold_question) + 2)
     return need
 
 
@@ -166,7 +165,7 @@ def cmd_train(args) -> int:
             f"{len(voc)} tokens"
         )
     model_kw["vocab_size"] = len(voc)
-    needed = _required_max_len(filter(None, [train_ds, valid_ds]), voc)
+    needed = _required_max_len(filter(None, [train_ds, valid_ds]))
     if "max_len" not in model_kw:
         model_kw["max_len"] = needed + 8
     elif model_kw["max_len"] < needed:
@@ -175,7 +174,10 @@ def cmd_train(args) -> int:
         )
     for mode in args.ablate or []:
         model_kw[f"mode_accumulated_{mode}"] = False
-    cfg_model = ModelConfig(**model_kw)
+    try:
+        cfg_model = ModelConfig(**model_kw)
+    except ShapeError as exc:  # dimensions the model cannot take
+        raise ConfigError(f"{args.config}: {exc}") from exc
 
     model = QuestionRewriter(
         cfg_model, rng=np.random.default_rng(cfg_train.seed),

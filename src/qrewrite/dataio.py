@@ -276,14 +276,24 @@ def load_model(
 # configuration files
 
 
-MODEL_KEYS = set(ModelConfig(vocab_size=1).to_dict())
-TRAIN_KEYS = set(CurriculumConfig().to_dict())
+# config key -> the type of its field's value
+MODEL_KEYS = {k: type(v) for k, v in ModelConfig(vocab_size=1).to_dict().items()}
+TRAIN_KEYS = {k: type(v) for k, v in CurriculumConfig().to_dict().items()}
+
+
+def _json_fits(value, kind: type) -> bool:
+    """Whether a JSON ``value`` fits a field of type ``kind``: a float field
+    takes an integer too, but a bool passes only as a bool."""
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    return isinstance(value, kind) or (kind is float and type(value) is int)
 
 
 def load_config(path: str | Path) -> tuple[dict, dict]:
     """Flat key-value file split into model and trainer overrides.
 
-    Unknown keys are errors so that experiment typos surface immediately.
+    Unknown keys and values of the wrong JSON type are errors so that
+    experiment typos surface immediately.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -293,13 +303,15 @@ def load_config(path: str | Path) -> tuple[dict, dict]:
         raise ConfigError(f"{path}: config must be a flat JSON object")
     model_kw, train_kw = {}, {}
     for key, value in data.items():
-        if key in MODEL_KEYS:
-            model_kw[key] = value
-        elif key in TRAIN_KEYS:
-            train_kw[key] = value
-        else:
-            known = sorted(MODEL_KEYS | TRAIN_KEYS)
+        kind = MODEL_KEYS.get(key, TRAIN_KEYS.get(key))
+        if kind is None:
+            known = sorted(MODEL_KEYS.keys() | TRAIN_KEYS.keys())
             raise ConfigError(f"{path}: unknown config key {key!r}; known keys: {known}")
+        if not _json_fits(value, kind):
+            raise ConfigError(
+                f"{path}: config key {key!r} takes a {kind.__name__}, got {value!r}"
+            )
+        (model_kw if key in MODEL_KEYS else train_kw)[key] = value
     return model_kw, train_kw
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import vocab as V
 from .errors import ArrangementError, DataFormatError, LengthError
@@ -249,15 +249,21 @@ def parse_step_tokens(tokens: Sequence[str]):
     return list(answer), bridges, list(title), list(text)
 
 
+def step_tokens(example: ArrangedExample) -> Iterator[list[str]]:
+    """Each step's assembled tokens, in step order: every step but the final
+    one names its bridge entities."""
+    n = example.hops
+    for t in range(n):
+        bridge = sorted(example.bridges[t]) if t < n - 1 else None
+        yield assemble_step_tokens(example.answer, bridge, example.documents[t])
+
+
 def make_step_inputs(
     example: ArrangedExample, vocabulary: V.Vocab, max_len: int
 ) -> list[StepInput]:
     """Assemble and encode all N step inputs for one arranged example."""
     steps = []
-    n = example.hops
-    for t in range(n):
-        bridge = sorted(example.bridges[t]) if t < n - 1 else None
-        tokens = assemble_step_tokens(example.answer, bridge, example.documents[t])
+    for t, tokens in enumerate(step_tokens(example)):
         if len(tokens) > max_len:
             raise LengthError(
                 f"assembled step {t + 1} has {len(tokens)} tokens > max_len={max_len}"

@@ -26,12 +26,16 @@ Conventions, fixed here once:
     packed rows that attends only to its own rows: at step t one encoder
     pass serves the examples with at least t steps, and decoder passes
     feed rows of every live segment;
-  * greedy tokens are chosen under no_grad, one position per pass;
+  * one step-major loop serves a batch on the graph and a pack without
+    one: greedy tokens are chosen under no_grad, one position per pass,
+    in the one pack of the batch, allocated when a step first picks;
   * on the autodiff graph a batch is one graph: at each step one decoder
     block pass over [<bos>] + gold teacher-forces the final questions and
     one over [<bos>] + question seals the others, whose greedy tokens come
-    from a no_grad pack over the graph's rows; one backward serves the
-    batch loss.  The cache keeps one (rows, d_model) K/V block per
+    from the batch's pack; one backward serves the batch loss.  A step
+    whose every question is teacher-forced or pinned opens no pack step,
+    and a pinned step enters the pack only when a later step of its
+    example picks.  The cache keeps one (rows, d_model) K/V block per
     layer and step, stacking the step's segments, with the heads packed
     along the columns; only the fused attention op splits them, as an
     array axis.  A pass gathers each segment's sealed and new rows into
@@ -44,8 +48,9 @@ Conventions, fixed here once:
     range of rows, sized upfront for the pack: a step writes its rows in
     place after the segment's sealed rows and sealing advances the
     segment's offset, so no row is copied or concatenated;
-  * packs serve many examples at once (generation and validation); one
-    example, with gradients or under no_grad, is the graph batch of one.
+  * without a graph, packs of PACK_SIZE examples serve generation and
+    validation; one example, with gradients or under no_grad, is the graph
+    batch of one.
 """
 
 from __future__ import annotations
@@ -74,12 +79,12 @@ class ModelConfig:
     mode_accumulated_ca: bool = True
 
     def __post_init__(self):
+        if min(self.vocab_size, self.d_model, self.n_heads, self.d_ff, self.max_len) < 1:
+            raise ShapeError("all model dimensions must be positive")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if min(self.vocab_size, self.d_model, self.d_ff, self.max_len) < 1:
-            raise ShapeError("all model dimensions must be positive")
 
     @property
     def d_k(self) -> int:
@@ -888,101 +893,13 @@ class QuestionRewriter:
         graph; returns the results, which follow ``examples``, and the
         batch's cache.
 
-        At step t the segments are the examples with at least t steps, and
-        one encoder pass serves them.  Final steps with a gold question are
-        teacher-forced by one block pass.  Every other step's question is
-        pinned or greedy-decoded in a no_grad pack, then sealed by one more
-        block pass."""
-        n_steps = [len(steps) for steps in examples]
-        if not examples or min(n_steps) == 0:
-            raise ShapeError("rewrite: every example needs a step")
-        pinned = pinned_intermediates
-        if pinned is not None and [len(p) + 1 for p in pinned] != n_steps:
-            raise ShapeError("pinned intermediates do not match the steps")
+        Final steps with a gold question are teacher-forced by one block
+        pass.  Every other step's question is pinned or picked greedily in
+        the batch's one no_grad pack, then sealed by one more block pass."""
         cache = AttentionCache(self.cfg.n_dec_layers, len(examples))
-        results = [RewriteResult([], None, None, None, [], None,
-                                 [] if collect_logits else None) for _ in examples]
-        for t in range(max(n_steps)):
-            live = [s for s, n in enumerate(n_steps) if t < n]
-            encs = self.encode([examples[s][t] for s in live])
-            state = self.start_step(encs, cache, live)
-            final = [n_steps[s] == t + 1 for s in live]
-            forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
-            if forced:
-                golds = [gold_finals[live[j]] for j in forced]
-                logits = self._decode_rows(
-                    state, [[bos, *g] for g in golds], True, forced
-                )
-                row = 0
-                for j, gold in zip(forced, golds):
-                    res = results[live[j]]
-                    res.final_logits = logits if len(forced) == 1 else ad.slice_rows(
-                        logits, row, row + len(gold) + 1
-                    )
-                    res.final_targets = [*gold, eos]
-                    row += len(gold) + 1
-                state.drop(forced)
-                state.restart()
-            sealed = [j for j in range(len(live)) if j not in forced]
-            if not sealed:
-                continue
-            greedy = [j for j in sealed if final[j] or pinned is None]
-            picks = dict(zip(greedy, self._pick(
-                cache, [live[j] for j in greedy], [encs[j] for j in greedy],
-                bos, eos, collect_logits,
-            ) if greedy else []))
-            rows = []
-            for j in sealed:
-                res = results[live[j]]
-                out = picks[j] if j in picks else StepOutput(list(pinned[live[j]][t]))
-                rows.append([bos, *out.question_tokens])
-                res.truncated.append(out.truncated)
-                if collect_logits:
-                    res.step_logits.append(out.logits_rows or [])
-                if final[j]:
-                    res.final_tokens = out.question_tokens
-                else:
-                    res.intermediate_tokens.append(out.question_tokens)
-            self._decode_rows(state, rows, want_logits=False)
-            self.seal_step(state, cache, detach=detach_cache)
+        results = self._rewrite(examples, bos, eos, gold_finals, pinned_intermediates,
+                                collect_logits, cache, detach_cache)
         return results, cache
-
-    def _pick(
-        self,
-        cache: AttentionCache,
-        segs: Sequence[int],
-        encs: Sequence[Tensor],
-        bos: int,
-        eos: int,
-        collect_logits: bool,
-    ) -> list[StepOutput]:
-        """Greedy-decode the current step of the cache's segments ``segs``,
-        with encodings ``encs``, in lockstep under no_grad: a pack copies
-        their sealed rows from the graph's blocks."""
-        with ad.no_grad():
-            sa, _ = _sealed_rows(cache.step_lengths, segs)
-            ca, _ = _sealed_rows(cache.context_lengths, segs)
-            pack = self._pack_cache(
-                len(segs), max(map(len, sa)) + self.cfg.max_len,
-                max(len(r) + e.shape[0] for r, e in zip(ca, encs)),
-            )
-            for stores, graph, rows, capacity in (
-                (pack.sa_k, cache.sa_keys, sa, pack.sa_capacity),
-                (pack.sa_v, cache.sa_values, sa, pack.sa_capacity),
-                (pack.ca_k, cache.ca_keys, ca, pack.ca_capacity),
-                (pack.ca_v, cache.ca_values, ca, pack.ca_capacity),
-            ):
-                src = np.concatenate(rows)
-                dest = np.concatenate(
-                    [j * capacity + np.arange(len(r)) for j, r in enumerate(rows)]
-                )
-                for store, blocks in zip(stores, graph):
-                    if blocks:
-                        store[dest] = np.concatenate([b.data for b in blocks])[src]
-            pack.sa_len[:] = [len(r) for r in sa]
-            pack.ca_len[:] = [len(r) for r in ca]
-            state = self.start_step(encs, pack)
-            return self._greedy_lockstep(state, bos, eos, collect_logits)
 
     def rewrite_packed(
         self,
@@ -992,74 +909,124 @@ class QuestionRewriter:
         gold_finals: Sequence[Sequence[int]] | None = None,
         collect_logits: bool = False,
     ) -> list[RewriteResult]:
-        """Rewrite many examples under ``no_grad``, in consecutive packs of
-        ``PACK_SIZE`` decoded in lockstep; results follow ``examples``.
+        """Rewrite many examples under ``no_grad`` and without a graph, in
+        consecutive packs of ``PACK_SIZE`` decoded in lockstep; results
+        follow ``examples``.
 
-        Every step greedy-decodes; intermediate steps seal.  With
-        ``gold_finals`` each final step is also teacher-forced
+        Every step picks greedily in its pack; intermediate steps seal.
+        With ``gold_finals`` each final step is also teacher-forced
         (``final_logits``) from the same step state.
         """
         results = []
-        for lo in range(0, len(examples), PACK_SIZE):
-            golds = None if gold_finals is None else gold_finals[lo : lo + PACK_SIZE]
-            results += self._rewrite_pack(
-                examples[lo : lo + PACK_SIZE], bos, eos, golds, collect_logits
-            )
+        with ad.no_grad():
+            for lo in range(0, len(examples), PACK_SIZE):
+                golds = None if gold_finals is None else gold_finals[lo : lo + PACK_SIZE]
+                results += self._rewrite(examples[lo : lo + PACK_SIZE], bos, eos,
+                                         golds, None, collect_logits)
         return results
 
-    def _rewrite_pack(
+    def _rewrite(
         self,
         examples: Sequence[Sequence[StepInput]],
         bos: int,
         eos: int,
         gold_finals: Sequence[Sequence[int]] | None,
+        pinned: Sequence[Sequence[Sequence[int]]] | None,
         collect_logits: bool,
+        cache: AttentionCache | None = None,
+        detach_cache: bool = False,
     ) -> list[RewriteResult]:
-        """One lockstep pack of ``rewrite_packed``: at step t the segments
-        are the examples with at least t steps."""
+        """The rewrite loop of ``rewrite_batch`` (on the graph's ``cache``)
+        and of one pack of ``rewrite_packed`` (``cache`` None), step by step.
+
+        At step t the segments are the examples with at least t steps, and
+        one encoder pass serves them.  Every greedy pick decodes under
+        no_grad in one ``PackCache`` whose segment s is example s,
+        allocated when a step first needs it; a pinned step is written
+        there by one block pass only when a later step of its example
+        picks.  Final steps with a gold question are teacher-forced by one
+        block pass: on the graph they pick nothing, and every other step
+        seals on the graph by one more block pass; in a pack they pick too.
+        """
         n_steps = [len(steps) for steps in examples]
         if not examples or min(n_steps) == 0:
-            raise ShapeError("rewrite_packed: every example needs a step")
-        cache = self._pack_cache(
-            len(examples), max(n_steps) * self.cfg.max_len,
-            max(sum(len(s.tokens) for s in steps) for steps in examples),
-        )
+            raise ShapeError("rewrite: every example needs a step")
+        if pinned is not None and [len(p) + 1 for p in pinned] != n_steps:
+            raise ShapeError("pinned intermediates do not match the steps")
+        graph = cache is not None
+        # the graph teacher-forces gold finals without picking them
+        greedy_finals = gold_finals is None or not graph
+        # an example enters the pack when one of its steps picks
+        in_pack = [greedy_finals or (pinned is None and n > 1) for n in n_steps]
+        pack = None
         results = [RewriteResult([], None, None, None, [], None,
                                  [] if collect_logits else None) for _ in examples]
-        with ad.no_grad():
-            for t in range(max(n_steps)):
-                live = [s for s, n in enumerate(n_steps) if t < n]
-                state = self.start_step(
-                    self.encode([examples[s][t] for s in live]), cache, live
+        for t in range(max(n_steps)):
+            live = [s for s, n in enumerate(n_steps) if t < n]
+            final = [n_steps[s] == t + 1 for s in live]
+            greedy = [greedy_finals if f else pinned is None for f in final]
+            encs = self.encode([examples[s][t] for s in live])
+            state = self.start_step(encs, cache, live) if graph else None
+            # the picks, and the pinned steps of examples that pick later
+            packed = [j for j, s in enumerate(live)
+                      if greedy[j] or in_pack[s] and not final[j]]
+            if packed:
+                with ad.no_grad():
+                    if pack is None:
+                        pack = self._pack_cache(
+                            len(examples), max(n_steps) * self.cfg.max_len,
+                            max(sum(len(s.tokens) for s in steps) for steps in examples),
+                        )
+                    pack_state = self.start_step([encs[j] for j in packed], pack,
+                                                 [live[j] for j in packed])
+            forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
+            if forced:
+                golds = [gold_finals[live[j]] for j in forced]
+                logits = self._decode_rows(
+                    state if graph else pack_state, [[bos, *g] for g in golds], True, forced
                 )
-                finals = [j for j, s in enumerate(live) if n_steps[s] == t + 1]
-                forced = finals if gold_finals is not None else []
-                if forced:
-                    golds = [gold_finals[live[j]] for j in forced]
-                    logits = self._decode_rows(
-                        state, [[bos, *g] for g in golds], True, forced
-                    ).data
-                    row = 0
-                    for j, gold in zip(forced, golds):
-                        res = results[live[j]]
-                        rows = logits[row : row + len(gold) + 1]
-                        res.final_logits = ad.constant(rows)
-                        res.final_targets = [*gold, eos]
-                        row += len(gold) + 1
-                    state.restart(forced)
-                outs = self._greedy_lockstep(state, bos, eos, collect_logits)
-                for j, out in enumerate(outs):
+                row = 0
+                for j, gold in zip(forced, golds):
                     res = results[live[j]]
-                    res.truncated.append(out.truncated)
-                    if collect_logits:
-                        res.step_logits.append(out.logits_rows)
-                    if j in finals:
-                        res.final_tokens = out.question_tokens
-                    else:
-                        res.intermediate_tokens.append(out.question_tokens)
-                state.drop(forced)
-                if state.n_segments:
-                    self.seal_step(state, cache)
+                    res.final_logits = logits if len(forced) == 1 else ad.slice_rows(
+                        logits, row, row + len(gold) + 1
+                    )
+                    res.final_targets = [*gold, eos]
+                    row += len(gold) + 1
+                if graph:
+                    state.drop(forced)
+                    state.restart()
+                else:
+                    pack_state.restart(forced)
+            picks = {}
+            if packed:
+                picking = [i for i, j in enumerate(packed) if greedy[j]]
+                writing = [i for i, j in enumerate(packed) if not greedy[j]]
+                with ad.no_grad():
+                    if writing:
+                        rows = [[bos, *pinned[live[packed[i]]][t]] for i in writing]
+                        self._decode_rows(pack_state, rows, False, writing)
+                    outs = self._greedy_lockstep(pack_state, bos, eos, collect_logits,
+                                                 picking)
+                    self.seal_step(pack_state, pack)
+                picks = {packed[i]: out for i, out in zip(picking, outs)}
+            rows = []
+            for j, s in enumerate(live):
+                if final[j] and not greedy[j]:  # teacher-forced on the graph
+                    continue
+                out = picks[j] if j in picks else StepOutput(list(pinned[s][t]))
+                res = results[s]
+                res.truncated.append(out.truncated)
+                if collect_logits:
+                    res.step_logits.append(out.logits_rows or [])
+                if final[j]:
+                    res.final_tokens = out.question_tokens
+                else:
+                    res.intermediate_tokens.append(out.question_tokens)
+                rows.append([bos, *out.question_tokens])
+            if graph and rows:
+                self._decode_rows(state, rows, want_logits=False)
+                self.seal_step(state, cache, detach=detach_cache)
         return results
 
 

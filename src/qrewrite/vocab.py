@@ -39,20 +39,12 @@ class Vocab:
         return len(self.tokens)
 
     @property
-    def pad_id(self) -> int:
-        return self.index[PAD]
-
-    @property
     def bos_id(self) -> int:
         return self.index[BOS]
 
     @property
     def eos_id(self) -> int:
         return self.index[EOS]
-
-    @property
-    def unk_id(self) -> int:
-        return self.index[UNK]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         unk = self.index[UNK]

@@ -14,6 +14,33 @@ def t(data, grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad)
 
 
+def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax of a 2-D tensor with an optional boolean mask: the
+    plain reference the fused ``ad.attention`` op is checked against.
+
+    Disallowed entries get probability exactly zero and receive no
+    gradient; each row must keep at least one allowed entry.
+    """
+    if x.data.ndim != 2 or x.shape[1] == 0:
+        raise ShapeError(f"softmax_rows expects a non-empty matrix, got {x.shape}")
+    masked = x.data
+    if allow is not None:
+        allow = np.asarray(allow, dtype=bool)
+        if allow.shape != x.shape:
+            raise ShapeError("softmax_rows: mask shape differs from input")
+        if not allow.any(axis=1).all():
+            raise ShapeError("softmax_rows: a row has no permitted entries")
+        masked = np.where(allow, x.data, -np.inf)
+    e = np.exp(masked - masked.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def bwd(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        ad._accumulate(x, y * (g - dot))
+
+    return ad._result(y, (x,), bwd)
+
+
 class TestMatmul:
     def test_identity(self):
         a = t([[1.0, 2.0], [3.0, 4.0]])
@@ -47,7 +74,7 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform(self):
-        out = ad.softmax_rows(t([[0.0, 0.0, 0.0]]))
+        out = softmax_rows(t([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_shift_invariance(self):
@@ -55,24 +82,24 @@ class TestSoftmax:
         for _ in range(10):
             x = rng.normal(size=6)
             c = rng.normal() * 50
-            a = ad.softmax_rows(t([x])).data
-            b = ad.softmax_rows(t([x + c])).data
+            a = softmax_rows(t([x])).data
+            b = softmax_rows(t([x + c])).data
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_closed_form(self):
-        out = ad.softmax_rows(t([[0.0, math.log(3.0)]]))
+        out = softmax_rows(t([[0.0, math.log(3.0)]]))
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
 
     def test_empty_vector(self):
         with pytest.raises(ShapeError):
-            ad.softmax_rows(t(np.zeros((1, 0))))
+            softmax_rows(t(np.zeros((1, 0))))
 
     def test_sums_to_one_for_extreme_inputs(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             scale = 10 ** rng.uniform(-3, 2.7)
             x = rng.normal(size=rng.integers(1, 9)) * scale
-            y = ad.softmax_rows(t([x])).data
+            y = softmax_rows(t([x])).data
             assert abs(y.sum() - 1.0) <= 1e-12
             assert (y >= 0).all()  # extreme gaps may underflow to exact 0
 
@@ -81,7 +108,7 @@ class TestSoftmax:
         x = t(rng.normal(size=(6, 10)))
         allow = rng.random((6, 10)) < 0.5
         allow[:, 0] = True
-        y = ad.softmax_rows(x, allow).data
+        y = softmax_rows(x, allow).data
         np.testing.assert_allclose(y.sum(axis=1), np.ones(6), atol=1e-12)
         assert (y[~allow] == 0.0).all()
 
@@ -216,7 +243,7 @@ class TestGradCheck:
 
         def f():
             h = ad.layer_norm_rows(ad.matmul(t(x), w1), g, b)
-            logits = ad.matmul(ad.softmax_rows(h), w2)
+            logits = ad.matmul(softmax_rows(h), w2)
             return ad.cross_entropy(logits, [0, 2, 4])
 
         err = ad.grad_check(

@@ -275,6 +275,18 @@ class TestTrain:
         assert run("train", "--config", cfg, "--data", data_dir,
                    "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("config", [
+        {"d_model": 10, "n_heads": 3}, {"d_model": 0}, {"d_model": "64"},
+        {"lr_alpha": "x"}, {"gamma_low": None},
+    ], ids=["heads_misfit", "zero_width", "string_int", "string_float", "null_float"])
+    def test_config_the_model_rejects_is_error(self, data_dir, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert run("train", "--config", cfg, "--data", data_dir,
+                   "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+
 
 class TestGenerate:
     def test_predictions_aligned(self, data_dir, train_dir, tmp_path):

@@ -184,6 +184,20 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="d_modle"):
             dataio.load_config(path)
 
+    def test_value_types(self, tmp_path):
+        path = tmp_path / "c.json"
+        fits = {"lr_alpha": 1, "gamma_low": 0.5, "batch_size": 4,
+                "mode_accumulated_sa": False, "curriculum": "standard"}
+        path.write_text(json.dumps(fits))
+        model_kw, train_kw = dataio.load_config(path)
+        assert {**model_kw, **train_kw} == fits
+        for key, value in [("batch_size", True), ("batch_size", 4.0),
+                           ("mode_accumulated_ca", 1), ("curriculum", None),
+                           ("d_ff", [128])]:
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=key):
+                dataio.load_config(path)
+
     def test_non_object_config(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("[1, 2]")

@@ -19,6 +19,7 @@ from qrewrite.model import (
 )
 
 from reference_impl import ref_encode, ref_replay, ref_seq2seq
+from test_autodiff import softmax_rows
 
 BOS, EOS = 1, 2
 
@@ -74,6 +75,11 @@ class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ShapeError):
             ModelConfig(vocab_size=10, d_model=10, n_heads=3)
+
+    @pytest.mark.parametrize("n_heads", [0, -2])
+    def test_heads_must_be_positive(self, n_heads):
+        with pytest.raises(ShapeError):
+            ModelConfig(vocab_size=10, d_model=8, n_heads=n_heads)
 
     def test_d_k(self):
         assert ModelConfig(vocab_size=10, d_model=64, n_heads=4).d_k == 16
@@ -163,7 +169,7 @@ class TestAccumulatedAttention:
             n_prior = merged_k.shape[0] - n_q
             scores = ad.scale(ad.matmul(q, Tensor(merged_k.data.T)), 1 / np.sqrt(d_k))
             allow = within_step_causal_mask(n_prior, n_q) if causal else None
-            whole = ad.matmul(ad.softmax_rows(scores, allow), merged_v)
+            whole = ad.matmul(softmax_rows(scores, allow), merged_v)
             assert np.abs(split.data - whole.data).max() <= 1e-12
 
     def test_mask_law(self):
@@ -528,6 +534,51 @@ class TestPackedDecoding:
         m._decode_rows(state, [[BOS], [BOS]], want_logits=False)
         with pytest.raises(ShapeError):
             m.seal_step(state, cache)
+
+    def test_one_pack_per_batch(self, monkeypatch):
+        # every greedy pick of a batch decodes in the one pack it allocates
+        m = pack_model()
+        allocated = []
+        pack_cache = m._pack_cache
+        monkeypatch.setattr(m, "_pack_cache",
+                            lambda *a: allocated.append(a) or pack_cache(*a))
+        steps = [StepInput([3, 4], 1), StepInput([5, 6, 7], 2), StepInput([8], 3)]
+        (res,), _ = m.rewrite_batch([steps], BOS, EOS)
+        assert len(res.intermediate_tokens) == 2 and len(allocated) == 1
+
+    def test_teacher_forced_batch_opens_no_pack_step(self, monkeypatch):
+        # a batch whose every step is teacher-forced or pinned picks nothing
+        m = pack_model()
+        opened = []
+        start_step = m.start_step
+        monkeypatch.setattr(m, "start_step", lambda encs, cache, *a: (
+            opened.append(type(cache)) or start_step(encs, cache, *a)))
+        one_hop = [[StepInput([3, 4], 1)], [StepInput([5], 1)], [StepInput([6, 7, 8], 1)]]
+        m.rewrite_batch(one_hop, BOS, EOS, gold_finals=[[6], [7, 8], [9]])
+        assert opened == [AttentionCache]
+        two_hop = [[StepInput([3, 4], 1), StepInput([5], 2)]]
+        m.rewrite_batch(two_hop, BOS, EOS, gold_finals=[[6]], pinned_intermediates=[[[7]]])
+        assert opened == [AttentionCache] * 3
+
+    def test_batch_picks_equal_packed_bit_for_bit(self):
+        m = pack_model()
+        rng = np.random.default_rng(8)
+        examples = [
+            [StepInput(list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(2, 7))),
+                       t + 1) for t in range(n)]
+            for n in (3, 1, 2, 3, 2)
+        ]
+        batch, _ = m.rewrite_batch(examples, BOS, EOS, collect_logits=True)
+        packed = m.rewrite_packed(examples, BOS, EOS, collect_logits=True)
+        assert any(t for r in packed for t in r.truncated)
+        for a, b in zip(batch, packed, strict=True):
+            assert a.intermediate_tokens == b.intermediate_tokens
+            assert a.final_tokens == b.final_tokens
+            assert a.truncated == b.truncated
+            for rows_a, rows_b in zip(a.step_logits, b.step_logits, strict=True):
+                assert len(rows_a) == len(rows_b)
+                for x, y in zip(rows_a, rows_b):
+                    assert np.array_equal(x.data, y.data)
 
     def test_packs_split_in_order(self, monkeypatch):
         m = pack_model()

@@ -183,11 +183,11 @@ class TestSplits:
 
     def test_vocabulary_closure(self, world):
         splits = S.make_splits(world, [1, 2], (10, 2, 3), seed=9)
-        from qrewrite.vocab import Vocab
+        from qrewrite.vocab import UNK, Vocab
 
         records = [r for part in splits.values() for r in part]
         voc = Vocab.build(S.collect_tokens(records))
-        unk = voc.unk_id
+        unk = voc.index[UNK]
         for rec in records:
             for text in (
                 rec["answer"],
