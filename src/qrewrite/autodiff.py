@@ -2,8 +2,9 @@
 
 Flat row-major numpy buffers and the handful of differentiable operations a
 small encoder-decoder transformer needs: matmul, row-wise (masked) softmax,
-fused multi-head attention (also over row segments packed into one op),
-layer normalization, embedding lookup, cross-entropy.  Every tensor is 2-D or smaller.  No general
+fused multi-head attention (also over row segments packed into one op, or,
+without a graph, over keys padded already), layer normalization, embedding
+lookup, cross-entropy.  Every tensor is 2-D or smaller.  No general
 broadcasting; the only implicit broadcast is a bias row added to every row
 of a matrix.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import warnings
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -326,31 +327,104 @@ class Segments:
         return self.k_lens.shape[0]
 
     def padded(self):
-        """Gather plan for the (segments, rows, n_max) layout, built once:
-        (m_max, n_max, q_index, q_valid, k_index, k_valid, allow).  Padding
-        repeats a row of the segment; ``allow`` masks it, and is None when
-        nothing needs masking.  ``q_index`` is None when every segment has
-        m_max queries, which then are a plain reshape."""
+        """Gather plan for the (segments, n_max, d) keys, built once: the
+        ``Padded`` layout, the index that takes the padded keys from the key
+        rows (a view for one segment; several repeat a row of the segment
+        past its length), the (segments, n_max) mask of real keys and
+        their rows."""
         if self._padded is None:
-            counts = np.diff(self.q_offsets)
-            m_max, n_max = int(counts.max()), int(self.k_lens.max())
-            rows, cols = np.arange(m_max), np.arange(n_max)
-            q_valid = rows < counts[:, None]
-            q_index = None
-            if not q_valid.all():
-                last = counts[:, None] - 1
-                q_index = self.q_offsets[:-1, None] + np.minimum(rows, last)
+            n_max, lo = int(self.k_lens.max()), int(self.k_starts[0])
+            cols = np.arange(n_max)
+            k_index = np.s_[None, lo : lo + n_max]
+            if len(self) > 1:
+                k_index = self.k_starts[:, None] + np.minimum(cols, self.k_lens[:, None] - 1)
             k_valid = cols < self.k_lens[:, None]
-            k_last = self.k_lens[:, None] - 1
-            k_index = self.k_starts[:, None] + np.minimum(cols, k_last)
-            if self.causal:
-                limit = (self.k_lens - counts)[:, None] + 1 + rows
-            else:
-                limit = np.broadcast_to(self.k_lens[:, None], q_valid.shape)
-            allow = cols < limit[:, :, None]
-            self._padded = (m_max, n_max, q_index, q_valid, k_index, k_valid,
-                            None if allow.all() else allow)
+            allow = window_mask(np.diff(self.q_offsets), None, self.k_lens, n_max,
+                                self.causal)
+            self._padded = (Padded(*pad_queries(self.q_offsets), allow), k_index, k_valid,
+                            (self.k_starts[:, None] + cols)[k_valid])
         return self._padded
+
+
+class Padded(NamedTuple):
+    """Segments' queries padded to m_max rows each and the key columns
+    they see.  ``q_index`` takes segment s's padded queries from the rows
+    of q, repeating its last one (None when every segment has m_max
+    queries, which then are a plain reshape), and ``q_valid`` marks the
+    real ones.  ``allow`` ((segments, m_max or 1, n_max), None when every
+    column is seen) masks the keys."""
+
+    m_max: int
+    q_index: np.ndarray | None
+    q_valid: np.ndarray
+    allow: np.ndarray | None
+
+
+def pad_queries(q_offsets: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray]:
+    """``Padded``'s (m_max, q_index, q_valid) for segments whose queries
+    are rows ``q_offsets[s]:q_offsets[s + 1]``."""
+    counts = q_offsets[1:] - q_offsets[:-1]
+    m_max = int(counts.max())
+    rows = np.arange(m_max)
+    q_valid = rows < counts[:, None]
+    if q_valid.all():
+        return m_max, None, q_valid
+    return m_max, q_offsets[:-1, None] + np.minimum(rows, counts[:, None] - 1), q_valid
+
+
+def window_mask(counts: np.ndarray, k_first: np.ndarray | None, k_end: np.ndarray,
+                n_max: int, causal: bool) -> np.ndarray | None:
+    """``Padded.allow`` for segments whose ``counts[s]`` queries see key
+    columns ``k_first[s]:k_end[s]`` of their padded keys (from 0 when
+    ``k_first`` is None).  With ``causal`` the queries are the last columns
+    of that window and each sees the columns up to its own (a padded query
+    repeats the last)."""
+    end = k_end[:, None]
+    if causal and counts.max() > 1:
+        end = np.minimum(end - counts[:, None] + 1 + np.arange(counts.max()), end)
+    cols = np.arange(n_max)
+    allow = cols < end[:, :, None]
+    if k_first is not None:
+        allow &= cols >= k_first[:, None, None]
+    return None if allow.all() else allow
+
+
+def _split(a: np.ndarray, n_heads: int) -> np.ndarray:  # -> (seg, heads, rows, d_k)
+    n_seg, rows, d = a.shape
+    return a.reshape(n_seg, rows, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge(a: np.ndarray) -> np.ndarray:  # (seg, heads, rows, d_k) -> (seg, rows, d)
+    n_seg, n_heads, rows, dk = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(n_seg, rows, n_heads * dk)
+
+
+def _unpad(a: np.ndarray, layout: Padded) -> np.ndarray:  # (seg, m_max, d) -> (m, d)
+    return a.reshape(-1, a.shape[2]) if layout.q_index is None else a[layout.q_valid]
+
+
+def _operands(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+              layout: Padded):
+    """The scaled queries, keys and values of ``_attend``, split by head."""
+    n_seg, _, d = k.shape
+    q3 = q.reshape(n_seg, layout.m_max, d) if layout.q_index is None else q[layout.q_index]
+    c = 1.0 / np.sqrt(d // n_heads)
+    return _split(q3, n_heads) * c, _split(k, n_heads), _split(v, n_heads)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+            layout: Padded):
+    """The masked softmax attention of every attention op: the (m, d)
+    rows ``q`` over keys and values padded to (segments, n_max, d), by
+    ``layout``.  Returns the weights, (segments, heads, m_max, n_max),
+    and the (m, d) result."""
+    qs, kh, vh = _operands(q, k, v, n_heads, layout)
+    scores = qs @ kh.transpose(0, 1, 3, 2)
+    if layout.allow is not None:
+        scores = np.where(layout.allow[:, None], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    p = e / e.sum(axis=3, keepdims=True)
+    return p, _unpad(_merge(p @ vh), layout)
 
 
 def attention(
@@ -367,15 +441,14 @@ def attention(
     h*d_k..(h+1)*d_k of each, and of the (m, d) result.  The optional
     boolean ``allow`` (m, n) mask is shared by every head; disallowed
     entries get probability exactly zero and every row must keep one.
-    Inside the op heads are an array axis, (heads, rows, d_k).  Backward,
-    per head with P the attention weights and dO the output gradient:
-    dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)), then
-    dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k).
+    Backward, per head with P the attention weights and dO the output
+    gradient: dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)),
+    then dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k).
 
     ``segments`` (instead of ``allow``) packs independent problems into
-    the rows.  One segment is plain attention over its key rows.  Several
-    run as one padded (segments, heads, rows, n_max) batched matmul with a
-    length mask, and the same backward per segment.
+    the rows.  Inside the op they are padded to (segments, heads, rows,
+    n_max), heads an array axis, and run as one batched matmul with a
+    length mask; plain attention is one segment, whose keys are a view.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError("attention expects 2-D q, k and v")
@@ -386,112 +459,59 @@ def attention(
         )
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    dk = d // n_heads
-    c = 1.0 / np.sqrt(dk)
-    kd, vd, window = k.data, v.data, slice(0, n)
-    if segments is not None:
-        if allow is not None:
-            raise ShapeError("attention: pass an allow mask or segments, not both")
-        ends = segments.k_starts + segments.k_lens
-        if segments.q_offsets[-1] != m or ends.max() > n:
-            raise ShapeError(f"attention: segments do not fit q {q.shape}, k {k.shape}")
-        if len(segments) > 1:
-            return _packed_attention(q, k, v, n_heads, segments)
-        lo, n_seg = int(segments.k_starts[0]), int(segments.k_lens[0])
-        window = slice(lo, lo + n_seg)
-        kd, vd = kd[window], vd[window]
-        if segments.causal and m > 1:
-            allow = np.arange(n_seg) < (n_seg - m + 1 + np.arange(m))[:, None]
-
-    def split(a: np.ndarray) -> np.ndarray:  # (rows, d) -> (heads, rows, d_k)
-        return a.reshape(a.shape[0], n_heads, dk).transpose(1, 0, 2)
-
-    qs, kh, vh = split(q.data) * c, split(kd), split(vd)
-    scores = qs @ kh.transpose(0, 2, 1)
+    if segments is not None and allow is not None:
+        raise ShapeError("attention: pass an allow mask or segments, not both")
+    if segments is None:
+        segments = Segments([0, m], [0], [n])
+    if segments.q_offsets[-1] != m or (segments.k_starts + segments.k_lens).max() > n:
+        raise ShapeError(f"attention: segments do not fit q {q.shape}, k {k.shape}")
+    layout, k_index, k_valid, key_rows = segments.padded()
     if allow is not None:
         allow = np.asarray(allow, dtype=bool)
-        if allow.shape != scores.shape[1:]:
-            raise ShapeError(f"attention: mask {allow.shape} != {scores.shape[1:]}")
+        if allow.shape != (m, n):
+            raise ShapeError(f"attention: mask {allow.shape} != {(m, n)}")
         if not allow.any(axis=1).all():
             raise ShapeError("attention: a query row has no permitted keys")
-        scores = np.where(allow, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
-    out = _result((p @ vh).transpose(1, 0, 2).reshape(m, d), (q, k, v), None)
+        layout = layout._replace(allow=allow[None])
+    p, out = _attend(q.data, k.data[k_index], v.data[k_index], n_heads, layout)
+    out = _result(out, (q, k, v), None)
     if out.requires_grad:
-        def merge(a: np.ndarray) -> np.ndarray:  # (heads, rows, d_k) -> (rows, d)
-            return a.transpose(1, 0, 2).reshape(a.shape[1], d)
-
-        def bwd(g):
-            gh = split(g)
-            dp = gh @ vh.transpose(0, 2, 1)
-            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
-            _accumulate(q, merge(ds @ kh) * c)
-            for t, grad in ((k, merge(ds.transpose(0, 2, 1) @ qs)),
-                            (v, merge(p.transpose(0, 2, 1) @ gh))):
-                if grad.shape[0] != n:  # a segment's window of the rows
-                    full = np.zeros_like(t.data)
-                    full[window] = grad
-                    grad = full
-                _accumulate(t, grad)
-        out._backward = bwd
-    return out
-
-
-def _packed_attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, segments: Segments
-) -> Tensor:
-    """``attention`` over several segments, padded to (segments, heads,
-    m_max, n_max); padded key columns are masked and padded query rows
-    dropped from the result."""
-    (m, d), n_seg = q.shape, len(segments)
-    dk = d // n_heads
-    c = 1.0 / np.sqrt(dk)
-    m_max, n_max, q_index, q_valid, k_index, k_valid, allow = segments.padded()
-
-    def split(a: np.ndarray) -> np.ndarray:  # (seg, rows, d) -> (seg, heads, rows, d_k)
-        return a.reshape(n_seg, a.shape[1], n_heads, dk).transpose(0, 2, 1, 3)
-
-    def merge(a: np.ndarray) -> np.ndarray:  # (seg, heads, rows, d_k) -> (seg, rows, d)
-        return a.transpose(0, 2, 1, 3).reshape(n_seg, a.shape[2], d)
-
-    def unpad(a: np.ndarray) -> np.ndarray:  # (seg, m_max, d) -> (m, d)
-        return a.reshape(m, d) if q_index is None else a[q_valid]
-
-    def operands():  # scaled queries, keys and values, padded and split
-        q3 = q.data.reshape(n_seg, m_max, d) if q_index is None else q.data[q_index]
-        return split(q3) * c, split(k.data[k_index]), split(v.data[k_index])
-
-    qs, kh, vh = operands()
-    scores = qs @ kh.transpose(0, 1, 3, 2)
-    if allow is not None:
-        scores = np.where(allow[:, None], scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    p = e / e.sum(axis=3, keepdims=True)
-    out = _result(unpad(merge(p @ vh)), (q, k, v), None)
-    if out.requires_grad:
-        key_rows = k_index[k_valid]
-
         def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
-            full = np.zeros_like(t.data)
-            full[key_rows] = padded[k_valid]  # segments share no key row
-            _accumulate(t, full)
+            grad = padded[k_valid]
+            if len(key_rows) != n:  # else the keys are every row, in order
+                grad = np.zeros_like(t.data)
+                grad[key_rows] = padded[k_valid]  # segments share no key row
+            _accumulate(t, grad)
 
         def bwd(g):
-            qs, kh, vh = operands()  # rebuilt rather than kept alive until now
-            if q_index is None:
-                g3 = g.reshape(n_seg, m_max, d)
+            # rebuilt rather than kept alive until now
+            qs, kh, vh = _operands(q.data, k.data[k_index], v.data[k_index], n_heads,
+                                   layout)
+            if layout.q_index is None:
+                g3 = g.reshape(len(p), layout.m_max, d)
             else:
-                g3 = np.zeros((n_seg, m_max, d), dtype=g.dtype)
-                g3[q_valid] = g
-            gh = split(g3)
+                g3 = np.zeros((len(p), layout.m_max, d), dtype=g.dtype)
+                g3[layout.q_valid] = g
+            gh = _split(g3, n_heads)
             dp = gh @ vh.transpose(0, 1, 3, 2)
             ds = p * (dp - (dp * p).sum(axis=3, keepdims=True))
-            _accumulate(q, unpad(merge(ds @ kh)) * c)
-            scatter(k, merge(ds.transpose(0, 1, 3, 2) @ qs))
-            scatter(v, merge(p.transpose(0, 1, 3, 2) @ gh))
+            _accumulate(q, _unpad(_merge(ds @ kh), layout) * (1.0 / np.sqrt(d // n_heads)))
+            scatter(k, _merge(ds.transpose(0, 1, 3, 2) @ qs))
+            scatter(v, _merge(p.transpose(0, 1, 3, 2) @ gh))
         out._backward = bwd
     return out
+
+
+def padded_attention(
+    q: Tensor, k: np.ndarray, v: np.ndarray, n_heads: int, layout: Padded
+) -> Tensor:
+    """``attention`` of segments whose keys and values come padded already,
+    as (segments, n_max, d) arrays such as views of a K/V store: segment
+    s's queries see the columns of ``k[s]`` and ``v[s]`` that ``layout``
+    allows.  It records no graph, so it serves no_grad decoding only."""
+    if grad_enabled():
+        raise ShapeError("padded attention runs under no_grad only")
+    return constant(_attend(q.data, k, v, n_heads, layout)[1])
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -43,11 +43,14 @@ Conventions, fixed here once:
     final loss reaches every earlier step of its own example.  A sealing
     pass skips the last layer's attention, feed-forward and output head,
     whose results nothing reads;
-  * under no_grad a pack's cache is one preallocated K and one V store per
-    layer (self- and cross-attention) in which every segment owns a fixed
-    range of rows, sized upfront for the pack: a step writes its rows in
-    place after the segment's sealed rows and sealing advances the
-    segment's offset, so no row is copied or concatenated;
+  * under no_grad a pack's cache is one preallocated, zeroed (segments,
+    rows, d_model) K and one V store per layer (self- and cross-attention),
+    sized upfront for the pack: a step writes its rows in place after the
+    segment's sealed rows and sealing advances the segment's offset, so no
+    row is copied or concatenated.  A pass attends over the stores in
+    place, as store[fed segments, :longest end], a view when the fed
+    segments are a contiguous run, with a mask per segment; it builds no
+    ``ad.Segments`` and gathers no rows;
   * without a graph, packs of PACK_SIZE examples serve generation and
     validation; one example, with gradients or under no_grad, is the graph
     batch of one.
@@ -81,6 +84,9 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.vocab_size, self.d_model, self.n_heads, self.d_ff, self.max_len) < 1:
             raise ShapeError("all model dimensions must be positive")
+        if self.n_enc_layers < 0 or self.n_dec_layers < 1:
+            # a decoder without layers reads neither the document nor the cache
+            raise ShapeError("need n_enc_layers >= 0 and n_dec_layers >= 1")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -176,16 +182,17 @@ class PackCache:
     """K/V rows sealed by completed steps of a pack of examples (no_grad).
 
     Per decoder layer there is one self-attention K and V store and one
-    cross-attention K and V store, each (segments * capacity, d_model).
-    Segment s owns the ``capacity`` rows from s * capacity, and its first
-    ``sa_len[s]`` (``ca_len[s]``) rows are sealed.  A step writes its rows
-    after them in place and sealing advances the offsets.
+    cross-attention K and V store, each a zeroed (segments, capacity,
+    d_model) array.  Segment s owns row s, whose first ``sa_len[s]``
+    (``ca_len[s]``) columns are sealed; a step writes its rows after them
+    in place and sealing advances the offsets.  The zeros keep masked
+    columns finite: 0 times an uninitialised NaN would poison ``p @ v``.
     """
 
     def __init__(self, n_layers: int, n_segments: int, d_model: int, dtype,
                  sa_capacity: int, ca_capacity: int):
         def stores(capacity: int) -> list[np.ndarray]:
-            return [np.empty((n_segments * capacity, d_model), dtype)
+            return [np.zeros((n_segments, capacity, d_model), dtype)
                     for _ in range(n_layers)]
 
         self.sa_capacity, self.ca_capacity = sa_capacity, ca_capacity
@@ -196,8 +203,7 @@ class PackCache:
 
     def check_capacity(self, kind: str, rows: int) -> None:
         """Raise ``ShapeError`` unless ``rows`` rows fit in a segment of the
-        ``kind`` ("sa" or "ca") stores: past its capacity a segment would
-        write into the next segment's rows."""
+        ``kind`` ("sa" or "ca") stores."""
         capacity = getattr(self, f"{kind}_capacity")
         if rows > capacity:
             raise ShapeError(f"{rows} {kind} rows overflow a pack segment of {capacity}")
@@ -205,13 +211,10 @@ class PackCache:
 
 class _StepRows:
     """What both step states share: ``n_fed[j]`` rows of segment
-    ``segs[j]`` are fed this step, at step-local positions from 0.
-    ``_arrays`` and ``_lists`` name the per-segment arrays and lists."""
+    ``segs[j]`` are fed this step, at step-local positions from 0."""
 
     segs: np.ndarray
     n_fed: np.ndarray
-    _arrays: tuple[str, ...]
-    _lists: tuple[str, ...] = ()
 
     @property
     def n_segments(self) -> int:
@@ -222,16 +225,6 @@ class _StepRows:
         if all(len(row) == 1 for row in ids):
             return fed
         return np.concatenate([np.arange(f, f + len(row)) for f, row in zip(fed, ids)])
-
-    def drop(self, js) -> None:
-        """Leave out the segments at indices ``js`` (they are not sealed)."""
-        if not js:
-            return
-        keep = np.setdiff1d(np.arange(len(self.segs)), js)
-        for name in self._arrays:
-            setattr(self, name, getattr(self, name)[keep])
-        for name in self._lists:
-            setattr(self, name, [getattr(self, name)[j] for j in keep])
 
 
 class GraphState(_StepRows):
@@ -247,9 +240,6 @@ class GraphState(_StepRows):
     ``ca_own[j]`` index its rows in this step's block ``ca_current_k[i]``.
     A pass gathers each fed segment's keys into contiguous rows.
     """
-
-    _arrays = ("segs", "ca_lens", "n_fed", "ca_starts", "ca_klens")
-    _lists = ("sealed", "own", "ca_own")
 
     def __init__(self, cache: AttentionCache, segs: np.ndarray, ca_lens: np.ndarray,
                  ca_current_k: list[Tensor], ca_current_v: list[Tensor],
@@ -320,6 +310,14 @@ class GraphState(_StepRows):
     def cross_rows(self, i: int):
         return self.ca_k[i], self.ca_v[i], self._ca
 
+    def drop(self, js) -> None:
+        """Leave out the segments at indices ``js`` (they are not sealed)."""
+        keep = np.setdiff1d(np.arange(len(self.segs)), js)
+        for name in ("segs", "ca_lens", "n_fed", "ca_starts", "ca_klens"):
+            setattr(self, name, getattr(self, name)[keep])
+        for name in ("sealed", "own", "ca_own"):
+            setattr(self, name, [getattr(self, name)[j] for j in keep])
+
     def restart(self) -> None:
         """Forget the rows fed this step, to decode it again from its first
         position."""
@@ -347,25 +345,27 @@ class PackState(_StepRows):
     rows live in the ``PackCache`` stores (no_grad).
 
     ``n_fed[j]`` rows of segment ``segs[j]`` are fed this step, right after
-    its sealed rows.  Its cross-attention reads its context rows
-    ``ca_from[j]:ca_end[j]``, where ``ca_lens[j]`` rows are this step's.
+    its sealed rows.  Its cross-attention reads its context columns
+    ``ca_from[j]:ca_end[j]`` (from 0 when ``ca_from`` is None, with
+    accumulated cross-attention), where ``ca_lens[j]`` rows are this step's.
+    A pass attends over ``store[slots, :n_max]`` of its fed segments with
+    a mask per segment and builds no ``ad.Segments``; the cross-attention
+    mask is laid out once per step and sliced to the fed segments.
     """
-
-    _arrays = ("segs", "ca_lens", "ca_end", "ca_from", "n_fed")
 
     def __init__(self, cache: PackCache, segs: np.ndarray, ca_lens: np.ndarray,
                  accumulated_sa: bool, accumulated_ca: bool):
         self.cache, self.segs, self.ca_lens = cache, segs, ca_lens
         self.ca_end = cache.ca_len[segs] + ca_lens
-        self.ca_from = self.ca_end - ca_lens
-        if accumulated_ca:
-            self.ca_from = np.zeros_like(ca_lens)
+        self.ca_from = None if accumulated_ca else self.ca_end - ca_lens
+        self._ca_allow = ad.window_mask(ca_lens, self.ca_from, self.ca_end,
+                                        int(self.ca_end.max()), causal=False)
         self.accumulated_sa = accumulated_sa
         self.n_fed = np.zeros(len(segs), dtype=np.intp)
-        self._dest = self._sa = self._ca = self._ca_key = None
+        self._rows = self._sa = self._ca = self._fed = None
 
     def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
-        """Place this pass's rows and lay out its attention segments."""
+        """Place this pass's rows and lay out its attention."""
         if ad.grad_enabled():
             raise ShapeError("a pack decodes under no_grad only")
         cache = self.cache
@@ -373,31 +373,36 @@ class PackState(_StepRows):
         segs = self.segs[active]
         start = cache.sa_len[segs]
         end = start + self.n_fed[active] + lens
-        cache.check_capacity("sa", int(end.max()))
-        base = segs * cache.sa_capacity
-        self._dest = np.repeat(base + start, lens) + positions
-        q_offsets = np.concatenate(([0], np.cumsum(lens)))
-        first = 0 if self.accumulated_sa else start
-        self._sa = ad.Segments(q_offsets, base + first, end - first, causal=True)
-        key = (active.tobytes(), q_offsets.tobytes())
-        if self._ca is None or self._ca_key != key:  # else the last pass's layout
-            ca_from = self.ca_from[active]
-            self._ca = ad.Segments(q_offsets, segs * cache.ca_capacity + ca_from,
-                                   self.ca_end[active] - ca_from)
-            self._ca_key = key
+        n_sa = int(end.max())
+        cache.check_capacity("sa", n_sa)
+        self._rows = (np.repeat(segs, lens), np.repeat(start, lens) + positions)
+        queries = ad.pad_queries(np.concatenate(([0], np.cumsum(lens))))
+        first = None if self.accumulated_sa else start
+        self._sa = n_sa, ad.Padded(*queries, ad.window_mask(lens, first, end, n_sa, True))
+        if active.tobytes() != self._fed:  # else the last pass's layout
+            self._fed = active.tobytes()
+            lo, hi = segs[0], segs[0] + len(segs)
+            self._slots = slice(lo, hi) if np.array_equal(segs, np.arange(lo, hi)) else segs
+            self._n_ca = int(self.ca_end[active].max())
+            allow = None if self._ca_allow is None else self._ca_allow[active, :, :self._n_ca]
+            self._ca_mask = None if allow is None or allow.all() else allow
+        self._ca = self._n_ca, ad.Padded(*queries, self._ca_mask)
         self.n_fed[active] += lens
 
     def append_rows(self, i: int, k: Tensor, v: Tensor) -> None:
-        self.cache.sa_k[i][self._dest] = k.data
-        self.cache.sa_v[i][self._dest] = v.data
+        self.cache.sa_k[i][self._rows] = k.data
+        self.cache.sa_v[i][self._rows] = v.data
 
     def self_rows(self, i: int):
-        cache = self.cache
-        return ad.constant(cache.sa_k[i]), ad.constant(cache.sa_v[i]), self._sa
+        """Layer ``i``'s padded keys and values the pass attends to, and
+        their layout."""
+        return self._view(self.cache.sa_k[i], self.cache.sa_v[i], *self._sa)
 
     def cross_rows(self, i: int):
-        cache = self.cache
-        return ad.constant(cache.ca_k[i]), ad.constant(cache.ca_v[i]), self._ca
+        return self._view(self.cache.ca_k[i], self.cache.ca_v[i], *self._ca)
+
+    def _view(self, k: np.ndarray, v: np.ndarray, n_max: int, layout: ad.Padded):
+        return k[self._slots, :n_max], v[self._slots, :n_max], layout
 
     def restart(self, active) -> None:
         """Forget the rows the segments at indices ``active`` fed this step,
@@ -567,12 +572,16 @@ class QuestionRewriter:
         x_q: Tensor,
         keys: Tensor,
         values: Tensor,
-        segments: ad.Segments | None,
+        segments: ad.Segments | ad.Padded | None,
     ) -> Tensor:
         """Multi-head attention of ``x_q``'s projected queries over ``keys``
-        and ``values`` (projected already), split into ``segments``."""
+        and ``values`` (projected already), split into ``segments``, or
+        padded already by a pack's ``Padded`` layout."""
         q = self._project(x_q, prefix, "q")
-        attended = ad.attention(q, keys, values, self.cfg.n_heads, segments=segments)
+        if isinstance(segments, ad.Padded):
+            attended = ad.padded_attention(q, keys, values, self.cfg.n_heads, segments)
+        else:
+            attended = ad.attention(q, keys, values, self.cfg.n_heads, segments=segments)
         return self._project(attended, prefix, "o")
 
     def _ff(self, x: Tensor, prefix: str) -> Tensor:
@@ -670,9 +679,8 @@ class QuestionRewriter:
                           cfg.mode_accumulated_ca)
         cache.check_capacity("ca", int(state.ca_end.max()))
         offsets = np.cumsum(lens) - lens
-        first = segs * cache.ca_capacity + state.ca_end - lens
-        dest = np.repeat(first - offsets, lens)
-        dest += np.arange(int(lens.sum()))
+        dest = (np.repeat(segs, lens),
+                np.repeat(state.ca_end - lens - offsets, lens) + np.arange(int(lens.sum())))
         rows = encs[0] if len(encs) == 1 else ad.constant(
             np.concatenate([e.data for e in encs])
         )

@@ -277,8 +277,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("config", [
         {"d_model": 10, "n_heads": 3}, {"d_model": 0}, {"d_model": "64"},
-        {"lr_alpha": "x"}, {"gamma_low": None},
-    ], ids=["heads_misfit", "zero_width", "string_int", "string_float", "null_float"])
+        {"lr_alpha": "x"}, {"gamma_low": None}, {"n_enc_layers": -1}, {"n_dec_layers": 0},
+    ], ids=["heads_misfit", "zero_width", "string_int", "string_float", "null_float",
+            "negative_encoder_layers", "no_decoder_layers"])
     def test_config_the_model_rejects_is_error(self, data_dir, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))

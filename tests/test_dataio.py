@@ -42,6 +42,8 @@ def corrupt_checkpoint(path, defect):
             header["config"]["n_experts"] = 4
         elif defect == "invalid_config":  # ModelConfig rejects the values
             header["config"].update(d_model=8, n_heads=3)
+        elif defect == "zero_decoder_layers":  # a decoder that reads nothing
+            header["config"].update(n_dec_layers=0)
         elif defect == "tensor_name_mismatch":
             header["tensors"][0]["name"] = "no.such.param"
         elif defect == "tensor_without_name":
@@ -154,6 +156,7 @@ class TestCheckpoints:
         "truncated", "trailing_bytes", "unknown_config_key", "header_not_json",
         "no_tensors", "no_config", "no_vocab_sha256", "flag_set", "invalid_config",
         "tensor_name_mismatch", "tensor_without_name", "bad_tensor_shape",
+        "zero_decoder_layers",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"

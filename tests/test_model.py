@@ -65,7 +65,7 @@ def pack_blocks(pack, step_lengths, context_lengths):
         ("ca_keys", pack.ca_k, context_lengths), ("ca_values", pack.ca_v, context_lengths),
     ):
         bounds = np.cumsum([0, *lengths]).tolist()
-        setattr(view, attr, [[Tensor(store[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        setattr(view, attr, [[Tensor(store[0, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
                              for store in stores])
     view.step_lengths, view.context_lengths = [list(step_lengths)], [list(context_lengths)]
     return view
@@ -83,6 +83,16 @@ class TestConfig:
 
     def test_d_k(self):
         assert ModelConfig(vocab_size=10, d_model=64, n_heads=4).d_k == 16
+
+    @pytest.mark.parametrize("layers", [dict(n_enc_layers=-1), dict(n_dec_layers=0),
+                                        dict(n_dec_layers=-1)])
+    def test_layer_counts_must_build_a_model(self, layers):
+        # a decoder without layers never reads the document or the cache
+        with pytest.raises(ShapeError):
+            ModelConfig(vocab_size=10, **layers)
+
+    def test_encoder_may_have_no_layers(self):
+        assert ModelConfig(vocab_size=10, n_enc_layers=0).n_enc_layers == 0
 
 
 class TestEncoder:
@@ -579,6 +589,119 @@ class TestPackedDecoding:
                 assert len(rows_a) == len(rows_b)
                 for x, y in zip(rows_a, rows_b):
                     assert np.array_equal(x.data, y.data)
+
+    def test_pack_passes_read_the_stores_in_place(self, monkeypatch):
+        # a pack pass lays out no Segments; fed segments that are a
+        # contiguous run attend over views of the stores, others over one
+        # copy taken by a fancy index on the segment axis
+        m = pack_model()
+        made, keys = [], []
+        init = ad.Segments.__init__
+        monkeypatch.setattr(ad.Segments, "__init__",
+                            lambda self, *a, **kw: made.append(a) or init(self, *a, **kw))
+        padded_attention = ad.padded_attention
+        monkeypatch.setattr(ad, "padded_attention", lambda q, k, v, *a: (
+            keys.append((k, v)) or padded_attention(q, k, v, *a)))
+        with ad.no_grad():
+            encodings = m.encode([StepInput([3, 4], 1), StepInput([5, 6, 7], 1),
+                                  StepInput([8], 1)])
+            cache = m._pack_cache(3, 12, 12)
+            state = m.start_step(encodings, cache)
+            made.clear()
+            m._decode_rows(state, [[BOS, 5], [BOS], [BOS, 6, 7]], want_logits=True)
+            m.decode_token(state, [9, 10, 11])
+            in_place = len(keys)
+            m.decode_token(state, [12, 13], active=[0, 2])
+        assert made == []
+        # self- and cross-attention in every layer of each pass
+        n_layers = m.cfg.n_dec_layers
+        assert (in_place, len(keys) - in_place) == (4 * n_layers, 2 * n_layers)
+        stores = cache.sa_k + cache.sa_v + cache.ca_k + cache.ca_v
+
+        def views(k, v):
+            return [any(np.shares_memory(a, store) for store in stores) for a in (k, v)]
+
+        assert all(views(k, v) == [True, True] for k, v in keys[:in_place])
+        assert all(views(k, v) == [False, False] for k, v in keys[in_place:])
+
+    @pytest.mark.parametrize("sa, ca", [*ACCUMULATION_MODES, (False, False)])
+    def test_padding_mask_is_exact(self, sa, ca):
+        # before every pass, each store column outside a segment's window
+        # is set to 1e30; every logit stays bit for bit what it is without
+        m = pack_model(sa, ca)
+        examples = [[StepInput([3, 4], 1), StepInput([5, 6, 7], 2)],
+                    [StepInput([8], 1), StepInput([9, 10], 2)],
+                    [StepInput([11, 12, 13], 1), StepInput([4], 2)]]
+        passes = [([[BOS, 5], [BOS], [BOS, 6, 7]], None), ([[8], [9], [10]], None),
+                  ([[11], [12]], [0, 2]), ([[13]], [1])]
+
+        def poison(cache, state):
+            for j, s in enumerate(state.segs.tolist()):
+                sa_end = cache.sa_len[s] + state.n_fed[j]
+                sa_first = 0 if sa else cache.sa_len[s]
+                ca_first = 0 if ca else state.ca_from[j]
+                for stores, first, end in ((cache.sa_k + cache.sa_v, sa_first, sa_end),
+                                           (cache.ca_k + cache.ca_v, ca_first,
+                                            state.ca_end[j])):
+                    for store in stores:
+                        store[s, :first] = store[s, end:] = 1e30
+
+        def run(poisoned):
+            cache, logits = m._pack_cache(3, 2 * m.cfg.max_len, 12), []
+            with ad.no_grad():
+                for t in range(2):
+                    state = m.start_step(m.encode([steps[t] for steps in examples]), cache)
+                    for ids, active in passes:
+                        if poisoned:
+                            poison(cache, state)
+                        logits.append(m._decode_rows(state, ids, True, active).data)
+                    m.seal_step(state, cache)
+            return logits
+
+        for clean, poisoned in zip(run(False), run(True), strict=True):
+            assert np.array_equal(clean, poisoned), (sa, ca)
+
+    def test_non_contiguous_pack_equals_contiguous_and_solo(self, monkeypatch):
+        # the middle example stops first at step 1, so later passes fetch
+        # its neighbours' rows by a fancy index; moved to the end of the
+        # pack, the same examples stay a contiguous run of segments
+        m = pack_model()
+        rng = np.random.default_rng(28)
+        examples = [[StepInput(list(rng.integers(3, m.cfg.vocab_size,
+                                                 size=rng.integers(2, 7))), t + 1)
+                     for t in range(2)] for _ in range(3)]
+        stores, copies = [], []
+        pack_cache = m._pack_cache
+
+        def spy_cache(*a):
+            cache = pack_cache(*a)
+            stores.extend(cache.sa_k + cache.sa_v + cache.ca_k + cache.ca_v)
+            return cache
+
+        def spy_attention(q, k, v, *a):
+            copies.append(not any(np.shares_memory(k, store) for store in stores))
+            return padded_attention(q, k, v, *a)
+
+        padded_attention = ad.padded_attention
+        monkeypatch.setattr(m, "_pack_cache", spy_cache)
+        monkeypatch.setattr(ad, "padded_attention", spy_attention)
+        middle_first = m.rewrite_packed(examples, BOS, EOS, collect_logits=True)
+        fancy, copies[:] = sum(copies), []
+        in_order = m.rewrite_packed([examples[0], examples[2], examples[1]], BOS, EOS,
+                                    collect_logits=True)
+        assert fancy > 0 and sum(copies) == 0
+        first = [len(r.intermediate_tokens[0]) for r in middle_first]
+        assert first[1] < min(first[0], first[2])
+        for j, res in ((0, in_order[0]), (2, in_order[1]), (1, in_order[2])):
+            with ad.no_grad():
+                solo = m.rewrite_forward(examples[j], BOS, EOS, collect_logits=True)
+            mine = middle_first[j]
+            for rows, other, alone in zip(mine.step_logits, res.step_logits,
+                                          solo.step_logits, strict=True):
+                assert len(rows) == len(other) == len(alone)
+                for x, y, z in zip(rows, other, alone):
+                    assert np.array_equal(x.data, y.data)
+                    assert np.abs(x.data - z.data).max() <= 1e-12
 
     def test_packs_split_in_order(self, monkeypatch):
         m = pack_model()
