@@ -1,12 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Flat row-major numpy buffers and the handful of differentiable operations a
-small encoder-decoder transformer needs: matmul, row-wise (masked) softmax,
-fused multi-head attention (also over row segments packed into one op, or,
-without a graph, over keys padded already), layer normalization, embedding
-lookup, cross-entropy.  Every tensor is 2-D or smaller.  No general
-broadcasting; the only implicit broadcast is a bias row added to every row
-of a matrix.
+small encoder-decoder transformer needs: matmul, a fused affine map
+(``linear``: matmul, bias and residual add as one node, bit-equal to the
+chain), fused multi-head attention with a masked softmax (also over row
+segments packed into one op, or, without a graph, over keys padded
+already), layer normalization, embedding lookup, cross-entropy.  Every
+tensor is 2-D or smaller.  No general broadcasting; the only implicit
+broadcast is a bias row added to every row of a matrix.
 
 Tensors are immutable after forward construction except for their ``grad``
 buffers.  Gradients accumulate across backward calls until ``zero_grads``
@@ -168,8 +169,8 @@ def detach(a: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may be a 1-D bias added to every row of 2-D ``a``."""
-    bias_row = b.data.ndim == 1 and a.data.ndim == 2 and a.shape[1] == b.shape[0]
-    if not bias_row and a.shape != b.shape:
+    bias_row = b.data.ndim == 1 and a.data.ndim == 2 and a.data.shape[1] == b.data.shape[0]
+    if not bias_row and a.data.shape != b.data.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = _result(a.data + b.data, (a, b), None)
     if out.requires_grad:
@@ -208,7 +209,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul expects 2-D operands, got {a.shape} and {b.shape}"
         )
-    if a.shape[1] != b.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     out = _result(a.data @ b.data, (a, b), None)
     if out.requires_grad:
@@ -219,15 +220,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T without materializing the transpose."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul_nt: incompatible shapes {a.shape} x {b.shape}")
-    out = _result(a.data @ b.data.T, (a, b), None)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
+           residual: Tensor | None = None, transpose: bool = False) -> Tensor:
+    """The affine map ``residual + (x @ w + b)`` as one node (``w.T`` with
+    ``transpose``), by the numpy operations of the matmul, bias add and
+    residual add it fuses, so it is bit-equal to them.  Its parents are
+    listed as ``(residual, x, w, b)``: backward then visits them, and
+    accumulates into them, in the order of the unfused chain."""
+    wt = w.data.T if transpose else w.data
+    if x.data.ndim != 2 or wt.ndim != 2 or x.data.shape[1] != wt.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {wt.shape}")
+    y = x.data @ wt
+    if b is not None:
+        if b.data.shape != (wt.shape[1],):
+            raise ShapeError(f"linear: bias {b.shape} for {wt.shape[1]} columns")
+        y += b.data
+    if residual is not None:
+        if residual.data.shape != y.shape:
+            raise ShapeError(f"linear: residual {residual.shape} for {y.shape}")
+        y += residual.data
+    parents = (x, w) if b is None else (x, w, b)
+    out = _result(y, parents if residual is None else (residual, *parents), None)
     if out.requires_grad:
         def bwd(g):
-            _accumulate(a, g @ b.data)
-            _accumulate(b, g.T @ a.data)
+            if residual is not None:
+                _accumulate(residual, g)
+            if b is not None:
+                _accumulate(b, np.add.reduce(g, axis=0))
+            _accumulate(x, g @ (w.data if transpose else w.data.T))
+            _accumulate(w, g.T @ x.data if transpose else x.data.T @ g)
         out._backward = bwd
     return out
 
@@ -271,7 +292,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ShapeError("embedding expects a non-empty 1-D id sequence")
     if table.data.ndim != 2:
         raise ShapeError("embedding table must be 2-D")
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
+    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table.data.shape[0]:
         raise IndexError(
             f"token id out of range [0, {table.shape[0]}): {idx.min()}..{idx.max()}"
         )
@@ -339,9 +360,9 @@ class Segments:
             if len(self) > 1:
                 k_index = self.k_starts[:, None] + np.minimum(cols, self.k_lens[:, None] - 1)
             k_valid = cols < self.k_lens[:, None]
-            allow = window_mask(np.diff(self.q_offsets), None, self.k_lens, n_max,
-                                self.causal)
-            self._padded = (Padded(*pad_queries(self.q_offsets), allow), k_index, k_valid,
+            counts = np.diff(self.q_offsets)
+            allow = window_mask(counts, None, self.k_lens, n_max, self.causal)
+            self._padded = (Padded(*pad_queries(counts), allow), k_index, k_valid,
                             (self.k_starts[:, None] + cols)[k_valid])
         return self._padded
 
@@ -360,16 +381,18 @@ class Padded(NamedTuple):
     allow: np.ndarray | None
 
 
-def pad_queries(q_offsets: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray]:
+def pad_queries(counts: np.ndarray) -> tuple[int, np.ndarray | None, np.ndarray]:
     """``Padded``'s (m_max, q_index, q_valid) for segments whose queries
-    are rows ``q_offsets[s]:q_offsets[s + 1]``."""
-    counts = q_offsets[1:] - q_offsets[:-1]
-    m_max = int(counts.max())
+    are ``counts[s]`` rows each, consecutive in segment order."""
+    m_max = int(np.maximum.reduce(counts))
+    if m_max == 1:  # one query each, as in a lockstep pick
+        return 1, None, np.ones((len(counts), 1), dtype=bool)
     rows = np.arange(m_max)
     q_valid = rows < counts[:, None]
     if q_valid.all():
         return m_max, None, q_valid
-    return m_max, q_offsets[:-1, None] + np.minimum(rows, counts[:, None] - 1), q_valid
+    starts = np.cumsum(counts) - counts
+    return m_max, starts[:, None] + np.minimum(rows, counts[:, None] - 1), q_valid
 
 
 def window_mask(counts: np.ndarray, k_first: np.ndarray | None, k_end: np.ndarray,
@@ -378,12 +401,14 @@ def window_mask(counts: np.ndarray, k_first: np.ndarray | None, k_end: np.ndarra
     columns ``k_first[s]:k_end[s]`` of their padded keys (from 0 when
     ``k_first`` is None).  With ``causal`` the queries are the last columns
     of that window and each sees the columns up to its own (a padded query
-    repeats the last)."""
-    end = k_end[:, None]
-    if causal and counts.max() > 1:
-        end = np.minimum(end - counts[:, None] + 1 + np.arange(counts.max()), end)
+    repeats the last; a lone query sees its whole window either way)."""
+    end = k_end[:, None, None]
+    m_max = int(np.maximum.reduce(counts))
+    if causal and m_max > 1:
+        rows = np.arange(m_max)[:, None]
+        end = np.minimum(end - counts[:, None, None] + 1 + rows, end)
     cols = np.arange(n_max)
-    allow = cols < end[:, :, None]
+    allow = cols < end
     if k_first is not None:
         allow &= cols >= k_first[:, None, None]
     return None if allow.all() else allow
@@ -419,11 +444,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     ``layout``.  Returns the weights, (segments, heads, m_max, n_max),
     and the (m, d) result."""
     qs, kh, vh = _operands(q, k, v, n_heads, layout)
-    scores = qs @ kh.transpose(0, 1, 3, 2)
+    p = qs @ kh.transpose(0, 1, 3, 2)  # the scores, softmaxed in place
     if layout.allow is not None:
-        scores = np.where(layout.allow[:, None], scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    p = e / e.sum(axis=3, keepdims=True)
+        np.copyto(p, -np.inf, where=~layout.allow[:, None])
+    p -= np.maximum.reduce(p, axis=3, keepdims=True)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=3, keepdims=True)
     return p, _unpad(_merge(p @ vh), layout)
 
 
@@ -521,27 +547,35 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     reductions ``np.mean`` and ``np.var`` run, so the result is bit-equal to
     theirs without their Python-level wrappers.
     """
-    if x.data.ndim != 2 or x.shape[1] == 0:
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
         raise ShapeError(f"layer_norm expects a non-empty matrix, got {x.shape}")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    d = x.data.shape[1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the row width")
-    centred = x.data - x.data.sum(axis=1, keepdims=True) / d
-    var = np.square(centred).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    # the row statistics are 1-D and updated in place: fewer numpy calls
+    # on tiny arrays, the same operations
+    mean = np.add.reduce(x.data, 1)
+    mean /= d
+    centred = x.data - mean[:, None]
+    var = np.add.reduce(np.square(centred), 1)
+    var /= d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)[:, None]
     xhat = centred * inv
-    out = _result(xhat * gain.data + bias.data, (x, gain, bias), None)
+    y = xhat * gain.data
+    y += bias.data
+    out = _result(y, (x, gain, bias), None)
     if out.requires_grad:
         def bwd(g):
             dxhat = g * gain.data
             gx = inv * (
                 dxhat
-                - dxhat.sum(axis=1, keepdims=True) / d
-                - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
+                - np.add.reduce(dxhat, axis=1, keepdims=True) / d
+                - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d)
             )
             _accumulate(x, gx)
-            _accumulate(gain, (g * xhat).sum(axis=0))
-            _accumulate(bias, g.sum(axis=0))
+            _accumulate(gain, np.add.reduce(g * xhat, axis=0))
+            _accumulate(bias, np.add.reduce(g, axis=0))
         out._backward = bwd
     return out
 

@@ -264,9 +264,8 @@ def load_model(
     if mode_overrides:
         cfg = ModelConfig.from_dict({**cfg.to_dict(), **mode_overrides})
     stored = np.dtype(f"<f{next(iter(arrays.values())).itemsize}") if arrays else np.float64
-    model = QuestionRewriter(cfg, dtype=dtype or stored)
     try:
-        model.load_param_arrays(arrays)
+        model = QuestionRewriter(cfg, dtype=dtype or stored, arrays=arrays)
     except ShapeError as exc:
         raise DataFormatError(f"{path}: tensors do not fit the header config ({exc})")
     return model

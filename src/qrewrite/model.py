@@ -373,10 +373,10 @@ class PackState(_StepRows):
         segs = self.segs[active]
         start = cache.sa_len[segs]
         end = start + self.n_fed[active] + lens
-        n_sa = int(end.max())
+        n_sa = int(np.maximum.reduce(end))
         cache.check_capacity("sa", n_sa)
         self._rows = (np.repeat(segs, lens), np.repeat(start, lens) + positions)
-        queries = ad.pad_queries(np.concatenate(([0], np.cumsum(lens))))
+        queries = ad.pad_queries(lens)
         first = None if self.accumulated_sa else start
         self._sa = n_sa, ad.Padded(*queries, ad.window_mask(lens, first, end, n_sa, True))
         if active.tobytes() != self._fed:  # else the last pass's layout
@@ -485,14 +485,18 @@ class QuestionRewriter:
         cfg: ModelConfig,
         rng: np.random.Generator | None = None,
         dtype=np.float64,
+        arrays: dict[str, np.ndarray] | None = None,
     ):
+        """``arrays`` (a checkpoint's, by name) are the parameters, in place
+        of a random init drawn from ``rng``."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ShapeError(f"unsupported precision {dtype}")
-        rng = rng or np.random.default_rng(0)
         self.params: dict[str, Tensor] = {}
-        self._init_params(rng)
+        self._init_params(None if arrays is not None else rng or np.random.default_rng(0))
+        if arrays is not None:
+            self._load_arrays(arrays)
         self._pos = sinusoidal_positions(cfg.max_len, cfg.d_model).astype(self.dtype)
 
     # ------------------------------------------------------------------
@@ -501,17 +505,23 @@ class QuestionRewriter:
     def _add_param(self, name: str, arr: np.ndarray) -> None:
         self.params[name] = Tensor(arr.astype(self.dtype), requires_grad=True)
 
+    def _add_weight(self, name: str, rng, shape: tuple[int, int], std=None) -> None:
+        """A weight matrix drawn at ``std`` (fan_in**-0.5 by default), or
+        zeros for a checkpoint to replace when there is no ``rng``."""
+        std = shape[0] ** -0.5 if std is None else std
+        self._add_param(name, np.zeros(shape) if rng is None else rng.normal(0.0, std, shape))
+
     def _init_attn(self, prefix: str, rng, d: int) -> None:
         # q/k/v projections carry no bias (a key bias is provably inert:
         # softmax removes per-row constant score shifts)
         for w in ("wq", "wk", "wv", "wo"):
-            self._add_param(f"{prefix}.{w}", rng.normal(0.0, d**-0.5, (d, d)))
+            self._add_weight(f"{prefix}.{w}", rng, (d, d))
         self._add_param(f"{prefix}.bo", np.zeros(d))
 
     def _init_params(self, rng) -> None:
         cfg = self.cfg
         d, f = cfg.d_model, cfg.d_ff
-        self._add_param("emb.tok", rng.normal(0.0, d**-0.5, (cfg.vocab_size, d)))
+        self._add_weight("emb.tok", rng, (cfg.vocab_size, d), d**-0.5)
         for i in range(cfg.n_enc_layers):
             p = f"enc.l{i}"
             self._add_param(f"{p}.ln1.g", np.ones(d))
@@ -519,9 +529,9 @@ class QuestionRewriter:
             self._init_attn(f"{p}.sa", rng, d)
             self._add_param(f"{p}.ln2.g", np.ones(d))
             self._add_param(f"{p}.ln2.b", np.zeros(d))
-            self._add_param(f"{p}.ff.w1", rng.normal(0.0, d**-0.5, (d, f)))
+            self._add_weight(f"{p}.ff.w1", rng, (d, f))
             self._add_param(f"{p}.ff.b1", np.zeros(f))
-            self._add_param(f"{p}.ff.w2", rng.normal(0.0, f**-0.5, (f, d)))
+            self._add_weight(f"{p}.ff.w2", rng, (f, d))
             self._add_param(f"{p}.ff.b2", np.zeros(d))
         self._add_param("enc.lnf.g", np.ones(d))
         self._add_param("enc.lnf.b", np.zeros(d))
@@ -535,15 +545,15 @@ class QuestionRewriter:
             self._init_attn(f"{p}.ca", rng, d)
             self._add_param(f"{p}.ln3.g", np.ones(d))
             self._add_param(f"{p}.ln3.b", np.zeros(d))
-            self._add_param(f"{p}.ff.w1", rng.normal(0.0, d**-0.5, (d, f)))
+            self._add_weight(f"{p}.ff.w1", rng, (d, f))
             self._add_param(f"{p}.ff.b1", np.zeros(f))
-            self._add_param(f"{p}.ff.w2", rng.normal(0.0, f**-0.5, (f, d)))
+            self._add_weight(f"{p}.ff.w2", rng, (f, d))
             self._add_param(f"{p}.ff.b2", np.zeros(d))
         self._add_param("dec.lnf.g", np.ones(d))
         self._add_param("dec.lnf.b", np.zeros(d))
         self._add_param("out.b", np.zeros(cfg.vocab_size))
 
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         if set(arrays) != set(self.params):
             missing = set(self.params) ^ set(arrays)
             raise ShapeError(f"parameter name mismatch: {sorted(missing)[:5]}")
@@ -560,34 +570,33 @@ class QuestionRewriter:
         return ad.layer_norm_rows(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _project(self, x: Tensor, prefix: str, which: str) -> Tensor:
-        p = self.params
-        out = ad.matmul(x, p[f"{prefix}.w{which}"])
-        if which == "o":
-            out = ad.add(out, p[f"{prefix}.bo"])
-        return out
+        return ad.matmul(x, self.params[f"{prefix}.w{which}"])
 
     def _mha(
         self,
         prefix: str,
+        x: Tensor,
         x_q: Tensor,
         keys: Tensor,
         values: Tensor,
         segments: ad.Segments | ad.Padded | None,
     ) -> Tensor:
-        """Multi-head attention of ``x_q``'s projected queries over ``keys``
-        and ``values`` (projected already), split into ``segments``, or
-        padded already by a pack's ``Padded`` layout."""
+        """``x`` plus the multi-head attention of ``x_q``'s projected
+        queries over ``keys`` and ``values`` (projected already), split into
+        ``segments``, or padded already by a pack's ``Padded`` layout."""
+        p = self.params
         q = self._project(x_q, prefix, "q")
         if isinstance(segments, ad.Padded):
             attended = ad.padded_attention(q, keys, values, self.cfg.n_heads, segments)
         else:
             attended = ad.attention(q, keys, values, self.cfg.n_heads, segments=segments)
-        return self._project(attended, prefix, "o")
+        return ad.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"], residual=x)
 
-    def _ff(self, x: Tensor, prefix: str) -> Tensor:
+    def _ff(self, x: Tensor, ln: str, prefix: str) -> Tensor:
+        """``x`` plus the feed-forward block of its ``ln`` normed rows."""
         p = self.params
-        h = ad.relu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        return ad.add(ad.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        h = ad.relu(ad.linear(self._ln(x, ln), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+        return ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"], residual=x)
 
     def _embed(
         self, ids: Sequence[int], positions: slice | np.ndarray | None = None
@@ -599,7 +608,7 @@ class QuestionRewriter:
         if isinstance(positions, slice):
             last = positions.stop - 1
         else:
-            last = int(positions.max())
+            last = int(np.maximum.reduce(positions))
         if last >= self.cfg.max_len:
             raise LengthError(
                 f"{len(ids)} tokens reach position {last}, beyond "
@@ -633,8 +642,8 @@ class QuestionRewriter:
             h = self._ln(x, f"{p}.ln1")
             k = self._project(h, f"{p}.sa", "k")
             v = self._project(h, f"{p}.sa", "v")
-            x = ad.add(x, self._mha(f"{p}.sa", h, k, v, segments))
-            x = ad.add(x, self._ff(self._ln(x, f"{p}.ln2"), f"{p}.ff"))
+            x = self._mha(f"{p}.sa", x, h, k, v, segments)
+            x = self._ff(x, f"{p}.ln2", f"{p}.ff")
         out = self._ln(x, "enc.lnf")
         if segments is None:
             return out if isinstance(step, StepInput) else [out]
@@ -722,10 +731,9 @@ class QuestionRewriter:
             )
             if not want_logits and i == cfg.n_dec_layers - 1:
                 return None
-            x = ad.add(x, self._mha(f"{p}.sa", h, *state.self_rows(i)))
-            h2 = self._ln(x, f"{p}.ln2")
-            x = ad.add(x, self._mha(f"{p}.ca", h2, *state.cross_rows(i)))
-            x = ad.add(x, self._ff(self._ln(x, f"{p}.ln3"), f"{p}.ff"))
+            x = self._mha(f"{p}.sa", x, h, *state.self_rows(i))
+            x = self._mha(f"{p}.ca", x, self._ln(x, f"{p}.ln2"), *state.cross_rows(i))
+            x = self._ff(x, f"{p}.ln3", f"{p}.ff")
         return self._project_out(self._ln(x, "dec.lnf")) if want_logits else None
 
     def decode_token(
@@ -749,7 +757,7 @@ class QuestionRewriter:
     def _project_out(self, y: Tensor) -> Tensor:
         # output head tied to the token embedding: copying an input token to
         # the output then generalizes to tokens never emitted in training
-        return ad.add(ad.matmul_nt(y, self.params["emb.tok"]), self.params["out.b"])
+        return ad.linear(y, self.params["emb.tok"], self.params["out.b"], transpose=True)
 
     def _greedy_lockstep(
         self,

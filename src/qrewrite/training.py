@@ -228,8 +228,6 @@ def clip_grad_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
 
 @dataclass
 class TrainResult:
-    metrics_log: list[dict]
-    checkpoints: dict[str, dict[str, np.ndarray]]  # label -> parameter arrays
     final_train_loss: float
     total_steps: int
 
@@ -329,11 +327,12 @@ def train(
 ) -> TrainResult:
     """Run the full curriculum; deterministic given (seed, config, dataset).
 
-    Emits one metrics record per validation event (end of each epoch) and a
-    parameter snapshot per main complexity plus a final one.  ``on_event``
-    sees every metrics record as it is produced.  A ``warmup_steps`` longer
-    than the planned number of updates is clamped to the plan, so the
-    learning rate then peaks at the last update.
+    Emits one metrics record per validation event (end of each epoch) and
+    per checkpoint, each main complexity's and a final one: ``on_event``
+    sees every record as it is produced and ``on_checkpoint`` the model at
+    each checkpoint.  A ``warmup_steps`` longer than the planned number of
+    updates is clamped to the plan, so the learning rate then peaks at the
+    last update.
     """
     cfg = config.resolved()
     groups = dataset.groups
@@ -354,15 +353,9 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamW(model.params, weight_decay=cfg.weight_decay)
-    log: list[dict] = []
-    checkpoints: dict[str, dict[str, np.ndarray]] = {}
     global_step = 0
     last_loss = math.nan
-
-    def emit(record: dict) -> None:
-        log.append(record)
-        if on_event is not None:
-            on_event(record)
+    emit = on_event or (lambda record: None)
 
     val_pool: list[tuple[int, ArrangedExample]] = []
     if val_dataset is not None:
@@ -424,11 +417,9 @@ def train(
                     if stale >= cfg.plateau_patience:
                         break
         label = f"H{main}"
-        checkpoints[label] = {k: p.data.copy() for k, p in model.params.items()}
         emit({"event": "checkpoint", "step": global_step, "H": main, "label": label})
         if on_checkpoint is not None:
             on_checkpoint(label, model)
-    checkpoints["final"] = {k: p.data.copy() for k, p in model.params.items()}
     if on_checkpoint is not None:
         on_checkpoint("final", model)
-    return TrainResult(log, checkpoints, last_loss, global_step)
+    return TrainResult(last_loss, global_step)

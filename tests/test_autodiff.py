@@ -72,6 +72,86 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, a.data.T @ ones)
 
 
+def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.T as one node: the tied output head's product before
+    ``ad.linear`` fused it, the reference for ``transpose``."""
+    out = ad._result(a.data @ b.data.T, (a, b), None)
+    if out.requires_grad:
+        def bwd(g):
+            ad._accumulate(a, g @ b.data)
+            ad._accumulate(b, g.T @ a.data)
+        out._backward = bwd
+    return out
+
+
+def unfused_linear(x, w, b=None, residual=None, transpose=False):
+    """``ad.linear`` as the chain of nodes it replaces."""
+    y = matmul_nt(x, w) if transpose else ad.matmul(x, w)
+    if b is not None:
+        y = ad.add(y, b)
+    return y if residual is None else ad.add(residual, y)
+
+
+class TestLinear:
+    @staticmethod
+    def _loss(linear, leaves, transpose, bias, residual):
+        # two pre-norm blocks whose attention reads keys and values
+        # projected from one shared context, as a decoder's cross-attention
+        # reads the encoder: the context's gradient sums four terms in the
+        # order backward visits the nodes, which the parents' order sets
+        ctx_in, u, x_in, wq, wk, w, b, g, beta = leaves
+        ctx, x = ad.matmul(ctx_in, u), ad.matmul(x_in, u)
+        for _ in range(2):
+            keys, values = ad.matmul(ctx, wk), ad.matmul(ctx, wq)
+            q = ad.matmul(ad.layer_norm_rows(x, g, beta), wq)
+            attended = ad.attention(q, keys, values, 2)
+            x = linear(attended, w, b if bias else None, x if residual else None, transpose)
+        return ad.cross_entropy(x, [0, 4, 5])
+
+    @staticmethod
+    def _leaves(seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(5, 6), (6, 6), (3, 6), (6, 6), (6, 6), (6, 6), (6,), (6,), (6,)]
+        return [t(rng.normal(size=shape), grad=True) for shape in shapes]
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_bit_equal_to_unfused_chain(self, transpose, bias, residual):
+        fused, unfused = self._leaves(5), self._leaves(5)
+        lf = self._loss(ad.linear, fused, transpose, bias, residual)
+        lu = self._loss(unfused_linear, unfused, transpose, bias, residual)
+        assert np.array_equal(lf.data, lu.data)
+        lf.backward()
+        lu.backward()
+        for i, (f, u) in enumerate(zip(fused, unfused)):
+            if i == 6 and not bias:
+                assert f.grad is None and u.grad is None
+            else:
+                assert np.array_equal(f.grad, u.grad), i
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_grad_check(self, transpose):
+        leaves = self._leaves(11)
+        names = ["ctx_in", "u", "x_in", "wq", "wk", "w", "b", "g", "beta"]
+
+        def f():
+            return self._loss(ad.linear, leaves, transpose, True, True)
+
+        err = ad.grad_check(f, dict(zip(names, leaves)), eps=1e-5, n_samples=80,
+                            rng=np.random.default_rng(3))
+        assert err <= 1e-6
+
+    def test_shape_errors(self):
+        x, w = t(np.ones((2, 3))), t(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, transpose=True)
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, t(np.ones(3)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, w, residual=x)
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = softmax_rows(t([[0.0, 0.0, 0.0]]))
@@ -428,6 +508,41 @@ class TestAttention:
         with pytest.raises(ShapeError):
             ad.attention(q, k, k, 2, np.ones((3, 5), dtype=bool),
                          segments=ad.Segments([0, 3], [0], [5]))
+
+
+def attend_where(q, k, v, n_heads, layout):
+    """``ad._attend`` with the masked softmax of ``np.where`` and fresh
+    temporaries, as it was before softmaxing in place: the reference."""
+    qs, kh, vh = ad._operands(q, k, v, n_heads, layout)
+    scores = qs @ kh.transpose(0, 1, 3, 2)
+    if layout.allow is not None:
+        scores = np.where(layout.allow[:, None], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    p = e / e.sum(axis=3, keepdims=True)
+    return p, ad._unpad(ad._merge(p @ vh), layout)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_attend_in_place_equals_where_formula(seed):
+    # random segments: 1-4 queries each over a window of padded key
+    # columns, causal or not, with or without a first column
+    rng = np.random.default_rng(seed)
+    n_heads = int(rng.choice([1, 2, 4]))
+    n_seg, d = int(rng.integers(1, 6)), 4 * n_heads
+    counts = rng.integers(1, 5, size=n_seg)
+    if seed % 4 == 0:
+        counts[:] = 1  # one query per segment, as a lockstep pick
+    end = counts + rng.integers(0, 9, size=n_seg)
+    first = None if seed % 2 else rng.integers(0, end - counts + 1)
+    n_max = int(end.max()) + int(rng.integers(0, 3))
+    allow = ad.window_mask(counts, first, end, n_max, causal=seed % 3 != 0)
+    layout = ad.Padded(*ad.pad_queries(counts), allow)
+    q = rng.normal(size=(int(counts.sum()), d))
+    k, v = (rng.normal(size=(n_seg, n_max, d)) for _ in range(2))
+    p, out = ad._attend(q, k, v, n_heads, layout)
+    p_ref, out_ref = attend_where(q, k, v, n_heads, layout)
+    assert np.array_equal(p, p_ref)
+    assert np.array_equal(out, out_ref)
 
 
 class TestStructuralOps:

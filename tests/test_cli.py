@@ -232,8 +232,8 @@ def test_generate_reports_truncation(eos_bias, data_dir, train_dir, tmp_path):
     records = dataio.read_records(data_dir / "test.jsonl")
     max_len = max(len(s.tokens) for rec in records
                   for s in make_step_inputs(dataio.arranged_example(rec), voc, 10**6))
-    model = QuestionRewriter(replace(trained.cfg, max_len=max_len))
-    model.load_param_arrays({k: p.data for k, p in trained.params.items()})
+    model = QuestionRewriter(replace(trained.cfg, max_len=max_len),
+                             arrays={k: p.data for k, p in trained.params.items()})
     model.params["out.b"].data[voc.eos_id] += eos_bias
     ck = tmp_path / "short.bin"
     dataio.save_checkpoint(ck, model, voc.sha256())

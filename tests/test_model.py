@@ -661,6 +661,61 @@ class TestPackedDecoding:
         for clean, poisoned in zip(run(False), run(True), strict=True):
             assert np.array_equal(clean, poisoned), (sa, ca)
 
+    @pytest.mark.parametrize("sa, ca", [*ACCUMULATION_MODES, (False, False)])
+    def test_lockstep_layout_equals_general_layout(self, sa, ca, monkeypatch):
+        # every pack pass, lockstep picks and teacher-forced blocks alike,
+        # gets the rows and layouts that the general construction builds:
+        # query offsets, a causal window per query row and np.repeat
+        m = pack_model(sa, ca)
+        rng = np.random.default_rng(9)
+        examples = pack_examples(rng, m.cfg.vocab_size)
+        golds = [list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(1, 6)))
+                 for _ in examples]
+        advance, lockstep = model_module.PackState.advance, []
+
+        def general(state, ids, active, positions):
+            lens = np.array([len(row) for row in ids])
+            segs = state.segs[active]
+            start = state.cache.sa_len[segs]
+            end = start + state.n_fed[active] + lens
+            q_offsets = np.concatenate(([0], np.cumsum(lens)))
+            rows = np.arange(lens.max())
+            q_valid = rows < lens[:, None]
+            q_index = (None if q_valid.all()
+                       else q_offsets[:-1, None] + np.minimum(rows, lens[:, None] - 1))
+            cols = np.arange(end.max())
+            ends = np.minimum(end[:, None] - lens[:, None] + 1 + rows, end[:, None])
+            allow = cols < ends[:, :, None]
+            if not sa:
+                allow &= cols >= start[:, None, None]
+            ca_end = state.ca_end[active]
+            ca_first = np.zeros_like(ca_end) if ca else state.ca_from[active]
+            ca_cols = np.arange(ca_end.max())
+            ca_allow = ((ca_cols < ca_end[:, None, None])
+                        & (ca_cols >= ca_first[:, None, None]))
+            return ((np.repeat(segs, lens), np.repeat(start, lens) + positions),
+                    (end.max(), (lens.max(), q_index, q_valid,
+                                 None if allow.all() else allow)),
+                    (ca_end.max(), (lens.max(), q_index, q_valid,
+                                    None if ca_allow.all() else ca_allow)))
+
+        def same(a, b):
+            if isinstance(a, tuple):
+                return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+            if a is None or b is None:
+                return a is None and b is None
+            return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+        def checked(state, ids, active, positions):
+            expected = general(state, ids, active, positions)
+            advance(state, ids, active, positions)
+            lockstep.append(state._sa[1].m_max == 1)
+            assert same((state._rows, state._sa, state._ca), expected)
+
+        monkeypatch.setattr(model_module.PackState, "advance", checked)
+        m.rewrite_packed(examples, BOS, EOS, gold_finals=golds)
+        assert any(lockstep) and not all(lockstep)
+
     def test_non_contiguous_pack_equals_contiguous_and_solo(self, monkeypatch):
         # the middle example stops first at step 1, so later passes fetch
         # its neighbours' rows by a fancy index; moved to the end of the
