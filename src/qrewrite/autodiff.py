@@ -3,11 +3,12 @@
 Flat row-major numpy buffers and the handful of differentiable operations a
 small encoder-decoder transformer needs: matmul, a fused affine map
 (``linear``: matmul, bias and residual add as one node, bit-equal to the
-chain), fused multi-head attention with a masked softmax (also over row
-segments packed into one op, or, without a graph, over keys padded
-already), layer normalization, embedding lookup, cross-entropy.  Every
-tensor is 2-D or smaller.  No general broadcasting; the only implicit
-broadcast is a bias row added to every row of a matrix.
+chain), fused multi-head attention with a masked softmax over row segments
+packed into one op (one index takes every segment's keys from stacked
+rows, and backward scatter-adds into those rows; without a graph, keys
+may come padded already), layer normalization, embedding lookup,
+cross-entropy.  Every tensor is 2-D or smaller.  No general broadcasting;
+the only implicit broadcast is a bias row added to every row of a matrix.
 
 Tensors are immutable after forward construction except for their ``grad``
 buffers.  Gradients accumulate across backward calls until ``zero_grads``
@@ -314,61 +315,8 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-class Segments:
-    """Independent attention problems packed along the rows of one op.
-
-    Segment s owns query rows ``q_offsets[s]:q_offsets[s + 1]`` and key rows
-    ``k_starts[s]:k_starts[s] + k_lens[s]``, after segment s - 1's, so no
-    two segments share a key row.  With ``causal`` its queries are the last
-    rows of its keys and each sees the keys up to its own row; otherwise
-    every query sees all of its segment's keys.
-    """
-
-    __slots__ = ("q_offsets", "k_starts", "k_lens", "causal", "_padded")
-
-    def __init__(self, q_offsets, k_starts, k_lens, causal: bool = False):
-        self.q_offsets = np.asarray(q_offsets, dtype=np.intp)
-        self.k_starts = np.asarray(k_starts, dtype=np.intp)
-        self.k_lens = np.asarray(k_lens, dtype=np.intp)
-        self.causal = causal
-        self._padded = None
-        n_seg = self.k_lens.shape[0]
-        if (n_seg == 0 or self.q_offsets.shape != (n_seg + 1,)
-                or self.k_starts.shape != (n_seg,) or self.q_offsets[0] != 0):
-            raise ShapeError("segments: q_offsets from 0, one more than the segments")
-        counts = self.q_offsets[1:] - self.q_offsets[:-1]
-        if min(counts.min(), self.k_lens.min()) < 1 or self.k_starts[0] < 0:
-            raise ShapeError("segments: every segment needs queries and keys")
-        if causal and (counts > self.k_lens).any():
-            raise ShapeError("segments: causal queries exceed their segment's keys")
-        if (self.k_starts[1:] < (self.k_starts + self.k_lens)[:-1]).any():
-            raise ShapeError("segments: each segment's keys must follow the last's")
-
-    def __len__(self) -> int:
-        return self.k_lens.shape[0]
-
-    def padded(self):
-        """Gather plan for the (segments, n_max, d) keys, built once: the
-        ``Padded`` layout, the index that takes the padded keys from the key
-        rows (a view for one segment; several repeat a row of the segment
-        past its length), the (segments, n_max) mask of real keys and
-        their rows."""
-        if self._padded is None:
-            n_max, lo = int(self.k_lens.max()), int(self.k_starts[0])
-            cols = np.arange(n_max)
-            k_index = np.s_[None, lo : lo + n_max]
-            if len(self) > 1:
-                k_index = self.k_starts[:, None] + np.minimum(cols, self.k_lens[:, None] - 1)
-            k_valid = cols < self.k_lens[:, None]
-            counts = np.diff(self.q_offsets)
-            allow = window_mask(counts, None, self.k_lens, n_max, self.causal)
-            self._padded = (Padded(*pad_queries(counts), allow), k_index, k_valid,
-                            (self.k_starts[:, None] + cols)[k_valid])
-        return self._padded
-
-
 class Padded(NamedTuple):
-    """Segments' queries padded to m_max rows each and the key columns
+    """The segments' queries padded to m_max rows each and the key columns
     they see.  ``q_index`` takes segment s's padded queries from the rows
     of q, repeating its last one (None when every segment has m_max
     queries, which then are a plain reshape), and ``q_valid`` marks the
@@ -414,6 +362,29 @@ def window_mask(counts: np.ndarray, k_first: np.ndarray | None, k_end: np.ndarra
     return None if allow.all() else allow
 
 
+def segment_layout(counts: Sequence[int], keys: Sequence[np.ndarray],
+                   causal: bool = False) -> tuple[np.ndarray, Padded]:
+    """``attention``'s key index and layout for segments whose ``counts[s]``
+    queries, consecutive in segment order, attend to the rows ``keys[s]``
+    of the stacked keys.  With ``causal`` the queries are the last of those
+    rows and each sees them up to its own; otherwise each sees them all.
+    The (segments, n_max) index repeats a segment's last row past its
+    length.  Two segments may share rows, and rows may come in any order."""
+    counts = np.asarray(counts, dtype=np.intp)
+    k_lens = np.array([len(rows) for rows in keys], dtype=np.intp)
+    if len(k_lens) == 0 or counts.shape != k_lens.shape:
+        raise ShapeError("segment layout: one query count per segment's keys")
+    if min(np.minimum.reduce(counts), np.minimum.reduce(k_lens)) < 1:
+        raise ShapeError("segment layout: every segment needs queries and keys")
+    if causal and (counts > k_lens).any():
+        raise ShapeError("segment layout: causal queries exceed their segment's keys")
+    n_max = int(np.maximum.reduce(k_lens))
+    cols = np.minimum(np.arange(n_max), k_lens[:, None] - 1)
+    index = np.concatenate(keys)[(np.cumsum(k_lens) - k_lens)[:, None] + cols]
+    allow = window_mask(counts, None, k_lens, n_max, causal)
+    return index, Padded(*pad_queries(counts), allow)
+
+
 def _split(a: np.ndarray, n_heads: int) -> np.ndarray:  # -> (seg, heads, rows, d_k)
     n_seg, rows, d = a.shape
     return a.reshape(n_seg, rows, n_heads, d // n_heads).transpose(0, 2, 1, 3)
@@ -453,66 +424,64 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return p, _unpad(_merge(p @ vh), layout)
 
 
-def attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    n_heads: int,
-    allow: np.ndarray | None = None,
-    segments: Segments | None = None,
-) -> Tensor:
-    """Multi-head scaled dot-product attention as one graph node.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
+              layout: Padded) -> Tensor:
+    """Multi-head scaled dot-product attention of segments packed along the
+    rows of one graph node.
 
-    ``q`` is (m, d), ``k`` and ``v`` are (n, d); head h owns columns
-    h*d_k..(h+1)*d_k of each, and of the (m, d) result.  The optional
-    boolean ``allow`` (m, n) mask is shared by every head; disallowed
-    entries get probability exactly zero and every row must keep one.
-    Backward, per head with P the attention weights and dO the output
-    gradient: dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)),
-    then dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k).
-
-    ``segments`` (instead of ``allow``) packs independent problems into
-    the rows.  Inside the op they are padded to (segments, heads, rows,
-    n_max), heads an array axis, and run as one batched matmul with a
-    length mask; plain attention is one segment, whose keys are a view.
+    ``q`` is (m, d); ``k`` and ``v`` are (n, d) stacked rows.  Head h owns
+    columns h*d_k..(h+1)*d_k of each, and of the (m, d) result.  The
+    (segments, n_max) ``index`` takes each segment's padded keys and values
+    from the stacked rows, and ``layout`` pads its queries and masks its
+    keys; ``segment_layout`` builds both.  Inside the op the segments run as
+    one batched matmul over (segments, heads, rows, n_max), heads an array
+    axis; masked keys get probability exactly zero.  Backward, per head
+    with P the attention weights and dO the output gradient: dV = P^T dO,
+    dP = dO V^T, dS = P * (dP - rowsum(dP * P)), then dQ = dS K / sqrt(d_k)
+    and dK = dS^T Q / sqrt(d_k).  The gradients of the key columns some
+    query sees scatter-add into the stacked rows they came from, so
+    segments that share a row add their gradients there.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError("attention expects 2-D q, k and v")
-    (m, d), n = q.shape, k.shape[0]
-    if k.shape != (n, d) or v.shape != (n, d) or n == 0:
+    (m, d), n = q.data.shape, k.data.shape[0]
+    if k.data.shape != (n, d) or v.data.shape != (n, d) or n == 0:
         raise ShapeError(
             f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit"
         )
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    if segments is not None and allow is not None:
-        raise ShapeError("attention: pass an allow mask or segments, not both")
-    if segments is None:
-        segments = Segments([0, m], [0], [n])
-    if segments.q_offsets[-1] != m or (segments.k_starts + segments.k_lens).max() > n:
-        raise ShapeError(f"attention: segments do not fit q {q.shape}, k {k.shape}")
-    layout, k_index, k_valid, key_rows = segments.padded()
+    n_seg, allow = len(layout.q_valid), layout.allow
+    if index.ndim != 2 or index.shape[0] != n_seg:
+        raise ShapeError(f"attention: key index {index.shape} for {n_seg} segments")
+    if np.minimum.reduce(index, axis=None) < 0 or np.maximum.reduce(index, axis=None) >= n:
+        raise ShapeError(f"attention: the key index leaves the {n} rows of k")
+    if np.count_nonzero(layout.q_valid) != m:
+        raise ShapeError(f"attention: the layout's queries do not cover q {q.shape}")
     if allow is not None:
-        allow = np.asarray(allow, dtype=bool)
-        if allow.shape != (m, n):
-            raise ShapeError(f"attention: mask {allow.shape} != {(m, n)}")
-        if not allow.any(axis=1).all():
+        if allow.shape not in ((n_seg, layout.m_max, index.shape[1]),
+                               (n_seg, 1, index.shape[1])):
+            raise ShapeError(f"attention: mask {allow.shape} for keys {index.shape}")
+        if not allow.any(axis=2).all():
             raise ShapeError("attention: a query row has no permitted keys")
-        layout = layout._replace(allow=allow[None])
-    p, out = _attend(q.data, k.data[k_index], v.data[k_index], n_heads, layout)
+    p, out = _attend(q.data, k.data[index], v.data[index], n_heads, layout)
     out = _result(out, (q, k, v), None)
     if out.requires_grad:
+        seen = np.ones(index.shape, dtype=bool) if allow is None else allow.any(axis=1)
+        rows = index[seen]  # the stacked row of each key column a query sees
+        if len(rows) == n and (rows == np.arange(n)).all():
+            rows = None  # every row once, in order
+
         def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
-            grad = padded[k_valid]
-            if len(key_rows) != n:  # else the keys are every row, in order
+            grad = padded[seen]
+            if rows is not None:
                 grad = np.zeros_like(t.data)
-                grad[key_rows] = padded[k_valid]  # segments share no key row
+                np.add.at(grad, rows, padded[seen])
             _accumulate(t, grad)
 
         def bwd(g):
             # rebuilt rather than kept alive until now
-            qs, kh, vh = _operands(q.data, k.data[k_index], v.data[k_index], n_heads,
-                                   layout)
+            qs, kh, vh = _operands(q.data, k.data[index], v.data[index], n_heads, layout)
             if layout.q_index is None:
                 g3 = g.reshape(len(p), layout.m_max, d)
             else:

@@ -283,19 +283,29 @@ def cmd_generate(args) -> int:
 # evaluate
 
 
-def _by_id(path) -> dict:
-    """Records of ``path`` keyed by id, in file order; a repeated id fails."""
+def _by_id(path, fields: dict[str, type]) -> dict:
+    """Records of ``path`` keyed by id, in file order.  Each needs a string
+    or integer id and a value of each type in ``fields`` under its key; a
+    repeated id fails."""
     out = {}
-    for r in dataio.read_records(path):
-        if r["id"] in out:
-            raise DataFormatError(f"{path}: duplicated id {r['id']!r}")
-        out[r["id"]] = r
+    for n, r in enumerate(dataio.read_records(path), start=1):
+        rid = r.get("id")
+        if type(rid) not in (str, int):
+            raise DataFormatError(f"{path}: record {n} has no string or integer 'id'")
+        for key, kind in fields.items():
+            if type(r.get(key)) is not kind:
+                raise DataFormatError(
+                    f"{path}: record {rid!r} needs {key!r} of type {kind.__name__}"
+                )
+        if rid in out:
+            raise DataFormatError(f"{path}: duplicated id {rid!r}")
+        out[rid] = r
     return out
 
 
 def cmd_evaluate(args) -> int:
-    preds = _by_id(args.pred)
-    golds = _by_id(args.gold)
+    preds = _by_id(args.pred, {"prediction": str})
+    golds = _by_id(args.gold, {"question": str, "hops": int})
     only_pred = sorted(set(preds) - set(golds))
     only_gold = sorted(set(golds) - set(preds))
     if only_pred or only_gold:
@@ -314,7 +324,7 @@ def cmd_evaluate(args) -> int:
     overall, records = metrics.corpus_eval(pairs, names)
     by_hop: dict[int, list[dict]] = {}
     for rec in records:
-        rec["hops"] = int(golds[rec["id"]]["hops"])
+        rec["hops"] = golds[rec["id"]]["hops"]
         lines.append({"type": "example", **rec})
         by_hop.setdefault(rec["hops"], []).append(rec)
     per_hop = {str(hops): metrics.summarize(by_hop[hops], names)

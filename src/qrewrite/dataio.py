@@ -68,22 +68,29 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
     return n
 
 
+def read_text(path: str | Path, error: type[ValueError] = DataFormatError) -> str:
+    """The UTF-8 text of ``path``; other bytes raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_records(path: str | Path) -> list[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})")
-            if not isinstance(rec, dict):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
-                )
-            records.append(rec)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON ({exc})")
+        if not isinstance(rec, dict):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
+            )
+        records.append(rec)
     return records
 
 
@@ -295,7 +302,7 @@ def load_config(path: str | Path) -> tuple[dict, dict]:
     experiment typos surface immediately.
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):

@@ -38,11 +38,13 @@ Conventions, fixed here once:
     example picks.  The cache keeps one (rows, d_model) K/V block per
     layer and step, stacking the step's segments, with the heads packed
     along the columns; only the fused attention op splits them, as an
-    array axis.  A pass gathers each segment's sealed and new rows into
-    contiguous keys by a row lookup whose backward scatter-adds, so the
-    final loss reaches every earlier step of its own example.  A sealing
-    pass skips the last layer's attention, feed-forward and output head,
-    whose results nothing reads;
+    array axis.  A pass attends over the stack of the sealed blocks and
+    this step's blocks (cross-attention stacks its blocks once per step)
+    by one key index that names each segment's sealed and new rows in it;
+    the op's backward scatter-adds into the stacked rows, so the final
+    loss reaches every earlier step of its own example.  A sealing pass
+    skips the last layer's attention, feed-forward and output head, whose
+    results nothing reads;
   * under no_grad a pack's cache is one preallocated, zeroed (segments,
     rows, d_model) K and one V store per layer (self- and cross-attention),
     sized upfront for the pack: a step writes its rows in place after the
@@ -50,7 +52,7 @@ Conventions, fixed here once:
     row is copied or concatenated.  A pass attends over the stores in
     place, as store[fed segments, :longest end], a view when the fed
     segments are a contiguous run, with a mask per segment; it builds no
-    ``ad.Segments`` and gathers no rows;
+    key index and gathers no rows;
   * without a graph, packs of PACK_SIZE examples serve generation and
     validation; one example, with gradients or under no_grad, is the graph
     batch of one.
@@ -164,7 +166,7 @@ def _sealed_rows(
     return [np.concatenate(rows[s]) if rows[s] else empty for s in segs], offset
 
 
-def _gather(blocks: Sequence[Tensor], index: np.ndarray | None) -> Tensor:
+def _gather(blocks: Sequence[Tensor], index: np.ndarray | None = None) -> Tensor:
     """Rows ``index`` of the stacked ``blocks``; None takes them all."""
     rows = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
     # a row lookup whose backward scatter-adds into the looked-up rows
@@ -236,9 +238,12 @@ class GraphState(_StepRows):
     pass of this step.  ``sealed[j]`` and ``own[j]`` index segment j's
     sealed rows and this step's rows in their stack; ``n_blocks`` and
     ``n_sealed`` count the sealed blocks and rows.  Cross-attention keys
-    ``ca_k[i]`` hold segment j's context rows at ``ca_starts[j]``, of which
-    ``ca_own[j]`` index its rows in this step's block ``ca_current_k[i]``.
-    A pass gathers each fed segment's keys into contiguous rows.
+    ``ca_k[i]`` stack the sealed context blocks (with accumulated
+    cross-attention) and this step's block ``ca_current_k[i]``, once per
+    step; ``ca_rows[j]`` index segment j's rows in that stack and
+    ``ca_own[j]`` its rows in this step's block.  A pass attends over the
+    stacks in place: one key index per pass names each fed segment's rows,
+    and no row is copied out of its stack first.
     """
 
     def __init__(self, cache: AttentionCache, segs: np.ndarray, ca_lens: np.ndarray,
@@ -263,38 +268,31 @@ class GraphState(_StepRows):
             prior, n_prior = _sealed_rows(cache.context_lengths, seg_list)
         offsets = np.cumsum(ca_lens) - ca_lens
         self.ca_own = [np.arange(o, o + n) for o, n in zip(offsets, ca_lens)]
-        self.ca_klens = np.array([len(p) for p in prior], dtype=np.intp) + ca_lens
-        self.ca_starts = np.cumsum(self.ca_klens) - self.ca_klens
-        index = _unless_identity(
-            np.concatenate([np.concatenate((p, n_prior + own))
-                            for p, own in zip(prior, self.ca_own)]),
-            n_prior + int(ca_lens.sum()),
-        )
+        self.ca_rows = [np.concatenate((p, n_prior + own))
+                        for p, own in zip(prior, self.ca_own)]
         self.ca_current_k, self.ca_current_v = ca_current_k, ca_current_v
-        self.ca_k = [_gather([*blocks, k] if with_ca else [k], index)
+        self.ca_k = [_gather([*blocks, k] if with_ca else [k])
                      for blocks, k in zip(cache.ca_keys, ca_current_k)]
-        self.ca_v = [_gather([*blocks, v] if with_ca else [v], index)
+        self.ca_v = [_gather([*blocks, v] if with_ca else [v])
                      for blocks, v in zip(cache.ca_values, ca_current_v)]
-        self._index = self._sa = self._ca = None
+        self._sa = self._ca = None
 
     def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
-        """Lay out this pass's attention segments: each fed segment's keys
-        are its sealed rows, its rows fed earlier this step and its new
-        rows, in that order."""
+        """Lay out this pass's attention segments: each fed segment's self-
+        attention keys are its sealed rows, its rows fed earlier this step
+        and its new rows, in that order."""
         lens = np.array([len(row) for row in ids], dtype=np.intp)
-        q_offsets = np.concatenate(([0], np.cumsum(lens)))
-        new = self.n_rows + np.arange(q_offsets[-1])
-        keys, k_lens = [], []
-        for j, lo, hi in zip(active.tolist(), q_offsets[:-1], q_offsets[1:]):
+        ends = np.cumsum(lens)
+        new = self.n_rows + np.arange(ends[-1])
+        sa_keys, ca_keys = [], []
+        for j, lo, hi in zip(active.tolist(), ends - lens, ends):
             self.own[j] = np.concatenate((self.own[j], new[lo:hi]))
-            keys += (self.sealed[j], self.own[j])
-            k_lens.append(len(self.sealed[j]) + len(self.own[j]))
-        self.n_rows += int(q_offsets[-1])
+            sa_keys.append(np.concatenate((self.sealed[j], self.own[j])))
+            ca_keys.append(self.ca_rows[j])
+        self.n_rows += int(ends[-1])
         self.n_fed[active] += lens
-        self._index = _unless_identity(np.concatenate(keys), self.n_rows)
-        k_lens = np.array(k_lens, dtype=np.intp)
-        self._sa = ad.Segments(q_offsets, np.cumsum(k_lens) - k_lens, k_lens, causal=True)
-        self._ca = ad.Segments(q_offsets, self.ca_starts[active], self.ca_klens[active])
+        self._sa = ad.segment_layout(lens, sa_keys, causal=True)
+        self._ca = ad.segment_layout(lens, ca_keys)
 
     def append_rows(self, i: int, k: Tensor, v: Tensor) -> None:
         """Append layer ``i``'s new K/V rows to the step."""
@@ -302,20 +300,19 @@ class GraphState(_StepRows):
         self.sa_v[i].append(v)
 
     def self_rows(self, i: int):
-        """Layer ``i``'s keys and values the pass attends to, and its
-        segments."""
-        return (_gather(self.sa_k[i], self._index), _gather(self.sa_v[i], self._index),
-                self._sa)
+        """Layer ``i``'s stacked keys and values the pass attends to, its
+        key index into them and its layout."""
+        return _gather(self.sa_k[i]), _gather(self.sa_v[i]), *self._sa
 
     def cross_rows(self, i: int):
-        return self.ca_k[i], self.ca_v[i], self._ca
+        return self.ca_k[i], self.ca_v[i], *self._ca
 
     def drop(self, js) -> None:
         """Leave out the segments at indices ``js`` (they are not sealed)."""
         keep = np.setdiff1d(np.arange(len(self.segs)), js)
-        for name in ("segs", "ca_lens", "n_fed", "ca_starts", "ca_klens"):
+        for name in ("segs", "ca_lens", "n_fed"):
             setattr(self, name, getattr(self, name)[keep])
-        for name in ("sealed", "own", "ca_own"):
+        for name in ("sealed", "own", "ca_own", "ca_rows"):
             setattr(self, name, [getattr(self, name)[j] for j in keep])
 
     def restart(self) -> None:
@@ -349,8 +346,8 @@ class PackState(_StepRows):
     ``ca_from[j]:ca_end[j]`` (from 0 when ``ca_from`` is None, with
     accumulated cross-attention), where ``ca_lens[j]`` rows are this step's.
     A pass attends over ``store[slots, :n_max]`` of its fed segments with
-    a mask per segment and builds no ``ad.Segments``; the cross-attention
-    mask is laid out once per step and sliced to the fed segments.
+    a mask per segment and builds no key index; the cross-attention mask is
+    laid out once per step and sliced to the fed segments.
     """
 
     def __init__(self, cache: PackCache, segs: np.ndarray, ca_lens: np.ndarray,
@@ -402,7 +399,7 @@ class PackState(_StepRows):
         return self._view(self.cache.ca_k[i], self.cache.ca_v[i], *self._ca)
 
     def _view(self, k: np.ndarray, v: np.ndarray, n_max: int, layout: ad.Padded):
-        return k[self._slots, :n_max], v[self._slots, :n_max], layout
+        return k[self._slots, :n_max], v[self._slots, :n_max], None, layout
 
     def restart(self, active) -> None:
         """Forget the rows the segments at indices ``active`` fed this step,
@@ -457,14 +454,14 @@ def accumulated_attention(
         raise ShapeError("prior key/value block counts differ")
     keys = ad.concat_rows([*prior_keys, current_k]) if prior_keys else current_k
     values = ad.concat_rows([*prior_values, current_v]) if prior_values else current_v
-    allow = None
-    if causal_within_step:
-        if q.shape[0] > current_k.shape[0]:
-            raise ShapeError(
-                "causal attention needs at most one query per current-block row"
-            )
-        allow = within_step_causal_mask(keys.shape[0] - q.shape[0], q.shape[0])
-    return ad.attention(q, keys, values, n_heads, allow)
+    if causal_within_step and q.shape[0] > current_k.shape[0]:
+        raise ShapeError(
+            "causal attention needs at most one query per current-block row"
+        )
+    # one segment: every row of the stack, the queries its last rows
+    layout = ad.segment_layout([q.shape[0]], [np.arange(keys.shape[0])],
+                               causal_within_step)
+    return ad.attention(q, keys, values, n_heads, *layout)
 
 
 def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
@@ -577,19 +574,21 @@ class QuestionRewriter:
         prefix: str,
         x: Tensor,
         x_q: Tensor,
-        keys: Tensor,
-        values: Tensor,
-        segments: ad.Segments | ad.Padded | None,
+        keys: Tensor | np.ndarray,
+        values: Tensor | np.ndarray,
+        index: np.ndarray | None,
+        layout: ad.Padded,
     ) -> Tensor:
         """``x`` plus the multi-head attention of ``x_q``'s projected
-        queries over ``keys`` and ``values`` (projected already), split into
-        ``segments``, or padded already by a pack's ``Padded`` layout."""
+        queries over ``keys`` and ``values`` (projected already) by
+        ``layout``: stacked rows that ``index`` takes each segment's keys
+        from, or a pack's keys padded already (no index)."""
         p = self.params
         q = self._project(x_q, prefix, "q")
-        if isinstance(segments, ad.Padded):
-            attended = ad.padded_attention(q, keys, values, self.cfg.n_heads, segments)
+        if index is None:
+            attended = ad.padded_attention(q, keys, values, self.cfg.n_heads, layout)
         else:
-            attended = ad.attention(q, keys, values, self.cfg.n_heads, segments=segments)
+            attended = ad.attention(q, keys, values, self.cfg.n_heads, index, layout)
         return ad.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"], residual=x)
 
     def _ff(self, x: Tensor, ln: str, prefix: str) -> Tensor:
@@ -598,17 +597,9 @@ class QuestionRewriter:
         h = ad.relu(ad.linear(self._ln(x, ln), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"], residual=x)
 
-    def _embed(
-        self, ids: Sequence[int], positions: slice | np.ndarray | None = None
-    ) -> Tensor:
-        """Scaled token embeddings plus the position rows ``positions``, a
-        slice or an index array (default 0, 1, ...)."""
-        if positions is None:
-            positions = slice(0, len(ids))
-        if isinstance(positions, slice):
-            last = positions.stop - 1
-        else:
-            last = int(np.maximum.reduce(positions))
+    def _embed(self, ids: Sequence[int], positions: np.ndarray) -> Tensor:
+        """Scaled token embeddings plus the position rows ``positions``."""
+        last = int(np.maximum.reduce(positions))
         if last >= self.cfg.max_len:
             raise LengthError(
                 f"{len(ids)} tokens reach position {last}, beyond "
@@ -629,23 +620,21 @@ class QuestionRewriter:
         steps = [step] if isinstance(step, StepInput) else step
         if not all(s.tokens for s in steps):
             raise ShapeError("encode: empty token sequence")
-        ids, segments, positions = steps[0].tokens, None, None
-        if len(steps) > 1:
-            lens = [len(s.tokens) for s in steps]
-            bounds = np.cumsum([0, *lens])
-            segments = ad.Segments(bounds, bounds[:-1], lens)
-            positions = np.concatenate([np.arange(n) for n in lens])
-            ids = [t for s in steps for t in s.tokens]
-        x = self._embed(ids, positions)
+        lens = [len(s.tokens) for s in steps]
+        bounds = np.cumsum([0, *lens])
+        layout = ad.segment_layout(lens, [np.arange(lo, hi) for lo, hi
+                                          in zip(bounds[:-1], bounds[1:])])
+        positions = np.concatenate([np.arange(n) for n in lens])
+        x = self._embed([t for s in steps for t in s.tokens], positions)
         for i in range(self.cfg.n_enc_layers):
             p = f"enc.l{i}"
             h = self._ln(x, f"{p}.ln1")
             k = self._project(h, f"{p}.sa", "k")
             v = self._project(h, f"{p}.sa", "v")
-            x = self._mha(f"{p}.sa", x, h, k, v, segments)
+            x = self._mha(f"{p}.sa", x, h, k, v, *layout)
             x = self._ff(x, f"{p}.ln2", f"{p}.ff")
         out = self._ln(x, "enc.lnf")
-        if segments is None:
+        if len(steps) == 1:
             return out if isinstance(step, StepInput) else [out]
         return [ad.slice_rows(out, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 

@@ -64,7 +64,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                                  f"{exc.start})") from None
         if not lines:
             raise DataFormatError(f"empty vocabulary file: {path}")
         return cls(lines)

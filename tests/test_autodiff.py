@@ -104,7 +104,7 @@ class TestLinear:
         for _ in range(2):
             keys, values = ad.matmul(ctx, wk), ad.matmul(ctx, wq)
             q = ad.matmul(ad.layer_norm_rows(x, g, beta), wq)
-            attended = ad.attention(q, keys, values, 2)
+            attended = ad.attention(q, keys, values, 2, *plain_layout(3, 5))
             x = linear(attended, w, b if bias else None, x if residual else None, transpose)
         return ad.cross_entropy(x, [0, 4, 5])
 
@@ -332,6 +332,12 @@ class TestGradCheck:
         assert err <= 1e-4
 
 
+def plain_layout(m, n, causal=False):
+    """``attention``'s index and layout for one segment: m queries over all
+    n key rows, with ``causal`` the last m of them."""
+    return ad.segment_layout([m], [np.arange(n)], causal)
+
+
 def per_head_attention(q, k, v, n_heads, allow):
     """Plain numpy multi-head attention, one head at a time."""
     dk = q.shape[1] // n_heads
@@ -366,21 +372,23 @@ SEGMENT_CASES = [
 
 def packed_inputs(rng, n_heads, shapes, causal, grad=False):
     """q and k/v with each segment's keys at a gap after the previous
-    one's, the matching ``Segments``, and each segment's (q, k, v, allow)."""
+    one's, the matching key index and layout, and each segment's
+    (q, k, v, allow)."""
     d = 2 * n_heads
     q = t(rng.normal(size=(sum(m for m, _ in shapes), d)), grad=grad)
     starts = np.cumsum([0] + [n + 2 for _, n in shapes])[:-1]
     k, v = (t(rng.normal(size=(int(starts[-1]) + shapes[-1][1] + 1, d)), grad=grad)
             for _ in range(2))
-    segments = ad.Segments(np.cumsum([0] + [m for m, _ in shapes]), starts,
-                           [n for _, n in shapes], causal)
+    layout = ad.segment_layout([m for m, _ in shapes],
+                               [np.arange(lo, lo + n) for (_, n), lo in zip(shapes, starts)],
+                               causal)
     alone, q_lo = [], 0
     for (m, n), lo in zip(shapes, starts):
         allow = within_step_causal_mask(n - m, m) if causal else None
         keys = slice(lo, lo + n)
         alone.append((q.data[q_lo:q_lo + m], k.data[keys], v.data[keys], allow))
         q_lo += m
-    return q, k, v, segments, alone
+    return q, k, v, layout, alone
 
 
 class TestAttention:
@@ -395,7 +403,7 @@ class TestAttention:
     def test_matches_per_head_loop(self, n_heads, m, n, causal):
         rng = np.random.default_rng(n_heads * 100 + m * 10 + n)
         q, k, v, allow = self._inputs(rng, n_heads, m, n, causal)
-        got = ad.attention(q, k, v, n_heads, allow).data
+        got = ad.attention(q, k, v, n_heads, *plain_layout(m, n, causal)).data
         expected = per_head_attention(q.data, k.data, v.data, n_heads, allow)
         assert got.shape == (m, q.shape[1])
         assert np.abs(got - expected).max() <= 1e-12
@@ -403,11 +411,12 @@ class TestAttention:
     @pytest.mark.parametrize("n_heads, m, n, causal", ATTENTION_CASES)
     def test_grad_check(self, n_heads, m, n, causal):
         rng = np.random.default_rng(n_heads * 100 + m * 10 + n + 1)
-        q, k, v, allow = self._inputs(rng, n_heads, m, n, causal, grad=True)
+        q, k, v, _ = self._inputs(rng, n_heads, m, n, causal, grad=True)
         w = t(rng.normal(size=(m, q.shape[1])))
+        layout = plain_layout(m, n, causal)
 
         def f():
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, allow), w))
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, *layout), w))
 
         err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
                             n_samples=60, rng=rng)
@@ -415,13 +424,14 @@ class TestAttention:
 
     def test_masked_keys_get_no_weight_or_gradient(self):
         rng = np.random.default_rng(5)
-        q, k, v, allow = self._inputs(rng, 2, 2, 3, True, grad=True)
+        q, k, v, _ = self._inputs(rng, 2, 2, 3, True, grad=True)
         # the last key is visible only to the last query
-        out = ad.attention(q, k, v, 2, allow)
+        layout = plain_layout(2, 3, causal=True)
+        out = ad.attention(q, k, v, 2, *layout)
         shifted = t(v.data.copy())
         shifted.data[2] += 1e3
         np.testing.assert_array_equal(
-            ad.attention(q, k, shifted, 2, allow).data[0], out.data[0]
+            ad.attention(q, k, shifted, 2, *layout).data[0], out.data[0]
         )
         first_row = np.zeros(out.shape)
         first_row[0] = 1.0
@@ -432,23 +442,28 @@ class TestAttention:
 
     def test_shape_errors(self):
         q = t(np.zeros((2, 4)))
+        index = np.arange(3)[None]
+
+        def masked(allow):  # a layout of two queries under an explicit mask
+            return ad.Padded(2, None, np.ones((1, 2), dtype=bool), allow[None])
+
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 6))), t(np.zeros((3, 6))), 2)
+            ad.attention(q, t(np.zeros((3, 6))), t(np.zeros((3, 6))), 2, *plain_layout(2, 3))
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 3)
+            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 3, *plain_layout(2, 3))
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2,
-                         np.ones((2, 2), dtype=bool))
+            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2, index,
+                         masked(np.ones((2, 2), dtype=bool)))
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2,
-                         np.array([[True, False, False], [False] * 3]))
+            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2, index,
+                         masked(np.array([[True, False, False], [False] * 3])))
 
 
     @pytest.mark.parametrize("n_heads, shapes, causal", SEGMENT_CASES)
     def test_segments_attend_alone(self, n_heads, shapes, causal):
         rng = np.random.default_rng(len(shapes) * 10 + n_heads)
-        q, k, v, segments, alone = packed_inputs(rng, n_heads, shapes, causal)
-        got = ad.attention(q, k, v, n_heads, segments=segments).data
+        q, k, v, layout, alone = packed_inputs(rng, n_heads, shapes, causal)
+        got = ad.attention(q, k, v, n_heads, *layout).data
         expected = np.concatenate(
             [per_head_attention(*qkv, n_heads, allow) for *qkv, allow in alone]
         )
@@ -457,11 +472,11 @@ class TestAttention:
     @pytest.mark.parametrize("n_heads, shapes, causal", SEGMENT_CASES)
     def test_segments_grad_check(self, n_heads, shapes, causal):
         rng = np.random.default_rng(len(shapes) * 10 + n_heads + 1)
-        q, k, v, segments, _ = packed_inputs(rng, n_heads, shapes, causal, grad=True)
+        q, k, v, layout, _ = packed_inputs(rng, n_heads, shapes, causal, grad=True)
         w = t(rng.normal(size=q.shape))
 
         def f():
-            out = ad.attention(q, k, v, n_heads, segments=segments)
+            out = ad.attention(q, k, v, n_heads, *layout)
             return ad.sum_all(ad.mul(out, w))
 
         err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
@@ -469,18 +484,22 @@ class TestAttention:
         assert err <= 1e-6
         # rows outside every segment get no gradient
         outside = np.ones(k.shape[0], dtype=bool)
-        for lo, n in zip(segments.k_starts, segments.k_lens):
+        starts = np.cumsum([0] + [n + 2 for _, n in shapes])[:-1]
+        for lo, (_, n) in zip(starts, shapes):
             outside[lo:lo + n] = False
         np.testing.assert_array_equal(k.grad[outside], 0.0)
         np.testing.assert_array_equal(v.grad[outside], 0.0)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_one_segment_is_plain_attention(self, causal):
+        # the built one-segment layout against every key row under an
+        # explicit mask
         rng = np.random.default_rng(3)
         q, k, v, allow = TestAttention._inputs(rng, 2, 3, 5, causal, grad=True)
-        segments = ad.Segments([0, 3], [0], [5], causal)
-        plain = ad.attention(q, k, v, 2, allow)
-        one = ad.attention(q, k, v, 2, segments=segments)
+        masked = ad.Padded(3, None, np.ones((1, 3), dtype=bool),
+                           None if allow is None else allow[None])
+        plain = ad.attention(q, k, v, 2, np.arange(5)[None], masked)
+        one = ad.attention(q, k, v, 2, *plain_layout(3, 5, causal))
         np.testing.assert_array_equal(one.data, plain.data)
         ad.sum_all(plain).backward()
         grads = [x.grad.copy() for x in (q, k, v)]
@@ -489,25 +508,65 @@ class TestAttention:
         for x, g in zip((q, k, v), grads):
             np.testing.assert_array_equal(x.grad, g)
 
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_segments_sharing_key_rows_add_their_gradients(self, causal):
+        # segments whose keys overlap, and one that lists its rows out of
+        # order: each shared row gets the sum of the gradients that every
+        # segment, attending alone over its own copy of the rows, gives it
+        rng = np.random.default_rng(12)
+        n_heads, counts = 2, [2, 1, 3]
+        keys = [np.arange(1, 5), np.arange(3, 7), np.array([4, 0, 1, 2])]
+        q = t(rng.normal(size=(sum(counts), 4)), grad=True)
+        k, v = (t(rng.normal(size=(7, 4)), grad=True) for _ in range(2))
+        w = t(rng.normal(size=q.shape))
+        layout = ad.segment_layout(counts, keys, causal)
+
+        def f():
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, *layout), w))
+
+        err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
+                            n_samples=60, rng=rng)
+        assert err <= 1e-6
+        ad.zero_grads([q, k, v])
+        f().backward()
+        expected = [np.zeros_like(k.data), np.zeros_like(v.data)]
+        lo = 0
+        for m, rows in zip(counts, keys):
+            ks, vs = t(k.data[rows], grad=True), t(v.data[rows], grad=True)
+            out = ad.attention(t(q.data[lo:lo + m]), ks, vs, n_heads,
+                               *plain_layout(m, len(rows), causal))
+            ad.sum_all(ad.mul(out, t(w.data[lo:lo + m]))).backward()
+            for total, alone in zip(expected, (ks.grad, vs.grad)):
+                np.add.at(total, rows, alone)
+            lo += m
+        assert len(np.intersect1d(keys[0], keys[1])) == 2
+        for x, total in zip((k, v), expected):
+            np.testing.assert_allclose(x.grad, total, rtol=1e-12, atol=1e-15)
+
     def test_segments_shape_errors(self):
         q, k = t(np.zeros((3, 4))), t(np.zeros((5, 4)))
         with pytest.raises(ShapeError):  # a segment without queries
-            ad.Segments([0, 3, 3], [0, 2], [2, 3])
+            ad.segment_layout([3, 0], [np.arange(2), np.arange(2, 5)])
+        with pytest.raises(ShapeError):  # a segment without keys
+            ad.segment_layout([1, 2], [np.arange(2), np.arange(0)])
+        with pytest.raises(ShapeError):  # query counts for other segments
+            ad.segment_layout([1, 2], [np.arange(5)])
         with pytest.raises(ShapeError):  # more causal queries than keys
-            ad.Segments([0, 3], [0], [2], causal=True)
-        for starts, lens in (([0, 2], [3, 2]), ([3, 0], [2, 4])):
-            with pytest.raises(ShapeError):  # two segments share a key row
-                ad.Segments([0, 1, 3], starts, lens)
-        with pytest.raises(ShapeError):  # disjoint, but out of order
-            ad.Segments([0, 1, 3], [2, 0], [3, 2])
-        ad.Segments([0, 1, 3], [0, 2], [2, 3])  # adjacent ranges
+            ad.segment_layout([3], [np.arange(2)], causal=True)
+        ad.segment_layout([1, 2], [np.arange(2), np.arange(2, 5)])  # adjacent ranges
         with pytest.raises(ShapeError):  # keys past the end of k
-            ad.attention(q, k, k, 2, segments=ad.Segments([0, 1, 3], [0, 3], [2, 3]))
+            ad.attention(q, k, k, 2, *ad.segment_layout([1, 2], [np.arange(2),
+                                                                 np.arange(3, 6)]))
+        with pytest.raises(ShapeError):  # keys before the start of k
+            ad.attention(q, k, k, 2, *ad.segment_layout([1, 2], [np.arange(-1, 1),
+                                                                 np.arange(2, 5)]))
         with pytest.raises(ShapeError):  # queries do not cover q
-            ad.attention(q, k, k, 2, segments=ad.Segments([0, 1, 2], [0, 2], [2, 3]))
-        with pytest.raises(ShapeError):
-            ad.attention(q, k, k, 2, np.ones((3, 5), dtype=bool),
-                         segments=ad.Segments([0, 3], [0], [5]))
+            ad.attention(q, k, k, 2, *ad.segment_layout([1, 1], [np.arange(2),
+                                                                 np.arange(2, 5)]))
+        index, _ = plain_layout(3, 5)
+        _, layout = ad.segment_layout([1, 2], [np.arange(2), np.arange(2, 5)])
+        with pytest.raises(ShapeError):  # an index for another number of segments
+            ad.attention(q, k, k, 2, index, layout)
 
 
 def attend_where(q, k, v, n_heads, layout):

@@ -113,6 +113,23 @@ def test_non_object_record_is_data_error(command, data_dir, train_dir, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["records", "config", "vocab"])
+def test_non_utf8_file_is_data_error(kind, data_dir, train_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"id": "\xff"}\n')
+    argv = {
+        "records": ["arrange", "--in", bad, "--out", tmp_path / "o.jsonl"],
+        "config": ["train", "--config", bad, "--data", data_dir, "--out", tmp_path / "run"],
+        "vocab": ["generate", "--checkpoint", train_dir / "checkpoint-final.bin",
+                  "--data", data_dir / "test.jsonl", "--vocab", bad,
+                  "--out", tmp_path / "p.jsonl"],
+    }[kind]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert "bad.txt: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_truncated_checkpoint_is_data_error(data_dir, train_dir, tmp_path, capsys):
     ck = tmp_path / "checkpoint.bin"
     ck.write_bytes((train_dir / "checkpoint-final.bin").read_bytes()[:-3])
@@ -407,6 +424,32 @@ class TestEvaluate:
                    "--out", tmp_path / "r.jsonl") == 2
         err = capsys.readouterr().err
         assert f"{which}.jsonl" in err and repr(golds[0]["id"]) in err
+        assert not (tmp_path / "r.jsonl").exists()
+
+
+    @pytest.mark.parametrize("which, defect", [
+        ("pred", "no_id"), ("pred", "no_prediction"), ("pred", "null_prediction"),
+        ("pred", "list_id"), ("gold", "no_question"), ("gold", "text_hops"),
+    ])
+    def test_malformed_record_is_data_error(self, data_dir, tmp_path, capsys, which,
+                                            defect):
+        golds = dataio.read_records(data_dir / "test.jsonl")
+        records = {"gold": golds, "pred": self._gold_as_predictions(golds)}
+        rec = records[which][1]
+        {"no_id": lambda: rec.pop("id"),
+         "no_prediction": lambda: rec.pop("prediction"),
+         "null_prediction": lambda: rec.update(prediction=None),
+         "list_id": lambda: rec.update(id=[1, 2]),
+         "no_question": lambda: rec.pop("question"),
+         "text_hops": lambda: rec.update(hops="x")}[defect]()
+        for name, recs in records.items():
+            dataio.write_records(tmp_path / f"{name}.jsonl", recs)
+        assert run("evaluate", "--pred", tmp_path / "pred.jsonl",
+                   "--gold", tmp_path / "gold.jsonl",
+                   "--out", tmp_path / "r.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.splitlines()) == 1
+        assert f"{which}.jsonl: record " in err and "Traceback" not in err
         assert not (tmp_path / "r.jsonl").exists()
 
 

@@ -591,14 +591,15 @@ class TestPackedDecoding:
                     assert np.array_equal(x.data, y.data)
 
     def test_pack_passes_read_the_stores_in_place(self, monkeypatch):
-        # a pack pass lays out no Segments; fed segments that are a
-        # contiguous run attend over views of the stores, others over one
-        # copy taken by a fancy index on the segment axis
+        # a pack pass calls only padded attention, with no key index; fed
+        # segments that are a contiguous run attend over views of the
+        # stores, others over one copy taken by a fancy index on the
+        # segment axis
         m = pack_model()
         made, keys = [], []
-        init = ad.Segments.__init__
-        monkeypatch.setattr(ad.Segments, "__init__",
-                            lambda self, *a, **kw: made.append(a) or init(self, *a, **kw))
+        attention = ad.attention
+        monkeypatch.setattr(ad, "attention",
+                            lambda *a: made.append(a) or attention(*a))
         padded_attention = ad.padded_attention
         monkeypatch.setattr(ad, "padded_attention", lambda q, k, v, *a: (
             keys.append((k, v)) or padded_attention(q, k, v, *a)))
@@ -766,6 +767,37 @@ class TestPackedDecoding:
         split = m.rewrite_packed(examples, BOS, EOS)
         assert ([[*r.intermediate_tokens, r.final_tokens] for r in split]
                 == [[*r.intermediate_tokens, r.final_tokens] for r in whole])
+
+
+def test_graph_passes_gather_no_key_rows(monkeypatch):
+    # a 1/2/3-hop batch with gradients attends over the stacked K/V blocks
+    # through one key index per pass: the only row lookups left are token
+    # embeddings and the gathers that seal a step's blocks
+    m = tiny_model(seed=6)
+    rng = np.random.default_rng(6)
+    examples = [[StepInput(list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(2, 6))),
+                           t + 1) for t in range(n)] for n in (1, 2, 3)]
+    golds = [[5, 6], [7], [3, 8, 4]]
+    sealing, lookups = [], []
+    embedding = ad.embedding
+    sealed_blocks = model_module.GraphState.sealed_blocks
+
+    def spy_sealed_blocks(state, i):
+        sealing.append(i)
+        try:
+            return sealed_blocks(state, i)
+        finally:
+            sealing.pop()
+
+    monkeypatch.setattr(model_module.GraphState, "sealed_blocks", spy_sealed_blocks)
+    monkeypatch.setattr(ad, "embedding", lambda table, ids: lookups.append(
+        "token" if table is m.params["emb.tok"] else "seal" if sealing else "keys"
+    ) or embedding(table, ids))
+    results, _ = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds)
+    losses = [final_step_loss(r.final_logits, g, EOS) for r, g in zip(results, golds)]
+    ad.add(ad.add(losses[0], losses[1]), losses[2]).backward()
+    assert set(lookups) == {"token", "seal"}
+    assert np.abs(m.params["dec.l0.sa.wk"].grad).max() > 0.0
 
 
 def test_shape_fuzz():
