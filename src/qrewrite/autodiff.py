@@ -5,10 +5,17 @@ small encoder-decoder transformer needs: matmul, a fused affine map
 (``linear``: matmul, bias and residual add as one node, bit-equal to the
 chain), fused multi-head attention with a masked softmax over row segments
 packed into one op (one index takes every segment's keys from stacked
-rows, and backward scatter-adds into those rows; without a graph, keys
-may come padded already), layer normalization, embedding lookup,
-cross-entropy.  Every tensor is 2-D or smaller.  No general broadcasting;
-the only implicit broadcast is a bias row added to every row of a matrix.
+rows, and backward scatter-adds into those rows), layer normalization,
+embedding lookup, cross-entropy.  Every tensor is 2-D or smaller.  No
+general broadcasting; the only implicit broadcast is a bias row added to
+every row of a matrix.
+
+The forward passes of the ops a decoder pass runs are array kernels
+(``_lookup``, ``_affine``, ``_layer_norm`` and ``_attend``, the masked
+softmax attention over keys padded by a ``Padded`` layout).  The ops call
+them, and so does a pass that needs no graph (a pack's decoder pass in
+``model``), so each piece of arithmetic has one definition and both give
+the same bits.
 
 Tensors are immutable after forward construction except for their ``grad``
 buffers.  Gradients accumulate across backward calls until ``zero_grads``
@@ -221,6 +228,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+            residual: np.ndarray | None = None) -> np.ndarray:
+    """``residual + (x @ w + b)`` on arrays, the forward pass of ``linear``:
+    the numpy operations of the matmul, bias add and residual add it fuses."""
+    y = x @ w
+    if b is not None:
+        y += b
+    if residual is not None:
+        y += residual
+    return y
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
            residual: Tensor | None = None, transpose: bool = False) -> Tensor:
     """The affine map ``residual + (x @ w + b)`` as one node (``w.T`` with
@@ -231,15 +250,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     wt = w.data.T if transpose else w.data
     if x.data.ndim != 2 or wt.ndim != 2 or x.data.shape[1] != wt.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} x {wt.shape}")
-    y = x.data @ wt
-    if b is not None:
-        if b.data.shape != (wt.shape[1],):
-            raise ShapeError(f"linear: bias {b.shape} for {wt.shape[1]} columns")
-        y += b.data
-    if residual is not None:
-        if residual.data.shape != y.shape:
-            raise ShapeError(f"linear: residual {residual.shape} for {y.shape}")
-        y += residual.data
+    if b is not None and b.data.shape != (wt.shape[1],):
+        raise ShapeError(f"linear: bias {b.shape} for {wt.shape[1]} columns")
+    if residual is not None and residual.data.shape != (x.data.shape[0], wt.shape[1]):
+        raise ShapeError(f"linear: residual {residual.shape} for {x.shape} x {wt.shape}")
+    y = _affine(x.data, wt, None if b is None else b.data,
+                None if residual is None else residual.data)
     parents = (x, w) if b is None else (x, w, b)
     out = _result(y, parents if residual is None else (residual, *parents), None)
     if out.requires_grad:
@@ -286,18 +302,25 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds into the used rows."""
+def _lookup(table: np.ndarray, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``ids`` of ``table`` and their checked index, the forward pass
+    of ``embedding``."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("embedding expects a non-empty 1-D id sequence")
-    if table.data.ndim != 2:
+    if table.ndim != 2:
         raise ShapeError("embedding table must be 2-D")
-    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table.data.shape[0]:
+    if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table.shape[0]:
         raise IndexError(
             f"token id out of range [0, {table.shape[0]}): {idx.min()}..{idx.max()}"
         )
-    out = _result(table.data[idx], (table,), None)
+    return table[idx], idx
+
+
+def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
+    """Gather rows of ``table``; backward scatter-adds into the used rows."""
+    rows, idx = _lookup(table.data, ids)
+    out = _result(rows, (table,), None)
     if out.requires_grad:
         def bwd(g):
             full = np.zeros_like(table.data)
@@ -497,16 +520,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
     return out
 
 
-def padded_attention(
-    q: Tensor, k: np.ndarray, v: np.ndarray, n_heads: int, layout: Padded
-) -> Tensor:
-    """``attention`` of segments whose keys and values come padded already,
-    as (segments, n_max, d) arrays such as views of a K/V store: segment
-    s's queries see the columns of ``k[s]`` and ``v[s]`` that ``layout``
-    allows.  It records no graph, so it serves no_grad decoding only."""
-    if grad_enabled():
-        raise ShapeError("padded attention runs under no_grad only")
-    return constant(_attend(q.data, k, v, n_heads, layout)[1])
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward pass of ``layer_norm_rows`` on arrays: the result, the
+    normalized rows and the inverse row deviations (a column)."""
+    d = x.shape[1]
+    # the row statistics are 1-D and updated in place: fewer numpy calls
+    # on tiny arrays, the same operations
+    mean = np.add.reduce(x, 1)
+    mean /= d
+    centred = x - mean[:, None]
+    var = np.add.reduce(np.square(centred), 1)
+    var /= d
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)[:, None]
+    xhat = centred * inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -521,18 +552,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     d = x.data.shape[1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the row width")
-    # the row statistics are 1-D and updated in place: fewer numpy calls
-    # on tiny arrays, the same operations
-    mean = np.add.reduce(x.data, 1)
-    mean /= d
-    centred = x.data - mean[:, None]
-    var = np.add.reduce(np.square(centred), 1)
-    var /= d
-    var += eps
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)[:, None]
-    xhat = centred * inv
-    y = xhat * gain.data
-    y += bias.data
+    y, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
     out = _result(y, (x, gain, bias), None)
     if out.requires_grad:
         def bwd(g):

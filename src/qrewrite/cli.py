@@ -148,7 +148,6 @@ def _required_max_len(datasets) -> int:
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_kw, train_kw = dataio.load_config(args.config) if args.config else ({}, {})
     if args.seed is not None:
         train_kw["seed"] = args.seed
@@ -183,6 +182,7 @@ def cmd_train(args) -> int:
         cfg_model, rng=np.random.default_rng(cfg_train.seed),
         dtype=_precision(args.precision),
     )
+    out_dir.mkdir(parents=True, exist_ok=True)  # every input is checked
     vhash = voc.sha256()
     written: list[str] = []
 
@@ -313,6 +313,8 @@ def cmd_evaluate(args) -> int:
             f"id mismatch between predictions and gold: "
             f"only in predictions {only_pred[:5]}, only in gold {only_gold[:5]}"
         )
+    if not golds:
+        raise DataFormatError(f"no records to score in {args.pred} and {args.gold}")
     pairs = []
     for gold in golds.values():
         pred = preds[gold["id"]]

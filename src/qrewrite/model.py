@@ -49,10 +49,14 @@ Conventions, fixed here once:
     rows, d_model) K and one V store per layer (self- and cross-attention),
     sized upfront for the pack: a step writes its rows in place after the
     segment's sealed rows and sealing advances the segment's offset, so no
-    row is copied or concatenated.  A pass attends over the stores in
+    row is copied or concatenated.  A pack pass computes on plain arrays,
+    not tensors: it runs the array kernels of the autodiff ops (the same
+    numpy operations, order and dtypes), reads the weight arrays the pack
+    bound once, and records no graph.  It attends over the stores in
     place, as store[fed segments, :longest end], a view when the fed
     segments are a contiguous run, with a mask per segment; it builds no
-    key index and gathers no rows;
+    key index and gathers no rows.  A lockstep pick (one row per segment)
+    is laid out from the segments' ends alone;
   * without a graph, packs of PACK_SIZE examples serve generation and
     validation; one example, with gradients or under no_grad, is the graph
     batch of one.
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,7 +185,8 @@ def _unless_identity(index: np.ndarray, n: int) -> np.ndarray | None:
 
 
 class PackCache:
-    """K/V rows sealed by completed steps of a pack of examples (no_grad).
+    """K/V rows sealed by completed steps of a pack of examples (no_grad),
+    and the weight arrays its passes read.
 
     Per decoder layer there is one self-attention K and V store and one
     cross-attention K and V store, each a zeroed (segments, capacity,
@@ -189,14 +194,19 @@ class PackCache:
     (``ca_len[s]``) columns are sealed; a step writes its rows after them
     in place and sealing advances the offsets.  The zeros keep masked
     columns finite: 0 times an uninitialised NaN would poison ``p @ v``.
+
+    ``arrays`` holds every parameter's array by name and ``layers[i]``
+    decoder layer i's by the rest of its name (``ln1.g``, ``sa.wq``, ...).
+    They are bound once per pack: a pack lives within one rewrite, and no
+    optimizer update rebinds a parameter's array there.
     """
 
-    def __init__(self, n_layers: int, n_segments: int, d_model: int, dtype,
-                 sa_capacity: int, ca_capacity: int):
+    def __init__(self, arrays: dict[str, np.ndarray], layers: list[dict[str, np.ndarray]],
+                 n_segments: int, d_model: int, dtype, sa_capacity: int, ca_capacity: int):
         def stores(capacity: int) -> list[np.ndarray]:
-            return [np.zeros((n_segments, capacity, d_model), dtype)
-                    for _ in range(n_layers)]
+            return [np.zeros((n_segments, capacity, d_model), dtype) for _ in layers]
 
+        self.arrays, self.layers = arrays, layers
         self.sa_capacity, self.ca_capacity = sa_capacity, ca_capacity
         self.sa_k, self.sa_v = stores(sa_capacity), stores(sa_capacity)
         self.ca_k, self.ca_v = stores(ca_capacity), stores(ca_capacity)
@@ -231,7 +241,8 @@ class _StepRows:
 
 class GraphState(_StepRows):
     """Decoder state of one step for the segments ``segs`` of a batch, on
-    the autodiff graph (or on constants under no_grad).
+    the autodiff graph (or on constants under no_grad): ``_decode_rows``,
+    the tensor pass, serves it and nothing else.
 
     Per layer, self-attention keys come from ``sa_k[i]``: the cache's
     sealed blocks (with accumulated self-attention), then one block per
@@ -337,17 +348,35 @@ class GraphState(_StepRows):
                 _gather([self.ca_current_v[i]], ca_index))
 
 
+class PassLayout(NamedTuple):
+    """Where a pack pass writes its rows and what it attends to.  ``rows``
+    are the (segments, columns) of its new rows in the stores and
+    ``slots`` the fed segments' rows of every store (a slice when they
+    are a contiguous run).  Self-attention reads ``store[slots, :n_sa]``
+    by the layout ``sa``, cross-attention ``store[slots, :n_ca]`` by
+    ``ca``."""
+
+    rows: tuple[np.ndarray, np.ndarray]
+    slots: slice | np.ndarray
+    n_sa: int
+    sa: ad.Padded
+    n_ca: int
+    ca: ad.Padded
+
+
 class PackState(_StepRows):
     """Decoder state of one step for the segments ``segs`` of a pack, whose
-    rows live in the ``PackCache`` stores (no_grad).
+    rows live in the ``PackCache`` stores (no_grad).  ``_pack_pass``, the
+    array pass, serves it: no pass over a pack makes a tensor.
 
     ``n_fed[j]`` rows of segment ``segs[j]`` are fed this step, right after
     its sealed rows.  Its cross-attention reads its context columns
     ``ca_from[j]:ca_end[j]`` (from 0 when ``ca_from`` is None, with
     accumulated cross-attention), where ``ca_lens[j]`` rows are this step's.
-    A pass attends over ``store[slots, :n_max]`` of its fed segments with
-    a mask per segment and builds no key index; the cross-attention mask is
-    laid out once per step and sliced to the fed segments.
+    ``advance`` lays out each pass as a ``PassLayout``: a mask per segment
+    over ``store[slots, :n_max]`` and no key index.  The cross-attention
+    mask is laid out once per step and sliced to the fed segments, and
+    kept, with the slots, while the same segments are fed.
     """
 
     def __init__(self, cache: PackCache, segs: np.ndarray, ca_lens: np.ndarray,
@@ -359,47 +388,44 @@ class PackState(_StepRows):
                                         int(self.ca_end.max()), causal=False)
         self.accumulated_sa = accumulated_sa
         self.n_fed = np.zeros(len(segs), dtype=np.intp)
-        self._rows = self._sa = self._ca = self._fed = None
+        self._fed = None
 
-    def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
-        """Place this pass's rows and lay out its attention."""
-        if ad.grad_enabled():
-            raise ShapeError("a pack decodes under no_grad only")
+    def advance(self, lens: np.ndarray | None, active: np.ndarray,
+                positions: np.ndarray) -> PassLayout:
+        """Place this pass's rows, ``lens[j]`` for the j-th segment indexed
+        by ``active`` at ``positions``, and lay out its attention.  A
+        lockstep pass (``lens`` None: one row per segment, at its fed
+        count) is laid out from the segments' ends alone."""
         cache = self.cache
-        lens = np.array([len(row) for row in ids], dtype=np.intp)
         segs = self.segs[active]
-        start = cache.sa_len[segs]
-        end = start + self.n_fed[active] + lens
-        n_sa = int(np.maximum.reduce(end))
-        cache.check_capacity("sa", n_sa)
-        self._rows = (np.repeat(segs, lens), np.repeat(start, lens) + positions)
-        queries = ad.pad_queries(lens)
-        first = None if self.accumulated_sa else start
-        self._sa = n_sa, ad.Padded(*queries, ad.window_mask(lens, first, end, n_sa, True))
-        if active.tobytes() != self._fed:  # else the last pass's layout
+        if active.tobytes() != self._fed:  # else the last pass's
             self._fed = active.tobytes()
             lo, hi = segs[0], segs[0] + len(segs)
             self._slots = slice(lo, hi) if np.array_equal(segs, np.arange(lo, hi)) else segs
             self._n_ca = int(self.ca_end[active].max())
             allow = None if self._ca_allow is None else self._ca_allow[active, :, :self._n_ca]
             self._ca_mask = None if allow is None or allow.all() else allow
-        self._ca = self._n_ca, ad.Padded(*queries, self._ca_mask)
-        self.n_fed[active] += lens
-
-    def append_rows(self, i: int, k: Tensor, v: Tensor) -> None:
-        self.cache.sa_k[i][self._rows] = k.data
-        self.cache.sa_v[i][self._rows] = v.data
-
-    def self_rows(self, i: int):
-        """Layer ``i``'s padded keys and values the pass attends to, and
-        their layout."""
-        return self._view(self.cache.sa_k[i], self.cache.sa_v[i], *self._sa)
-
-    def cross_rows(self, i: int):
-        return self._view(self.cache.ca_k[i], self.cache.ca_v[i], *self._ca)
-
-    def _view(self, k: np.ndarray, v: np.ndarray, n_max: int, layout: ad.Padded):
-        return k[self._slots, :n_max], v[self._slots, :n_max], None, layout
+            self._one_each = np.ones(len(segs), dtype=np.intp)
+            self._one_query = 1, None, np.ones((len(segs), 1), dtype=bool)
+        start = cache.sa_len[segs]
+        first = None if self.accumulated_sa else start
+        if lens is None:  # each segment's one query sees its keys up to its own
+            rows = (segs, start + positions)
+            end = rows[1] + 1
+            n_sa = int(np.maximum.reduce(end))
+            queries, sa_allow = self._one_query, None
+            if first is not None or np.minimum.reduce(end) < n_sa:
+                sa_allow = ad.window_mask(self._one_each, first, end, n_sa, True)
+        else:
+            end = start + self.n_fed[active] + lens
+            rows = (np.repeat(segs, lens), np.repeat(start, lens) + positions)
+            n_sa = int(np.maximum.reduce(end))
+            queries = ad.pad_queries(lens)
+            sa_allow = ad.window_mask(lens, first, end, n_sa, True)
+        cache.check_capacity("sa", n_sa)
+        self.n_fed[active] += 1 if lens is None else lens
+        return PassLayout(rows, self._slots, n_sa, ad.Padded(*queries, sa_allow),
+                          self._n_ca, ad.Padded(*queries, self._ca_mask))
 
     def restart(self, active) -> None:
         """Forget the rows the segments at indices ``active`` fed this step,
@@ -574,21 +600,18 @@ class QuestionRewriter:
         prefix: str,
         x: Tensor,
         x_q: Tensor,
-        keys: Tensor | np.ndarray,
-        values: Tensor | np.ndarray,
-        index: np.ndarray | None,
+        keys: Tensor,
+        values: Tensor,
+        index: np.ndarray,
         layout: ad.Padded,
     ) -> Tensor:
         """``x`` plus the multi-head attention of ``x_q``'s projected
-        queries over ``keys`` and ``values`` (projected already) by
-        ``layout``: stacked rows that ``index`` takes each segment's keys
-        from, or a pack's keys padded already (no index)."""
+        queries over ``keys`` and ``values`` (projected already, stacked
+        rows that ``index`` takes each segment's keys from) by
+        ``layout``."""
         p = self.params
         q = self._project(x_q, prefix, "q")
-        if index is None:
-            attended = ad.padded_attention(q, keys, values, self.cfg.n_heads, layout)
-        else:
-            attended = ad.attention(q, keys, values, self.cfg.n_heads, index, layout)
+        attended = ad.attention(q, keys, values, self.cfg.n_heads, index, layout)
         return ad.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"], residual=x)
 
     def _ff(self, x: Tensor, ln: str, prefix: str) -> Tensor:
@@ -597,18 +620,24 @@ class QuestionRewriter:
         h = ad.relu(ad.linear(self._ln(x, ln), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
         return ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"], residual=x)
 
-    def _embed(self, ids: Sequence[int], positions: np.ndarray) -> Tensor:
-        """Scaled token embeddings plus the position rows ``positions``."""
+    def _position_rows(self, n_ids: int, positions: np.ndarray) -> np.ndarray:
+        """The position rows ``positions`` of ``n_ids`` ids, which must lie
+        below max_len."""
         last = int(np.maximum.reduce(positions))
         if last >= self.cfg.max_len:
             raise LengthError(
-                f"{len(ids)} tokens reach position {last}, beyond "
+                f"{n_ids} tokens reach position {last}, beyond "
                 f"max_len={self.cfg.max_len}"
             )
+        return self._pos[positions]
+
+    def _embed(self, ids: Sequence[int], positions: np.ndarray) -> Tensor:
+        """Scaled token embeddings plus the position rows ``positions``."""
+        pos = self._position_rows(len(ids), positions)
         e = ad.scale(
             ad.embedding(self.params["emb.tok"], ids), math.sqrt(self.cfg.d_model)
         )
-        return ad.add(e, ad.constant(self._pos[positions]))
+        return ad.add(e, ad.constant(pos))
 
     # ------------------------------------------------------------------
     # encoder
@@ -643,7 +672,11 @@ class QuestionRewriter:
 
     def _pack_cache(self, n_segments: int, sa_rows: int, ca_rows: int) -> PackCache:
         cfg = self.cfg
-        return PackCache(cfg.n_dec_layers, n_segments, cfg.d_model, self.dtype,
+        arrays = {name: p.data for name, p in self.params.items()}
+        layers = [{name[len(prefix):]: a for name, a in arrays.items()
+                   if name.startswith(prefix)}
+                  for prefix in (f"dec.l{i}." for i in range(cfg.n_dec_layers))]
+        return PackCache(arrays, layers, n_segments, cfg.d_model, self.dtype,
                          sa_rows, ca_rows)
 
     def start_step(
@@ -679,24 +712,22 @@ class QuestionRewriter:
         offsets = np.cumsum(lens) - lens
         dest = (np.repeat(segs, lens),
                 np.repeat(state.ca_end - lens - offsets, lens) + np.arange(int(lens.sum())))
-        rows = encs[0] if len(encs) == 1 else ad.constant(
-            np.concatenate([e.data for e in encs])
-        )
-        for i in range(n):
-            cache.ca_k[i][dest] = self._project(rows, f"dec.l{i}.ca", "k").data
-            cache.ca_v[i][dest] = self._project(rows, f"dec.l{i}.ca", "v").data
+        rows = encs[0].data if len(encs) == 1 else np.concatenate([e.data for e in encs])
+        for i, w in enumerate(cache.layers):
+            cache.ca_k[i][dest] = rows @ w["ca.wk"]
+            cache.ca_v[i][dest] = rows @ w["ca.wv"]
         return state
 
     def _decode_rows(
         self,
-        state: GraphState | PackState,
+        state: GraphState,
         ids: Sequence[Sequence[int]],
         want_logits: bool,
         active: Sequence[int] | None = None,
     ) -> Tensor | None:
-        """One decoder pass: ``ids[j]`` are the next ids of the j-th fed
-        segment of ``state`` (its segments in order, or those indexed by
-        ``active``), at that segment's next step-local positions.
+        """One decoder pass on the graph: ``ids[j]`` are the next ids of the
+        j-th fed segment of ``state`` (its segments in order, or those
+        indexed by ``active``), at that segment's next step-local positions.
 
         Appends their K/V rows to the step.  Each new row attends to its
         segment's sealed rows, the step's earlier rows and the new rows up
@@ -725,23 +756,86 @@ class QuestionRewriter:
             x = self._ff(x, f"{p}.ln3", f"{p}.ff")
         return self._project_out(self._ln(x, "dec.lnf")) if want_logits else None
 
+    def _pack_pass(
+        self,
+        state: PackState,
+        ids: Sequence[Sequence[int]],
+        want_logits: bool,
+        active: Sequence[int] | None = None,
+    ) -> np.ndarray | None:
+        """``_decode_rows`` of a pack, on plain arrays.  It runs the kernels
+        of the ops ``_decode_rows`` runs, so the numpy operations, their
+        order and their dtypes are the same, on the weight arrays the pack
+        bound, and records no graph.  The new K/V rows go into the stores
+        in place.  Returns the logits as an array."""
+        if ad.grad_enabled():
+            raise ShapeError("a pack decodes under no_grad only")
+        active = (np.arange(state.n_segments) if active is None
+                  else np.asarray(active, dtype=np.intp))
+        if len(ids) != len(active):
+            raise ShapeError(f"{len(ids)} id rows for {len(active)} segments")
+        flat = [t for row in ids for t in row]
+        one_each = len(flat) == len(ids) and all(map(len, ids))
+        lens = None if one_each else np.array([len(row) for row in ids], dtype=np.intp)
+        positions = state.n_fed[active] if one_each else state.positions(ids, active)
+        cache, n_heads = state.cache, self.cfg.n_heads
+        w = cache.arrays
+        pos = self._position_rows(len(flat), positions)
+        x = ad._lookup(w["emb.tok"], flat)[0]
+        x *= math.sqrt(self.cfg.d_model)
+        x += pos
+        lay = state.advance(lens, active, positions)
+        slots, n_sa, n_ca = lay.slots, lay.n_sa, lay.n_ca
+        last = len(cache.layers) - 1
+        for i, layer in enumerate(cache.layers):
+            h = ad._layer_norm(x, layer["ln1.g"], layer["ln1.b"])[0]
+            cache.sa_k[i][lay.rows] = h @ layer["sa.wk"]
+            cache.sa_v[i][lay.rows] = h @ layer["sa.wv"]
+            if not want_logits and i == last:
+                return None
+            attended = ad._attend(h @ layer["sa.wq"], cache.sa_k[i][slots, :n_sa],
+                                  cache.sa_v[i][slots, :n_sa], n_heads, lay.sa)[1]
+            x = ad._affine(attended, layer["sa.wo"], layer["sa.bo"], x)
+            h = ad._layer_norm(x, layer["ln2.g"], layer["ln2.b"])[0]
+            attended = ad._attend(h @ layer["ca.wq"], cache.ca_k[i][slots, :n_ca],
+                                  cache.ca_v[i][slots, :n_ca], n_heads, lay.ca)[1]
+            x = ad._affine(attended, layer["ca.wo"], layer["ca.bo"], x)
+            h = ad._layer_norm(x, layer["ln3.g"], layer["ln3.b"])[0]
+            h = ad._affine(h, layer["ff.w1"], layer["ff.b1"])
+            x = ad._affine(np.maximum(h, 0.0, out=h), layer["ff.w2"], layer["ff.b2"], x)
+        y = ad._layer_norm(x, w["dec.lnf.g"], w["dec.lnf.b"])[0]
+        return ad._affine(y, w["emb.tok"].T, w["out.b"])
+
+    def _feed(
+        self,
+        state: GraphState | PackState,
+        ids: Sequence[Sequence[int]],
+        want_logits: bool,
+        active: Sequence[int] | None = None,
+    ) -> Tensor | np.ndarray | None:
+        """One decoder pass over ``state``: ``_pack_pass`` for a pack (logits
+        as an array), ``_decode_rows`` on the graph (logits as a tensor)."""
+        if isinstance(state, PackState):
+            return self._pack_pass(state, ids, want_logits, active)
+        return self._decode_rows(state, ids, want_logits, active)
+
     def decode_token(
         self,
         state: GraphState | PackState,
         token: int | Sequence[int],
         want_logits: bool = True,
         active: Sequence[int] | None = None,
-    ) -> Tensor | None:
+    ) -> Tensor | np.ndarray | None:
         """Feed one token per segment at its next step-local position:
         ``token`` is one id for a one-segment state, else one id per
         segment of ``state`` (or per index in ``active``).
 
         Appends the positions' K/V rows to the step and, when
         ``want_logits``, returns next-token logits of shape (segments fed,
-        vocab).
+        vocab): a tensor on the graph, an array for a pack.
         """
         tokens = [token] if isinstance(token, (int, np.integer)) else token
-        return self._decode_rows(state, [[t] for t in tokens], want_logits, active)
+        return self._feed(state, [[t] for t in tokens], want_logits, active)
 
     def _project_out(self, y: Tensor) -> Tensor:
         # output head tied to the token embedding: copying an input token to
@@ -770,12 +864,14 @@ class QuestionRewriter:
         with ad.no_grad():
             while live:
                 logits = self.decode_token(state, tokens, active=live)
+                if isinstance(logits, Tensor):
+                    logits = logits.data
                 still, tokens = [], []
-                picks = logits.data.argmax(axis=1).tolist()
+                picks = logits.argmax(axis=1).tolist()
                 for row, (j, tok) in enumerate(zip(live, picks)):
                     out = outs[j]
                     if collect_logits:
-                        out.logits_rows.append(ad.constant(logits.data[row : row + 1]))
+                        out.logits_rows.append(ad.constant(logits[row : row + 1]))
                     if tok == eos:
                         continue
                     if len(out.question_tokens) + 1 >= self.cfg.max_len:
@@ -805,7 +901,7 @@ class QuestionRewriter:
         Pinned tokens go straight to the block pass.
         """
         if forced_tokens is not None:
-            self._decode_rows(state, [[bos, *forced_tokens]], want_logits=False)
+            self._feed(state, [[bos, *forced_tokens]], want_logits=False)
             return StepOutput(list(forced_tokens))
         (out,) = self._greedy_lockstep(state, bos, eos, collect_logits)
         if ad.grad_enabled():
@@ -846,10 +942,11 @@ class QuestionRewriter:
 
     def teacher_forced_final(
         self, state: GraphState | PackState, gold_ids: Sequence[int], bos: int, eos: int
-    ) -> tuple[Tensor, list[int]]:
+    ) -> tuple[Tensor | np.ndarray, list[int]]:
         """Block pass over [<bos>] + gold; returns logits of shape
-        (len(gold) + 1, vocab) and the target ids (gold + <eos>)."""
-        logits = self._decode_rows(state, [[bos, *gold_ids]], want_logits=True)
+        (len(gold) + 1, vocab), a tensor on the graph and an array for a
+        pack, and the target ids (gold + <eos>)."""
+        logits = self._feed(state, [[bos, *gold_ids]], want_logits=True)
         return logits, [*gold_ids, eos]
 
     # ------------------------------------------------------------------
@@ -987,9 +1084,11 @@ class QuestionRewriter:
             forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
             if forced:
                 golds = [gold_finals[live[j]] for j in forced]
-                logits = self._decode_rows(
-                    state if graph else pack_state, [[bos, *g] for g in golds], True, forced
-                )
+                ids = [[bos, *g] for g in golds]
+                if graph:
+                    logits = self._decode_rows(state, ids, True, forced)
+                else:
+                    logits = ad.constant(self._pack_pass(pack_state, ids, True, forced))
                 row = 0
                 for j, gold in zip(forced, golds):
                     res = results[live[j]]
@@ -1010,7 +1109,7 @@ class QuestionRewriter:
                 with ad.no_grad():
                     if writing:
                         rows = [[bos, *pinned[live[packed[i]]][t]] for i in writing]
-                        self._decode_rows(pack_state, rows, False, writing)
+                        self._pack_pass(pack_state, rows, False, writing)
                     outs = self._greedy_lockstep(pack_state, bos, eos, collect_logits,
                                                  picking)
                     self.seal_step(pack_state, pack)

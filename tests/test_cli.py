@@ -130,6 +130,24 @@ def test_non_utf8_file_is_data_error(kind, data_dir, train_dir, tmp_path, capsys
     assert "bad.txt: not UTF-8 text" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("defect", ["unknown_config_key", "missing_vocab"])
+def test_rejected_train_leaves_no_run_directory(defect, data_dir, tmp_path, capsys):
+    data, config = tmp_path / "data", tmp_path / "config.json"
+    data.mkdir()
+    for name in ("train.jsonl", "valid.jsonl", "vocab.txt"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    config.write_text(json.dumps({"seed": 1}))
+    if defect == "unknown_config_key":
+        config.write_text(json.dumps({"bogus": 1}))
+    else:
+        (data / "vocab.txt").unlink()
+    assert run("train", "--config", config, "--data", data,
+               "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_truncated_checkpoint_is_data_error(data_dir, train_dir, tmp_path, capsys):
     ck = tmp_path / "checkpoint.bin"
     ck.write_bytes((train_dir / "checkpoint-final.bin").read_bytes()[:-3])
@@ -450,6 +468,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and len(err.splitlines()) == 1
         assert f"{which}.jsonl: record " in err and "Traceback" not in err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_empty_files_are_data_error(self, tmp_path, capsys):
+        pred, gold = tmp_path / "empty-pred.jsonl", tmp_path / "empty-gold.jsonl"
+        pred.write_text("")
+        gold.write_text("")
+        assert run("evaluate", "--pred", pred, "--gold", gold,
+                   "--out", tmp_path / "r.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and len(err.splitlines()) == 1
+        assert "empty-pred.jsonl" in err and "empty-gold.jsonl" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "r.jsonl").exists()
 
 

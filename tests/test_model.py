@@ -50,6 +50,12 @@ def param_arrays(model):
     return {k: v.data for k, v in model.params.items()}
 
 
+def values(logits):
+    """The logits of a pass as an array: a graph pass gives a tensor, a
+    pack pass an array."""
+    return logits.data if isinstance(logits, Tensor) else logits
+
+
 def pack_of_one(m, n_steps=1):
     """An empty one-segment pack cache with room for ``n_steps`` steps."""
     return m._pack_cache(1, n_steps * m.cfg.max_len, n_steps * m.cfg.max_len)
@@ -210,11 +216,12 @@ class TestDecoding:
 
             with contextlib.nullcontext() if grad else ad.no_grad():
                 state = m.start_step(m.encode(enc), empty_cache())
-                rows = [m.decode_token(state, tok).data for tok in [BOS, *prefix]]
+                rows = [values(m.decode_token(state, tok)) for tok in [BOS, *prefix]]
 
                 state2 = m.start_step(m.encode(enc), empty_cache())
                 logits, _ = m.teacher_forced_final(state2, prefix, BOS, EOS)
-            assert np.abs(np.concatenate(rows) - logits.data).max() <= 1e-10
+            assert isinstance(logits, Tensor) == grad
+            assert np.abs(np.concatenate(rows) - values(logits)).max() <= 1e-10
 
     def test_max_len_exceeded(self):
         m = tiny_model(max_len=4)
@@ -591,25 +598,25 @@ class TestPackedDecoding:
                     assert np.array_equal(x.data, y.data)
 
     def test_pack_passes_read_the_stores_in_place(self, monkeypatch):
-        # a pack pass calls only padded attention, with no key index; fed
+        # a pack pass calls no attention op and builds no key index: its
+        # attention kernel gets padded keys straight from the stores.  Fed
         # segments that are a contiguous run attend over views of the
         # stores, others over one copy taken by a fancy index on the
         # segment axis
         m = pack_model()
-        made, keys = [], []
-        attention = ad.attention
-        monkeypatch.setattr(ad, "attention",
-                            lambda *a: made.append(a) or attention(*a))
-        padded_attention = ad.padded_attention
-        monkeypatch.setattr(ad, "padded_attention", lambda q, k, v, *a: (
-            keys.append((k, v)) or padded_attention(q, k, v, *a)))
         with ad.no_grad():
             encodings = m.encode([StepInput([3, 4], 1), StepInput([5, 6, 7], 1),
                                   StepInput([8], 1)])
             cache = m._pack_cache(3, 12, 12)
             state = m.start_step(encodings, cache)
-            made.clear()
-            m._decode_rows(state, [[BOS, 5], [BOS], [BOS, 6, 7]], want_logits=True)
+        made, keys = [], []
+        attention, attend = ad.attention, ad._attend
+        monkeypatch.setattr(ad, "attention",
+                            lambda *a: made.append(a) or attention(*a))
+        monkeypatch.setattr(ad, "_attend", lambda q, k, v, *a: (
+            keys.append((k, v)) or attend(q, k, v, *a)))
+        with ad.no_grad():
+            m._pack_pass(state, [[BOS, 5], [BOS], [BOS, 6, 7]], want_logits=True)
             m.decode_token(state, [9, 10, 11])
             in_place = len(keys)
             m.decode_token(state, [12, 13], active=[0, 2])
@@ -655,7 +662,7 @@ class TestPackedDecoding:
                     for ids, active in passes:
                         if poisoned:
                             poison(cache, state)
-                        logits.append(m._decode_rows(state, ids, True, active).data)
+                        logits.append(m._pack_pass(state, ids, True, active))
                     m.seal_step(state, cache)
             return logits
 
@@ -674,8 +681,7 @@ class TestPackedDecoding:
                  for _ in examples]
         advance, lockstep = model_module.PackState.advance, []
 
-        def general(state, ids, active, positions):
-            lens = np.array([len(row) for row in ids])
+        def general(state, lens, active, positions):
             segs = state.segs[active]
             start = state.cache.sa_len[segs]
             end = start + state.n_fed[active] + lens
@@ -707,11 +713,14 @@ class TestPackedDecoding:
                 return a is None and b is None
             return np.shape(a) == np.shape(b) and np.array_equal(a, b)
 
-        def checked(state, ids, active, positions):
-            expected = general(state, ids, active, positions)
-            advance(state, ids, active, positions)
-            lockstep.append(state._sa[1].m_max == 1)
-            assert same((state._rows, state._sa, state._ca), expected)
+        def checked(state, lens, active, positions):
+            lockstep.append(lens is None)
+            counts = np.ones(len(active), dtype=np.intp) if lens is None else lens
+            expected = general(state, counts, active, positions)
+            layout = advance(state, lens, active, positions)
+            assert same((layout.rows, (layout.n_sa, layout.sa), (layout.n_ca, layout.ca)),
+                        expected)
+            return layout
 
         monkeypatch.setattr(model_module.PackState, "advance", checked)
         m.rewrite_packed(examples, BOS, EOS, gold_finals=golds)
@@ -726,26 +735,34 @@ class TestPackedDecoding:
         examples = [[StepInput(list(rng.integers(3, m.cfg.vocab_size,
                                                  size=rng.integers(2, 7))), t + 1)
                      for t in range(2)] for _ in range(3)]
-        stores, copies = [], []
-        pack_cache = m._pack_cache
+        stores, copies, in_pass = [], [], []
+        pack_cache, pack_pass, attend = m._pack_cache, m._pack_pass, ad._attend
 
         def spy_cache(*a):
             cache = pack_cache(*a)
             stores.extend(cache.sa_k + cache.sa_v + cache.ca_k + cache.ca_v)
             return cache
 
-        def spy_attention(q, k, v, *a):
-            copies.append(not any(np.shares_memory(k, store) for store in stores))
-            return padded_attention(q, k, v, *a)
+        def spy_pass(*a):
+            in_pass.append(True)
+            try:
+                return pack_pass(*a)
+            finally:
+                in_pass.pop()
 
-        padded_attention = ad.padded_attention
+        def spy_attend(q, k, v, *a):
+            if in_pass:
+                copies.append(not any(np.shares_memory(k, store) for store in stores))
+            return attend(q, k, v, *a)
+
         monkeypatch.setattr(m, "_pack_cache", spy_cache)
-        monkeypatch.setattr(ad, "padded_attention", spy_attention)
+        monkeypatch.setattr(m, "_pack_pass", spy_pass)
+        monkeypatch.setattr(ad, "_attend", spy_attend)
         middle_first = m.rewrite_packed(examples, BOS, EOS, collect_logits=True)
         fancy, copies[:] = sum(copies), []
         in_order = m.rewrite_packed([examples[0], examples[2], examples[1]], BOS, EOS,
                                     collect_logits=True)
-        assert fancy > 0 and sum(copies) == 0
+        assert fancy > 0 and copies and sum(copies) == 0
         first = [len(r.intermediate_tokens[0]) for r in middle_first]
         assert first[1] < min(first[0], first[2])
         for j, res in ((0, in_order[0]), (2, in_order[1]), (1, in_order[2])):
@@ -798,6 +815,56 @@ def test_graph_passes_gather_no_key_rows(monkeypatch):
     ad.add(ad.add(losses[0], losses[1]), losses[2]).backward()
     assert set(lookups) == {"token", "seal"}
     assert np.abs(m.params["dec.l0.sa.wk"].grad).max() > 0.0
+
+
+def test_pack_passes_make_no_autodiff_results(monkeypatch):
+    # pack passes compute on plain arrays: lockstep picks (each through
+    # decode_token), pinned-row writes and rewrite_packed's teacher-forced
+    # finals create no autodiff result, while graph passes still build
+    # their graph
+    m = pack_model()
+    rng = np.random.default_rng(12)
+    examples = pack_examples(rng, m.cfg.vocab_size)
+    golds = [list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(1, 6)))
+             for _ in examples]
+    deep = [ex for ex in examples if len(ex) in (2, 3)]
+    pinned = [[[5 + t] * (t + 1) for t in range(len(ex) - 1)] for ex in deep]
+    inside, made, calls = [], [], []
+    result = ad._result
+
+    def spy_result(data, parents, backward):
+        out = result(data, parents, backward)
+        made.append((tuple(inside), out))
+        return out
+
+    def spy(name, fn):
+        def wrapper(state, *a, **kw):
+            kind = "pack" if isinstance(state, model_module.PackState) else "graph"
+            calls.append((name, kind, tuple(inside)))
+            inside.append((name, kind))
+            try:
+                return fn(state, *a, **kw)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(ad, "_result", spy_result)
+    for name in ("decode_token", "_pack_pass", "_decode_rows"):
+        monkeypatch.setattr(m, name, spy(name, getattr(m, name)))
+    m.rewrite_packed(examples, BOS, EOS, gold_finals=golds)
+    m.rewrite_batch(deep, BOS, EOS, gold_finals=[golds[examples.index(ex)] for ex in deep])
+    m.rewrite_batch(deep, BOS, EOS, pinned_intermediates=pinned)
+    in_pack = [out for where, out in made if ("_pack_pass", "pack") in where]
+    assert in_pack == []
+    assert ("_decode_rows", "pack") not in {c[:2] for c in calls}
+    picks = [c for c in calls if c[:2] == ("decode_token", "pack")]
+    passes = [c for c in calls if c[:2] == ("_pack_pass", "pack")]
+    # every pick enters through decode_token; the other pack passes are
+    # the teacher-forced finals and pinned-row writes
+    assert picks and len(passes) > len(picks)
+    assert sum(c[2] == (("decode_token", "pack"),) for c in passes) == len(picks)
+    graph = [out for where, out in made if ("_decode_rows", "graph") in where]
+    assert graph and any(out.requires_grad for out in graph)
 
 
 def test_shape_fuzz():
