@@ -85,16 +85,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Operator sugar for the most common compositions.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def backward(self) -> None:
         """Propagate gradients from this scalar into every reachable tensor.
 

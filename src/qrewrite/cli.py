@@ -283,20 +283,15 @@ def cmd_generate(args) -> int:
 # evaluate
 
 
-def _by_id(path, fields: dict[str, type]) -> dict:
+def _by_id(path, fields: dict) -> dict:
     """Records of ``path`` keyed by id, in file order.  Each needs a string
-    or integer id and a value of each type in ``fields`` under its key; a
-    repeated id fails."""
+    or integer id and a value of each type in ``fields`` under its key (see
+    ``dataio.check_fields``); a repeated id fails."""
     out = {}
     for n, r in enumerate(dataio.read_records(path), start=1):
-        rid = r.get("id")
-        if type(rid) not in (str, int):
-            raise DataFormatError(f"{path}: record {n} has no string or integer 'id'")
-        for key, kind in fields.items():
-            if type(r.get(key)) is not kind:
-                raise DataFormatError(
-                    f"{path}: record {rid!r} needs {key!r} of type {kind.__name__}"
-                )
+        dataio.check_fields(f"{path}: record {n}", r, {"id": (str, int)})
+        rid = r["id"]
+        dataio.check_fields(f"{path}: record {rid!r}", r, fields)
         if rid in out:
             raise DataFormatError(f"{path}: duplicated id {rid!r}")
         out[rid] = r

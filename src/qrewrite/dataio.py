@@ -19,6 +19,7 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
+from types import GenericAlias
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,8 +32,13 @@ from .training import CurriculumConfig
 CHECKPOINT_MAGIC = b"E2QR"
 CHECKPOINT_VERSION = 1
 
-_RECORD_KEYS = {"id", "hops", "answer", "question", "documents"}
-_DOC_KEYS = {"title", "text", "is_answer_doc", "entities"}
+# The JSON type of every record field a reader uses (see ``check_fields``);
+# the optional fields are checked when present.
+_RECORD_TYPES = {"id": (str, int), "hops": int, "answer": str, "question": str,
+                 "documents": list}
+_OPTIONAL_TYPES = {"reference_intermediates": list[str], "arrangement": dict}
+_DOC_TYPES = {"title": str, "text": str, "is_answer_doc": bool, "entities": list[str]}
+_ARRANGEMENT_TYPES = {"order": list[int], "bridges": list[list[str]]}
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +100,47 @@ def read_records(path: str | Path) -> list[dict]:
     return records
 
 
+def _has_type(value, kind) -> bool:
+    """Whether ``value`` is of JSON type ``kind`` exactly, so that a bool is
+    no int: a type, a tuple of alternatives, or ``list[item kind]``."""
+    if type(kind) is GenericAlias:
+        (item,) = kind.__args__
+        if type(value) is not list:
+            return False
+        if type(item) is GenericAlias:
+            return all(_has_type(v, item) for v in value)
+        return all(type(v) is item for v in value)
+    return type(value) in kind if type(kind) is tuple else type(value) is kind
+
+
+def check_fields(where: str, obj, fields: dict) -> None:
+    """Raise ``DataFormatError`` naming ``where`` unless ``obj`` is a JSON
+    object that holds a value of type ``fields[key]`` (see ``_has_type``)
+    under each key of ``fields``."""
+    if type(obj) is not dict:
+        raise DataFormatError(f"{where} is not a JSON object")
+    for key, kind in fields.items():
+        if not _has_type(obj.get(key), kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            names = " or ".join(k.__name__ if type(k) is type else str(k) for k in kinds)
+            raise DataFormatError(f"{where} needs {key!r} of type {names}")
+
+
 def validate_record(rec: dict) -> None:
-    missing = _RECORD_KEYS - set(rec)
-    if missing:
-        raise DataFormatError(
-            f"record {rec.get('id', '?')!r} missing keys {sorted(missing)}"
-        )
+    """Raise ``DataFormatError`` naming the record unless every field its
+    readers use is there, of its type."""
+    where = f"record {rec.get('id', '?')!r}"
+    check_fields(where, rec, {**_RECORD_TYPES,
+                              **{k: t for k, t in _OPTIONAL_TYPES.items() if k in rec}})
+    if "arrangement" in rec:
+        check_fields(f"{where}: arrangement", rec["arrangement"], _ARRANGEMENT_TYPES)
     docs = rec["documents"]
-    if not isinstance(docs, list) or not docs:
-        raise DataFormatError(f"record {rec['id']!r} has no documents")
+    if not docs:
+        raise DataFormatError(f"{where} has no documents")
     for d in docs:
-        if _DOC_KEYS - set(d):
-            raise DataFormatError(
-                f"record {rec['id']!r}: document missing {sorted(_DOC_KEYS - set(d))}"
-            )
+        check_fields(f"{where}: a document", d, _DOC_TYPES)
     if rec["hops"] != len(docs):
-        raise DataFormatError(
-            f"record {rec['id']!r}: hops={rec['hops']} but {len(docs)} documents"
-        )
+        raise DataFormatError(f"{where}: hops={rec['hops']} but {len(docs)} documents")
 
 
 def record_documents(rec: dict) -> list[Document]:

@@ -28,11 +28,17 @@ Conventions, fixed here once:
     feed rows of every live segment;
   * one step-major loop serves a batch on the graph and a pack without
     one: greedy tokens are chosen under no_grad, one position per pass,
-    in the one pack of the batch, allocated when a step first picks;
-  * on the autodiff graph a batch is one graph: at each step one decoder
-    block pass over [<bos>] + gold teacher-forces the final questions and
-    one over [<bos>] + question seals the others, whose greedy tokens come
-    from the batch's pack; one backward serves the batch loss.  A step
+    in the one pack of the batch, allocated when a step first picks.
+    Only a pack decodes token by token, so the one-example API
+    (decode_token, greedy_decode_step, teacher_forced_final) takes a
+    pack's step state only;
+  * on the autodiff graph a batch is one graph, and a step is block passes
+    only: at each step one decoder block pass over [<bos>] + gold
+    teacher-forces the final questions and one over [<bos>] + question
+    seals the others, whose greedy tokens come from the batch's pack; one
+    backward serves the batch loss.  Every block pass starts at the step's
+    first position and reads no earlier pass of its step, and the last
+    pass's K/V rows are the step's sealed block.  A step
     whose every question is teacher-forced or pinned opens no pack step,
     and a pinned step enters the pack only when a later step of its
     example picks.  The cache keeps one (rows, d_model) K/V block per
@@ -177,13 +183,6 @@ def _gather(blocks: Sequence[Tensor], index: np.ndarray | None = None) -> Tensor
     return rows if index is None else ad.embedding(rows, index)
 
 
-def _unless_identity(index: np.ndarray, n: int) -> np.ndarray | None:
-    """``index``, or None when it takes all ``n`` rows in order."""
-    if len(index) == n and (index == np.arange(n)).all():
-        return None
-    return index
-
-
 class PackCache:
     """K/V rows sealed by completed steps of a pack of examples (no_grad),
     and the weight arrays its passes read.
@@ -221,40 +220,26 @@ class PackCache:
             raise ShapeError(f"{rows} {kind} rows overflow a pack segment of {capacity}")
 
 
-class _StepRows:
-    """What both step states share: ``n_fed[j]`` rows of segment
-    ``segs[j]`` are fed this step, at step-local positions from 0."""
-
-    segs: np.ndarray
-    n_fed: np.ndarray
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segs)
-
-    def positions(self, ids, active: np.ndarray) -> np.ndarray:
-        fed = self.n_fed[active]
-        if all(len(row) == 1 for row in ids):
-            return fed
-        return np.concatenate([np.arange(f, f + len(row)) for f, row in zip(fed, ids)])
-
-
-class GraphState(_StepRows):
+class GraphState:
     """Decoder state of one step for the segments ``segs`` of a batch, on
     the autodiff graph (or on constants under no_grad): ``_decode_rows``,
     the tensor pass, serves it and nothing else.
 
-    Per layer, self-attention keys come from ``sa_k[i]``: the cache's
-    sealed blocks (with accumulated self-attention), then one block per
-    pass of this step.  ``sealed[j]`` and ``own[j]`` index segment j's
-    sealed rows and this step's rows in their stack; ``n_blocks`` and
-    ``n_sealed`` count the sealed blocks and rows.  Cross-attention keys
-    ``ca_k[i]`` stack the sealed context blocks (with accumulated
-    cross-attention) and this step's block ``ca_current_k[i]``, once per
-    step; ``ca_rows[j]`` index segment j's rows in that stack and
+    Every pass is a block pass from the step's first position: its rows
+    attend to their segment's sealed rows and to the pass's own rows up to
+    themselves, never to an earlier pass of the step.  ``n_fed[j]`` rows of
+    segment j were fed by the last pass (0 when it fed none), whose K/V
+    rows ``blocks[i]`` are the step's block of layer i.  Self-attention
+    keys stack the cache's sealed blocks ``sa_k[i]`` (with accumulated
+    self-attention) and the pass's block; ``sealed[j]`` indexes segment
+    j's rows in that stack and ``n_sealed`` counts the sealed rows.
+    Cross-attention keys ``ca_k[i]`` stack the sealed context blocks (with
+    accumulated cross-attention) and this step's block ``ca_current_k[i]``,
+    once per step; ``ca_rows[j]`` index segment j's rows in that stack and
     ``ca_own[j]`` its rows in this step's block.  A pass attends over the
     stacks in place: one key index per pass names each fed segment's rows,
-    and no row is copied out of its stack first.
+    and no row is copied out of its stack first.  The state serves its
+    step until the step seals.
     """
 
     def __init__(self, cache: AttentionCache, segs: np.ndarray, ca_lens: np.ndarray,
@@ -263,15 +248,13 @@ class GraphState(_StepRows):
         n_seg, seg_list = len(segs), segs.tolist()
         self.segs, self.ca_lens = segs, ca_lens
         self.n_fed = np.zeros(n_seg, dtype=np.intp)
+        self.blocks: list[tuple[Tensor, Tensor] | None] = [None] * len(ca_current_k)
         with_sa = accumulated_sa and any(cache.sa_keys)
-        self.sa_k = [list(b) if with_sa else [] for b in cache.sa_keys]
-        self.sa_v = [list(b) if with_sa else [] for b in cache.sa_values]
-        self.n_blocks = len(self.sa_k[0]) if self.sa_k else 0
+        self.sa_k = cache.sa_keys if with_sa else [[] for _ in cache.sa_keys]
+        self.sa_v = cache.sa_values if with_sa else [[] for _ in cache.sa_values]
         self.sealed, self.n_sealed = [np.zeros(0, dtype=np.intp)] * n_seg, 0
         if with_sa:
             self.sealed, self.n_sealed = _sealed_rows(cache.step_lengths, seg_list)
-        self.n_rows = self.n_sealed
-        self.own = [np.zeros(0, dtype=np.intp)] * n_seg
 
         with_ca = accumulated_ca and any(cache.ca_keys)
         prior, n_prior = [np.zeros(0, dtype=np.intp)] * n_seg, 0
@@ -281,6 +264,7 @@ class GraphState(_StepRows):
         self.ca_own = [np.arange(o, o + n) for o, n in zip(offsets, ca_lens)]
         self.ca_rows = [np.concatenate((p, n_prior + own))
                         for p, own in zip(prior, self.ca_own)]
+        self.ca_index = None  # this step's block rows that seal, None for all
         self.ca_current_k, self.ca_current_v = ca_current_k, ca_current_v
         self.ca_k = [_gather([*blocks, k] if with_ca else [k])
                      for blocks, k in zip(cache.ca_keys, ca_current_k)]
@@ -288,32 +272,24 @@ class GraphState(_StepRows):
                      for blocks, v in zip(cache.ca_values, ca_current_v)]
         self._sa = self._ca = None
 
-    def advance(self, ids, active: np.ndarray, positions: np.ndarray) -> None:
-        """Lay out this pass's attention segments: each fed segment's self-
-        attention keys are its sealed rows, its rows fed earlier this step
-        and its new rows, in that order."""
-        lens = np.array([len(row) for row in ids], dtype=np.intp)
+    def advance(self, lens: np.ndarray, active: np.ndarray) -> None:
+        """Lay out a pass that feeds ``lens[j]`` rows to the segment at
+        index ``active[j]``, in segment order: each fed segment's self-
+        attention keys are its sealed rows, then its rows of the pass."""
         ends = np.cumsum(lens)
-        new = self.n_rows + np.arange(ends[-1])
-        sa_keys, ca_keys = [], []
-        for j, lo, hi in zip(active.tolist(), ends - lens, ends):
-            self.own[j] = np.concatenate((self.own[j], new[lo:hi]))
-            sa_keys.append(np.concatenate((self.sealed[j], self.own[j])))
-            ca_keys.append(self.ca_rows[j])
-        self.n_rows += int(ends[-1])
-        self.n_fed[active] += lens
+        new = self.n_sealed + np.arange(ends[-1])
+        sa_keys = [np.concatenate((self.sealed[j], new[lo:hi]))
+                   for j, lo, hi in zip(active.tolist(), ends - lens, ends)]
+        self.n_fed = np.zeros(len(self.segs), dtype=np.intp)
+        self.n_fed[active] = lens
         self._sa = ad.segment_layout(lens, sa_keys, causal=True)
-        self._ca = ad.segment_layout(lens, ca_keys)
-
-    def append_rows(self, i: int, k: Tensor, v: Tensor) -> None:
-        """Append layer ``i``'s new K/V rows to the step."""
-        self.sa_k[i].append(k)
-        self.sa_v[i].append(v)
+        self._ca = ad.segment_layout(lens, [self.ca_rows[j] for j in active.tolist()])
 
     def self_rows(self, i: int):
         """Layer ``i``'s stacked keys and values the pass attends to, its
         key index into them and its layout."""
-        return _gather(self.sa_k[i]), _gather(self.sa_v[i]), *self._sa
+        k, v = self.blocks[i]
+        return _gather([*self.sa_k[i], k]), _gather([*self.sa_v[i], v]), *self._sa
 
     def cross_rows(self, i: int):
         return self.ca_k[i], self.ca_v[i], *self._ca
@@ -323,29 +299,17 @@ class GraphState(_StepRows):
         keep = np.setdiff1d(np.arange(len(self.segs)), js)
         for name in ("segs", "ca_lens", "n_fed"):
             setattr(self, name, getattr(self, name)[keep])
-        for name in ("sealed", "own", "ca_own", "ca_rows"):
+        for name in ("sealed", "ca_own", "ca_rows"):
             setattr(self, name, [getattr(self, name)[j] for j in keep])
-
-    def restart(self) -> None:
-        """Forget the rows fed this step, to decode it again from its first
-        position."""
-        self.own = [np.zeros(0, dtype=np.intp)] * len(self.segs)
-        self.n_fed[:] = 0
-        self.sa_k = [blocks[: self.n_blocks] for blocks in self.sa_k]
-        self.sa_v = [blocks[: self.n_blocks] for blocks in self.sa_v]
-        self.n_rows = self.n_sealed
+        if len(keep):  # only the kept segments' rows of this step's block seal
+            self.ca_index = np.concatenate(self.ca_own)
 
     def sealed_blocks(self, i: int) -> tuple[Tensor, ...]:
         """Layer ``i``'s K/V blocks of this step, segment by segment: self-
-        attention keys and values, then cross-attention keys and values."""
-        sa_index = _unless_identity(np.concatenate(self.own) - self.n_sealed,
-                                    self.n_rows - self.n_sealed)
-        ca_index = _unless_identity(np.concatenate(self.ca_own),
-                                    self.ca_current_k[i].shape[0])
-        return (_gather(self.sa_k[i][self.n_blocks:], sa_index),
-                _gather(self.sa_v[i][self.n_blocks:], sa_index),
-                _gather([self.ca_current_k[i]], ca_index),
-                _gather([self.ca_current_v[i]], ca_index))
+        attention keys and values of the last pass, then cross-attention
+        keys and values."""
+        return (*self.blocks[i], _gather([self.ca_current_k[i]], self.ca_index),
+                _gather([self.ca_current_v[i]], self.ca_index))
 
 
 class PassLayout(NamedTuple):
@@ -364,7 +328,7 @@ class PassLayout(NamedTuple):
     ca: ad.Padded
 
 
-class PackState(_StepRows):
+class PackState:
     """Decoder state of one step for the segments ``segs`` of a pack, whose
     rows live in the ``PackCache`` stores (no_grad).  ``_pack_pass``, the
     array pass, serves it: no pass over a pack makes a tensor.
@@ -431,6 +395,14 @@ class PackState(_StepRows):
         """Forget the rows the segments at indices ``active`` fed this step,
         to decode it again."""
         self.n_fed[active] = 0
+
+
+def _pack_only(state: GraphState | PackState) -> PackState:
+    """``state``, which must be a pack's: a graph step is block passes
+    only, so the one-example decoding API takes no ``GraphState``."""
+    if not isinstance(state, PackState):
+        raise ShapeError("a graph step decodes by block passes only; pass a pack's state")
+    return state
 
 
 @dataclass
@@ -725,30 +697,31 @@ class QuestionRewriter:
         want_logits: bool,
         active: Sequence[int] | None = None,
     ) -> Tensor | None:
-        """One decoder pass on the graph: ``ids[j]`` are the next ids of the
-        j-th fed segment of ``state`` (its segments in order, or those
-        indexed by ``active``), at that segment's next step-local positions.
+        """One block pass on the graph: ``ids[j]`` are the ids of the j-th
+        fed segment of ``state`` (its segments in order, or those indexed by
+        ``active``, in order), from the step's first position.
 
-        Appends their K/V rows to the step.  Each new row attends to its
-        segment's sealed rows, the step's earlier rows and the new rows up
-        to itself.  Returns logits of shape (rows fed, vocab), segment by
-        segment; without ``want_logits`` it stops the last layer after its
-        K/V projections, where the rows a sealed step needs are complete.
+        Each row attends to its segment's sealed rows and to the pass's rows
+        up to itself, never to an earlier pass of the step; the pass's K/V
+        rows become the step's block.  Returns logits of shape (rows fed,
+        vocab), segment by segment; without ``want_logits`` it stops the
+        last layer after its K/V projections, where the rows a sealed step
+        needs are complete.
         """
         cfg = self.cfg
-        active = (np.arange(state.n_segments) if active is None
+        active = (np.arange(len(state.segs)) if active is None
                   else np.asarray(active, dtype=np.intp))
         if len(ids) != len(active):
             raise ShapeError(f"{len(ids)} id rows for {len(active)} segments")
-        positions = state.positions(ids, active)
-        x = self._embed([t for row in ids for t in row], positions)
-        state.advance(ids, active, positions)
+        lens = np.array([len(row) for row in ids], dtype=np.intp)
+        x = self._embed([t for row in ids for t in row],
+                        np.concatenate([np.arange(n) for n in lens]))
+        state.advance(lens, active)
         for i in range(cfg.n_dec_layers):
             p = f"dec.l{i}"
             h = self._ln(x, f"{p}.ln1")
-            state.append_rows(
-                i, self._project(h, f"{p}.sa", "k"), self._project(h, f"{p}.sa", "v")
-            )
+            state.blocks[i] = (self._project(h, f"{p}.sa", "k"),
+                               self._project(h, f"{p}.sa", "v"))
             if not want_logits and i == cfg.n_dec_layers - 1:
                 return None
             x = self._mha(f"{p}.sa", x, h, *state.self_rows(i))
@@ -770,14 +743,16 @@ class QuestionRewriter:
         in place.  Returns the logits as an array."""
         if ad.grad_enabled():
             raise ShapeError("a pack decodes under no_grad only")
-        active = (np.arange(state.n_segments) if active is None
+        active = (np.arange(len(state.segs)) if active is None
                   else np.asarray(active, dtype=np.intp))
         if len(ids) != len(active):
             raise ShapeError(f"{len(ids)} id rows for {len(active)} segments")
         flat = [t for row in ids for t in row]
         one_each = len(flat) == len(ids) and all(map(len, ids))
         lens = None if one_each else np.array([len(row) for row in ids], dtype=np.intp)
-        positions = state.n_fed[active] if one_each else state.positions(ids, active)
+        positions = state.n_fed[active]  # each segment's next step-local position
+        if not one_each:
+            positions = np.concatenate([np.arange(f, f + n) for f, n in zip(positions, lens)])
         cache, n_heads = state.cache, self.cfg.n_heads
         w = cache.arrays
         pos = self._position_rows(len(flat), positions)
@@ -806,36 +781,25 @@ class QuestionRewriter:
         y = ad._layer_norm(x, w["dec.lnf.g"], w["dec.lnf.b"])[0]
         return ad._affine(y, w["emb.tok"].T, w["out.b"])
 
-    def _feed(
-        self,
-        state: GraphState | PackState,
-        ids: Sequence[Sequence[int]],
-        want_logits: bool,
-        active: Sequence[int] | None = None,
-    ) -> Tensor | np.ndarray | None:
-        """One decoder pass over ``state``: ``_pack_pass`` for a pack (logits
-        as an array), ``_decode_rows`` on the graph (logits as a tensor)."""
-        if isinstance(state, PackState):
-            return self._pack_pass(state, ids, want_logits, active)
-        return self._decode_rows(state, ids, want_logits, active)
-
     def decode_token(
         self,
-        state: GraphState | PackState,
+        state: PackState,
         token: int | Sequence[int],
         want_logits: bool = True,
         active: Sequence[int] | None = None,
-    ) -> Tensor | np.ndarray | None:
-        """Feed one token per segment at its next step-local position:
-        ``token`` is one id for a one-segment state, else one id per
-        segment of ``state`` (or per index in ``active``).
+    ) -> np.ndarray | None:
+        """Feed one token per segment of a pack at its next step-local
+        position: ``token`` is one id for a one-segment state, else one id
+        per segment of ``state`` (or per index in ``active``).
 
-        Appends the positions' K/V rows to the step and, when
+        Writes the positions' K/V rows into the stores and, when
         ``want_logits``, returns next-token logits of shape (segments fed,
-        vocab): a tensor on the graph, an array for a pack.
+        vocab) as an array.  A graph step is block passes only, so a
+        ``GraphState`` raises ``ShapeError``.
         """
         tokens = [token] if isinstance(token, (int, np.integer)) else token
-        return self._feed(state, [[t] for t in tokens], want_logits, active)
+        return self._pack_pass(_pack_only(state), [[t] for t in tokens], want_logits,
+                               active)
 
     def _project_out(self, y: Tensor) -> Tensor:
         # output head tied to the token embedding: copying an input token to
@@ -844,28 +808,26 @@ class QuestionRewriter:
 
     def _greedy_lockstep(
         self,
-        state: GraphState | PackState,
+        state: PackState,
         bos: int,
         eos: int,
         collect_logits: bool = False,
         active: Sequence[int] | None = None,
     ) -> list[StepOutput]:
-        """Greedy-decode the step of every segment of ``state`` (or those
-        indexed by ``active``) from its first position, in lockstep under
-        ``no_grad``.
+        """Greedy-decode the step of every segment of a pack's ``state`` (or
+        those indexed by ``active``) from its first position, in lockstep
+        under ``no_grad``.
 
         Each pass feeds one token per live segment.  A segment leaves at
         <eos>, or when its step reaches max_len, which is flagged as
         truncation, not an error.  Ties break toward the lowest token id.
         """
-        live = list(range(state.n_segments) if active is None else active)
+        live = list(range(len(state.segs)) if active is None else active)
         outs = {j: StepOutput([], False, [] if collect_logits else None) for j in live}
         tokens = [bos] * len(live)
         with ad.no_grad():
             while live:
                 logits = self.decode_token(state, tokens, active=live)
-                if isinstance(logits, Tensor):
-                    logits = logits.data
                 still, tokens = [], []
                 picks = logits.argmax(axis=1).tolist()
                 for row, (j, tok) in enumerate(zip(live, picks)):
@@ -885,28 +847,21 @@ class QuestionRewriter:
 
     def greedy_decode_step(
         self,
-        state: GraphState | PackState,
+        state: PackState,
         bos: int,
         eos: int,
         forced_tokens: Sequence[int] | None = None,
         collect_logits: bool = False,
     ) -> StepOutput:
-        """Decode one example's step greedily (or feed ``forced_tokens``
-        verbatim).
-
-        Tokens are chosen under ``no_grad`` one position at a time: they are
-        discrete, so no loss gradient flows through them.  With gradients on,
-        the step's rows are then rebuilt on the graph by one block pass over
-        [<bos>] + question; under ``no_grad`` the incremental rows stay.
-        Pinned tokens go straight to the block pass.
+        """Decode the step of a pack of one greedily, one position at a time
+        under ``no_grad`` (or write ``forced_tokens`` verbatim by one block
+        pass).  A graph step is block passes only, so a ``GraphState``
+        raises ``ShapeError``.
         """
         if forced_tokens is not None:
-            self._feed(state, [[bos, *forced_tokens]], want_logits=False)
+            self._pack_pass(_pack_only(state), [[bos, *forced_tokens]], want_logits=False)
             return StepOutput(list(forced_tokens))
-        (out,) = self._greedy_lockstep(state, bos, eos, collect_logits)
-        if ad.grad_enabled():
-            state.restart()
-            self._decode_rows(state, [[bos, *out.question_tokens]], want_logits=False)
+        (out,) = self._greedy_lockstep(_pack_only(state), bos, eos, collect_logits)
         return out
 
     def seal_step(
@@ -941,12 +896,12 @@ class QuestionRewriter:
             cache.context_lengths[s].append(context)
 
     def teacher_forced_final(
-        self, state: GraphState | PackState, gold_ids: Sequence[int], bos: int, eos: int
-    ) -> tuple[Tensor | np.ndarray, list[int]]:
-        """Block pass over [<bos>] + gold; returns logits of shape
-        (len(gold) + 1, vocab), a tensor on the graph and an array for a
-        pack, and the target ids (gold + <eos>)."""
-        logits = self._feed(state, [[bos, *gold_ids]], want_logits=True)
+        self, state: PackState, gold_ids: Sequence[int], bos: int, eos: int
+    ) -> tuple[np.ndarray, list[int]]:
+        """Block pass over [<bos>] + gold in a pack of one; returns logits of
+        shape (len(gold) + 1, vocab) as an array and the target ids
+        (gold + <eos>).  A ``GraphState`` raises ``ShapeError``."""
+        logits = self._pack_pass(_pack_only(state), [[bos, *gold_ids]], want_logits=True)
         return logits, [*gold_ids, eos]
 
     # ------------------------------------------------------------------
@@ -967,7 +922,9 @@ class QuestionRewriter:
         Steps 1..N-1 greedy-decode (or replay ``pinned_intermediates``) and
         seal their caches.  The final step greedy-decodes at inference time
         or, when ``gold_final`` is given, runs teacher forcing and returns
-        per-position logits attached to the whole unrolled graph.
+        per-position logits attached to the whole unrolled graph.  Greedy
+        tokens are picked in a no_grad pack; on the graph every step is
+        block passes over [<bos>] + question (or gold).
         ``detach_cache`` stops gradients at the sealed blocks; comparing
         gradients with and without it isolates the end-to-end path through
         earlier steps (forward values are identical).  This is the batch
@@ -1099,7 +1056,6 @@ class QuestionRewriter:
                     row += len(gold) + 1
                 if graph:
                     state.drop(forced)
-                    state.restart()
                 else:
                     pack_state.restart(forced)
             picks = {}

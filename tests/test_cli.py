@@ -113,6 +113,52 @@ def test_non_object_record_is_data_error(command, data_dir, train_dir, tmp_path,
     assert "Traceback" not in err
 
 
+# a record field of the wrong JSON type, set on an arranged record
+WRONG_TYPES = {
+    "document_not_object": lambda rec: rec["documents"].__setitem__(0, 5),
+    "title_not_string": lambda rec: rec["documents"][0].update(title=7),
+    "answer_not_string": lambda rec: rec.update(answer=["a"]),
+    "question_not_string": lambda rec: rec.update(question=3),
+    "arrangement_list": lambda rec: rec.update(arrangement=[0, 1]),
+    "entity_not_string": lambda rec: rec["documents"][0].update(entities=[1]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(WRONG_TYPES))
+def test_wrongly_typed_field_is_data_error(defect, data_dir, train_dir, tmp_path, capsys):
+    # arrange skips the record, generate emits its empty prediction with
+    # the error, and train exits 2; each names the record
+    records = dataio.read_records(data_dir / "test.jsonl")
+    WRONG_TYPES[defect](records[1])
+    rid = records[1]["id"]
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("valid.jsonl", "vocab.txt"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    dataio.write_records(data / "train.jsonl", records)
+    capsys.readouterr()
+
+    assert run("arrange", "--in", data / "train.jsonl", "--out", tmp_path / "a.jsonl") == 0
+    out, err = capsys.readouterr()
+    assert "skipped 1" in out and f"record {rid!r}" in err
+    assert [r["id"] for r in dataio.read_records(tmp_path / "a.jsonl")] == [
+        r["id"] for r in records if r["id"] != rid]
+
+    assert run("generate", "--checkpoint", train_dir / "checkpoint-final.bin",
+               "--data", data / "train.jsonl", "--vocab", data / "vocab.txt",
+               "--out", tmp_path / "p.jsonl") == 0
+    preds = dataio.read_records(tmp_path / "p.jsonl")
+    assert [p["id"] for p in preds] == [r["id"] for r in records]
+    assert preds[1]["prediction"] == "" and f"record {rid!r}" in preds[1]["error"]
+    assert all("error" not in p for i, p in enumerate(preds) if i != 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+    assert run("train", "--data", data, "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"record {rid!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["records", "config", "vocab"])
 def test_non_utf8_file_is_data_error(kind, data_dir, train_dir, tmp_path, capsys):
     bad = tmp_path / "bad.txt"

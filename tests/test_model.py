@@ -50,12 +50,6 @@ def param_arrays(model):
     return {k: v.data for k, v in model.params.items()}
 
 
-def values(logits):
-    """The logits of a pass as an array: a graph pass gives a tensor, a
-    pack pass an array."""
-    return logits.data if isinstance(logits, Tensor) else logits
-
-
 def pack_of_one(m, n_steps=1):
     """An empty one-segment pack cache with room for ``n_steps`` steps."""
     return m._pack_cache(1, n_steps * m.cfg.max_len, n_steps * m.cfg.max_len)
@@ -200,47 +194,43 @@ class TestAccumulatedAttention:
 class TestDecoding:
     def test_logits_shape(self):
         m = tiny_model()
-        cache = AttentionCache(m.cfg.n_dec_layers)
-        state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), cache)
-        logits = m.decode_token(state, BOS)
+        with ad.no_grad():
+            state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), pack_of_one(m))
+            logits = m.decode_token(state, BOS)
         assert logits.shape == (1, m.cfg.vocab_size)
 
     def test_incremental_equals_batched_teacher_forcing(self):
-        # on the graph and, under no_grad, in a pack's stores
+        # token by token in a pack's stores, against the pack's block pass
+        # and a block pass on the graph
         m = tiny_model(seed=5)
         enc = StepInput([3, 4, 5, 6], 1)
         prefix = [7, 8, 9, 10, 11]
-        for grad in (True, False):
-            def empty_cache():
-                return AttentionCache(m.cfg.n_dec_layers) if grad else pack_of_one(m)
-
-            with contextlib.nullcontext() if grad else ad.no_grad():
-                state = m.start_step(m.encode(enc), empty_cache())
-                rows = [values(m.decode_token(state, tok)) for tok in [BOS, *prefix]]
-
-                state2 = m.start_step(m.encode(enc), empty_cache())
-                logits, _ = m.teacher_forced_final(state2, prefix, BOS, EOS)
-            assert isinstance(logits, Tensor) == grad
-            assert np.abs(np.concatenate(rows) - values(logits)).max() <= 1e-10
+        with ad.no_grad():
+            state = m.start_step(m.encode(enc), pack_of_one(m))
+            rows = np.concatenate([m.decode_token(state, tok) for tok in [BOS, *prefix]])
+            state = m.start_step(m.encode(enc), pack_of_one(m))
+            packed, _ = m.teacher_forced_final(state, prefix, BOS, EOS)
+        state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
+        graph = m._decode_rows(state, [[BOS, *prefix]], True)
+        assert graph.requires_grad
+        for block in (packed, graph.data):
+            assert np.abs(rows - block).max() <= 1e-10
 
     def test_max_len_exceeded(self):
         m = tiny_model(max_len=4)
-        cache = AttentionCache(m.cfg.n_dec_layers)
-        state = m.start_step(m.encode(StepInput([3, 4], 1)), cache)
-        for tok in [BOS, 5, 6, 7]:
-            m.decode_token(state, tok)
-        with pytest.raises(LengthError):
-            m.decode_token(state, 8)
+        with ad.no_grad():
+            state = m.start_step(m.encode(StepInput([3, 4], 1)), pack_of_one(m))
+            for tok in [BOS, 5, 6, 7]:
+                m.decode_token(state, tok)
+            with pytest.raises(LengthError):
+                m.decode_token(state, 8)
 
     def test_forced_eos_gives_empty_question(self):
         m = tiny_model()
         m.params["out.b"].data[EOS] = 1e4  # always argmax to <eos>
-        cache = AttentionCache(m.cfg.n_dec_layers)
-        state = m.start_step(m.encode(StepInput([3, 4], 1)), cache)
-        out = m.greedy_decode_step(state, BOS, EOS)
-        m.seal_step(state, cache)
-        assert out.question_tokens == []
-        assert cache.step_lengths == [[1]]  # the <bos> row only
+        res = m.rewrite_forward([StepInput([3, 4], 1)], BOS, EOS)
+        assert res.final_tokens == []
+        assert res.cache.step_lengths == [[1]]  # the <bos> row only
 
     def test_no_grad_decoding_concatenates_nothing(self, monkeypatch):
         m = tiny_model(seed=17, max_len=16)
@@ -261,33 +251,42 @@ class TestDecoding:
         assert len(out.question_tokens) > 1
         assert calls == []
 
-    def test_gradient_pass_after_no_grad_rows(self):
-        # rows decoded under no_grad stay constants; a later pass with
-        # gradients still puts its own K/V rows on the graph
-        m = tiny_model(seed=18)
-        enc = StepInput([3, 4, 5], 1)
-        tokens = [BOS, 7, 8, 9]
-        state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
-        with ad.no_grad():
-            for tok in tokens[:-1]:
-                m.decode_token(state, tok)
-        logits = m.decode_token(state, tokens[-1])
-        ref_state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
-        ref = [m.decode_token(ref_state, tok) for tok in tokens][-1]
-        assert np.abs(logits.data - ref.data).max() <= 1e-12
-        ad.sum_all(logits).backward()
-        last = m.cfg.n_dec_layers - 1
-        assert np.abs(m.params[f"dec.l{last}.sa.wk"].grad).max() > 0.0
-
     def test_tie_break_lowest_token_id(self):
         m = tiny_model()
         # identical embedding rows make every logit equal -> argmax is id 0
         m.params["emb.tok"].data[:] = m.params["emb.tok"].data[:1]
         m.params["out.b"].data[:] = 0.0
-        cache = AttentionCache(m.cfg.n_dec_layers)
-        state = m.start_step(m.encode(StepInput([3], 1)), cache)
-        out = m.greedy_decode_step(state, BOS, EOS)
+        with ad.no_grad():
+            state = m.start_step(m.encode(StepInput([3], 1)), pack_of_one(m))
+            out = m.greedy_decode_step(state, BOS, EOS)
         assert set(out.question_tokens) == {0}
+
+    def test_graph_pass_reads_no_earlier_pass(self):
+        # every pass over a graph step is a block pass from its first
+        # position: a second pass on one state sees none of the first's rows
+        m = tiny_model(seed=19)
+        steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2)]
+        cache = m.rewrite_forward(steps[:1], BOS, EOS).cache
+
+        def fresh():
+            return m.start_step(m.encode(steps[1]), cache)
+
+        state = fresh()
+        m._decode_rows(state, [[BOS, 8, 9, 10]], True)
+        again = m._decode_rows(state, [[BOS, 11]], True)
+        alone = m._decode_rows(fresh(), [[BOS, 11]], True)
+        assert np.array_equal(again.data, alone.data)
+
+    @pytest.mark.parametrize("name", ["decode_token", "greedy_decode_step",
+                                      "teacher_forced_final"])
+    def test_one_example_api_takes_no_graph_state(self, name):
+        m = tiny_model()
+        state = m.start_step(m.encode(StepInput([3, 4], 1)),
+                             AttentionCache(m.cfg.n_dec_layers))
+        args = {"decode_token": (BOS,), "greedy_decode_step": (BOS, EOS),
+                "teacher_forced_final": ([5, 6], BOS, EOS)}[name]
+        with ad.no_grad(), pytest.raises(ShapeError):
+            getattr(m, name)(state, *args)
 
 
 class TestRewriteForward:
@@ -397,7 +396,8 @@ class TestRewriteForward:
                             )
 
     def test_sealed_blocks_unchanged_by_later_steps(self):
-        # graph blocks decoded under no_grad, and the rows of a pack's stores
+        # graph blocks sealed by block passes under no_grad, and the rows of
+        # a pack's stores sealed by greedy decoding
         steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2), StepInput([8, 9], 3)]
         for (sa, ca), store in itertools.product(ACCUMULATION_MODES, (False, True)):
             m = tiny_model(seed=16, max_len=16, mode_accumulated_sa=sa,
@@ -411,11 +411,15 @@ class TestRewriteForward:
 
             snapshots = []
             with ad.no_grad():
-                for step in steps:
+                for t, step in enumerate(steps):
                     state = m.start_step(m.encode(step), cache)
-                    out = m.greedy_decode_step(state, BOS, EOS)
+                    if store:
+                        question = m.greedy_decode_step(state, BOS, EOS).question_tokens
+                    else:
+                        question = [10 + t] * (t + 1)
+                        m._decode_rows(state, [[BOS, *question]], want_logits=False)
                     m.seal_step(state, cache)
-                    rows.append(len(out.question_tokens) + 1)
+                    rows.append(len(question) + 1)
                     contexts.append(len(step.tokens))
                     snapshots.append([[b.data.copy() for b in layer]
                                       for layer in blocks()])
@@ -544,7 +548,7 @@ class TestPackedDecoding:
         m = pack_model()
         cache = AttentionCache(m.cfg.n_dec_layers, n_segments=2)
         state = m.start_step(m.encode([StepInput([5], 1)]), cache, [1])
-        m.greedy_decode_step(state, BOS, EOS, forced_tokens=[7])
+        m._decode_rows(state, [[BOS, 7]], want_logits=False)
         m.seal_step(state, cache)
         state = m.start_step(m.encode([StepInput([3, 4], 1), StepInput([6], 2)]),
                              cache, [0, 1])
@@ -814,7 +818,11 @@ def test_graph_passes_gather_no_key_rows(monkeypatch):
     losses = [final_step_loss(r.final_logits, g, EOS) for r, g in zip(results, golds)]
     ad.add(ad.add(losses[0], losses[1]), losses[2]).backward()
     assert set(lookups) == {"token", "seal"}
-    assert np.abs(m.params["dec.l0.sa.wk"].grad).max() > 0.0
+    # the last layer's keys reach the loss through the sealed blocks and
+    # the teacher-forced pass
+    last = m.cfg.n_dec_layers - 1
+    for layer in (0, last):
+        assert np.abs(m.params[f"dec.l{layer}.sa.wk"].grad).max() > 0.0
 
 
 def test_pack_passes_make_no_autodiff_results(monkeypatch):
@@ -966,7 +974,7 @@ class TestAblations:
         stripped.step_lengths = list(cache.step_lengths)
         stripped.context_lengths = list(cache.context_lengths)
         state = base.start_step(base.encode(steps[1]), stripped)
-        logits, _ = base.teacher_forced_final(state, gold, BOS, EOS)
+        logits = base._decode_rows(state, [[BOS, *gold]], want_logits=True)
 
         # same intermediate question either way (step 1 has no prior cache)
         assert res1.final_tokens == ablated.rewrite_forward(
