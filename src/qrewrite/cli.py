@@ -61,10 +61,26 @@ def _eprint(*args):
 # gen-data
 
 
+def _hop_counts(text: str) -> list[int]:
+    """The hop counts that ``--hops`` lists: distinct integers in
+    1..MAX_HOPS, separated by commas."""
+    try:
+        hops = [int(h) for h in text.split(",") if h]
+    except ValueError:
+        hops = []
+    if (not hops or len(set(hops)) != len(hops)
+            or not all(1 <= h <= synthetic.MAX_HOPS for h in hops)):
+        raise GenerationError(
+            f"--hops takes distinct hop counts in 1..{synthetic.MAX_HOPS} "
+            f"separated by commas, got {text!r}"
+        )
+    return hops
+
+
 def cmd_gen_data(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    hops = [int(h) for h in args.hops.split(",") if h]
+    hops = _hop_counts(args.hops)
+    if args.seed < 0:
+        raise GenerationError(f"--seed takes an integer >= 0, got {args.seed}")
     sizes = {
         "person": args.entities,
         "film": max(2, (args.entities * 4) // 5),
@@ -77,6 +93,8 @@ def cmd_gen_data(args) -> int:
     )
     records_all = [r for part in splits.values() for r in part]
     voc = Vocab.build(synthetic.collect_tokens(records_all))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # every input is checked
     voc.save(out_dir / "vocab.txt")
     outputs = ["vocab.txt"]
     for split, records in splits.items():

@@ -45,8 +45,12 @@ _ARRANGEMENT_TYPES = {"order": list[int], "bridges": list[list[str]]}
 # dataset records
 
 
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def json_line(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    """``obj`` as one line of JSON, keys sorted, non-ASCII kept as is."""
+    return _JSON_LINE.encode(obj)
 
 
 @contextmanager

@@ -121,21 +121,22 @@ def extract_entities(doc: Document) -> frozenset[str]:
     return frozenset(spans)
 
 
-def bridge_entities(docs: Sequence[Document]) -> dict[tuple[int, int], frozenset[str]]:
-    """Shared-entity sets for every unordered document pair that has any."""
-    ents = {d.doc_id: extract_entities(d) for d in docs}
+def _shared_pairs(ents: dict[int, frozenset[str]]) -> dict[tuple[int, int], frozenset[str]]:
+    """Shared-entity sets for every unordered pair of ids of ``ents`` (id ->
+    entity set) that has any."""
     out: dict[tuple[int, int], frozenset[str]] = {}
     ids = sorted(ents)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             shared = ents[a] & ents[b]
             if shared:
-                out[(a, b)] = frozenset(shared)
+                out[(a, b)] = shared
     return out
 
 
-def build_graph(docs: Sequence[Document]) -> DocumentGraph:
-    return DocumentGraph([d.doc_id for d in docs], bridge_entities(docs))
+def bridge_entities(docs: Sequence[Document]) -> dict[tuple[int, int], frozenset[str]]:
+    """Shared-entity sets for every unordered document pair that has any."""
+    return _shared_pairs({d.doc_id: extract_entities(d) for d in docs})
 
 
 def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
@@ -151,7 +152,8 @@ def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
         raise ArrangementError(
             f"expected exactly one answer document, found {len(answer_docs)}"
         )
-    graph = build_graph(docs)
+    ents = {d.doc_id: extract_entities(d) for d in docs}
+    graph = DocumentGraph([d.doc_id for d in docs], _shared_pairs(ents))
     by_id = {d.doc_id: d for d in docs}
     root = answer_docs[0].doc_id
 
@@ -169,7 +171,6 @@ def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
         missing = sorted(set(by_id) - seen)
         raise ArrangementError(f"documents unreachable from the answer: {missing}")
 
-    ents = {d.doc_id: extract_entities(d) for d in docs}
     bridges: list[frozenset[str]] = []
     for t, doc_id in enumerate(order[:-1]):
         later = order[t + 1 :]

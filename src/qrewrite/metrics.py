@@ -40,7 +40,7 @@ class EvalPair:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu4(pair: EvalPair) -> float:
@@ -52,15 +52,13 @@ def bleu4(pair: EvalPair) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, 5):
-        pred_counts = _ngram_counts(pred, n)
-        total = sum(pred_counts.values())
-        if total == 0:
+        total = len(pred) - n + 1
+        if total <= 0:
             return 0.0
         best = Counter()
         for ref in pair.references:
-            for gram, c in _ngram_counts(ref, n).items():
-                best[gram] = max(best[gram], c)
-        clipped = sum(min(c, best[gram]) for gram, c in pred_counts.items())
+            best |= _ngram_counts(ref, n)
+        clipped = sum((_ngram_counts(pred, n) & best).values())
         if clipped == 0:
             return 0.0
         log_sum += math.log(clipped / total)
@@ -72,13 +70,17 @@ def bleu4(pair: EvalPair) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS (Hyyro 2004): after each token of ``b``, the zero
+    bits of ``v`` count the LCS of ``a`` and the prefix of ``b`` read so far."""
+    where: dict[str, int] = {}
+    for i, x in enumerate(a):
+        where[x] = where.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & where.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(pair: EvalPair) -> float:
@@ -100,20 +102,9 @@ def rouge_l(pair: EvalPair) -> float:
     return best
 
 
-def _chunks_of(alignment: list[tuple[int, int]]) -> int:
-    """Number of maximal runs that are contiguous in both sequences."""
-    alignment = sorted(alignment)
-    chunks = 0
-    prev = None
-    for i, j in alignment:
-        if prev is None or i != prev[0] + 1 or j != prev[1] + 1:
-            chunks += 1
-        prev = (i, j)
-    return chunks
-
-
 def _best_alignment_chunks(pred: Sequence[str], ref: Sequence[str]) -> tuple[int, int]:
-    """Maximum exact-match unigram alignment, then fewest chunks.
+    """Maximum exact-match unigram alignment, then fewest chunks (maximal
+    runs contiguous in both sequences).
 
     Exhaustive over the assignment choices of duplicated tokens with a node
     budget; beyond the budget the leftmost-first assignment is kept, which
@@ -126,41 +117,38 @@ def _best_alignment_chunks(pred: Sequence[str], ref: Sequence[str]) -> tuple[int
     if not slots:
         return 0, 0
 
-    budget = [METEOR_NODE_BUDGET]
-    best = {"chunks": 0, "matches": -1}
+    n_slots = len(slots)
+    budget = METEOR_NODE_BUDGET
+    best_matches, best_chunks = -1, 0
 
-    def search(idx: int, used: set[int], alignment: list[tuple[int, int]]):
-        if budget[0] <= 0:
+    # pairs are aligned in increasing pred position, so a pair continues the
+    # last chunk exactly when it follows the last aligned pair in both
+    def search(idx: int, used: int, matches: int, chunks: int, last_i: int, last_j: int):
+        nonlocal budget, best_matches, best_chunks
+        if budget <= 0:
             return
-        budget[0] -= 1
-        if idx == len(slots):
-            matches = len(alignment)
-            if matches < best["matches"]:
-                return
-            chunks = _chunks_of(alignment)
-            if matches > best["matches"] or chunks < best["chunks"]:
-                best["matches"] = matches
-                best["chunks"] = chunks
+        budget -= 1
+        if idx == n_slots:
+            if matches > best_matches or (matches == best_matches and chunks < best_chunks):
+                best_matches, best_chunks = matches, chunks
             return
         # even aligning every remaining token cannot beat the best
-        if len(alignment) + (len(slots) - idx) < best["matches"]:
+        if matches + (n_slots - idx) < best_matches:
             return
         i, candidates = slots[idx]
         for j in candidates:
-            if j in used:
+            bit = 1 << j
+            if used & bit:
                 continue
-            used.add(j)
-            alignment.append((i, j))
-            search(idx + 1, used, alignment)
-            alignment.pop()
-            used.remove(j)
+            joins = i == last_i + 1 and j == last_j + 1
+            search(idx + 1, used | bit, matches + 1, chunks + (not joins), i, j)
         # leaving this occurrence unaligned can reduce fragmentation when a
         # duplicate appears later; the first dfs path above already reaches
         # the maximum match count, so the bound prunes most skip branches
-        search(idx + 1, used, alignment)
+        search(idx + 1, used, matches, chunks, last_i, last_j)
 
-    search(0, set(), [])
-    return max(best["matches"], 0), best["chunks"]
+    search(0, 0, 0, 0, -2, -2)
+    return max(best_matches, 0), best_chunks
 
 
 def meteor_lite(pair: EvalPair) -> float:

@@ -89,11 +89,18 @@ class World:
     def facts_of(self, entity: str) -> list[Fact]:
         return self._by_entity.get(entity, [])
 
+    def fact_ids_of(self, entity: str) -> frozenset[int]:
+        """Positions in ``facts`` of the facts that name ``entity``."""
+        return self._ids_by_entity.get(entity, frozenset())
+
     def finalize(self) -> "World":
         self._by_entity: dict[str, list[Fact]] = {}
-        for f in self.facts:
-            self._by_entity.setdefault(f.subj, []).append(f)
-            self._by_entity.setdefault(f.obj, []).append(f)
+        ids: dict[str, set[int]] = {}
+        for k, f in enumerate(self.facts):
+            for e in (f.subj, f.obj):
+                self._by_entity.setdefault(e, []).append(f)
+                ids.setdefault(e, set()).add(k)
+        self._ids_by_entity = {e: frozenset(s) for e, s in ids.items()}
         return self
 
     @property
@@ -255,21 +262,19 @@ def sample_chain(world: World, hops: int, rng: np.random.Generator) -> Chain:
 
 
 def _distractor_facts(
-    world: World, used: set[str], count: int, rng: np.random.Generator
+    world: World, candidates: list[int], count: int, rng: np.random.Generator
 ) -> list[Fact]:
+    """Draw up to ``count`` facts from ``candidates`` (positions in
+    ``world.facts``, in order); after each draw, drop from ``candidates``
+    every fact that shares an entity with it."""
     picked: list[Fact] = []
-    candidates = [
-        f for f in world.facts if f.subj not in used and f.obj not in used
-    ]
     for _ in range(count):
         if not candidates:
             break
-        f = candidates[int(rng.integers(len(candidates)))]
+        f = world.facts[candidates[int(rng.integers(len(candidates)))]]
         picked.append(f)
-        used.update((f.subj, f.obj))
-        candidates = [
-            c for c in candidates if c.subj not in used and c.obj not in used
-        ]
+        taken = world.fact_ids_of(f.subj) | world.fact_ids_of(f.obj)
+        candidates[:] = [k for k in candidates if k not in taken]
     return picked
 
 
@@ -279,11 +284,13 @@ def record_from_chain(
     """One dataset record: shuffled documents with entity annotations, the
     gold final question, and reference intermediates (evaluation only)."""
     questions = chain_questions(chain)
-    used = set(chain.entities)
+    # distractors name no chain entity and no entity of another distractor
+    taken = frozenset().union(*map(world.fact_ids_of, chain.entities))
+    candidates = [k for k in range(len(world.facts)) if k not in taken]
     docs = []
     for t, fact in enumerate(chain.facts):
         n_distract = 1 + int(rng.integers(0, 2))
-        distractors = _distractor_facts(world, used, n_distract, rng)
+        distractors = _distractor_facts(world, candidates, n_distract, rng)
         if not distractors:
             raise GenerationError(
                 "not enough free entities for distractor sentences; "
@@ -325,13 +332,6 @@ def generate_example(world: World, hops: int, seed: int) -> dict:
 # entity renaming (training-split augmentation)
 
 
-def _entity_category(token: str) -> str | None:
-    for cat in CATEGORIES:
-        if token.startswith(cat + "_"):
-            return cat
-    return None
-
-
 def rename_record_entities(
     world: World, rec: dict, rng: np.random.Generator
 ) -> tuple[dict, dict[str, str]]:
@@ -341,18 +341,14 @@ def rename_record_entities(
     and intermediates are renamed together), so it describes a different,
     equally valid world.  Returns the renamed record and the token map.
     """
-    maps: dict[str, dict[str, str]] = {}
+    flat: dict[str, str] = {}
     for cat in CATEGORIES:
         pool = world.entities[cat]
-        perm = rng.permutation(len(pool))
-        maps[cat] = {pool[i]: pool[int(j)] for i, j in enumerate(perm)}
-
-    def m_tok(tok: str) -> str:
-        cat = _entity_category(tok)
-        return maps[cat][tok] if cat else tok
+        flat.update(zip(pool, [pool[j] for j in rng.permutation(len(pool)).tolist()]))
+    get = flat.get
 
     def m_text(text: str) -> str:
-        return " ".join(m_tok(t) for t in text.split())
+        return " ".join([get(t, t) for t in text.split()])
 
     out = dict(rec)
     out["answer"] = m_text(rec["answer"])
@@ -365,11 +361,10 @@ def rename_record_entities(
             "title": m_text(d["title"]),
             "text": m_text(d["text"]),
             "is_answer_doc": d["is_answer_doc"],
-            "entities": sorted(m_text(e) for e in d["entities"]),
+            "entities": sorted([m_text(e) for e in d["entities"]]),
         }
         for d in rec["documents"]
     ]
-    flat = {tok: new for cat_map in maps.values() for tok, new in cat_map.items()}
     return out, flat
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -64,6 +65,58 @@ class TestGenData:
                        "--seed", "9") == 0
         for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "vocab.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# SHA-256 of what gen-data (hops 1,2,3, small counts) and arrange over each
+# of its splits write, recorded before the data stage was optimized: the
+# optimization must not move a byte
+DATA_STAGE_DIGESTS = {
+    (4, "test.arr.jsonl"): "453e669747ae552cff5eb6e8dc852b34c65916cf6e739a149c559e8716e8decd",
+    (4, "test.jsonl"): "7c664e7df5c7bd79fc456900e0bf76ca23d7d9aa026b55247dce01be2c790f62",
+    (4, "train.arr.jsonl"): "0292e482ec9e2c3d32420e8cf9535f47c4f14f050299450e36b47a96a9eaaa0b",
+    (4, "train.jsonl"): "794d9b2763aa3284ed47c3e129b307de86d7744cd8dddf0502a0a60beb48c058",
+    (4, "valid.arr.jsonl"): "a798342a20ea1616406187a82c9b7def8cc286ad4bbed2e944e5fece1e832b34",
+    (4, "valid.jsonl"): "32e56a7ef1191647849d4d6beab6ba6a468ddb6b9330cccc3bc10ae82a081054",
+    (4, "vocab.txt"): "b8bdb30bb3ea60b65d338edb0c307b53e0c6c071ea5024228fa35f89634c1ff3",
+    (21, "test.arr.jsonl"): "5b2f26ff1384d2f5fa017f1ec60030b83bfb921b63a19b73175e40aa70b1ace5",
+    (21, "test.jsonl"): "73f49ca942a5f571f38a740022de802810dbfcaca5d0114931083edec90ee343",
+    (21, "train.arr.jsonl"): "41a84ebb1ecdd9feb5a37002dced948305d2eca0bda557b28bb9268cf34e0178",
+    (21, "train.jsonl"): "b6314b22ae026b9098f0bc392c85f25400b30ae76426060ab0db647d3ba2cca8",
+    (21, "valid.arr.jsonl"): "8a695cec6d7389d2dc55359300f4d80a58db7067a97709a22d6107c3ec713950",
+    (21, "valid.jsonl"): "ee65e4f24b036d7160428ffdcf02a07ed260d8dedda04725d5c2dcf400680575",
+    (21, "vocab.txt"): "b3afd093945279dd5809204b9ec59869afb1ac32d395d45c75b530c9c2ab0c51",
+}
+
+
+@pytest.mark.parametrize("seed", [4, 21])
+def test_data_stage_bytes_are_pinned(seed, tmp_path):
+    assert run("gen-data", "--out", tmp_path, "--hops", "1,2,3", "--train", "6",
+               "--valid", "2", "--test", "3", "--entities", "30", "--seed", seed) == 0
+    for split in ("train", "valid", "test"):
+        assert run("arrange", "--in", tmp_path / f"{split}.jsonl",
+                   "--out", tmp_path / f"{split}.arr.jsonl") == 0
+    got = {(seed, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir() if not path.name.startswith("manifest")}
+    assert got == {k: v for k, v in DATA_STAGE_DIGESTS.items() if k[0] == seed}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--hops", "x"),
+    ("--hops", ","),
+    ("--hops", "1,1"),
+    ("--hops", "0"),
+    ("--hops", "5"),
+    ("--seed", "-1"),
+])
+def test_malformed_gen_data_arguments_are_data_errors(flag, value, tmp_path, capsys):
+    flags = {"--hops": "1", "--seed": "0", flag: value}
+    out = tmp_path / "data"
+    assert run("gen-data", "--out", out, "--train", "4", "--valid", "2",
+               "--test", "2", "--entities", "20",
+               *(arg for pair in flags.items() for arg in pair)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {flag} ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 class TestArrange:

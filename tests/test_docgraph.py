@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from qrewrite import docgraph
 from qrewrite import vocab as V
 from qrewrite.docgraph import (
     Document,
+    DocumentGraph,
     arrange,
     assemble_step_tokens,
     bridge_entities,
-    build_graph,
     extract_entities,
     make_step_inputs,
     parse_step_tokens,
@@ -141,7 +142,7 @@ class TestArrange:
                 for i in range(n)
             ]
             arr = arrange(docs, ["a"])
-            graph = build_graph(docs)
+            graph = DocumentGraph([d.doc_id for d in docs], bridge_entities(docs))
             order, seen, queue = [], {0}, [0]
             while queue:
                 cur = queue.pop(0)
@@ -219,3 +220,18 @@ class TestAssembly:
         bridge_id = voc.index[V.BRIDGE]
         assert bridge_id in steps[0].tokens
         assert bridge_id not in steps[1].tokens
+
+
+def test_arrange_extracts_each_documents_entities_once(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d.doc_id)
+        return extract_entities(d)
+
+    monkeypatch.setattr(docgraph, "extract_entities", counting)
+    docs = [doc(0, "Alpha met Beta", answer=True), doc(1, "Beta met Gamma"),
+            doc(2, "Gamma met Delta")]
+    arranged = arrange(docs, ["Alpha"])
+    assert [d.doc_id for d in arranged.documents] == [0, 1, 2]
+    assert sorted(calls) == [0, 1, 2]

@@ -1,10 +1,14 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qrewrite.metrics import (
+    METEOR_NODE_BUDGET,
     EvalPair,
+    _best_alignment_chunks,
     _lcs_length,
     bleu4,
     corpus_eval,
@@ -178,3 +182,136 @@ class TestExactMatch:
             p = pair(prd, ref)
             for fn in (bleu4, rouge_l, meteor_lite, exact_match):
                 assert 0.0 <= fn(p) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# straightforward implementations that the optimized metrics must reproduce
+
+
+def reference_bleu4(pair: EvalPair) -> float:
+    def ngram_counts(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    pred = pair.prediction
+    if not pred:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        pred_counts = ngram_counts(pred, n)
+        total = sum(pred_counts.values())
+        if total == 0:
+            return 0.0
+        best = Counter()
+        for ref in pair.references:
+            for gram, c in ngram_counts(ref, n).items():
+                best[gram] = max(best[gram], c)
+        clipped = sum(min(c, best[gram]) for gram, c in pred_counts.items())
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
+    ref_len = min((abs(len(r) - len(pred)), len(r)) for r in pair.references)[1]
+    bp = 1.0 if len(pred) >= ref_len else math.exp(1.0 - ref_len / len(pred))
+    return bp * math.exp(log_sum / 4.0)
+
+
+def reference_lcs_length(a, b) -> int:
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+def reference_alignment_chunks(pred, ref) -> tuple[int, int]:
+    def chunks_of(alignment):
+        chunks, prev = 0, None
+        for i, j in sorted(alignment):
+            if prev is None or i != prev[0] + 1 or j != prev[1] + 1:
+                chunks += 1
+            prev = (i, j)
+        return chunks
+
+    ref_positions: dict[str, list[int]] = {}
+    for j, tok in enumerate(ref):
+        ref_positions.setdefault(tok, []).append(j)
+    slots = [(i, ref_positions[tok]) for i, tok in enumerate(pred) if tok in ref_positions]
+    if not slots:
+        return 0, 0
+    budget = [METEOR_NODE_BUDGET]
+    best = {"chunks": 0, "matches": -1}
+
+    def search(idx, used, alignment):
+        if budget[0] <= 0:
+            return
+        budget[0] -= 1
+        if idx == len(slots):
+            matches = len(alignment)
+            if matches < best["matches"]:
+                return
+            chunks = chunks_of(alignment)
+            if matches > best["matches"] or chunks < best["chunks"]:
+                best["matches"] = matches
+                best["chunks"] = chunks
+            return
+        if len(alignment) + (len(slots) - idx) < best["matches"]:
+            return
+        i, candidates = slots[idx]
+        for j in candidates:
+            if j in used:
+                continue
+            used.add(j)
+            alignment.append((i, j))
+            search(idx + 1, used, alignment)
+            alignment.pop()
+            used.remove(j)
+        search(idx + 1, used, alignment)
+
+    search(0, set(), [])
+    return max(best["matches"], 0), best["chunks"]
+
+
+def seeded_pairs(seed: int, n: int, alphabet: int, max_len: int, max_refs: int):
+    """``n`` random token pairs; a small ``alphabet`` makes duplicates
+    common, ``max_refs`` > 1 gives several references per prediction."""
+    rng = np.random.default_rng(seed)
+    letters = [f"w{k}" for k in range(alphabet)]
+
+    def tokens():
+        return [str(t) for t in rng.choice(letters, size=int(rng.integers(0, max_len + 1)))]
+
+    return [
+        EvalPair(tokens(), [tokens() for _ in range(int(rng.integers(1, max_refs + 1)))])
+        for _ in range(n)
+    ]
+
+
+# (seed, pairs, alphabet, max length, max references): 3,600 pairs in all
+RANDOM_CORPORA = [
+    (11, 1200, 3, 10, 1),    # duplicate-heavy
+    (12, 1000, 5, 12, 3),    # duplicates and several references
+    (13, 1000, 12, 16, 4),   # mostly distinct tokens, several references
+    (14, 400, 2, 70, 1),     # long sequences: LCS past one machine word
+]
+
+
+class TestAgainstReferenceImplementations:
+    @pytest.mark.parametrize("corpus", RANDOM_CORPORA, ids=lambda c: f"seed{c[0]}")
+    def test_scores_equal_bit_for_bit(self, corpus):
+        for p in seeded_pairs(*corpus):
+            assert bleu4(p) == reference_bleu4(p)
+            for ref in p.references:
+                assert _lcs_length(p.prediction, ref) == reference_lcs_length(p.prediction, ref)
+            if corpus[3] <= 16:
+                for ref in p.references:
+                    assert (_best_alignment_chunks(p.prediction, ref)
+                            == reference_alignment_chunks(p.prediction, ref))
+
+    def test_alignment_past_the_node_budget(self):
+        # two letters and 22 tokens each side exceed the node budget, so
+        # both searches stop at the same node
+        for p in seeded_pairs(15, 3, 2, 22, 1):
+            ref = p.references[0]
+            assert (_best_alignment_chunks(p.prediction, ref)
+                    == reference_alignment_chunks(p.prediction, ref))
