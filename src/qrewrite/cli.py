@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ _DATA_ERRORS = (
     ArrangementError,
     GenerationError,
     LengthError,
-    FileNotFoundError,
+    OSError,  # a missing, unreadable or directory path at a file boundary
 )
 
 
@@ -420,7 +421,11 @@ def cmd_grad_check(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it (``--ablate`` appends to a fresh list, and ``_Parser.error``
+    raises), so every ``main`` call can share it."""
     parser = _Parser(prog="qrewrite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

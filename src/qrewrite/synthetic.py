@@ -94,6 +94,8 @@ class World:
         return self._ids_by_entity.get(entity, frozenset())
 
     def finalize(self) -> "World":
+        # sentences[k] is the document text of facts[k]
+        self.sentences = [" ".join(fact_sentence(f)) for f in self.facts]
         self._by_entity: dict[str, list[Fact]] = {}
         ids: dict[str, set[int]] = {}
         for k, f in enumerate(self.facts):
@@ -153,16 +155,10 @@ def generate_world(seed: int, sizes: Mapping[str, int] | int) -> World:
 # chains and questions
 
 
-def _extensions(world: World, entity: str, used: set[str], used_facts: set[Fact]):
-    """Facts that can describe ``entity`` via a fresh neighbor."""
-    out = []
-    for f in world.facts_of(entity):
-        if f in used_facts:
-            continue
-        if f.other(entity) in used:
-            continue
-        out.append(f)
-    return out
+def _extensions(world: World, entity: str, ents: list[str]) -> list[Fact]:
+    """Facts that can describe ``entity`` via a neighbor not in ``ents``.  A
+    chain's facts join two of its entities, so none of them is offered."""
+    return [f for f in world.facts_of(entity) if f.other(entity) not in ents]
 
 
 def enumerate_chains(world: World, hops: int) -> list[Chain]:
@@ -175,13 +171,13 @@ def enumerate_chains(world: World, hops: int) -> list[Chain]:
 
     def extend(facts: list[Fact], ents: list[str]):
         if len(facts) == hops:
-            chain = Chain(tuple(facts), tuple(ents))
-            if chain.signature not in seen:
-                seen.add(chain.signature)
-                chains.append(chain)
+            signature = tuple(ents)
+            if signature not in seen:
+                seen.add(signature)
+                chains.append(Chain(tuple(facts), signature))
             return
         tip = ents[-1]
-        for f in _extensions(world, tip, set(ents), set(facts)):
+        for f in _extensions(world, tip, ents):
             extend([*facts, f], [*ents, f.other(tip)])
 
     for f1 in world.facts:
@@ -243,7 +239,7 @@ def sample_chain(world: World, hops: int, rng: np.random.Generator) -> Chain:
         facts, ents = [f1], [f1.subj, f1.obj]
         ok = True
         while len(facts) < hops:
-            options = _extensions(world, ents[-1], set(ents), set(facts))
+            options = _extensions(world, ents[-1], ents)
             if not options:
                 ok = False
                 break
@@ -263,32 +259,54 @@ def sample_chain(world: World, hops: int, rng: np.random.Generator) -> Chain:
 
 def _distractor_facts(
     world: World, candidates: list[int], count: int, rng: np.random.Generator
-) -> list[Fact]:
+) -> list[int]:
     """Draw up to ``count`` facts from ``candidates`` (positions in
-    ``world.facts``, in order); after each draw, drop from ``candidates``
-    every fact that shares an entity with it."""
-    picked: list[Fact] = []
+    ``world.facts``, in order) and return their positions; after each draw,
+    drop from ``candidates`` every fact that shares an entity with it."""
+    picked: list[int] = []
     for _ in range(count):
         if not candidates:
             break
-        f = world.facts[candidates[int(rng.integers(len(candidates)))]]
-        picked.append(f)
+        k = candidates[int(rng.integers(len(candidates)))]
+        picked.append(k)
+        f = world.facts[k]
         taken = world.fact_ids_of(f.subj) | world.fact_ids_of(f.obj)
-        candidates[:] = [k for k in candidates if k not in taken]
+        candidates[:] = [j for j in candidates if j not in taken]
     return picked
 
 
+@dataclass(frozen=True)
+class ChainParts:
+    """What every record of one chain shares."""
+
+    question: str                   # the gold final question
+    intermediates: tuple[str, ...]  # reference questions Q^1..Q^(N-1)
+    sentences: tuple[str, ...]      # the text of each chain fact
+    free: tuple[int, ...]           # distractor candidates: positions in world.facts
+                                    # of the facts naming no chain entity
+
+    @classmethod
+    def of(cls, world: World, chain: Chain) -> "ChainParts":
+        questions = [" ".join(q) for q in chain_questions(chain)]
+        taken = frozenset().union(*map(world.fact_ids_of, chain.entities))
+        return cls(
+            questions[-1], tuple(questions[:-1]),
+            tuple(" ".join(fact_sentence(f)) for f in chain.facts),
+            tuple([k for k in range(len(world.facts)) if k not in taken]),
+        )
+
+
 def record_from_chain(
-    world: World, chain: Chain, rng: np.random.Generator, example_id: str
+    world: World, chain: Chain, rng: np.random.Generator, example_id: str,
+    parts: ChainParts,
 ) -> dict:
     """One dataset record: shuffled documents with entity annotations, the
-    gold final question, and reference intermediates (evaluation only)."""
-    questions = chain_questions(chain)
+    gold final question, and reference intermediates (evaluation only).
+    ``parts`` is ``ChainParts.of(world, chain)``."""
     # distractors name no chain entity and no entity of another distractor
-    taken = frozenset().union(*map(world.fact_ids_of, chain.entities))
-    candidates = [k for k in range(len(world.facts)) if k not in taken]
+    candidates = list(parts.free)
     docs = []
-    for t, fact in enumerate(chain.facts):
+    for t in range(chain.hops):
         n_distract = 1 + int(rng.integers(0, 2))
         distractors = _distractor_facts(world, candidates, n_distract, rng)
         if not distractors:
@@ -296,16 +314,17 @@ def record_from_chain(
                 "not enough free entities for distractor sentences; "
                 "grow the world sizes"
             )
-        sentences = [fact_sentence(d) for d in distractors]
+        sentences = [world.sentences[k] for k in distractors]
         slot = int(rng.integers(len(sentences) + 1))
-        sentences.insert(slot, fact_sentence(fact))
-        text = [tok for s in sentences for tok in s]
+        sentences.insert(slot, parts.sentences[t])
         doc_entities = {chain.entities[t], chain.entities[t + 1]}
-        doc_entities.update(e for d in distractors for e in (d.subj, d.obj))
+        doc_entities.update(
+            e for k in distractors for e in (world.facts[k].subj, world.facts[k].obj)
+        )
         docs.append(
             {
                 "title": chain.entities[t + 1],
-                "text": " ".join(text),
+                "text": " ".join(sentences),
                 "is_answer_doc": t == 0,
                 "entities": sorted(doc_entities),
             }
@@ -315,16 +334,17 @@ def record_from_chain(
         "id": example_id,
         "hops": chain.hops,
         "answer": chain.entities[0],
-        "question": " ".join(questions[-1]),
+        "question": parts.question,
         "documents": [docs[int(i)] for i in order],
-        "reference_intermediates": [" ".join(q) for q in questions[:-1]],
+        "reference_intermediates": list(parts.intermediates),
     }
 
 
 def generate_example(world: World, hops: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
+    chain = sample_chain(world, hops, rng)
     return record_from_chain(
-        world, sample_chain(world, hops, rng), rng, f"ex-{hops}hop-{seed}"
+        world, chain, rng, f"ex-{hops}hop-{seed}", ChainParts.of(world, chain)
     )
 
 
@@ -414,12 +434,16 @@ def make_splits(
             for c in (*chains["test"], *chains["valid"])
         }
         for split, want in (("train", n_train), ("valid", n_valid), ("test", n_test)):
-            sig_pool = chains[split]
-            if want and not sig_pool:
+            # the chains this split's records cycle through, each with the
+            # parts its records share
+            used = chains[split][:want]
+            if want and not used:
                 raise GenerationError(f"no {hops}-hop chains left for {split}")
+            parts = [ChainParts.of(world, c) for c in used]
             for i in range(want):
-                chain = sig_pool[i % len(sig_pool)]
-                rec = record_from_chain(world, chain, rng, f"{split}-{hops}hop-{i:05d}")
+                k = i % len(used)
+                rec = record_from_chain(world, used[k], rng,
+                                        f"{split}-{hops}hop-{i:05d}", parts[k])
                 if split == "train" and rename_train:
                     for _ in range(64):
                         renamed, _ = rename_record_entities(world, rec, rng)

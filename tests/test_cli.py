@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from qrewrite import dataio, metrics, training
+from qrewrite import cli, dataio, metrics, training
 from qrewrite.cli import main
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import QuestionRewriter
@@ -67,9 +71,9 @@ class TestGenData:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-# SHA-256 of what gen-data (hops 1,2,3, small counts) and arrange over each
-# of its splits write, recorded before the data stage was optimized: the
-# optimization must not move a byte
+# SHA-256 of what gen-data (hops 1,2,3 on seeds 4 and 21, hops 1,2,3,4 on
+# seed 11, small counts) and arrange over each of its splits write, recorded
+# before the data stage was optimized: the optimization must not move a byte
 DATA_STAGE_DIGESTS = {
     (4, "test.arr.jsonl"): "453e669747ae552cff5eb6e8dc852b34c65916cf6e739a149c559e8716e8decd",
     (4, "test.jsonl"): "7c664e7df5c7bd79fc456900e0bf76ca23d7d9aa026b55247dce01be2c790f62",
@@ -85,12 +89,20 @@ DATA_STAGE_DIGESTS = {
     (21, "valid.arr.jsonl"): "8a695cec6d7389d2dc55359300f4d80a58db7067a97709a22d6107c3ec713950",
     (21, "valid.jsonl"): "ee65e4f24b036d7160428ffdcf02a07ed260d8dedda04725d5c2dcf400680575",
     (21, "vocab.txt"): "b3afd093945279dd5809204b9ec59869afb1ac32d395d45c75b530c9c2ab0c51",
+    (11, "test.arr.jsonl"): "db9a9810fcd1690c0d9385b2ed8f06cce26f1e845081e92c31dc6c0d4ad7e857",
+    (11, "test.jsonl"): "e79f2417fce2b3bc87c714ab95ad4ca83f57fbbd1b6ed0b9c696a3d1fe89da1a",
+    (11, "train.arr.jsonl"): "1ab76b8e419b95503d1848e2d3a25c53d179b932eedd58d36a8d0631c3591432",
+    (11, "train.jsonl"): "005f2a2a5213d0b9ba21b5aee96556cd1bd0af7cf7b1e959d66093a48db12de2",
+    (11, "valid.arr.jsonl"): "dcd6cd0e21ea24b94bbd1f3a21f9d53d618719eac9b23f73f2b59897cc08a93b",
+    (11, "valid.jsonl"): "6e31a78dbef8d52f33c4471a7c651eed1f7380b922c12456b237ee74d9834966",
+    (11, "vocab.txt"): "964865f823c04d95fca305ce47eafc4dff83a8e240da40295081c491001ddcd5",
 }
 
 
-@pytest.mark.parametrize("seed", [4, 21])
+@pytest.mark.parametrize("seed", [4, 21, 11])
 def test_data_stage_bytes_are_pinned(seed, tmp_path):
-    assert run("gen-data", "--out", tmp_path, "--hops", "1,2,3", "--train", "6",
+    hops = "1,2,3,4" if seed == 11 else "1,2,3"
+    assert run("gen-data", "--out", tmp_path, "--hops", hops, "--train", "6",
                "--valid", "2", "--test", "3", "--entities", "30", "--seed", seed) == 0
     for split in ("train", "valid", "test"):
         assert run("arrange", "--in", tmp_path / f"{split}.jsonl",
@@ -580,6 +592,98 @@ class TestEvaluate:
         assert "empty-pred.jsonl" in err and "empty-gold.jsonl" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("boundary", ["arrange --in", "generate --checkpoint",
+                                      "train --config", "evaluate --out"])
+def test_directory_at_file_boundary_is_data_error(boundary, data_dir, train_dir,
+                                                  tmp_path, capsys):
+    """A directory where a file belongs is a data error, not a traceback."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    command, flag = boundary.split()
+    argv = {
+        "arrange": {"--in": data_dir / "test.jsonl", "--out": tmp_path / "o.jsonl"},
+        "generate": {"--checkpoint": train_dir / "checkpoint-final.bin",
+                     "--data": data_dir / "test.jsonl",
+                     "--vocab": data_dir / "vocab.txt", "--out": tmp_path / "p.jsonl"},
+        "train": {"--data": data_dir, "--out": tmp_path / "run"},
+        "evaluate": {"--pred": data_dir / "test.jsonl", "--gold": data_dir / "test.jsonl",
+                     "--out": tmp_path / "r.jsonl"},
+    }[command]
+    argv[flag] = folder
+    if command == "evaluate":  # test records carry no prediction; score gold as one
+        pred = tmp_path / "pred.jsonl"
+        dataio.write_records(pred, [{"id": g["id"], "prediction": g["question"]}
+                                    for g in dataio.read_records(data_dir / "test.jsonl")])
+        argv["--pred"] = pred
+    assert run(command, *(arg for pair in argv.items() for arg in pair)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert os.listdir(folder) == []
+
+
+class TestRepeatedMain:
+    """``main`` may be called many times in one process; the parser is
+    built once and carries nothing from one call to the next."""
+
+    def test_parser_built_once(self, tmp_path):
+        cli.build_parser.cache_clear()
+        for i in range(3):
+            assert run("gen-data", "--out", tmp_path / str(i), "--hops", "1",
+                       "--train", "4", "--valid", "2", "--test", "2",
+                       "--entities", "20") == 0
+        assert run("arrange", "--in", tmp_path / "0" / "test.jsonl",
+                   "--out", tmp_path / "a.jsonl") == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_ablate_does_not_carry_over(self, data_dir, train_dir, tmp_path):
+        manifests = []
+        for name, extra in (("ablated", ["--ablate", "sa"]), ("plain", [])):
+            out = tmp_path / name
+            out.mkdir()
+            assert run("generate", "--checkpoint", train_dir / "checkpoint-final.bin",
+                       "--data", data_dir / "test.jsonl",
+                       "--vocab", data_dir / "vocab.txt",
+                       "--out", out / "pred.jsonl", *extra) == 0
+            manifests.append(json.loads((out / "manifest-generate.json").read_text()))
+        assert [m["config"]["ablate"] for m in manifests] == [["sa"], []]
+
+    def test_usage_error_leaves_parser_usable(self, tmp_path, capsys):
+        assert run("gen-data", "--out", tmp_path / "a", "--no-such-flag") == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert run("gen-data", "--out", tmp_path / "b", "--hops", "1", "--train", "4",
+                   "--valid", "2", "--test", "2", "--entities", "20") == 0
+
+
+def run_process(*argv):
+    """``python -m qrewrite.cli`` as its own process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qrewrite.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestProcess:
+    def test_help(self):
+        proc = run_process("--help")
+        assert proc.returncode == 0
+        assert "gen-data" in proc.stdout
+
+    def test_unknown_subcommand_is_usage_error(self):
+        proc = run_process("no-such-command")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_directory_input_is_data_error(self, tmp_path):
+        proc = run_process("arrange", "--in", tmp_path, "--out", tmp_path / "o.jsonl")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestExitCodes:

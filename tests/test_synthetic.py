@@ -138,6 +138,35 @@ class TestExamples:
         with pytest.raises(GenerationError):
             S.enumerate_chains(world, 5)
 
+    @pytest.mark.parametrize("hops", [1, 2, 3, 4])
+    def test_enumeration_matches_set_based_search(self, hops):
+        """Chains, their order and the first-chain-per-signature dedup are
+        those of a search that tracks used entities and facts in sets."""
+        # this world has 4-fact cycles, which no chain may close
+        world = S.generate_world(12, SIZES)
+
+        def fresh(entity, ents, facts):
+            return [f for f in world.facts_of(entity)
+                    if f not in set(facts) and f.other(entity) not in set(ents)]
+
+        want, seen = [], set()
+
+        def extend(facts, ents):
+            if len(facts) == hops:
+                if tuple(ents) not in seen:
+                    seen.add(tuple(ents))
+                    want.append(S.Chain(tuple(facts), tuple(ents)))
+                return
+            options = fresh(ents[-1], ents, facts)
+            # sample_chain draws from the same options
+            assert S._extensions(world, ents[-1], ents) == options
+            for f in options:
+                extend([*facts, f], [*ents, f.other(ents[-1])])
+
+        for f1 in world.facts:
+            extend([f1], [f1.subj, f1.obj])
+        assert S.enumerate_chains(world, hops) == want
+
 
 class TestSplits:
     def test_exact_counts(self, world):
