@@ -360,8 +360,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if args.precision != "f64":
-        raise UsageError("grad-check requires --precision f64")
     rng = np.random.default_rng(args.seed)
     sizes = {"person": 10, "film": 8, "city": 6, "country": 6}
     world = synthetic.generate_world(args.seed, sizes)
@@ -475,7 +473,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.set_defaults(fn=cmd_grad_check)
 
     return parser

@@ -32,37 +32,40 @@ Conventions, fixed here once:
     Only a pack decodes token by token, so the one-example API
     (decode_token, greedy_decode_step, teacher_forced_final) takes a
     pack's step state only;
+  * one decoder-layer loop runs every decoder pass, on either executor:
+    the step state places each layer's K/V rows and runs its attention,
+    and a fixed table gives the rest of the layer's ops, the autodiff ops
+    on the graph or their array kernels in a pack (the same numpy
+    operations, order and dtypes);
   * on the autodiff graph a batch is one graph, and a step is block passes
     only: at each step one decoder block pass over [<bos>] + gold
     teacher-forces the final questions and one over [<bos>] + question
     seals the others, whose greedy tokens come from the batch's pack; one
     backward serves the batch loss.  Every block pass starts at the step's
     first position and reads no earlier pass of its step, and the last
-    pass's K/V rows are the step's sealed block.  A step
-    whose every question is teacher-forced or pinned opens no pack step,
-    and a pinned step enters the pack only when a later step of its
-    example picks.  The cache keeps one (rows, d_model) K/V block per
-    layer and step, stacking the step's segments, with the heads packed
-    along the columns; only the fused attention op splits them, as an
-    array axis.  A pass attends over the stack of the sealed blocks and
-    this step's blocks (cross-attention stacks its blocks once per step)
-    by one key index that names each segment's sealed and new rows in it;
-    the op's backward scatter-adds into the stacked rows, so the final
-    loss reaches every earlier step of its own example.  A sealing pass
-    skips the last layer's attention, feed-forward and output head, whose
-    results nothing reads;
+    pass's K/V rows are the step's sealed block.  A step whose every
+    question is teacher-forced or pinned opens no pack step, and a pinned
+    step enters the pack only when a later step of its example picks.
+    The cache keeps one (rows, d_model) K/V block per layer and step,
+    stacking the step's segments, with the heads packed along the columns;
+    only the fused attention op splits them, as an array axis.  A pass
+    attends over the stack of the sealed blocks and this step's blocks
+    (cross-attention stacks its blocks once per step) by one key index
+    that names each segment's sealed and new rows in it; the op's backward
+    scatter-adds into the stacked rows, so the final loss reaches every
+    earlier step of its own example.  A sealing pass skips the last
+    layer's attention, feed-forward and output head, whose results nothing
+    reads;
   * under no_grad a pack's cache is one preallocated, zeroed (segments,
     rows, d_model) K and one V store per layer (self- and cross-attention),
     sized upfront for the pack: a step writes its rows in place after the
     segment's sealed rows and sealing advances the segment's offset, so no
     row is copied or concatenated.  A pack pass computes on plain arrays,
-    not tensors: it runs the array kernels of the autodiff ops (the same
-    numpy operations, order and dtypes), reads the weight arrays the pack
-    bound once, and records no graph.  It attends over the stores in
-    place, as store[fed segments, :longest end], a view when the fed
-    segments are a contiguous run, with a mask per segment; it builds no
-    key index and gathers no rows.  A lockstep pick (one row per segment)
-    is laid out from the segments' ends alone;
+    reads the weight arrays the pack bound once and records no graph.  It
+    attends over the stores in place, as store[fed segments, :longest
+    end], a view when the fed segments are a contiguous run, with a mask
+    per segment; it builds no key index and gathers no rows.  A lockstep
+    pick (one row per segment) is laid out from the segments' ends alone;
   * without a graph, packs of PACK_SIZE examples serve generation and
     validation; one example, with gradients or under no_grad, is the graph
     batch of one.
@@ -71,6 +74,7 @@ Conventions, fixed here once:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
@@ -285,14 +289,18 @@ class GraphState:
         self._sa = ad.segment_layout(lens, sa_keys, causal=True)
         self._ca = ad.segment_layout(lens, [self.ca_rows[j] for j in active.tolist()])
 
-    def self_rows(self, i: int):
-        """Layer ``i``'s stacked keys and values the pass attends to, its
-        key index into them and its layout."""
-        k, v = self.blocks[i]
-        return _gather([*self.sa_k[i], k]), _gather([*self.sa_v[i], v]), *self._sa
+    def place(self, i: int, k: Tensor, v: Tensor) -> None:
+        """Layer ``i``'s K/V rows of the pass, the step's block."""
+        self.blocks[i] = (k, v)
 
-    def cross_rows(self, i: int):
-        return self.ca_k[i], self.ca_v[i], *self._ca
+    def attend_self(self, i: int, q: Tensor, n_heads: int) -> Tensor:
+        """Layer ``i``'s self-attention of ``q`` over the sealed and new rows."""
+        k, v = self.blocks[i]
+        return ad.attention(q, _gather([*self.sa_k[i], k]), _gather([*self.sa_v[i], v]),
+                            n_heads, *self._sa)
+
+    def attend_cross(self, i: int, q: Tensor, n_heads: int) -> Tensor:
+        return ad.attention(q, self.ca_k[i], self.ca_v[i], n_heads, *self._ca)
 
     def drop(self, js) -> None:
         """Leave out the segments at indices ``js`` (they are not sealed)."""
@@ -337,10 +345,10 @@ class PackState:
     its sealed rows.  Its cross-attention reads its context columns
     ``ca_from[j]:ca_end[j]`` (from 0 when ``ca_from`` is None, with
     accumulated cross-attention), where ``ca_lens[j]`` rows are this step's.
-    ``advance`` lays out each pass as a ``PassLayout``: a mask per segment
-    over ``store[slots, :n_max]`` and no key index.  The cross-attention
-    mask is laid out once per step and sliced to the fed segments, and
-    kept, with the slots, while the same segments are fed.
+    ``advance`` lays out each pass as a ``PassLayout``, kept as ``layout``:
+    a mask per segment over ``store[slots, :n_max]``, no key index.  The
+    cross-attention mask is laid out once per step and sliced to the fed
+    segments, and kept, with the slots, while the same segments are fed.
     """
 
     def __init__(self, cache: PackCache, segs: np.ndarray, ca_lens: np.ndarray,
@@ -388,8 +396,26 @@ class PackState:
             sa_allow = ad.window_mask(lens, first, end, n_sa, True)
         cache.check_capacity("sa", n_sa)
         self.n_fed[active] += 1 if lens is None else lens
-        return PassLayout(rows, self._slots, n_sa, ad.Padded(*queries, sa_allow),
-                          self._n_ca, ad.Padded(*queries, self._ca_mask))
+        self.layout = lay = PassLayout(rows, self._slots, n_sa, ad.Padded(*queries, sa_allow),
+                                       self._n_ca, ad.Padded(*queries, self._ca_mask))
+        # what the pass's place and attention read, bound once per pass
+        self._sa_at, self._ca_at = (lay.slots, slice(n_sa)), (lay.slots, slice(lay.n_ca))
+        return lay
+
+    def place(self, i: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Write layer ``i``'s K/V rows of the pass into the stores."""
+        rows, cache = self.layout.rows, self.cache
+        cache.sa_k[i][rows] = k
+        cache.sa_v[i][rows] = v
+
+    def attend_self(self, i: int, q: np.ndarray, n_heads: int) -> np.ndarray:
+        """Layer ``i``'s self-attention of ``q`` over the stores in place."""
+        at, cache = self._sa_at, self.cache
+        return ad._attend(q, cache.sa_k[i][at], cache.sa_v[i][at], n_heads, self.layout.sa)[1]
+
+    def attend_cross(self, i: int, q: np.ndarray, n_heads: int) -> np.ndarray:
+        at, cache = self._ca_at, self.cache
+        return ad._attend(q, cache.ca_k[i][at], cache.ca_v[i][at], n_heads, self.layout.ca)[1]
 
     def restart(self, active) -> None:
         """Forget the rows the segments at indices ``active`` fed this step,
@@ -403,6 +429,36 @@ def _pack_only(state: GraphState | PackState) -> PackState:
     if not isinstance(state, PackState):
         raise ShapeError("a graph step decodes by block passes only; pass a pack's state")
     return state
+
+
+# A decoder layer's ops besides attention, (layer_norm, matmul, affine, relu)
+# with affine(x, w, b, residual) = residual + (x @ w + b), for each executor:
+# the autodiff ops for block passes on the graph, and their array kernels (the
+# same numpy operations, no graph; ReLU in place on its own rows) for packs
+GRAPH_OPS = (ad.layer_norm_rows, ad.matmul, ad.linear, ad.relu)
+PACK_OPS = (lambda x, g, b: ad._layer_norm(x, g, b)[0], operator.matmul, ad._affine,
+            lambda h: np.maximum(h, 0.0, out=h))
+
+
+def _decoder_layers(ops: tuple, layers: list, state, x, n_heads: int, want_logits: bool):
+    """The decoder layers by the executor ``ops`` on ``layers``' parameters,
+    over the rows ``x`` of a pass laid out in ``state``, which owns its K/V
+    rows and attention.  Without ``want_logits`` it stops after the last
+    layer's K/V rows, which complete a sealed step, and returns None."""
+    ln, mm, affine, relu = ops
+    place, attend_self, attend_cross = state.place, state.attend_self, state.attend_cross
+    last = len(layers) - 1
+    for i, w in enumerate(layers):
+        h = ln(x, w["ln1.g"], w["ln1.b"])
+        place(i, mm(h, w["sa.wk"]), mm(h, w["sa.wv"]))
+        if not want_logits and i == last:
+            return None
+        x = affine(attend_self(i, mm(h, w["sa.wq"]), n_heads), w["sa.wo"], w["sa.bo"], x)
+        h = ln(x, w["ln2.g"], w["ln2.b"])
+        x = affine(attend_cross(i, mm(h, w["ca.wq"]), n_heads), w["ca.wo"], w["ca.bo"], x)
+        h = affine(ln(x, w["ln3.g"], w["ln3.b"]), w["ff.w1"], w["ff.b1"])
+        x = affine(relu(h), w["ff.w2"], w["ff.b2"], x)
+    return x
 
 
 @dataclass
@@ -492,6 +548,12 @@ class QuestionRewriter:
         self._init_params(None if arrays is not None else rng or np.random.default_rng(0))
         if arrays is not None:
             self._load_arrays(arrays)
+        # each layer's parameters by the rest of their name (ln1.g, sa.wq, ...),
+        # built once: optimizers and checkpoints assign .data, never a tensor
+        self._enc_layers, self._dec_layers = (
+            [{name[len(pre):]: t for name, t in self.params.items() if name.startswith(pre)}
+             for pre in (f"{stack}.l{i}." for i in range(n))]
+            for stack, n in (("enc", cfg.n_enc_layers), ("dec", cfg.n_dec_layers)))
         self._pos = sinusoidal_positions(cfg.max_len, cfg.d_model).astype(self.dtype)
 
     # ------------------------------------------------------------------
@@ -559,38 +621,7 @@ class QuestionRewriter:
             tgt.data = arr.astype(self.dtype)
 
     # ------------------------------------------------------------------
-    # shared sublayers
-
-    def _ln(self, x: Tensor, name: str) -> Tensor:
-        return ad.layer_norm_rows(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
-
-    def _project(self, x: Tensor, prefix: str, which: str) -> Tensor:
-        return ad.matmul(x, self.params[f"{prefix}.w{which}"])
-
-    def _mha(
-        self,
-        prefix: str,
-        x: Tensor,
-        x_q: Tensor,
-        keys: Tensor,
-        values: Tensor,
-        index: np.ndarray,
-        layout: ad.Padded,
-    ) -> Tensor:
-        """``x`` plus the multi-head attention of ``x_q``'s projected
-        queries over ``keys`` and ``values`` (projected already, stacked
-        rows that ``index`` takes each segment's keys from) by
-        ``layout``."""
-        p = self.params
-        q = self._project(x_q, prefix, "q")
-        attended = ad.attention(q, keys, values, self.cfg.n_heads, index, layout)
-        return ad.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"], residual=x)
-
-    def _ff(self, x: Tensor, ln: str, prefix: str) -> Tensor:
-        """``x`` plus the feed-forward block of its ``ln`` normed rows."""
-        p = self.params
-        h = ad.relu(ad.linear(self._ln(x, ln), p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        return ad.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"], residual=x)
+    # embeddings and the encoder
 
     def _position_rows(self, n_ids: int, positions: np.ndarray) -> np.ndarray:
         """The position rows ``positions`` of ``n_ids`` ids, which must lie
@@ -611,9 +642,6 @@ class QuestionRewriter:
         )
         return ad.add(e, ad.constant(pos))
 
-    # ------------------------------------------------------------------
-    # encoder
-
     def encode(self, step: StepInput | Sequence[StepInput]) -> Tensor | list[Tensor]:
         """Encoder stack over one step input; returns (l_t, d_model).  A list
         of step inputs runs as one packed pass, each input a segment that
@@ -627,14 +655,15 @@ class QuestionRewriter:
                                           in zip(bounds[:-1], bounds[1:])])
         positions = np.concatenate([np.arange(n) for n in lens])
         x = self._embed([t for s in steps for t in s.tokens], positions)
-        for i in range(self.cfg.n_enc_layers):
-            p = f"enc.l{i}"
-            h = self._ln(x, f"{p}.ln1")
-            k = self._project(h, f"{p}.sa", "k")
-            v = self._project(h, f"{p}.sa", "v")
-            x = self._mha(f"{p}.sa", x, h, k, v, *layout)
-            x = self._ff(x, f"{p}.ln2", f"{p}.ff")
-        out = self._ln(x, "enc.lnf")
+        for w in self._enc_layers:
+            h = ad.layer_norm_rows(x, w["ln1.g"], w["ln1.b"])
+            k, v = ad.matmul(h, w["sa.wk"]), ad.matmul(h, w["sa.wv"])
+            attended = ad.attention(ad.matmul(h, w["sa.wq"]), k, v, self.cfg.n_heads, *layout)
+            x = ad.linear(attended, w["sa.wo"], w["sa.bo"], residual=x)
+            h = ad.layer_norm_rows(x, w["ln2.g"], w["ln2.b"])
+            h = ad.relu(ad.linear(h, w["ff.w1"], w["ff.b1"]))
+            x = ad.linear(h, w["ff.w2"], w["ff.b2"], residual=x)
+        out = ad.layer_norm_rows(x, self.params["enc.lnf.g"], self.params["enc.lnf.b"])
         if len(steps) == 1:
             return out if isinstance(step, StepInput) else [out]
         return [ad.slice_rows(out, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -645,9 +674,7 @@ class QuestionRewriter:
     def _pack_cache(self, n_segments: int, sa_rows: int, ca_rows: int) -> PackCache:
         cfg = self.cfg
         arrays = {name: p.data for name, p in self.params.items()}
-        layers = [{name[len(prefix):]: a for name, a in arrays.items()
-                   if name.startswith(prefix)}
-                  for prefix in (f"dec.l{i}." for i in range(cfg.n_dec_layers))]
+        layers = [{name: p.data for name, p in layer.items()} for layer in self._dec_layers]
         return PackCache(arrays, layers, n_segments, cfg.d_model, self.dtype,
                          sa_rows, ca_rows)
 
@@ -666,7 +693,6 @@ class QuestionRewriter:
         ``PackCache`` they are written into the stores in place.
         """
         cfg = self.cfg
-        n = cfg.n_dec_layers
         encs = [encoder_output] if isinstance(encoder_output, Tensor) else encoder_output
         segs = np.arange(len(encs))
         if segments is not None:
@@ -674,8 +700,8 @@ class QuestionRewriter:
         lens = np.array([e.shape[0] for e in encs], dtype=np.intp)
         if not isinstance(cache, PackCache):
             rows = encs[0] if len(encs) == 1 else ad.concat_rows(encs)
-            ks = [self._project(rows, f"dec.l{i}.ca", "k") for i in range(n)]
-            vs = [self._project(rows, f"dec.l{i}.ca", "v") for i in range(n)]
+            ks = [ad.matmul(rows, w["ca.wk"]) for w in self._dec_layers]
+            vs = [ad.matmul(rows, w["ca.wv"]) for w in self._dec_layers]
             return GraphState(cache, segs, lens, ks, vs, cfg.mode_accumulated_sa,
                               cfg.mode_accumulated_ca)
         state = PackState(cache, segs, lens, cfg.mode_accumulated_sa,
@@ -717,17 +743,12 @@ class QuestionRewriter:
         x = self._embed([t for row in ids for t in row],
                         np.concatenate([np.arange(n) for n in lens]))
         state.advance(lens, active)
-        for i in range(cfg.n_dec_layers):
-            p = f"dec.l{i}"
-            h = self._ln(x, f"{p}.ln1")
-            state.blocks[i] = (self._project(h, f"{p}.sa", "k"),
-                               self._project(h, f"{p}.sa", "v"))
-            if not want_logits and i == cfg.n_dec_layers - 1:
-                return None
-            x = self._mha(f"{p}.sa", x, h, *state.self_rows(i))
-            x = self._mha(f"{p}.ca", x, self._ln(x, f"{p}.ln2"), *state.cross_rows(i))
-            x = self._ff(x, f"{p}.ln3", f"{p}.ff")
-        return self._project_out(self._ln(x, "dec.lnf")) if want_logits else None
+        x = _decoder_layers(GRAPH_OPS, self._dec_layers, state, x, cfg.n_heads, want_logits)
+        if x is None:
+            return None
+        p = self.params  # the output head is the tied token embedding
+        return ad.linear(ad.layer_norm_rows(x, p["dec.lnf.g"], p["dec.lnf.b"]),
+                         p["emb.tok"], p["out.b"], transpose=True)
 
     def _pack_pass(
         self,
@@ -736,11 +757,11 @@ class QuestionRewriter:
         want_logits: bool,
         active: Sequence[int] | None = None,
     ) -> np.ndarray | None:
-        """``_decode_rows`` of a pack, on plain arrays.  It runs the kernels
-        of the ops ``_decode_rows`` runs, so the numpy operations, their
-        order and their dtypes are the same, on the weight arrays the pack
-        bound, and records no graph.  The new K/V rows go into the stores
-        in place.  Returns the logits as an array."""
+        """``_decode_rows`` of a pack, on plain arrays.  It runs the same
+        layer loop with the kernels of the ops ``_decode_rows`` runs, so the
+        numpy operations, their order and their dtypes are the same, on the
+        weight arrays the pack bound, and records no graph.  The new K/V
+        rows go into the stores in place.  Returns the logits as an array."""
         if ad.grad_enabled():
             raise ShapeError("a pack decodes under no_grad only")
         active = (np.arange(len(state.segs)) if active is None
@@ -753,31 +774,15 @@ class QuestionRewriter:
         positions = state.n_fed[active]  # each segment's next step-local position
         if not one_each:
             positions = np.concatenate([np.arange(f, f + n) for f, n in zip(positions, lens)])
-        cache, n_heads = state.cache, self.cfg.n_heads
-        w = cache.arrays
+        cache, w = state.cache, state.cache.arrays
         pos = self._position_rows(len(flat), positions)
         x = ad._lookup(w["emb.tok"], flat)[0]
         x *= math.sqrt(self.cfg.d_model)
         x += pos
-        lay = state.advance(lens, active, positions)
-        slots, n_sa, n_ca = lay.slots, lay.n_sa, lay.n_ca
-        last = len(cache.layers) - 1
-        for i, layer in enumerate(cache.layers):
-            h = ad._layer_norm(x, layer["ln1.g"], layer["ln1.b"])[0]
-            cache.sa_k[i][lay.rows] = h @ layer["sa.wk"]
-            cache.sa_v[i][lay.rows] = h @ layer["sa.wv"]
-            if not want_logits and i == last:
-                return None
-            attended = ad._attend(h @ layer["sa.wq"], cache.sa_k[i][slots, :n_sa],
-                                  cache.sa_v[i][slots, :n_sa], n_heads, lay.sa)[1]
-            x = ad._affine(attended, layer["sa.wo"], layer["sa.bo"], x)
-            h = ad._layer_norm(x, layer["ln2.g"], layer["ln2.b"])[0]
-            attended = ad._attend(h @ layer["ca.wq"], cache.ca_k[i][slots, :n_ca],
-                                  cache.ca_v[i][slots, :n_ca], n_heads, lay.ca)[1]
-            x = ad._affine(attended, layer["ca.wo"], layer["ca.bo"], x)
-            h = ad._layer_norm(x, layer["ln3.g"], layer["ln3.b"])[0]
-            h = ad._affine(h, layer["ff.w1"], layer["ff.b1"])
-            x = ad._affine(np.maximum(h, 0.0, out=h), layer["ff.w2"], layer["ff.b2"], x)
+        state.advance(lens, active, positions)
+        x = _decoder_layers(PACK_OPS, cache.layers, state, x, self.cfg.n_heads, want_logits)
+        if x is None:
+            return None
         y = ad._layer_norm(x, w["dec.lnf.g"], w["dec.lnf.b"])[0]
         return ad._affine(y, w["emb.tok"].T, w["out.b"])
 
@@ -800,11 +805,6 @@ class QuestionRewriter:
         tokens = [token] if isinstance(token, (int, np.integer)) else token
         return self._pack_pass(_pack_only(state), [[t] for t in tokens], want_logits,
                                active)
-
-    def _project_out(self, y: Tensor) -> Tensor:
-        # output head tied to the token embedding: copying an input token to
-        # the output then generalizes to tokens never emitted in training
-        return ad.linear(y, self.params["emb.tok"], self.params["out.b"], transpose=True)
 
     def _greedy_lockstep(
         self,

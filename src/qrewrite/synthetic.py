@@ -105,10 +105,6 @@ class World:
         self._ids_by_entity = {e: frozenset(s) for e, s in ids.items()}
         return self
 
-    @property
-    def all_entities(self) -> list[str]:
-        return [e for cat in CATEGORIES for e in self.entities.get(cat, [])]
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -393,18 +389,16 @@ def make_splits(
     hops_list: Sequence[int],
     counts: tuple[int, int, int],
     seed: int,
-    rename_train: bool = True,
 ) -> dict[str, list[dict]]:
     """Train/validation/test records with disjoint chain signatures.
 
     Chain signatures are partitioned across splits (test and validation
     signatures never occur in train); records within a split may revisit a
     signature with fresh distractors and document order when more examples
-    than signatures are requested.  With ``rename_train`` every training
-    record additionally gets a category-preserving entity renaming, so the
-    entity combinations seen in training churn while validation and test
-    keep the fixed world; renamings that would collide with a held-out
-    signature are rejected.
+    than signatures are requested.  Every training record additionally
+    gets a category-preserving entity renaming, so the entity combinations
+    seen in training churn while validation and test keep the fixed world;
+    renamings that would collide with a held-out signature are rejected.
     """
     n_train, n_valid, n_test = counts
     if min(counts) < 0 or max(counts) == 0:
@@ -444,7 +438,7 @@ def make_splits(
                 k = i % len(used)
                 rec = record_from_chain(world, used[k], rng,
                                         f"{split}-{hops}hop-{i:05d}", parts[k])
-                if split == "train" and rename_train:
+                if split == "train":
                     for _ in range(64):
                         renamed, _ = rename_record_entities(world, rec, rng)
                         if (renamed["answer"], renamed["question"]) not in reserved:

@@ -700,7 +700,8 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_train_twice_byte_identical(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_train_twice_byte_identical(self, precision, data_dir, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "d_model": 16, "n_heads": 2, "d_ff": 24,
@@ -712,9 +713,19 @@ class TestDeterminism:
         for name in ("run-a", "run-b"):
             out = tmp_path / name
             assert run("train", "--config", cfg, "--data", data_dir,
-                       "--out", out) == 0
+                       "--out", out, "--precision", precision) == 0
             outs.append(out)
         a, b = outs
         for name in ("metrics.jsonl", "checkpoint-H1.bin", "checkpoint-H2.bin",
                      "checkpoint-final.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        if precision == "f32":
+            # an f32 run stores float32 arrays, and generate decodes with them
+            _, _, arrays = dataio.load_checkpoint(a / "checkpoint-final.bin")
+            assert {arr.dtype.name for arr in arrays.values()} == {"float32"}
+            pred = tmp_path / "pred.jsonl"
+            assert run("generate", "--checkpoint", a / "checkpoint-final.bin",
+                       "--data", data_dir / "test.jsonl", "--vocab", data_dir / "vocab.txt",
+                       "--out", pred, "--precision", "f32") == 0
+            records = (data_dir / "test.jsonl").read_text().splitlines()
+            assert len(pred.read_text().splitlines()) == len(records) > 0

@@ -521,6 +521,47 @@ class TestPackedDecoding:
             assert np.abs(gap).max() <= 1e-12
             assert res.final_tokens == greedy.final_tokens
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("sa, ca", ACCUMULATION_MODES)
+    @pytest.mark.parametrize("n_segments", [1, 3])
+    def test_graph_and_pack_passes_give_the_same_bits(self, n_segments, sa, ca, dtype):
+        # a step sealed by one block pass, then the next step teacher-forced,
+        # on the graph and in a pack; segments of unequal lengths.  With
+        # both accumulations each segment's keys start at column 0 of its
+        # padded row on both executors, so f64 is bit for bit.  An ablated
+        # pack window starts after the masked sealed columns, so its softmax
+        # sums and p @ v run over more columns than the graph's: last bits.
+        # At f32 the pack stores round K/V rows to float32 and the graph
+        # keeps its blocks at float64
+        m = tiny_model(seed=23, dtype=dtype, mode_accumulated_sa=sa,
+                       mode_accumulated_ca=ca)
+        rng = np.random.default_rng(23)
+
+        def rows(lengths, lo=3):
+            return [list(rng.integers(lo, m.cfg.vocab_size, size=n)) for n in lengths]
+
+        docs = [[StepInput(ids, t + 1) for ids in rows((4, 2, 5)[:n_segments])]
+                for t in range(2)]
+        questions = [[BOS, *q] for q in rows((5, 1, 6)[:n_segments])]
+        golds = [[BOS, *g] for g in rows((4, 6, 2)[:n_segments])]
+        encodings = [m.encode(step) for step in docs]
+        cache = AttentionCache(m.cfg.n_dec_layers, n_segments)
+        state = m.start_step(encodings[0], cache)
+        m._decode_rows(state, questions, False)
+        m.seal_step(state, cache)
+        graph = m._decode_rows(m.start_step(encodings[1], cache), golds, True).data
+        with ad.no_grad():
+            pack = m._pack_cache(n_segments, 2 * m.cfg.max_len, 12)
+            state = m.start_step(encodings[0], pack)
+            m._pack_pass(state, questions, False)
+            m.seal_step(state, pack)
+            packed = m._pack_pass(m.start_step(encodings[1], pack), golds, True)
+        assert graph.shape == packed.shape == (sum(map(len, golds)), m.cfg.vocab_size)
+        if dtype == np.float64 and sa and ca:
+            assert np.array_equal(graph, packed)
+        tol = 1e-12 if dtype == np.float64 else F32_TOLERANCE
+        assert np.abs(graph - packed).max() <= tol
+
     def test_pack_state_misuse_is_rejected(self):
         m = pack_model()
         with ad.no_grad():

@@ -40,7 +40,7 @@ class TestWorld:
             S.sample_chain(empty, 1, np.random.default_rng(0))
 
     def test_referential_integrity(self, world):
-        pool = set(world.all_entities)
+        pool = {e for names in world.entities.values() for e in names}
         for f in world.facts:
             assert f.subj in pool and f.obj in pool
             rel = S.RELATION_BY_NAME[f.relation]
