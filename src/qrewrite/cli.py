@@ -82,6 +82,8 @@ def cmd_gen_data(args) -> int:
     hops = _hop_counts(args.hops)
     if args.seed < 0:
         raise GenerationError(f"--seed takes an integer >= 0, got {args.seed}")
+    if args.entities < 1:
+        raise GenerationError(f"--entities takes an integer >= 1, got {args.entities}")
     sizes = {
         "person": args.entities,
         "film": max(2, (args.entities * 4) // 5),

@@ -14,8 +14,9 @@ evaluation only; the trainer never reads them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -94,8 +95,6 @@ class World:
         return self._ids_by_entity.get(entity, frozenset())
 
     def finalize(self) -> "World":
-        # sentences[k] is the document text of facts[k]
-        self.sentences = [" ".join(fact_sentence(f)) for f in self.facts]
         self._by_entity: dict[str, list[Fact]] = {}
         ids: dict[str, set[int]] = {}
         for k, f in enumerate(self.facts):
@@ -103,6 +102,12 @@ class World:
                 self._by_entity.setdefault(e, []).append(f)
                 ids.setdefault(e, set()).add(k)
         self._ids_by_entity = {e: frozenset(s) for e, s in ids.items()}
+        # clashes[k]: positions, ascending, of the facts sharing an entity
+        # with facts[k] (itself included)
+        self.clashes = [sorted(ids[f.subj] | ids[f.obj]) for f in self.facts]
+        # slots[e]: e's category (its index in CATEGORIES) and pool index
+        self.slots = {e: (c, i) for c, cat in enumerate(CATEGORIES)
+                      for i, e in enumerate(self.entities[cat])}
         return self
 
 
@@ -204,9 +209,8 @@ def descriptor_tokens(fact: Fact, described: str) -> list[str]:
     raise GenerationError(f"{described} is not part of {fact}")
 
 
-def fact_sentence(fact: Fact) -> list[str]:
-    rel = RELATION_BY_NAME[fact.relation]
-    return _fill(rel.fact, subj=fact.subj, obj=fact.obj)
+# each relation's fact sentence as a format string over (subject, object)
+SENTENCE_FORMATS = {r.name: " ".join(_fill(r.fact, "{0}", "{1}")) for r in RELATIONS}
 
 
 def chain_questions(chain: Chain) -> list[list[str]]:
@@ -257,17 +261,18 @@ def _distractor_facts(
     world: World, candidates: list[int], count: int, rng: np.random.Generator
 ) -> list[int]:
     """Draw up to ``count`` facts from ``candidates`` (positions in
-    ``world.facts``, in order) and return their positions; after each draw,
-    drop from ``candidates`` every fact that shares an entity with it."""
+    ``world.facts``, ascending) and return their positions; after each draw,
+    delete from ``candidates`` every fact that shares an entity with it."""
     picked: list[int] = []
     for _ in range(count):
         if not candidates:
             break
         k = candidates[int(rng.integers(len(candidates)))]
         picked.append(k)
-        f = world.facts[k]
-        taken = world.fact_ids_of(f.subj) | world.fact_ids_of(f.obj)
-        candidates[:] = [j for j in candidates if j not in taken]
+        for j in world.clashes[k]:
+            i = bisect_left(candidates, j)
+            if i < len(candidates) and candidates[i] == j:
+                del candidates[i]
     return picked
 
 
@@ -275,64 +280,97 @@ def _distractor_facts(
 class ChainParts:
     """What every record of one chain shares."""
 
-    question: str                   # the gold final question
-    intermediates: tuple[str, ...]  # reference questions Q^1..Q^(N-1)
-    sentences: tuple[str, ...]      # the text of each chain fact
-    free: tuple[int, ...]           # distractor candidates: positions in world.facts
-                                    # of the facts naming no chain entity
+    questions: tuple[str, ...]  # Q^1..Q^N, format strings over chain.entities
+    free: tuple[int, ...]       # distractor candidates: positions in world.facts
+                                # of the facts naming no chain entity
 
     @classmethod
     def of(cls, world: World, chain: Chain) -> "ChainParts":
-        questions = [" ".join(q) for q in chain_questions(chain)]
+        slot = {e: f"{{{j}}}" for j, e in enumerate(chain.entities)}
         taken = frozenset().union(*map(world.fact_ids_of, chain.entities))
         return cls(
-            questions[-1], tuple(questions[:-1]),
-            tuple(" ".join(fact_sentence(f)) for f in chain.facts),
+            tuple(" ".join([slot.get(tok, tok) for tok in q])
+                  for q in chain_questions(chain)),
             tuple([k for k in range(len(world.facts)) if k not in taken]),
         )
 
 
+def rename_entities(
+    world: World, chain: Chain, parts: ChainParts, rng: np.random.Generator,
+    reserved: set[tuple[str, str]],
+) -> Callable[[str], str]:
+    """A bijective renaming of the world's entities within their category
+    pools under which the chain's (answer, question) pair is not in
+    ``reserved``.  Each attempt draws one permutation per pool; the map is
+    applied only to the entities asked for."""
+    pools = [world.entities[cat] for cat in CATEGORIES]
+    slots = world.slots
+    for _ in range(64):
+        perms = [rng.permutation(len(pool)).tolist() for pool in pools]
+
+        def new(e: str) -> str:
+            c, i = slots[e]
+            return pools[c][perms[c][i]]
+
+        ents = [new(e) for e in chain.entities]
+        if (ents[0], parts.questions[-1].format(*ents)) not in reserved:
+            return new
+    raise GenerationError(
+        "could not rename a training record away from held-out signatures"
+    )
+
+
 def record_from_chain(
     world: World, chain: Chain, rng: np.random.Generator, example_id: str,
-    parts: ChainParts,
+    parts: ChainParts, reserved: set[tuple[str, str]] | None = None,
 ) -> dict:
     """One dataset record: shuffled documents with entity annotations, the
     gold final question, and reference intermediates (evaluation only).
-    ``parts`` is ``ChainParts.of(world, chain)``."""
-    # distractors name no chain entity and no entity of another distractor
+    ``parts`` is ``ChainParts.of(world, chain)``.  A training record passes
+    the held-out (answer, question) pairs as ``reserved`` and is renamed by
+    ``rename_entities``, so it describes a different, equally valid world."""
+    # first the record as structure, each document's facts in sentence
+    # order; distractors name no chain entity and no entity of another
+    # distractor
     candidates = list(parts.free)
     docs = []
     for t in range(chain.hops):
         n_distract = 1 + int(rng.integers(0, 2))
-        distractors = _distractor_facts(world, candidates, n_distract, rng)
-        if not distractors:
+        facts = [world.facts[k]
+                 for k in _distractor_facts(world, candidates, n_distract, rng)]
+        if not facts:
             raise GenerationError(
                 "not enough free entities for distractor sentences; "
                 "grow the world sizes"
             )
-        sentences = [world.sentences[k] for k in distractors]
-        slot = int(rng.integers(len(sentences) + 1))
-        sentences.insert(slot, parts.sentences[t])
-        doc_entities = {chain.entities[t], chain.entities[t + 1]}
-        doc_entities.update(
-            e for k in distractors for e in (world.facts[k].subj, world.facts[k].obj)
-        )
-        docs.append(
-            {
-                "title": chain.entities[t + 1],
-                "text": " ".join(sentences),
-                "is_answer_doc": t == 0,
-                "entities": sorted(doc_entities),
-            }
-        )
-    order = rng.permutation(len(docs))
+        facts.insert(int(rng.integers(len(facts) + 1)), chain.facts[t])
+        docs.append(facts)
+    order = rng.permutation(len(docs)).tolist()
+    # then its text, once, through the names of the entities it mentions
+    named = {e for facts in docs for f in facts for e in (f.subj, f.obj)}
+    if reserved is None:
+        name = dict(zip(named, named))
+    else:
+        new = rename_entities(world, chain, parts, rng, reserved)
+        name = {e: new(e) for e in named}
+    ents = [name[e] for e in chain.entities]
+    questions = [q.format(*ents) for q in parts.questions]
     return {
         "id": example_id,
         "hops": chain.hops,
-        "answer": chain.entities[0],
-        "question": parts.question,
-        "documents": [docs[int(i)] for i in order],
-        "reference_intermediates": list(parts.intermediates),
+        "answer": ents[0],
+        "question": questions[-1],
+        "documents": [
+            {
+                "title": ents[t + 1],
+                "text": " ".join([SENTENCE_FORMATS[f.relation].format(
+                    name[f.subj], name[f.obj]) for f in docs[t]]),
+                "is_answer_doc": t == 0,
+                "entities": sorted({name[e] for f in docs[t] for e in (f.subj, f.obj)}),
+            }
+            for t in order
+        ],
+        "reference_intermediates": questions[:-1],
     }
 
 
@@ -342,46 +380,6 @@ def generate_example(world: World, hops: int, seed: int) -> dict:
     return record_from_chain(
         world, chain, rng, f"ex-{hops}hop-{seed}", ChainParts.of(world, chain)
     )
-
-
-# ---------------------------------------------------------------------------
-# entity renaming (training-split augmentation)
-
-
-def rename_record_entities(
-    world: World, rec: dict, rng: np.random.Generator
-) -> tuple[dict, dict[str, str]]:
-    """Bijectively rename the record's entities within their category pools.
-
-    The record stays internally consistent (documents, annotations, question
-    and intermediates are renamed together), so it describes a different,
-    equally valid world.  Returns the renamed record and the token map.
-    """
-    flat: dict[str, str] = {}
-    for cat in CATEGORIES:
-        pool = world.entities[cat]
-        flat.update(zip(pool, [pool[j] for j in rng.permutation(len(pool)).tolist()]))
-    get = flat.get
-
-    def m_text(text: str) -> str:
-        return " ".join([get(t, t) for t in text.split()])
-
-    out = dict(rec)
-    out["answer"] = m_text(rec["answer"])
-    out["question"] = m_text(rec["question"])
-    out["reference_intermediates"] = [
-        m_text(q) for q in rec.get("reference_intermediates", [])
-    ]
-    out["documents"] = [
-        {
-            "title": m_text(d["title"]),
-            "text": m_text(d["text"]),
-            "is_answer_doc": d["is_answer_doc"],
-            "entities": sorted([m_text(e) for e in d["entities"]]),
-        }
-        for d in rec["documents"]
-    ]
-    return out, flat
 
 
 def make_splits(
@@ -436,20 +434,10 @@ def make_splits(
             parts = [ChainParts.of(world, c) for c in used]
             for i in range(want):
                 k = i % len(used)
-                rec = record_from_chain(world, used[k], rng,
-                                        f"{split}-{hops}hop-{i:05d}", parts[k])
-                if split == "train":
-                    for _ in range(64):
-                        renamed, _ = rename_record_entities(world, rec, rng)
-                        if (renamed["answer"], renamed["question"]) not in reserved:
-                            rec = renamed
-                            break
-                    else:
-                        raise GenerationError(
-                            "could not rename a training record away from "
-                            "held-out signatures"
-                        )
-                splits[split].append(rec)
+                splits[split].append(record_from_chain(
+                    world, used[k], rng, f"{split}-{hops}hop-{i:05d}", parts[k],
+                    reserved if split == "train" else None,
+                ))
     return splits
 
 

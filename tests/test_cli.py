@@ -112,6 +112,29 @@ def test_data_stage_bytes_are_pinned(seed, tmp_path):
     assert got == {k: v for k, v in DATA_STAGE_DIGESTS.items() if k[0] == seed}
 
 
+# SHA-256 of what gen-data writes at the settings the benchmark's generate
+# workload makes its data with (perfbench/workloads.py FIXTURE_DATA), and of
+# the arranged test split it decodes, recorded before the data stage drew
+# records as structure: the fixture checkpoint was trained on these records
+FIXTURE_DATA_DIGESTS = {
+    "train.jsonl": "6b61aa6195acd1b587c33538affda0543b81492329a303e9c6b3d8a9cee8f95a",
+    "test.jsonl": "9517e06bdc6fe5c1f636f43bdaa1f57fb6eac6daf01bbf2511bf43d1ee37ad89",
+    "test.arr.jsonl": "d9b937635e994a11ad46e48da9fa89009d00252f3eb289caa4b97e9107333bb1",
+}
+
+
+def test_generate_workload_data_is_pinned(tmp_path):
+    assert run("gen-data", "--out", tmp_path, "--hops", "1,2,3", "--train", "200",
+               "--valid", "8", "--test", "100", "--entities", "40",
+               "--seed", "2024") == 0
+    fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+    assert (tmp_path / "vocab.txt").read_bytes() == (fixture / "vocab.txt").read_bytes()
+    assert run("arrange", "--in", tmp_path / "test.jsonl",
+               "--out", tmp_path / "test.arr.jsonl") == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in FIXTURE_DATA_DIGESTS} == FIXTURE_DATA_DIGESTS
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--hops", "x"),
     ("--hops", ","),
@@ -119,12 +142,14 @@ def test_data_stage_bytes_are_pinned(seed, tmp_path):
     ("--hops", "0"),
     ("--hops", "5"),
     ("--seed", "-1"),
+    ("--entities", "0"),
+    ("--entities", "-5"),
 ])
 def test_malformed_gen_data_arguments_are_data_errors(flag, value, tmp_path, capsys):
-    flags = {"--hops": "1", "--seed": "0", flag: value}
+    flags = {"--hops": "1", "--seed": "0", "--entities": "20", flag: value}
     out = tmp_path / "data"
     assert run("gen-data", "--out", out, "--train", "4", "--valid", "2",
-               "--test", "2", "--entities", "20",
+               "--test", "2",
                *(arg for pair in flags.items() for arg in pair)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {flag} ") and len(err.splitlines()) == 1

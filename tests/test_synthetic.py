@@ -198,12 +198,25 @@ class TestSplits:
             assert len(arr.bridges) == rec["hops"] - 1
 
     def test_rename_is_bijective_within_record(self, world):
-        rec = S.generate_example(world, 3, seed=0)
-        rng = np.random.default_rng(0)
-        renamed, tok_map = S.rename_record_entities(world, rec, rng)
-        assert sorted(tok_map) == sorted(set(tok_map.values()))
+        chain = S.enumerate_chains(world, 3)[0]
+        parts = S.ChainParts.of(world, chain)
+        plain_rng, renamed_rng = np.random.default_rng(0), np.random.default_rng(0)
+        rec = S.record_from_chain(world, chain, plain_rng, "x", parts)
+        renamed = S.record_from_chain(world, chain, renamed_rng, "x", parts, set())
+        # plain_rng now stands where the renaming's draws begin
+        new = S.rename_entities(world, chain, parts, plain_rng, set())
+        for pool in world.entities.values():
+            assert sorted(map(new, pool)) == sorted(pool)
         # same structure, renamed surface
+        assert renamed["answer"] == new(rec["answer"])
         assert len(renamed["question"].split()) == len(rec["question"].split())
+        # every renamed training record annotates exactly the entities its
+        # texts name
+        entities = set(world.slots)
+        for rec in S.make_splits(world, [1, 2, 3], (20, 2, 4), seed=3)["train"]:
+            for d in rec["documents"]:
+                named = {t for t in d["text"].split() if t in entities}
+                assert d["entities"] == sorted(named) and d["title"] in named
 
     def test_regeneration_identical(self, world):
         a = S.make_splits(world, [1, 2], (10, 2, 3), seed=9)
@@ -235,3 +248,208 @@ class TestSplits:
         splits = S.make_splits(world, [1, 2], (10, 2, 3), seed=9)
         ids = [r["id"] for part in splits.values() for r in part]
         assert len(ids) == len(set(ids))
+
+
+# ---------------------------------------------------------------------------
+# reference: the data stage as it drew records before they were drawn as
+# structure and rendered once.  It re-filled every sentence, rebuilt the
+# distractor candidate list after each draw and renamed a training record by
+# re-splitting its finished text; make_splits must still equal it record for
+# record, with the same rng draws in the same order.
+
+
+def ref_sentence(fact):
+    rel = S.RELATION_BY_NAME[fact.relation]
+    return " ".join(S._fill(rel.fact, subj=fact.subj, obj=fact.obj))
+
+
+def ref_fact_ids(world):
+    ids = {}
+    for k, f in enumerate(world.facts):
+        for e in (f.subj, f.obj):
+            ids.setdefault(e, set()).add(k)
+    return ids
+
+
+def ref_distractor_facts(world, ids, candidates, count, rng):
+    picked = []
+    for _ in range(count):
+        if not candidates:
+            break
+        k = candidates[int(rng.integers(len(candidates)))]
+        picked.append(k)
+        f = world.facts[k]
+        taken = ids[f.subj] | ids[f.obj]
+        candidates[:] = [j for j in candidates if j not in taken]
+    return picked
+
+
+def ref_record_from_chain(world, chain, rng, example_id):
+    ids = ref_fact_ids(world)
+    questions = [" ".join(q) for q in S.chain_questions(chain)]
+    taken = set().union(*(ids[e] for e in chain.entities))
+    candidates = [k for k in range(len(world.facts)) if k not in taken]
+    docs = []
+    for t in range(chain.hops):
+        n_distract = 1 + int(rng.integers(0, 2))
+        distractors = ref_distractor_facts(world, ids, candidates, n_distract, rng)
+        if not distractors:
+            raise GenerationError(
+                "not enough free entities for distractor sentences; "
+                "grow the world sizes"
+            )
+        sentences = [ref_sentence(world.facts[k]) for k in distractors]
+        slot = int(rng.integers(len(sentences) + 1))
+        sentences.insert(slot, ref_sentence(chain.facts[t]))
+        doc_entities = {chain.entities[t], chain.entities[t + 1]}
+        doc_entities.update(
+            e for k in distractors for e in (world.facts[k].subj, world.facts[k].obj)
+        )
+        docs.append({
+            "title": chain.entities[t + 1],
+            "text": " ".join(sentences),
+            "is_answer_doc": t == 0,
+            "entities": sorted(doc_entities),
+        })
+    order = rng.permutation(len(docs))
+    return {
+        "id": example_id,
+        "hops": chain.hops,
+        "answer": chain.entities[0],
+        "question": questions[-1],
+        "documents": [docs[int(i)] for i in order],
+        "reference_intermediates": questions[:-1],
+    }
+
+
+def ref_rename_record_entities(world, rec, rng):
+    flat = {}
+    for cat in S.CATEGORIES:
+        pool = world.entities[cat]
+        flat.update(zip(pool, [pool[j] for j in rng.permutation(len(pool)).tolist()]))
+
+    def m_text(text):
+        return " ".join([flat.get(t, t) for t in text.split()])
+
+    out = dict(rec)
+    out["answer"] = m_text(rec["answer"])
+    out["question"] = m_text(rec["question"])
+    out["reference_intermediates"] = [m_text(q) for q in rec["reference_intermediates"]]
+    out["documents"] = [
+        {
+            "title": m_text(d["title"]),
+            "text": m_text(d["text"]),
+            "is_answer_doc": d["is_answer_doc"],
+            "entities": sorted([m_text(e) for e in d["entities"]]),
+        }
+        for d in rec["documents"]
+    ]
+    return out
+
+
+def ref_renamed(world, rec, rng, reserved, attempts):
+    """The reference's rename loop; appends how many attempts it took."""
+    for n in range(1, 65):
+        renamed = ref_rename_record_entities(world, rec, rng)
+        if (renamed["answer"], renamed["question"]) not in reserved:
+            attempts.append(n)
+            return renamed
+    raise GenerationError(
+        "could not rename a training record away from held-out signatures"
+    )
+
+
+def ref_make_splits(world, hops_list, counts, seed, attempts):
+    n_train, n_valid, n_test = counts
+    splits = {"train": [], "valid": [], "test": []}
+    for hops in hops_list:
+        pool = S.enumerate_chains(world, hops)
+        rng = np.random.default_rng((seed, hops, 0xC0FFEE))
+        rng.shuffle(pool)
+        wanted = sum(1 for c in counts if c > 0)
+        if len(pool) < max(wanted, 3):
+            raise GenerationError(
+                f"only {len(pool)} distinct {hops}-hop chains available; "
+                f"need at least {max(wanted, 3)}; grow the world sizes"
+            )
+        n_test_sig = max(1, min(n_test, len(pool) // 5)) if n_test else 0
+        n_valid_sig = max(1, min(n_valid, len(pool) // 10)) if n_valid else 0
+        chains = {
+            "test": pool[:n_test_sig],
+            "valid": pool[n_test_sig : n_test_sig + n_valid_sig],
+            "train": pool[n_test_sig + n_valid_sig :],
+        }
+        reserved = {
+            (c.entities[0], " ".join(S.chain_questions(c)[-1]))
+            for c in (*chains["test"], *chains["valid"])
+        }
+        for split, want in (("train", n_train), ("valid", n_valid), ("test", n_test)):
+            used = chains[split][:want]
+            if want and not used:
+                raise GenerationError(f"no {hops}-hop chains left for {split}")
+            for i in range(want):
+                rec = ref_record_from_chain(world, used[i % len(used)], rng,
+                                            f"{split}-{hops}hop-{i:05d}")
+                if split == "train":
+                    rec = ref_renamed(world, rec, rng, reserved, attempts)
+                splits[split].append(rec)
+    return splits
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the GenerationError it raises."""
+    try:
+        return fn(*args)
+    except GenerationError as exc:
+        return repr(exc)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("world_seed, sizes, hops_list, counts, seed", [
+        (11, SIZES, [1, 2, 3, 4], (12, 3, 4), 0),
+        (11, SIZES, [1, 2, 3, 4], (9, 2, 5), 1),
+        (5, SIZES, [2, 4], (7, 0, 3), 2),
+        (7, {"person": 30, "film": 24, "city": 15, "country": 15}, [1, 2, 3], (20, 2, 6), 3),
+        (2024, {"person": 40, "film": 32, "city": 20, "country": 20}, [3], (10, 1, 4), 2024),
+    ])
+    def test_make_splits_equals_reference(self, world_seed, sizes, hops_list,
+                                          counts, seed):
+        world = S.generate_world(world_seed, sizes)
+        attempts = []
+        want = ref_make_splits(world, hops_list, counts, seed, attempts)
+        assert S.make_splits(world, hops_list, counts, seed) == want
+
+    @pytest.mark.parametrize("hops", [1, 2, 3, 4])
+    def test_each_record_and_rng_state_equal_reference(self, world, hops):
+        """Record by record, renamed or not, the draws leave the rng where
+        the reference leaves it."""
+        chains = S.enumerate_chains(world, hops)[:6]
+        reserved = {(c.entities[0], " ".join(S.chain_questions(c)[-1]))
+                    for c in chains[:2]}
+        for j, chain in enumerate(chains):
+            parts = S.ChainParts.of(world, chain)
+            for rename in (False, True):
+                got_rng = np.random.default_rng((hops, j))
+                ref_rng = np.random.default_rng((hops, j))
+                for i in range(4):
+                    got = S.record_from_chain(world, chain, got_rng, f"r{i}", parts,
+                                              reserved if rename else None)
+                    want = ref_record_from_chain(world, chain, ref_rng, f"r{i}")
+                    if rename:
+                        want = ref_renamed(world, want, ref_rng, reserved, [])
+                    assert got == want
+                    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_tight_world_retries_renames_like_reference(self):
+        # so few entities that renamings often land on a held-out pair
+        world = S.generate_world(2, {"person": 4, "film": 4, "city": 2, "country": 2})
+        attempts = []
+        want = outcome(ref_make_splits, world, [1, 2], (30, 2, 3), 0, attempts)
+        assert sum(n > 1 for n in attempts) >= 5
+        assert outcome(S.make_splits, world, [1, 2], (30, 2, 3), 0) == want
+
+    def test_distractors_running_out_raise_like_reference(self):
+        world = S.generate_world(0, {"person": 3, "film": 3, "city": 2, "country": 2})
+        want = outcome(ref_make_splits, world, [3], (4, 1, 1), 0, [])
+        assert "not enough free entities" in want
+        assert outcome(S.make_splits, world, [3], (4, 1, 1), 0) == want
