@@ -18,10 +18,18 @@ them, and so does a pass that needs no graph (a pack's decoder pass in
 the same bits.
 
 Tensors are immutable after forward construction except for their ``grad``
-buffers.  Gradients accumulate across backward calls until ``zero_grads``
-resets them.  Graph recording can be suspended with ``no_grad()`` for
-inference; the flag is a ``ContextVar`` so concurrent use on disjoint
-graphs stays safe.
+buffers.  Gradients accumulate on leaves (parameters, and tensors made with
+``requires_grad`` and no parents) across backward calls until
+``zero_grads`` resets them.  Backward consumes the graph it walks: once a
+node's backward has run, the node drops its gradient, its backward and its
+parent links, so each saved forward array is freed as soon as the last
+backward that reads it has run and no graph outlives its backward.  A
+later backward that reaches a consumed node raises ``ShapeError``.  A walk
+over a graph, such as ``graph_nodes`` in ``perfbench/tracer.py`` or the
+node count of ``test_intermediate_step_costs_one_block_pass``, must
+therefore run before ``backward``.  Graph recording can be suspended with
+``no_grad()`` for inference; the flag is a ``ContextVar`` so concurrent use
+on disjoint graphs stays safe.
 """
 
 from __future__ import annotations
@@ -88,8 +96,12 @@ class Tensor:
     def backward(self) -> None:
         """Propagate gradients from this scalar into every reachable tensor.
 
-        Gradients accumulate; call ``zero_grads`` between backward passes
-        that should not sum.
+        Gradients accumulate on leaves; call ``zero_grads`` between backward
+        passes that should not sum.  The graph is consumed as it is walked:
+        each interior node releases its gradient, its backward and its
+        parents once its backward has run, which frees the arrays only that
+        backward read.  Walk the graph before calling this.  A second
+        backward through a consumed node raises ``ShapeError``.
         """
         if self.data.shape != ():
             raise ShapeError(
@@ -108,6 +120,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed()
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -115,9 +129,19 @@ class Tensor:
                     stack.append((p, False))
 
         _accumulate(self, np.ones((), dtype=self.data.dtype))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:  # popped, so a released node is freed at once
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _consumed
+
+
+def _consumed(g: np.ndarray | None = None) -> None:
+    """The backward of a node whose backward has run: it keeps nothing,
+    and a backward that reaches the node again fails."""
+    raise ShapeError("backward() through a graph an earlier backward consumed")
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -64,6 +64,11 @@ class CurriculumConfig:
             )
         if self.batch_size < 1 or self.epochs_per_main_complexity < 1:
             raise ConfigError("batch_size and epochs_per_main_complexity must be >= 1")
+        for name in ("seed", "val_max_examples", "plateau_patience", "warmup_steps",
+                     "lr_alpha", "weight_decay", "max_grad_norm"):
+            v = getattr(self, name)
+            if not v >= 0:  # NaN too
+                raise ConfigError(f"{name}={v} must be >= 0")
 
     def resolved(self) -> "CurriculumConfig":
         """Apply the named variant's (gamma_low, gamma_high, rho) preset."""

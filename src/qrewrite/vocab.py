@@ -60,7 +60,12 @@ class Vocab:
         return cls(list(SPECIAL_TOKENS) + rest)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        """Write one token a line, atomically: an interrupted write leaves
+        ``path`` as it was, never a shorter vocabulary."""
+        from .dataio import _atomic_open  # dataio imports this module
+
+        with _atomic_open(path, "w") as fh:
+            fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

@@ -284,6 +284,64 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, [[8.0]])
 
 
+def graph_of(loss):
+    """Every node ``backward`` would visit from ``loss``."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+class TestRelease:
+    def test_backward_releases_interior_nodes(self):
+        # loss = sum(relu(x @ w + x @ w)): every entry is positive, so
+        # dw = 2 x^T 1 and dx = 2 * 1 w^T
+        x = t([[1.0, 2.0], [3.0, 4.0]], grad=True)
+        w = t([[0.5, 1.0], [1.5, 2.0]], grad=True)
+        y = ad.matmul(x, w)
+        loss = ad.sum_all(ad.relu(ad.add(y, y)))
+        nodes = graph_of(loss)
+        leaves = [n for n in nodes if not n._parents]
+        assert {id(n) for n in leaves} == {id(x), id(w)} and len(nodes) == 6
+        loss.backward()
+        for node in nodes:
+            if any(node is leaf for leaf in leaves):
+                continue
+            assert node.grad is None and node._parents == ()
+            assert node._backward.__closure__ is None  # keeps no array or tensor
+        np.testing.assert_array_equal(w.grad, 2 * x.data.T @ np.ones((2, 2)))
+        np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 2)) @ w.data.T)
+
+    def test_second_backward_of_one_loss_rejected(self):
+        # sum(x @ w) with x = 3: dw is 3; a second pass must not add the
+        # first pass's interior gradients again
+        w = t([[1.0]], grad=True)
+        loss = ad.sum_all(ad.matmul(t([[3.0]]), w))
+        loss.backward()
+        assert w.grad[0, 0] == 3.0
+        with pytest.raises(ShapeError):
+            loss.backward()
+        assert w.grad[0, 0] == 3.0
+
+    @pytest.mark.parametrize("other_leaf", [False, True])
+    def test_loss_on_a_consumed_graph_rejected(self, other_leaf):
+        # a new loss that reaches an interior tensor of a consumed graph,
+        # alone or beside a leaf it could still reach
+        w = t([[1.0, 2.0], [3.0, 4.0]], grad=True)
+        v = t([[1.0], [-1.0]], grad=True)
+        h = ad.matmul(t(np.eye(2)), w)
+        ad.sum_all(h).backward()
+        before = w.grad.copy()
+        again = ad.matmul(h, v) if other_leaf else ad.mul(h, h)
+        with pytest.raises(ShapeError):
+            ad.sum_all(again).backward()
+        np.testing.assert_array_equal(w.grad, before)
+        assert v.grad is None
+
+
 class TestNoGrad:
     def test_no_graph_recorded(self):
         w = t(np.ones((2, 2)), grad=True)

@@ -459,6 +459,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["seed", "val_max_examples", "plateau_patience",
+                                     "warmup_steps", "lr_alpha", "weight_decay",
+                                     "max_grad_norm"])
+    def test_negative_trainer_value_is_error(self, data_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: -1}))
+        out = tmp_path / "run"
+        assert run("train", "--config", cfg, "--data", data_dir, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--seed", "-1", "--data", data_dir, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_predictions_aligned(self, data_dir, train_dir, tmp_path):

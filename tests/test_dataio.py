@@ -7,6 +7,7 @@ import pytest
 from qrewrite import dataio
 from qrewrite.errors import CompatibilityError, ConfigError, DataFormatError
 from qrewrite.model import ModelConfig, QuestionRewriter, StepInput
+from qrewrite.vocab import Vocab
 
 
 def sample_record(hops=2):
@@ -241,11 +242,15 @@ class _FailingFile:
         raise OSError("no space left on device")
 
 
-@pytest.mark.parametrize("writer", ["records", "checkpoint", "manifest"])
+@pytest.mark.parametrize("writer", ["records", "checkpoint", "manifest", "vocab"])
 def test_interrupted_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
     model = TestCheckpoints()._model()
+    tokens = [f"tok{i}" for i in range(40)]
 
     def write():
+        if writer == "vocab":
+            Vocab.build(tokens).save(tmp_path / "vocab.txt")
+            return tmp_path / "vocab.txt"
         if writer == "records":
             dataio.write_records(tmp_path / "out.jsonl", [sample_record(), sample_record(1)])
             return tmp_path / "out.jsonl"
@@ -258,6 +263,7 @@ def test_interrupted_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
     old = path.read_bytes()
     listing = sorted(p.name for p in tmp_path.iterdir())
     model.params["out.b"].data += 1.0  # the checkpoint would change
+    tokens.append("tok40")  # and so would the vocabulary
     monkeypatch.setattr(dataio, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError):

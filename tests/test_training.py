@@ -1,10 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from qrewrite import autodiff as ad
-from qrewrite import dataio, synthetic
+from qrewrite import dataio, synthetic, training
 from qrewrite.autodiff import Tensor
 from qrewrite.errors import ConfigError
 from qrewrite.docgraph import make_step_inputs
@@ -163,6 +164,16 @@ class TestCurriculumConfig:
             CurriculumConfig(rho=1.5)
         with pytest.raises(ConfigError):
             CurriculumConfig(curriculum="nope")
+
+    @pytest.mark.parametrize("key", ["seed", "val_max_examples", "plateau_patience",
+                                     "warmup_steps", "lr_alpha", "weight_decay",
+                                     "max_grad_norm"])
+    def test_negative_values_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            CurriculumConfig(**{key: -1})
+        with pytest.raises(ConfigError, match=key):
+            CurriculumConfig(**{key: math.nan})
+        assert getattr(CurriculumConfig(**{key: 0}), key) == 0  # 0 stays valid
 
     def test_dataset_group_validation(self):
         from qrewrite.docgraph import ArrangedExample, Document
@@ -368,3 +379,34 @@ def test_training_encodes_each_step_once(monkeypatch):
     losses = _batch_losses(model, examples, voc)
     assert calls == [3, 2, 1]
     assert all(math.isfinite(loss.item()) for loss in losses)
+
+
+def test_no_graph_outlives_its_backward(monkeypatch):
+    # backward consumes the batch's graph: by the update and by validation
+    # no tensor keeps a parent link, so no graph is alive
+    examples, voc = mixed_hop_batch((1, 2, 3, 1, 2, 3, 3, 2, 1))
+    dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h]
+                                 for h in (1, 2, 3)})
+    model = small_model(voc)
+    live = {"adamw": [], "validate": []}
+
+    def graph_nodes():
+        return sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._parents)
+
+    step, validate = AdamW.step, training._validate
+
+    def counted_step(self, lr):
+        live["adamw"].append(graph_nodes())
+        step(self, lr)
+
+    def counted_validate(*args):
+        live["validate"].append(graph_nodes())
+        return validate(*args)
+
+    monkeypatch.setattr(AdamW, "step", counted_step)
+    monkeypatch.setattr(training, "_validate", counted_validate)
+    cfg = CurriculumConfig(warmup_steps=2, batch_size=2, rho=0.5)
+    result = train(model, dataset, cfg, voc, val_dataset=dataset)
+    assert len(live["adamw"]) == result.total_steps > 3
+    assert len(live["validate"]) == 3
+    assert live == {"adamw": [0] * result.total_steps, "validate": [0, 0, 0]}
