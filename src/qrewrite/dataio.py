@@ -5,19 +5,14 @@ records is preserved and files are streamable.  Checkpoints are a small
 binary format: magic "E2QR", version, a JSON header naming the tensors, and
 raw little-endian buffers, so that save -> load -> forward is bit-exact at
 the stored precision.  Record files, checkpoints and manifests are written
-to a temporary file beside the target and then renamed over it, so an
-interrupted command leaves the old file (or none), never a truncated one.
-The temporary file is not fsynced: after an OS crash or a power loss the
-rename may reach the disk before the data does.
+atomically (``fileio.atomic_open``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
-from contextlib import contextmanager
 from pathlib import Path
 from types import GenericAlias
 from typing import Iterable, Sequence
@@ -26,6 +21,7 @@ import numpy as np
 
 from .docgraph import ArrangedExample, Document, arrange
 from .errors import CompatibilityError, ConfigError, DataFormatError, ShapeError
+from .fileio import atomic_open, read_text
 from .model import ModelConfig, QuestionRewriter
 from .training import CurriculumConfig
 
@@ -53,37 +49,13 @@ def json_line(obj) -> str:
     return _JSON_LINE.encode(obj)
 
 
-@contextmanager
-def _atomic_open(path: str | Path, mode: str):
-    """Open a temporary file beside ``path`` and rename it over ``path``
-    once the block completes; on error remove it and leave ``path`` as it
-    was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
     n = 0
-    with _atomic_open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         for rec in records:
             fh.write(json_line(rec) + "\n")
             n += 1
     return n
-
-
-def read_text(path: str | Path, error: type[ValueError] = DataFormatError) -> str:
-    """The UTF-8 text of ``path``; other bytes raise ``error``."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def read_records(path: str | Path) -> list[dict]:
@@ -217,7 +189,7 @@ def save_checkpoint(path: str | Path, model: QuestionRewriter, vocab_sha256: str
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     dtype = np.dtype(f"<f{float_size}")
-    with _atomic_open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         # the last header byte is a flag that this version keeps at 0
         fh.write(struct.pack("<HBB", CHECKPOINT_VERSION, float_size, 0))
@@ -386,6 +358,6 @@ def write_manifest(
         **(report or {}),
     }
     path = Path(out_dir) / f"manifest-{command}.json"
-    with _atomic_open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

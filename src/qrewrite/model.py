@@ -68,13 +68,22 @@ Conventions, fixed here once:
     pick (one row per segment) is laid out from the segments' ends alone;
   * without a graph, packs of PACK_SIZE examples serve generation and
     validation; one example, with gradients or under no_grad, is the graph
-    batch of one.
+    batch of one.  A pack's bits depend on its own examples only, so the
+    packs run on up to one process per usable CPU when this process runs a
+    single OS thread (BLAS pinned to one): forked workers decode the other
+    shares of packs and pipe their results back.  Outputs repeat byte for
+    byte whatever the CPU count; a worker's memory is not in this
+    process's RSS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
@@ -528,6 +537,76 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
+def _workers(n_packs: int) -> int:
+    """Processes that decode ``n_packs`` packs at once: one per usable CPU
+    when this process can fork safely, else 1 (in-process).  Forking is
+    safe only from a single OS thread, so that no BLAS or other thread is
+    copied in mid-lock; without procfs the count is unknown."""
+    if n_packs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return min(n_packs, len(os.sched_getaffinity(0))) if threads == 1 else 1
+
+
+def _run_share(fn, share) -> dict:
+    """{item: fn(item)} over ``share`` in order, up to the first item whose
+    call raises; that item maps to its exception."""
+    out = {}
+    for item in share:
+        try:
+            out[item] = fn(item)
+        except Exception as exc:
+            out[item] = exc
+            break
+    return out
+
+
+def _run_shares(fn, own, others: list) -> dict:
+    """``_run_share`` of every share, merged: ``own`` in this process and
+    each of ``others`` in a forked child.  A child pickles its outcomes
+    into a pipe and always leaves by ``os._exit``, so it never returns into
+    the caller's code.  Every child is reaped before this returns or
+    raises."""
+    children = []  # (pid, read end of its pipe), until reaped
+    try:
+        for share in others:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    payload = pickle.dumps(_run_share(fn, share), pickle.HIGHEST_PROTOCOL)
+                    with open(w, "wb") as fh:
+                        fh.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        out = _run_share(fn, own)
+        while children:
+            pid, fh = children[0]
+            with fh:
+                payload = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0:
+                raise RuntimeError(f"rewrite worker {pid} exited with status {status} "
+                                   "and no result")
+            out.update(pickle.loads(payload))
+        return out
+    finally:
+        for pid, fh in children:
+            fh.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 class QuestionRewriter:
     """Encoder-decoder with accumulated attention, parameters shared by all steps."""
 
@@ -975,13 +1054,31 @@ class QuestionRewriter:
         Every step picks greedily in its pack; intermediate steps seal.
         With ``gold_finals`` each final step is also teacher-forced
         (``final_logits``) from the same step state.
+
+        A pack's bits depend on its own examples only, so W = ``_workers``
+        processes may decode the packs at once: share w holds packs w,
+        w + W, ..., this process decodes the share with the most steps and
+        forked children the others.  The error raised is that of the first
+        failing pack, as in one process.
         """
+        packs = [slice(lo, lo + PACK_SIZE) for lo in range(0, len(examples), PACK_SIZE)]
+
+        def rewrite(p: int) -> list[RewriteResult]:
+            golds = None if gold_finals is None else gold_finals[packs[p]]
+            with ad.no_grad():
+                return self._rewrite(examples[packs[p]], bos, eos, golds, None,
+                                     collect_logits)
+
+        n_workers = _workers(len(packs))
+        shares = [range(w, len(packs), n_workers) for w in range(n_workers)]
+        own = max(shares, key=lambda share: sum(
+            len(steps) for p in share for steps in examples[packs[p]]))
+        outcomes = _run_shares(rewrite, own, [s for s in shares if s is not own])
         results = []
-        with ad.no_grad():
-            for lo in range(0, len(examples), PACK_SIZE):
-                golds = None if gold_finals is None else gold_finals[lo : lo + PACK_SIZE]
-                results += self._rewrite(examples[lo : lo + PACK_SIZE], bos, eos,
-                                         golds, None, collect_logits)
+        for p in range(len(packs)):
+            if isinstance(outcomes[p], Exception):
+                raise outcomes[p]
+            results += outcomes[p]
         return results
 
     def _rewrite(

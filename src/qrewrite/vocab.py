@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataFormatError
+from .fileio import atomic_open, read_text
 
 PAD, BOS, EOS, ANS, BRIDGE, DOC, SEP, UNK = SPECIAL_TOKENS = (
     "<pad>",
@@ -62,20 +63,18 @@ class Vocab:
     def save(self, path: str | Path) -> None:
         """Write one token a line, atomically: an interrupted write leaves
         ``path`` as it was, never a shorter vocabulary."""
-        from .dataio import _atomic_open  # dataio imports this module
-
-        with _atomic_open(path, "w") as fh:
+        with atomic_open(path, "w") as fh:
             fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                                  f"{exc.start})") from None
+        lines = read_text(path).splitlines()
         if not lines:
             raise DataFormatError(f"empty vocabulary file: {path}")
+        for lineno, tok in enumerate(lines, start=1):
+            if tok.split() != [tok]:  # tokens come from str.split()
+                raise DataFormatError(f"{path}:{lineno}: a token must be one "
+                                      f"non-empty word, got {tok!r}")
         return cls(lines)
 
     def sha256(self) -> str:

@@ -266,7 +266,8 @@ def test_non_utf8_file_is_data_error(kind, data_dir, train_dir, tmp_path, capsys
     assert "bad.txt: not UTF-8 text" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("defect", ["unknown_config_key", "missing_vocab"])
+@pytest.mark.parametrize("defect", ["unknown_config_key", "missing_vocab",
+                                    "blank_vocab_line"])
 def test_rejected_train_leaves_no_run_directory(defect, data_dir, tmp_path, capsys):
     data, config = tmp_path / "data", tmp_path / "config.json"
     data.mkdir()
@@ -275,12 +276,16 @@ def test_rejected_train_leaves_no_run_directory(defect, data_dir, tmp_path, caps
     config.write_text(json.dumps({"seed": 1}))
     if defect == "unknown_config_key":
         config.write_text(json.dumps({"bogus": 1}))
-    else:
+    elif defect == "missing_vocab":
         (data / "vocab.txt").unlink()
+    else:  # a blank line would load as the token '' and shift every later id
+        tokens = (data / "vocab.txt").read_text().splitlines()
+        (data / "vocab.txt").write_text("\n".join([*tokens[:8], "", *tokens[8:]]) + "\n")
     assert run("train", "--config", config, "--data", data,
                "--out", tmp_path / "run") == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "Traceback" not in err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and (defect != "blank_vocab_line" or "vocab.txt:9: " in err)
     assert not (tmp_path / "run").exists()
 
 

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from qrewrite import dataio
+from qrewrite import dataio, fileio
 from qrewrite.errors import CompatibilityError, ConfigError, DataFormatError
 from qrewrite.model import ModelConfig, QuestionRewriter, StepInput
 from qrewrite.vocab import Vocab
@@ -264,9 +264,21 @@ def test_interrupted_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
     listing = sorted(p.name for p in tmp_path.iterdir())
     model.params["out.b"].data += 1.0  # the checkpoint would change
     tokens.append("tok40")  # and so would the vocabulary
-    monkeypatch.setattr(dataio, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: _FailingFile(open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError):
         write()
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("line", ["", " ", "foo bar", "\tfoo"])
+def test_vocab_line_must_be_one_token(line, tmp_path):
+    # tokens come from str.split(): none is empty or holds whitespace
+    tokens = Vocab.build(["foo", "bar"]).tokens
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join([*tokens[:8], line, *tokens[8:]]) + "\n")
+    with pytest.raises(DataFormatError, match=r"vocab\.txt:9: a token must be one"):
+        Vocab.load(path)
+    path.write_text("\n".join(tokens) + "\n")
+    assert Vocab.load(path).tokens == tokens
