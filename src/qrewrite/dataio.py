@@ -35,6 +35,9 @@ _RECORD_TYPES = {"id": (str, int), "hops": int, "answer": str, "question": str,
 _OPTIONAL_TYPES = {"reference_intermediates": list[str], "arrangement": dict}
 _DOC_TYPES = {"title": str, "text": str, "is_answer_doc": bool, "entities": list[str]}
 _ARRANGEMENT_TYPES = {"order": list[int], "bridges": list[list[str]]}
+# The JSON types of a checkpoint header's fields and of its tensor entries
+_HEADER_TYPES = {"config": dict, "tensors": list, "vocab_sha256": str}
+_TENSOR_TYPES = {"name": str, "shape": list[int]}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +206,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     """Returns (config, vocab hash, parameter arrays).
 
     A truncated file, bytes after the last tensor, a set header flag, a
-    header that is not a JSON object or lacks a key, a tensor entry without
-    a name or a shape of non-negative integers, or a header config that
-    ``ModelConfig`` rejects raise ``DataFormatError`` naming the file.
+    header that is not a JSON object, lacks a key or holds a value of the
+    wrong JSON type, a tensor entry without a string name or a shape of
+    non-negative integers, or a header config that a config file could not
+    give (see ``load_config``) or that ``ModelConfig`` rejects raise
+    ``DataFormatError`` naming the file.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -229,17 +234,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
         raise DataFormatError(f"{path}: checkpoint header is not JSON ({exc})")
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
-    for key in ("config", "tensors", "vocab_sha256"):
+    for key in _HEADER_TYPES:
         if key not in header:
             raise DataFormatError(f"{path}: checkpoint header lacks {key!r}")
+    check_fields(f"{path}: checkpoint header", header, _HEADER_TYPES)
     dtype = np.dtype(f"<f{float_size}")
     arrays = {}
     for spec in header["tensors"]:
-        try:
-            name, shape = spec["name"], tuple(spec["shape"])
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: bad tensor entry in header ({exc!r})")
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
+        check_fields(f"{path}: a tensor entry of the header", spec, _TENSOR_TYPES)
+        name, shape = spec["name"], tuple(spec["shape"])
+        if min(shape, default=0) < 0:
             raise DataFormatError(f"{path}: tensor {name!r} has a bad shape {spec['shape']!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + count * float_size
@@ -254,6 +258,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
         raise DataFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after the last tensor"
         )
+    for key, value in header["config"].items():
+        if key in MODEL_KEYS and not _json_fits(value, MODEL_KEYS[key]):
+            raise DataFormatError(f"{path}: header config key {key!r} takes a "
+                                  f"{MODEL_KEYS[key].__name__}, got {value!r}")
     try:
         cfg = ModelConfig.from_dict(header["config"])
     except (TypeError, ShapeError) as exc:

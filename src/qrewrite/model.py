@@ -28,15 +28,17 @@ Conventions, fixed here once:
     feed rows of every live segment;
   * one step-major loop serves a batch on the graph and a pack without
     one: greedy tokens are chosen under no_grad, one position per pass,
-    in the one pack of the batch, allocated when a step first picks.
-    Only a pack decodes token by token, so the one-example API
-    (decode_token, greedy_decode_step, teacher_forced_final) takes a
-    pack's step state only;
-  * one decoder-layer loop runs every decoder pass, on either executor:
-    the step state places each layer's K/V rows and runs its attention,
-    and a fixed table gives the rest of the layer's ops, the autodiff ops
-    on the graph or their array kernels in a pack (the same numpy
-    operations, order and dtypes);
+    in the one pack of the batch, allocated when a step first picks, and
+    the pack only picks.  Only a pack decodes token by token: decode_token
+    feeds the lockstep picks, and it and the rest of the one-example API
+    (greedy_decode_step, teacher_forced_final) take a pack's step state
+    only;
+  * one decoder pass serves both executors, from the token embedding to
+    the tied output head: the step state places each layer's K/V rows and
+    runs its attention, and a fixed table gives the pass's other ops, the
+    autodiff ops on the graph or their array kernels in a pack (the same
+    numpy operations, order and dtypes).  The encoder embeds by the
+    graph's entry;
   * on the autodiff graph a batch is one graph, and a step is block passes
     only: at each step one decoder block pass over [<bos>] + gold
     teacher-forces the final questions and one over [<bos>] + question
@@ -44,8 +46,9 @@ Conventions, fixed here once:
     backward serves the batch loss.  Every block pass starts at the step's
     first position and reads no earlier pass of its step, and the last
     pass's K/V rows are the step's sealed block.  A step whose every
-    question is teacher-forced or pinned opens no pack step, and a pinned
-    step enters the pack only when a later step of its example picks.
+    question is teacher-forced or pinned opens no pack step; intermediate
+    questions are pinned only with gold finals, so such a batch picks
+    nothing.
     The cache keeps one (rows, d_model) K/V block per layer and step,
     stacking the step's segments, with the heads packed along the columns;
     only the fused attention op splits them, as an array axis.  A pass
@@ -78,6 +81,7 @@ Conventions, fixed here once:
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import operator
@@ -235,8 +239,8 @@ class PackCache:
 
 class GraphState:
     """Decoder state of one step for the segments ``segs`` of a batch, on
-    the autodiff graph (or on constants under no_grad): ``_decode_rows``,
-    the tensor pass, serves it and nothing else.
+    the autodiff graph (or on constants under no_grad), which ``_pass``
+    serves with the autodiff ops.
 
     Every pass is a block pass from the step's first position: its rows
     attend to their segment's sealed rows and to the pass's own rows up to
@@ -285,10 +289,11 @@ class GraphState:
                      for blocks, v in zip(cache.ca_values, ca_current_v)]
         self._sa = self._ca = None
 
-    def advance(self, lens: np.ndarray, active: np.ndarray) -> None:
+    def advance(self, lens: np.ndarray, active: np.ndarray, positions: np.ndarray) -> None:
         """Lay out a pass that feeds ``lens[j]`` rows to the segment at
         index ``active[j]``, in segment order: each fed segment's self-
-        attention keys are its sealed rows, then its rows of the pass."""
+        attention keys are its sealed rows, then its rows of the pass,
+        whose ``positions`` start at 0."""
         ends = np.cumsum(lens)
         new = self.n_sealed + np.arange(ends[-1])
         sa_keys = [np.concatenate((self.sealed[j], new[lo:hi]))
@@ -347,8 +352,8 @@ class PassLayout(NamedTuple):
 
 class PackState:
     """Decoder state of one step for the segments ``segs`` of a pack, whose
-    rows live in the ``PackCache`` stores (no_grad).  ``_pack_pass``, the
-    array pass, serves it: no pass over a pack makes a tensor.
+    rows live in the ``PackCache`` stores (no_grad), which ``_pass`` serves
+    with the ops' array kernels: no pass over a pack makes a tensor.
 
     ``n_fed[j]`` rows of segment ``segs[j]`` are fed this step, right after
     its sealed rows.  Its cross-attention reads its context columns
@@ -440,21 +445,32 @@ def _pack_only(state: GraphState | PackState) -> PackState:
     return state
 
 
-# A decoder layer's ops besides attention, (layer_norm, matmul, affine, relu)
-# with affine(x, w, b, residual) = residual + (x @ w + b), for each executor:
-# the autodiff ops for block passes on the graph, and their array kernels (the
-# same numpy operations, no graph; ReLU in place on its own rows) for packs
-GRAPH_OPS = (ad.layer_norm_rows, ad.matmul, ad.linear, ad.relu)
-PACK_OPS = (lambda x, g, b: ad._layer_norm(x, g, b)[0], operator.matmul, ad._affine,
-            lambda h: np.maximum(h, 0.0, out=h))
+# A decoder pass's ops besides attention, for each executor: the autodiff ops
+# on the graph (the encoder embeds by them too), and their array kernels (the
+# same numpy operations in the same order, no graph) in a pack.  embed(table,
+# ids, scale, pos) = table[ids] * scale + pos, affine(x, w, b, residual) =
+# residual + (x @ w + b) and the tied output head(x, g, b, table, bias) =
+# layer_norm(x, g, b) @ table.T + bias
+Ops = collections.namedtuple("Ops", "embed layer_norm matmul affine relu head")
+GRAPH_OPS = Ops(
+    lambda table, ids, scale, pos: ad.add(ad.scale(ad.embedding(table, ids), scale),
+                                          ad.constant(pos)),
+    ad.layer_norm_rows, ad.matmul, ad.linear, ad.relu,
+    lambda x, g, b, table, bias: ad.linear(ad.layer_norm_rows(x, g, b), table, bias,
+                                           transpose=True))
+PACK_OPS = Ops(
+    lambda table, ids, scale, pos: ad._lookup(table, ids)[0] * scale + pos,
+    lambda x, g, b: ad._layer_norm(x, g, b)[0], operator.matmul, ad._affine,
+    lambda h: np.maximum(h, 0.0, out=h),  # in place on its own rows
+    lambda x, g, b, table, bias: ad._affine(ad._layer_norm(x, g, b)[0], table.T, bias))
 
 
-def _decoder_layers(ops: tuple, layers: list, state, x, n_heads: int, want_logits: bool):
+def _decoder_layers(ops: Ops, layers: list, state, x, n_heads: int, want_logits: bool):
     """The decoder layers by the executor ``ops`` on ``layers``' parameters,
     over the rows ``x`` of a pass laid out in ``state``, which owns its K/V
     rows and attention.  Without ``want_logits`` it stops after the last
     layer's K/V rows, which complete a sealed step, and returns None."""
-    ln, mm, affine, relu = ops
+    ln, mm, affine, relu = ops.layer_norm, ops.matmul, ops.affine, ops.relu
     place, attend_self, attend_cross = state.place, state.attend_self, state.attend_cross
     last = len(layers) - 1
     for i, w in enumerate(layers):
@@ -713,14 +729,6 @@ class QuestionRewriter:
             )
         return self._pos[positions]
 
-    def _embed(self, ids: Sequence[int], positions: np.ndarray) -> Tensor:
-        """Scaled token embeddings plus the position rows ``positions``."""
-        pos = self._position_rows(len(ids), positions)
-        e = ad.scale(
-            ad.embedding(self.params["emb.tok"], ids), math.sqrt(self.cfg.d_model)
-        )
-        return ad.add(e, ad.constant(pos))
-
     def encode(self, step: StepInput | Sequence[StepInput]) -> Tensor | list[Tensor]:
         """Encoder stack over one step input; returns (l_t, d_model).  A list
         of step inputs runs as one packed pass, each input a segment that
@@ -733,7 +741,9 @@ class QuestionRewriter:
         layout = ad.segment_layout(lens, [np.arange(lo, hi) for lo, hi
                                           in zip(bounds[:-1], bounds[1:])])
         positions = np.concatenate([np.arange(n) for n in lens])
-        x = self._embed([t for s in steps for t in s.tokens], positions)
+        ids = [t for s in steps for t in s.tokens]
+        x = GRAPH_OPS.embed(self.params["emb.tok"], ids, math.sqrt(self.cfg.d_model),
+                            self._position_rows(len(ids), positions))
         for w in self._enc_layers:
             h = ad.layer_norm_rows(x, w["ln1.g"], w["ln1.b"])
             k, v = ad.matmul(h, w["sa.wk"]), ad.matmul(h, w["sa.wv"])
@@ -795,75 +805,50 @@ class QuestionRewriter:
             cache.ca_v[i][dest] = rows @ w["ca.wv"]
         return state
 
-    def _decode_rows(
+    def _pass(
         self,
-        state: GraphState,
+        state: GraphState | PackState,
         ids: Sequence[Sequence[int]],
         want_logits: bool,
         active: Sequence[int] | None = None,
-    ) -> Tensor | None:
-        """One block pass on the graph: ``ids[j]`` are the ids of the j-th
-        fed segment of ``state`` (its segments in order, or those indexed by
-        ``active``, in order), from the step's first position.
+    ) -> Tensor | np.ndarray | None:
+        """One decoder pass: ``ids[j]`` are the ids of the j-th fed segment
+        of ``state`` (its segments in order, or those indexed by ``active``,
+        in order).  The state's executor picks the ops and weights.
 
-        Each row attends to its segment's sealed rows and to the pass's rows
-        up to itself, never to an earlier pass of the step; the pass's K/V
-        rows become the step's block.  Returns logits of shape (rows fed,
-        vocab), segment by segment; without ``want_logits`` it stops the
-        last layer after its K/V projections, where the rows a sealed step
-        needs are complete.
+        On the graph it is a block pass from the step's first position: no
+        row reads an earlier pass of the step, and the pass's K/V rows
+        become the step's block.  In a pack (under no_grad only) each
+        segment's rows follow those it fed this step, their K/V rows go
+        into the stores in place, and no graph is recorded.  Returns logits
+        of shape (rows fed, vocab), segment by segment, a tensor on the
+        graph and an array in a pack; without ``want_logits`` it stops the
+        last layer after its K/V projections, which complete a sealed step,
+        and returns None.
         """
-        cfg = self.cfg
-        active = (np.arange(len(state.segs)) if active is None
-                  else np.asarray(active, dtype=np.intp))
-        if len(ids) != len(active):
-            raise ShapeError(f"{len(ids)} id rows for {len(active)} segments")
-        lens = np.array([len(row) for row in ids], dtype=np.intp)
-        x = self._embed([t for row in ids for t in row],
-                        np.concatenate([np.arange(n) for n in lens]))
-        state.advance(lens, active)
-        x = _decoder_layers(GRAPH_OPS, self._dec_layers, state, x, cfg.n_heads, want_logits)
-        if x is None:
-            return None
-        p = self.params  # the output head is the tied token embedding
-        return ad.linear(ad.layer_norm_rows(x, p["dec.lnf.g"], p["dec.lnf.b"]),
-                         p["emb.tok"], p["out.b"], transpose=True)
-
-    def _pack_pass(
-        self,
-        state: PackState,
-        ids: Sequence[Sequence[int]],
-        want_logits: bool,
-        active: Sequence[int] | None = None,
-    ) -> np.ndarray | None:
-        """``_decode_rows`` of a pack, on plain arrays.  It runs the same
-        layer loop with the kernels of the ops ``_decode_rows`` runs, so the
-        numpy operations, their order and their dtypes are the same, on the
-        weight arrays the pack bound, and records no graph.  The new K/V
-        rows go into the stores in place.  Returns the logits as an array."""
-        if ad.grad_enabled():
+        pack = isinstance(state, PackState)
+        if pack and ad.grad_enabled():
             raise ShapeError("a pack decodes under no_grad only")
         active = (np.arange(len(state.segs)) if active is None
                   else np.asarray(active, dtype=np.intp))
         if len(ids) != len(active):
             raise ShapeError(f"{len(ids)} id rows for {len(active)} segments")
+        ops, w, layers = ((PACK_OPS, state.cache.arrays, state.cache.layers) if pack
+                          else (GRAPH_OPS, self.params, self._dec_layers))
         flat = [t for row in ids for t in row]
-        one_each = len(flat) == len(ids) and all(map(len, ids))
+        one_each = pack and len(flat) == len(ids) and all(map(len, ids))  # a lockstep pick
         lens = None if one_each else np.array([len(row) for row in ids], dtype=np.intp)
-        positions = state.n_fed[active]  # each segment's next step-local position
+        # each segment's next step-local position
+        positions = state.n_fed[active] if pack else np.zeros(len(ids), dtype=np.intp)
         if not one_each:
             positions = np.concatenate([np.arange(f, f + n) for f, n in zip(positions, lens)])
-        cache, w = state.cache, state.cache.arrays
-        pos = self._position_rows(len(flat), positions)
-        x = ad._lookup(w["emb.tok"], flat)[0]
-        x *= math.sqrt(self.cfg.d_model)
-        x += pos
+        x = ops.embed(w["emb.tok"], flat, math.sqrt(self.cfg.d_model),
+                      self._position_rows(len(flat), positions))
         state.advance(lens, active, positions)
-        x = _decoder_layers(PACK_OPS, cache.layers, state, x, self.cfg.n_heads, want_logits)
+        x = _decoder_layers(ops, layers, state, x, self.cfg.n_heads, want_logits)
         if x is None:
             return None
-        y = ad._layer_norm(x, w["dec.lnf.g"], w["dec.lnf.b"])[0]
-        return ad._affine(y, w["emb.tok"].T, w["out.b"])
+        return ops.head(x, w["dec.lnf.g"], w["dec.lnf.b"], w["emb.tok"], w["out.b"])
 
     def decode_token(
         self,
@@ -882,8 +867,7 @@ class QuestionRewriter:
         ``GraphState`` raises ``ShapeError``.
         """
         tokens = [token] if isinstance(token, (int, np.integer)) else token
-        return self._pack_pass(_pack_only(state), [[t] for t in tokens], want_logits,
-                               active)
+        return self._pass(_pack_only(state), [[t] for t in tokens], want_logits, active)
 
     def _greedy_lockstep(
         self,
@@ -891,17 +875,15 @@ class QuestionRewriter:
         bos: int,
         eos: int,
         collect_logits: bool = False,
-        active: Sequence[int] | None = None,
     ) -> list[StepOutput]:
-        """Greedy-decode the step of every segment of a pack's ``state`` (or
-        those indexed by ``active``) from its first position, in lockstep
-        under ``no_grad``.
+        """Greedy-decode the step of every segment of a pack's ``state`` from
+        its first position, in lockstep under ``no_grad``.
 
         Each pass feeds one token per live segment.  A segment leaves at
         <eos>, or when its step reaches max_len, which is flagged as
         truncation, not an error.  Ties break toward the lowest token id.
         """
-        live = list(range(len(state.segs)) if active is None else active)
+        live = list(range(len(state.segs)))
         outs = {j: StepOutput([], False, [] if collect_logits else None) for j in live}
         tokens = [bos] * len(live)
         with ad.no_grad():
@@ -938,7 +920,7 @@ class QuestionRewriter:
         raises ``ShapeError``.
         """
         if forced_tokens is not None:
-            self._pack_pass(_pack_only(state), [[bos, *forced_tokens]], want_logits=False)
+            self._pass(_pack_only(state), [[bos, *forced_tokens]], want_logits=False)
             return StepOutput(list(forced_tokens))
         (out,) = self._greedy_lockstep(_pack_only(state), bos, eos, collect_logits)
         return out
@@ -980,7 +962,7 @@ class QuestionRewriter:
         """Block pass over [<bos>] + gold in a pack of one; returns logits of
         shape (len(gold) + 1, vocab) as an array and the target ids
         (gold + <eos>).  A ``GraphState`` raises ``ShapeError``."""
-        logits = self._pack_pass(_pack_only(state), [[bos, *gold_ids]], want_logits=True)
+        logits = self._pass(_pack_only(state), [[bos, *gold_ids]], want_logits=True)
         return logits, [*gold_ids, eos]
 
     # ------------------------------------------------------------------
@@ -998,12 +980,13 @@ class QuestionRewriter:
     ) -> RewriteResult:
         """Run the full multi-step rewrite of one example.
 
-        Steps 1..N-1 greedy-decode (or replay ``pinned_intermediates``) and
-        seal their caches.  The final step greedy-decodes at inference time
-        or, when ``gold_final`` is given, runs teacher forcing and returns
-        per-position logits attached to the whole unrolled graph.  Greedy
-        tokens are picked in a no_grad pack; on the graph every step is
-        block passes over [<bos>] + question (or gold).
+        Steps 1..N-1 greedy-decode (or replay ``pinned_intermediates``, which
+        need ``gold_final``) and seal their caches.  The final step
+        greedy-decodes at inference time or, when ``gold_final`` is given,
+        runs teacher forcing and returns per-position logits attached to
+        the whole unrolled graph.  Greedy tokens are picked in a no_grad
+        pack; on the graph every step is block passes over [<bos>] +
+        question (or gold).
         ``detach_cache`` stops gradients at the sealed blocks; comparing
         gradients with and without it isolates the end-to-end path through
         earlier steps (forward values are identical).  This is the batch
@@ -1032,8 +1015,9 @@ class QuestionRewriter:
         batch's cache.
 
         Final steps with a gold question are teacher-forced by one block
-        pass.  Every other step's question is pinned or picked greedily in
-        the batch's one no_grad pack, then sealed by one more block pass."""
+        pass.  Every other step's question is pinned (with gold finals only)
+        or picked greedily in the batch's one no_grad pack, then sealed by
+        one more block pass."""
         cache = AttentionCache(self.cfg.n_dec_layers, len(examples))
         results = self._rewrite(examples, bos, eos, gold_finals, pinned_intermediates,
                                 collect_logits, cache, detach_cache)
@@ -1098,51 +1082,49 @@ class QuestionRewriter:
         At step t the segments are the examples with at least t steps, and
         one encoder pass serves them.  Every greedy pick decodes under
         no_grad in one ``PackCache`` whose segment s is example s,
-        allocated when a step first needs it; a pinned step is written
-        there by one block pass only when a later step of its example
-        picks.  Final steps with a gold question are teacher-forced by one
-        block pass: on the graph they pick nothing, and every other step
-        seals on the graph by one more block pass; in a pack they pick too.
+        allocated when a step first picks, and the pack only picks.  Final
+        steps with a gold question are teacher-forced by one pass: on the
+        graph they pick nothing, and every other step seals on the graph by
+        one more block pass; in a pack they pick too.  ``pinned``
+        intermediate questions come with gold finals on the graph only, so
+        a batch that pins them picks nothing.
         """
         n_steps = [len(steps) for steps in examples]
         if not examples or min(n_steps) == 0:
             raise ShapeError("rewrite: every example needs a step")
+        graph = cache is not None
+        if pinned is not None and not (graph and gold_finals is not None):
+            raise ShapeError("pinned intermediates need gold finals on the graph")
         if pinned is not None and [len(p) + 1 for p in pinned] != n_steps:
             raise ShapeError("pinned intermediates do not match the steps")
-        graph = cache is not None
         # the graph teacher-forces gold finals without picking them
         greedy_finals = gold_finals is None or not graph
-        # an example enters the pack when one of its steps picks
-        in_pack = [greedy_finals or (pinned is None and n > 1) for n in n_steps]
         pack = None
         results = [RewriteResult([], None, None, None, [], None,
                                  [] if collect_logits else None) for _ in examples]
         for t in range(max(n_steps)):
             live = [s for s, n in enumerate(n_steps) if t < n]
             final = [n_steps[s] == t + 1 for s in live]
-            greedy = [greedy_finals if f else pinned is None for f in final]
+            picking = [j for j, f in enumerate(final)
+                       if pinned is None and (greedy_finals or not f)]
             encs = self.encode([examples[s][t] for s in live])
             state = self.start_step(encs, cache, live) if graph else None
-            # the picks, and the pinned steps of examples that pick later
-            packed = [j for j, s in enumerate(live)
-                      if greedy[j] or in_pack[s] and not final[j]]
-            if packed:
+            if picking:
                 with ad.no_grad():
                     if pack is None:
                         pack = self._pack_cache(
                             len(examples), max(n_steps) * self.cfg.max_len,
                             max(sum(len(s.tokens) for s in steps) for steps in examples),
                         )
-                    pack_state = self.start_step([encs[j] for j in packed], pack,
-                                                 [live[j] for j in packed])
+                    pack_state = self.start_step([encs[j] for j in picking], pack,
+                                                 [live[j] for j in picking])
             forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
             if forced:
                 golds = [gold_finals[live[j]] for j in forced]
-                ids = [[bos, *g] for g in golds]
-                if graph:
-                    logits = self._decode_rows(state, ids, True, forced)
-                else:
-                    logits = ad.constant(self._pack_pass(pack_state, ids, True, forced))
+                # in a pack every step picks, so its segments are ``live``
+                logits = self._pass(state if graph else pack_state,
+                                    [[bos, *g] for g in golds], True, forced)
+                logits = logits if graph else ad.constant(logits)
                 row = 0
                 for j, gold in zip(forced, golds):
                     res = results[live[j]]
@@ -1156,20 +1138,14 @@ class QuestionRewriter:
                 else:
                     pack_state.restart(forced)
             picks = {}
-            if packed:
-                picking = [i for i, j in enumerate(packed) if greedy[j]]
-                writing = [i for i, j in enumerate(packed) if not greedy[j]]
+            if picking:
                 with ad.no_grad():
-                    if writing:
-                        rows = [[bos, *pinned[live[packed[i]]][t]] for i in writing]
-                        self._pack_pass(pack_state, rows, False, writing)
-                    outs = self._greedy_lockstep(pack_state, bos, eos, collect_logits,
-                                                 picking)
+                    outs = self._greedy_lockstep(pack_state, bos, eos, collect_logits)
                     self.seal_step(pack_state, pack)
-                picks = {packed[i]: out for i, out in zip(picking, outs)}
+                picks = dict(zip(picking, outs))
             rows = []
             for j, s in enumerate(live):
-                if final[j] and not greedy[j]:  # teacher-forced on the graph
+                if final[j] and j not in picks:  # teacher-forced on the graph
                     continue
                 out = picks[j] if j in picks else StepOutput(list(pinned[s][t]))
                 res = results[s]
@@ -1182,7 +1158,7 @@ class QuestionRewriter:
                     res.intermediate_tokens.append(out.question_tokens)
                 rows.append([bos, *out.question_tokens])
             if graph and rows:
-                self._decode_rows(state, rows, want_logits=False)
+                self._pass(state, rows, want_logits=False)
                 self.seal_step(state, cache, detach=detach_cache)
         return results
 

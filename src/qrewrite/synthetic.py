@@ -120,10 +120,6 @@ class Chain:
     def hops(self) -> int:
         return len(self.facts)
 
-    @property
-    def signature(self) -> tuple[str, ...]:
-        return self.entities
-
 
 def generate_world(seed: int, sizes: Mapping[str, int] | int) -> World:
     """Entity pools plus one partial matching per relation type.

@@ -312,6 +312,8 @@ def test_checkpoint_header_without_key_is_data_error(data_dir, train_dir, tmp_pa
 
 @pytest.mark.parametrize("defect", [
     "invalid_config", "tensor_name_mismatch", "tensor_without_name",
+    "bool_tensor_shape", "tensors_5", "tensors_null", "int_vocab_sha256",
+    "float_d_model", "float_max_len", "string_mode",
 ])
 def test_checkpoint_header_that_misfits_the_model_is_data_error(
     data_dir, train_dir, tmp_path, capsys, defect
@@ -322,6 +324,7 @@ def test_checkpoint_header_that_misfits_the_model_is_data_error(
     assert run("generate", "--checkpoint", ck, "--data", data_dir / "test.jsonl",
                "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "p.jsonl") == 2
     err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert "checkpoint.bin: " in err and "Traceback" not in err
 
 

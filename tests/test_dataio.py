@@ -51,6 +51,17 @@ def corrupt_checkpoint(path, defect):
             del header["tensors"][0]["name"]
         elif defect == "bad_tensor_shape":
             header["tensors"][0]["shape"] = ["x", 2.5]
+        elif defect == "bool_tensor_shape":  # JSON true is no dimension
+            header["tensors"][0]["shape"][0] = True
+        elif defect.startswith("tensors_"):  # not a list of entries
+            header["tensors"] = {"tensors_5": 5, "tensors_null": None}[defect]
+        elif defect == "int_vocab_sha256":
+            header["vocab_sha256"] = 12345
+        elif defect in ("float_d_model", "float_max_len"):  # an int field as a float
+            key = defect[len("float_"):]
+            header["config"][key] = float(header["config"][key])
+        elif defect == "string_mode":  # "no" is no bool
+            header["config"]["mode_accumulated_sa"] = "no"
         elif defect.startswith("no_"):
             del header[defect[3:]]
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -157,7 +168,8 @@ class TestCheckpoints:
         "truncated", "trailing_bytes", "unknown_config_key", "header_not_json",
         "no_tensors", "no_config", "no_vocab_sha256", "flag_set", "invalid_config",
         "tensor_name_mismatch", "tensor_without_name", "bad_tensor_shape",
-        "zero_decoder_layers",
+        "zero_decoder_layers", "bool_tensor_shape", "tensors_5", "tensors_null",
+        "int_vocab_sha256", "float_d_model", "float_max_len", "string_mode",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"

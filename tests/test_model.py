@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestDecoding:
             state = m.start_step(m.encode(enc), pack_of_one(m))
             packed, _ = m.teacher_forced_final(state, prefix, BOS, EOS)
         state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
-        graph = m._decode_rows(state, [[BOS, *prefix]], True)
+        graph = m._pass(state, [[BOS, *prefix]], True)
         assert graph.requires_grad
         for block in (packed, graph.data):
             assert np.abs(rows - block).max() <= 1e-10
@@ -274,9 +275,9 @@ class TestDecoding:
             return m.start_step(m.encode(steps[1]), cache)
 
         state = fresh()
-        m._decode_rows(state, [[BOS, 8, 9, 10]], True)
-        again = m._decode_rows(state, [[BOS, 11]], True)
-        alone = m._decode_rows(fresh(), [[BOS, 11]], True)
+        m._pass(state, [[BOS, 8, 9, 10]], True)
+        again = m._pass(state, [[BOS, 11]], True)
+        alone = m._pass(fresh(), [[BOS, 11]], True)
         assert np.array_equal(again.data, alone.data)
 
     @pytest.mark.parametrize("name", ["decode_token", "greedy_decode_step",
@@ -361,9 +362,10 @@ class TestRewriteForward:
         assert np.abs(greedy.final_logits.data - pinned.final_logits.data).max() <= 1e-12
 
     def test_block_pass_seals_the_incremental_rows(self):
-        # every step, the final one included, is greedy and sealed: under
-        # no_grad token by token into a pack's stores, with gradients by a
-        # block pass
+        # greedy, every step, the final one included, is picked and sealed:
+        # under no_grad token by token into a pack's stores, with gradients
+        # by a block pass.  Pinned, with the greedy final as gold, the
+        # intermediate steps seal the same rows
         all_steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2),
                      StepInput([8, 9], 3), StepInput([10, 3, 6], 4)]
         for n_steps, (sa, ca), dtype in decoder_variants():
@@ -380,18 +382,21 @@ class TestRewriteForward:
                                       [len(s.tokens) for s in steps])
             greedy = m.rewrite_forward(steps, BOS, EOS)
             pinned = m.rewrite_forward(
-                steps, BOS, EOS, pinned_intermediates=questions[:-1],
+                steps, BOS, EOS, gold_final=questions[-1],
+                pinned_intermediates=questions[:-1],
             )
             assert all(questions)
+            assert greedy.final_tokens == questions[-1]
             tol = 1e-12 if dtype == np.float64 else F32_TOLERANCE
-            for res in (greedy, pinned):
-                assert [*res.intermediate_tokens, res.final_tokens] == questions
-                assert res.cache.step_lengths == incremental.step_lengths
-                assert res.cache.context_lengths == incremental.context_lengths
+            for res, n_sealed in ((greedy, n_steps), (pinned, n_steps - 1)):
+                assert res.intermediate_tokens == questions[:-1]
+                assert res.cache.step_lengths == [incremental.step_lengths[0][:n_sealed]]
+                assert res.cache.context_lengths == [
+                    incremental.context_lengths[0][:n_sealed]]
                 for blocks in ("sa_keys", "sa_values", "ca_keys", "ca_values"):
                     for mine, ref in zip(getattr(res.cache, blocks),
                                          getattr(incremental, blocks), strict=True):
-                        for a, b in zip(mine, ref, strict=True):
+                        for a, b in zip(mine, ref[:n_sealed], strict=True):
                             assert a.requires_grad and not b.requires_grad
                             assert np.abs(a.data - b.data).max() <= tol, (
                                 n_steps, sa, ca, dtype, blocks
@@ -419,7 +424,7 @@ class TestRewriteForward:
                         question = m.greedy_decode_step(state, BOS, EOS).question_tokens
                     else:
                         question = [10 + t] * (t + 1)
-                        m._decode_rows(state, [[BOS, *question]], want_logits=False)
+                        m._pass(state, [[BOS, *question]], want_logits=False)
                     m.seal_step(state, cache)
                     rows.append(len(question) + 1)
                     contexts.append(len(step.tokens))
@@ -455,6 +460,19 @@ class TestRewriteForward:
     def test_no_steps_rejected(self):
         with pytest.raises(ShapeError):
             tiny_model().rewrite_forward([], BOS, EOS)
+
+    def test_pinned_intermediates_need_gold_finals(self):
+        # pinned questions replay on the graph only, under gold finals: the
+        # pack only picks, so it never holds a pinned step's rows
+        m = tiny_model(seed=12, max_len=16)
+        steps = [StepInput([3, 4, 5], 1), StepInput([6, 7], 2)]
+        for grad in (True, False):
+            with contextlib.nullcontext() if grad else ad.no_grad():
+                with pytest.raises(ShapeError, match="need gold finals"):
+                    m.rewrite_forward(steps, BOS, EOS, pinned_intermediates=[[8, 9]])
+                with pytest.raises(ShapeError, match="need gold finals"):
+                    m.rewrite_batch([steps, steps[:1]], BOS, EOS,
+                                    pinned_intermediates=[[[8, 9]], []])
 
 
 # steps per example of the packs below: segments leave at every step
@@ -549,15 +567,15 @@ class TestPackedDecoding:
         encodings = [m.encode(step) for step in docs]
         cache = AttentionCache(m.cfg.n_dec_layers, n_segments)
         state = m.start_step(encodings[0], cache)
-        m._decode_rows(state, questions, False)
+        m._pass(state, questions, False)
         m.seal_step(state, cache)
-        graph = m._decode_rows(m.start_step(encodings[1], cache), golds, True).data
+        graph = m._pass(m.start_step(encodings[1], cache), golds, True).data
         with ad.no_grad():
             pack = m._pack_cache(n_segments, 2 * m.cfg.max_len, 12)
             state = m.start_step(encodings[0], pack)
-            m._pack_pass(state, questions, False)
+            m._pass(state, questions, False)
             m.seal_step(state, pack)
-            packed = m._pack_pass(m.start_step(encodings[1], pack), golds, True)
+            packed = m._pass(m.start_step(encodings[1], pack), golds, True)
         assert graph.shape == packed.shape == (sum(map(len, golds)), m.cfg.vocab_size)
         if dtype == np.float64 and sa and ca:
             assert np.array_equal(graph, packed)
@@ -591,11 +609,11 @@ class TestPackedDecoding:
         m = pack_model()
         cache = AttentionCache(m.cfg.n_dec_layers, n_segments=2)
         state = m.start_step(m.encode([StepInput([5], 1)]), cache, [1])
-        m._decode_rows(state, [[BOS, 7]], want_logits=False)
+        m._pass(state, [[BOS, 7]], want_logits=False)
         m.seal_step(state, cache)
         state = m.start_step(m.encode([StepInput([3, 4], 1), StepInput([6], 2)]),
                              cache, [0, 1])
-        m._decode_rows(state, [[BOS], [BOS]], want_logits=False)
+        m._pass(state, [[BOS], [BOS]], want_logits=False)
         with pytest.raises(ShapeError):
             m.seal_step(state, cache)
 
@@ -663,7 +681,7 @@ class TestPackedDecoding:
         monkeypatch.setattr(ad, "_attend", lambda q, k, v, *a: (
             keys.append((k, v)) or attend(q, k, v, *a)))
         with ad.no_grad():
-            m._pack_pass(state, [[BOS, 5], [BOS], [BOS, 6, 7]], want_logits=True)
+            m._pass(state, [[BOS, 5], [BOS], [BOS, 6, 7]], want_logits=True)
             m.decode_token(state, [9, 10, 11])
             in_place = len(keys)
             m.decode_token(state, [12, 13], active=[0, 2])
@@ -709,7 +727,7 @@ class TestPackedDecoding:
                     for ids, active in passes:
                         if poisoned:
                             poison(cache, state)
-                        logits.append(m._pack_pass(state, ids, True, active))
+                        logits.append(m._pass(state, ids, True, active))
                     m.seal_step(state, cache)
             return logits
 
@@ -783,27 +801,27 @@ class TestPackedDecoding:
                                                  size=rng.integers(2, 7))), t + 1)
                      for t in range(2)] for _ in range(3)]
         stores, copies, in_pass = [], [], []
-        pack_cache, pack_pass, attend = m._pack_cache, m._pack_pass, ad._attend
+        pack_cache, decoder_pass, attend = m._pack_cache, m._pass, ad._attend
 
         def spy_cache(*a):
             cache = pack_cache(*a)
             stores.extend(cache.sa_k + cache.sa_v + cache.ca_k + cache.ca_v)
             return cache
 
-        def spy_pass(*a):
-            in_pass.append(True)
+        def spy_pass(state, *a, **kw):
+            in_pass.append(isinstance(state, model_module.PackState))
             try:
-                return pack_pass(*a)
+                return decoder_pass(state, *a, **kw)
             finally:
                 in_pass.pop()
 
         def spy_attend(q, k, v, *a):
-            if in_pass:
+            if in_pass and in_pass[-1]:  # within a pack pass
                 copies.append(not any(np.shares_memory(k, store) for store in stores))
             return attend(q, k, v, *a)
 
         monkeypatch.setattr(m, "_pack_cache", spy_cache)
-        monkeypatch.setattr(m, "_pack_pass", spy_pass)
+        monkeypatch.setattr(m, "_pass", spy_pass)
         monkeypatch.setattr(ad, "_attend", spy_attend)
         middle_first = m.rewrite_packed(examples, BOS, EOS, collect_logits=True)
         fancy, copies[:] = sum(copies), []
@@ -987,6 +1005,21 @@ class TestForkedPacks:
         threads.append("2")  # a BLAS thread: forking would copy it mid-lock
         assert model_module._workers(4) == 1
 
+    def test_workers_stay_one_for_one_pack_or_a_second_thread(self, monkeypatch):
+        # the host's own thread listing: fewer than 2 packs never fork, and
+        # neither does a process with a live second thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [model_module._workers(n) for n in (0, 1)] == [1, 1]
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert model_module._workers(4) == 1
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
 
 def test_graph_passes_gather_no_key_rows(monkeypatch):
     # a 1/2/3-hop batch with gradients attends over the stacked K/V blocks
@@ -1025,8 +1058,8 @@ def test_graph_passes_gather_no_key_rows(monkeypatch):
 
 def test_pack_passes_make_no_autodiff_results(monkeypatch):
     # pack passes compute on plain arrays: lockstep picks (each through
-    # decode_token), pinned-row writes and rewrite_packed's teacher-forced
-    # finals create no autodiff result, while graph passes still build
+    # decode_token) and rewrite_packed's teacher-forced finals create no
+    # autodiff result, while graph passes, greedy or pinned, still build
     # their graph
     m = pack_model()
     rng = np.random.default_rng(12)
@@ -1055,21 +1088,22 @@ def test_pack_passes_make_no_autodiff_results(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ad, "_result", spy_result)
-    for name in ("decode_token", "_pack_pass", "_decode_rows"):
+    for name in ("decode_token", "_pass"):
         monkeypatch.setattr(m, name, spy(name, getattr(m, name)))
+    deep_golds = [golds[examples.index(ex)] for ex in deep]
     m.rewrite_packed(examples, BOS, EOS, gold_finals=golds)
-    m.rewrite_batch(deep, BOS, EOS, gold_finals=[golds[examples.index(ex)] for ex in deep])
-    m.rewrite_batch(deep, BOS, EOS, pinned_intermediates=pinned)
-    in_pack = [out for where, out in made if ("_pack_pass", "pack") in where]
+    m.rewrite_batch(deep, BOS, EOS, gold_finals=deep_golds)
+    m.rewrite_batch(deep, BOS, EOS, gold_finals=deep_golds, pinned_intermediates=pinned)
+    in_pack = [out for where, out in made if ("_pass", "pack") in where]
     assert in_pack == []
-    assert ("_decode_rows", "pack") not in {c[:2] for c in calls}
+    assert ("decode_token", "graph") not in {c[:2] for c in calls}
     picks = [c for c in calls if c[:2] == ("decode_token", "pack")]
-    passes = [c for c in calls if c[:2] == ("_pack_pass", "pack")]
+    passes = [c for c in calls if c[:2] == ("_pass", "pack")]
     # every pick enters through decode_token; the other pack passes are
-    # the teacher-forced finals and pinned-row writes
+    # rewrite_packed's teacher-forced finals
     assert picks and len(passes) > len(picks)
     assert sum(c[2] == (("decode_token", "pack"),) for c in passes) == len(picks)
-    graph = [out for where, out in made if ("_decode_rows", "graph") in where]
+    graph = [out for where, out in made if ("_pass", "graph") in where]
     assert graph and any(out.requires_grad for out in graph)
 
 
@@ -1172,7 +1206,7 @@ class TestAblations:
         stripped.step_lengths = list(cache.step_lengths)
         stripped.context_lengths = list(cache.context_lengths)
         state = base.start_step(base.encode(steps[1]), stripped)
-        logits = base._decode_rows(state, [[BOS, *gold]], want_logits=True)
+        logits = base._pass(state, [[BOS, *gold]], want_logits=True)
 
         # same intermediate question either way (step 1 has no prior cache)
         assert res1.final_tokens == ablated.rewrite_forward(

@@ -239,6 +239,25 @@ def test_train_plan_shorter_than_warmup_runs():
     assert math.isfinite(result.final_train_loss)
 
 
+def test_plateau_patience_ends_each_h_early():
+    # at lr_alpha 0 no update moves the model, so the validation loss never
+    # improves on an H's first epoch: patience 1 ends each H after its second
+    # validation, and 0 (off) runs all three epochs
+    examples, voc = mixed_hop_batch((1, 2, 1, 2))
+    dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h] for h in (1, 2)})
+    validations = {}
+    for patience in (0, 1):
+        records = []
+        cfg = CurriculumConfig(lr_alpha=0.0, warmup_steps=1, batch_size=2,
+                               epochs_per_main_complexity=3, val_max_examples=2,
+                               plateau_patience=patience)
+        train(small_model(voc, n_enc_layers=1, n_dec_layers=1), dataset, cfg, voc,
+              val_dataset=dataset, on_event=records.append)
+        validations[patience] = [
+            sum(r["event"] == "validation" and r["H"] == h for r in records) for h in (1, 2)]
+    assert validations == {0: [3, 3], 1: [2, 2]}
+
+
 def test_validation_encodes_each_step_once(monkeypatch):
     world = synthetic.generate_world(3, {"person": 10, "film": 8, "city": 6, "country": 6})
     rec = synthetic.generate_example(world, 2, seed=0)
