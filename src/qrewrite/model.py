@@ -121,16 +121,34 @@ class ModelConfig:
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
 
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.n_heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in the order init draws them and a
+    checkpoint stores them.  q/k/v projections carry no bias (a key bias is
+    provably inert: softmax removes per-row constant score shifts)."""
+    d, f = cfg.d_model, cfg.d_ff
+    norm = {"g": (d,), "b": (d,)}
+    attn = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), "bo": (d,)}
+    ff = {"w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,)}
+    shapes = {"emb.tok": (cfg.vocab_size, d)}
+    for stack, n, blocks in (
+        ("enc", cfg.n_enc_layers, {"ln1": norm, "sa": attn, "ln2": norm, "ff": ff}),
+        ("dec", cfg.n_dec_layers, {"ln1": norm, "sa": attn, "ln2": norm, "ca": attn,
+                                   "ln3": norm, "ff": ff}),
+    ):
+        for i in range(n):
+            shapes.update({f"{stack}.l{i}.{block}.{w}": shape
+                           for block, ws in blocks.items() for w, shape in ws.items()})
+        shapes.update({f"{stack}.lnf.{w}": shape for w, shape in norm.items()})
+    shapes["out.b"] = (cfg.vocab_size,)
+    return shapes
 
 
 @dataclass
@@ -633,16 +651,34 @@ class QuestionRewriter:
         dtype=np.float64,
         arrays: dict[str, np.ndarray] | None = None,
     ):
-        """``arrays`` (a checkpoint's, by name) are the parameters, in place
-        of a random init drawn from ``rng``."""
+        """The parameters are those of ``parameter_shapes(cfg)``, in its
+        order.  ``arrays`` (a checkpoint's, by name) give them in place of a
+        random init drawn from ``rng``: their names and shapes are checked
+        against the table, raising ``ShapeError``, before any parameter is
+        allocated."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ShapeError(f"unsupported precision {dtype}")
-        self.params: dict[str, Tensor] = {}
-        self._init_params(None if arrays is not None else rng or np.random.default_rng(0))
-        if arrays is not None:
-            self._load_arrays(arrays)
+        shapes = parameter_shapes(cfg)
+        if arrays is None:
+            rng = rng or np.random.default_rng(0)
+
+            def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+                if len(shape) == 2:
+                    std = (cfg.d_model if name == "emb.tok" else shape[0]) ** -0.5
+                    return rng.normal(0.0, std, shape)
+                return np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+            arrays = {name: draw(name, shape) for name, shape in shapes.items()}
+        elif set(arrays) != set(shapes):
+            missing = set(shapes) ^ set(arrays)
+            raise ShapeError(f"parameter name mismatch: {sorted(missing)[:5]}")
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ShapeError(f"shape mismatch for {name}")
+        self.params: dict[str, Tensor] = {
+            name: Tensor(arrays[name].astype(self.dtype), requires_grad=True)
+            for name in shapes}
         # each layer's parameters by the rest of their name (ln1.g, sa.wq, ...),
         # built once: optimizers and checkpoints assign .data, never a tensor
         self._enc_layers, self._dec_layers = (
@@ -650,70 +686,6 @@ class QuestionRewriter:
              for pre in (f"{stack}.l{i}." for i in range(n))]
             for stack, n in (("enc", cfg.n_enc_layers), ("dec", cfg.n_dec_layers)))
         self._pos = sinusoidal_positions(cfg.max_len, cfg.d_model).astype(self.dtype)
-
-    # ------------------------------------------------------------------
-    # parameters
-
-    def _add_param(self, name: str, arr: np.ndarray) -> None:
-        self.params[name] = Tensor(arr.astype(self.dtype), requires_grad=True)
-
-    def _add_weight(self, name: str, rng, shape: tuple[int, int], std=None) -> None:
-        """A weight matrix drawn at ``std`` (fan_in**-0.5 by default), or
-        zeros for a checkpoint to replace when there is no ``rng``."""
-        std = shape[0] ** -0.5 if std is None else std
-        self._add_param(name, np.zeros(shape) if rng is None else rng.normal(0.0, std, shape))
-
-    def _init_attn(self, prefix: str, rng, d: int) -> None:
-        # q/k/v projections carry no bias (a key bias is provably inert:
-        # softmax removes per-row constant score shifts)
-        for w in ("wq", "wk", "wv", "wo"):
-            self._add_weight(f"{prefix}.{w}", rng, (d, d))
-        self._add_param(f"{prefix}.bo", np.zeros(d))
-
-    def _init_params(self, rng) -> None:
-        cfg = self.cfg
-        d, f = cfg.d_model, cfg.d_ff
-        self._add_weight("emb.tok", rng, (cfg.vocab_size, d), d**-0.5)
-        for i in range(cfg.n_enc_layers):
-            p = f"enc.l{i}"
-            self._add_param(f"{p}.ln1.g", np.ones(d))
-            self._add_param(f"{p}.ln1.b", np.zeros(d))
-            self._init_attn(f"{p}.sa", rng, d)
-            self._add_param(f"{p}.ln2.g", np.ones(d))
-            self._add_param(f"{p}.ln2.b", np.zeros(d))
-            self._add_weight(f"{p}.ff.w1", rng, (d, f))
-            self._add_param(f"{p}.ff.b1", np.zeros(f))
-            self._add_weight(f"{p}.ff.w2", rng, (f, d))
-            self._add_param(f"{p}.ff.b2", np.zeros(d))
-        self._add_param("enc.lnf.g", np.ones(d))
-        self._add_param("enc.lnf.b", np.zeros(d))
-        for i in range(cfg.n_dec_layers):
-            p = f"dec.l{i}"
-            self._add_param(f"{p}.ln1.g", np.ones(d))
-            self._add_param(f"{p}.ln1.b", np.zeros(d))
-            self._init_attn(f"{p}.sa", rng, d)
-            self._add_param(f"{p}.ln2.g", np.ones(d))
-            self._add_param(f"{p}.ln2.b", np.zeros(d))
-            self._init_attn(f"{p}.ca", rng, d)
-            self._add_param(f"{p}.ln3.g", np.ones(d))
-            self._add_param(f"{p}.ln3.b", np.zeros(d))
-            self._add_weight(f"{p}.ff.w1", rng, (d, f))
-            self._add_param(f"{p}.ff.b1", np.zeros(f))
-            self._add_weight(f"{p}.ff.w2", rng, (f, d))
-            self._add_param(f"{p}.ff.b2", np.zeros(d))
-        self._add_param("dec.lnf.g", np.ones(d))
-        self._add_param("dec.lnf.b", np.zeros(d))
-        self._add_param("out.b", np.zeros(cfg.vocab_size))
-
-    def _load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            missing = set(self.params) ^ set(arrays)
-            raise ShapeError(f"parameter name mismatch: {sorted(missing)[:5]}")
-        for name, arr in arrays.items():
-            tgt = self.params[name]
-            if arr.shape != tgt.data.shape:
-                raise ShapeError(f"shape mismatch for {name}")
-            tgt.data = arr.astype(self.dtype)
 
     # ------------------------------------------------------------------
     # embeddings and the encoder

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,8 @@ def corrupt_checkpoint(path, defect):
             header["config"][key] = float(header["config"][key])
         elif defect == "string_mode":  # "no" is no bool
             header["config"]["mode_accumulated_sa"] = "no"
+        elif defect == "huge_d_model":  # tensors that fit, a model that could not
+            header["config"]["d_model"] = 2**60
         elif defect.startswith("no_"):
             del header[defect[3:]]
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -151,6 +155,50 @@ class TestCheckpoints:
         dataio.save_checkpoint(p2, m, vocab_sha256="00" * 32)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # SHA-256 of the checkpoint of a freshly initialised model, by (config,
+    # precision, seed), recorded before the parameters were declared in one
+    # shape table: the table must keep the draw order and the save order
+    FRESH_DIGESTS = {
+        ("one_enc", "float64", 0): "4617465068fbbc155cf6cff7af7877ed9395be2e7332c088a6837dc5e9dd7e7b",
+        ("one_enc", "float64", 1): "72b72e1f605063c66b67652b79ae3fa6678c0e82867aa776b182662281f3efd0",
+        ("one_enc", "float64", 2): "c5ff722a9de5b3c9bba758cf9a72fbcee85f7f779ad39a692211fdedf5bc15bf",
+        ("one_enc", "float32", 0): "748d6f5ef4276e0ddfecd8434638320c521c8c31948a3214e296e048d7ca4b58",
+        ("one_enc", "float32", 1): "bbf693d3d1c1a3b4e319022a91d4d307e7b0aae9cf2cf0cb8595cdbc93fbc4ad",
+        ("one_enc", "float32", 2): "e65a291aeecb36e0d9405ce94b5e31a621709307cf8bffdcd4e62ac35e3f3584",
+        ("no_enc", "float64", 0): "8a106f95645b66bc6c278d71320f41114d2cffe8eeaeffc5d1f785ee4a80ef55",
+        ("no_enc", "float64", 1): "2babb6dea700a73f981634a294a0fe6828602659085cda03154a348adc5b8ee2",
+        ("no_enc", "float64", 2): "c3835757f46c1543d98973e716536eb5cfa753c5faeeb09e1f464ae808dbaed7",
+        ("no_enc", "float32", 0): "dc3b26533d843592965548c8e011c9d21079e479092c59500712bceb463053b8",
+        ("no_enc", "float32", 1): "222718d1328b3a0aa5c7aa1a497fe97bc6005e761d4a3e382d39621a6beed964",
+        ("no_enc", "float32", 2): "453edeb57fbd54a2fd47b895a7eb8766f2c4b30e76e1f820e3708a04036fb6a7",
+    }
+    FRESH_CONFIGS = {
+        "one_enc": ModelConfig(vocab_size=12, d_model=8, n_heads=2, d_ff=16,
+                               n_enc_layers=1, n_dec_layers=1, max_len=16),
+        "no_enc": ModelConfig(vocab_size=10, d_model=4, n_heads=2, d_ff=6,
+                              n_enc_layers=0, n_dec_layers=2, max_len=8),
+    }
+
+    @pytest.mark.parametrize("config", sorted(FRESH_CONFIGS))
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_fresh_checkpoint_is_pinned(self, tmp_path, config, dtype):
+        path = tmp_path / "ck.bin"
+        got = {}
+        for seed in range(3):
+            model = QuestionRewriter(self.FRESH_CONFIGS[config],
+                                     rng=np.random.default_rng(seed), dtype=dtype)
+            dataio.save_checkpoint(path, model, vocab_sha256="00" * 32)
+            got[config, dtype, seed] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == {k: v for k, v in self.FRESH_DIGESTS.items() if k[:2] == (config, dtype)}
+
+    def test_fixture_checkpoint_roundtrips(self, tmp_path):
+        # a checkpoint written by older code loads and saves to the same bytes
+        fixture = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "checkpoint.bin"
+        path = tmp_path / "ck.bin"
+        dataio.save_checkpoint(path, dataio.load_model(fixture),
+                               dataio.load_checkpoint(fixture)[1])
+        assert path.read_bytes() == fixture.read_bytes()
+
     def test_vocab_hash_mismatch(self, tmp_path):
         m = self._model()
         path = tmp_path / "ck.bin"
@@ -170,6 +218,7 @@ class TestCheckpoints:
         "tensor_name_mismatch", "tensor_without_name", "bad_tensor_shape",
         "zero_decoder_layers", "bool_tensor_shape", "tensors_5", "tensors_null",
         "int_vocab_sha256", "float_d_model", "float_max_len", "string_mode",
+        "huge_d_model",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"

@@ -84,9 +84,6 @@ class TestConfig:
         with pytest.raises(ShapeError):
             ModelConfig(vocab_size=10, d_model=8, n_heads=n_heads)
 
-    def test_d_k(self):
-        assert ModelConfig(vocab_size=10, d_model=64, n_heads=4).d_k == 16
-
     @pytest.mark.parametrize("layers", [dict(n_enc_layers=-1), dict(n_dec_layers=0),
                                         dict(n_dec_layers=-1)])
     def test_layer_counts_must_build_a_model(self, layers):
