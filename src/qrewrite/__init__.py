@@ -7,61 +7,4 @@ tokens.  Training supervises only the final step, under an adaptive
 curriculum over question complexity.
 """
 
-from .autodiff import Tensor, grad_check, no_grad, zero_grads
-from .docgraph import ArrangedExample, Document, arrange, bridge_entities, extract_entities
-from .metrics import EvalPair, bleu4, corpus_eval, exact_match, meteor_lite, rouge_l
-from .model import (
-    AttentionCache,
-    ModelConfig,
-    QuestionRewriter,
-    RewriteResult,
-    StepInput,
-    accumulated_attention,
-    final_step_loss,
-)
-from .training import (
-    AdamW,
-    ComplexityDataset,
-    CurriculumConfig,
-    build_iteration_dataset,
-    lr_at,
-    train,
-    weighted_loss,
-)
-from .vocab import SPECIAL_TOKENS, Vocab
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamW",
-    "ArrangedExample",
-    "AttentionCache",
-    "ComplexityDataset",
-    "CurriculumConfig",
-    "Document",
-    "EvalPair",
-    "ModelConfig",
-    "QuestionRewriter",
-    "RewriteResult",
-    "SPECIAL_TOKENS",
-    "StepInput",
-    "Tensor",
-    "Vocab",
-    "accumulated_attention",
-    "arrange",
-    "bleu4",
-    "bridge_entities",
-    "build_iteration_dataset",
-    "corpus_eval",
-    "exact_match",
-    "extract_entities",
-    "final_step_loss",
-    "grad_check",
-    "lr_at",
-    "meteor_lite",
-    "no_grad",
-    "rouge_l",
-    "train",
-    "weighted_loss",
-    "zero_grads",
-]

@@ -10,8 +10,10 @@ atomically (``fileio.atomic_open``).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from types import GenericAlias
@@ -52,13 +54,10 @@ def json_line(obj) -> str:
     return _JSON_LINE.encode(obj)
 
 
-def write_records(path: str | Path, records: Iterable[dict]) -> int:
-    n = 0
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
     with atomic_open(path, "w") as fh:
         for rec in records:
             fh.write(json_line(rec) + "\n")
-            n += 1
-    return n
 
 
 def read_records(path: str | Path) -> list[dict]:
@@ -92,17 +91,18 @@ def _has_type(value, kind) -> bool:
     return type(value) in kind if type(kind) is tuple else type(value) is kind
 
 
-def check_fields(where: str, obj, fields: dict) -> None:
-    """Raise ``DataFormatError`` naming ``where`` unless ``obj`` is a JSON
-    object that holds a value of type ``fields[key]`` (see ``_has_type``)
-    under each key of ``fields``."""
+def check_fields(where: str, obj, fields: dict,
+                 error: type[ValueError] = DataFormatError) -> None:
+    """Raise ``error`` naming ``where`` unless ``obj`` is a JSON object that
+    holds a value of type ``fields[key]`` (see ``_has_type``) under each key
+    of ``fields``."""
     if type(obj) is not dict:
-        raise DataFormatError(f"{where} is not a JSON object")
+        raise error(f"{where} is not a JSON object")
     for key, kind in fields.items():
         if not _has_type(obj.get(key), kind):
             kinds = kind if isinstance(kind, tuple) else (kind,)
             names = " or ".join(k.__name__ if type(k) is type else str(k) for k in kinds)
-            raise DataFormatError(f"{where} needs {key!r} of type {names}")
+            raise error(f"{where} needs {key!r} of type {names}")
 
 
 def validate_record(rec: dict) -> None:
@@ -208,7 +208,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     A truncated file, bytes after the last tensor, a set header flag, a
     header that is not a JSON object, lacks a key or holds a value of the
     wrong JSON type, a tensor entry without a string name or a shape of
-    non-negative integers, or a header config that a config file could not
+    positive integers, or a header config that a config file could not
     give (see ``load_config``) or that ``ModelConfig`` rejects raise
     ``DataFormatError`` naming the file.
     """
@@ -243,10 +243,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     for spec in header["tensors"]:
         check_fields(f"{path}: a tensor entry of the header", spec, _TENSOR_TYPES)
         name, shape = spec["name"], tuple(spec["shape"])
-        if min(shape, default=0) < 0:
+        if min(shape, default=1) < 1:
             raise DataFormatError(f"{path}: tensor {name!r} has a bad shape {spec['shape']!r}")
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * float_size
+        end = offset + math.prod(shape) * float_size
         if end > len(raw):
             raise DataFormatError(
                 f"{path}: truncated checkpoint: tensor {name!r} ends at "
@@ -258,12 +257,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
         raise DataFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after the last tensor"
         )
-    for key, value in header["config"].items():
-        if key in MODEL_KEYS and not _json_fits(value, MODEL_KEYS[key]):
-            raise DataFormatError(f"{path}: header config key {key!r} takes a "
-                                  f"{MODEL_KEYS[key].__name__}, got {value!r}")
+    config = header["config"]
+    check_fields(f"{path}: header config", config,
+                 {k: t for k, t in MODEL_KEYS.items() if k in config})
     try:
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = ModelConfig(**config)
     except (TypeError, ShapeError) as exc:
         raise DataFormatError(f"{path}: bad model config in header ({exc})")
     return cfg, header["vocab_sha256"], arrays
@@ -282,7 +280,7 @@ def load_model(
             f"got {expect_vocab_sha256[:12]}..."
         )
     if mode_overrides:
-        cfg = ModelConfig.from_dict({**cfg.to_dict(), **mode_overrides})
+        cfg = dataclasses.replace(cfg, **mode_overrides)
     stored = np.dtype(f"<f{next(iter(arrays.values())).itemsize}") if arrays else np.float64
     try:
         model = QuestionRewriter(cfg, dtype=dtype or stored, arrays=arrays)
@@ -295,17 +293,15 @@ def load_model(
 # configuration files
 
 
-# config key -> the type of its field's value
-MODEL_KEYS = {k: type(v) for k, v in ModelConfig(vocab_size=1).to_dict().items()}
-TRAIN_KEYS = {k: type(v) for k, v in CurriculumConfig().to_dict().items()}
+def _field_types(config) -> dict:
+    """config key -> the JSON type of its field's value (see ``_has_type``):
+    a float field takes an integer too."""
+    return {k: (float, int) if type(v) is float else type(v)
+            for k, v in config.to_dict().items()}
 
 
-def _json_fits(value, kind: type) -> bool:
-    """Whether a JSON ``value`` fits a field of type ``kind``: a float field
-    takes an integer too, but a bool passes only as a bool."""
-    if isinstance(value, bool) or kind is bool:
-        return type(value) is kind
-    return isinstance(value, kind) or (kind is float and type(value) is int)
+MODEL_KEYS = _field_types(ModelConfig(vocab_size=1))
+TRAIN_KEYS = _field_types(CurriculumConfig())
 
 
 def load_config(path: str | Path) -> tuple[dict, dict]:
@@ -320,18 +316,13 @@ def load_config(path: str | Path) -> tuple[dict, dict]:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")
-    model_kw, train_kw = {}, {}
-    for key, value in data.items():
-        kind = MODEL_KEYS.get(key, TRAIN_KEYS.get(key))
-        if kind is None:
-            known = sorted(MODEL_KEYS.keys() | TRAIN_KEYS.keys())
-            raise ConfigError(f"{path}: unknown config key {key!r}; known keys: {known}")
-        if not _json_fits(value, kind):
-            raise ConfigError(
-                f"{path}: config key {key!r} takes a {kind.__name__}, got {value!r}"
-            )
-        (model_kw if key in MODEL_KEYS else train_kw)[key] = value
-    return model_kw, train_kw
+    kinds = {**MODEL_KEYS, **TRAIN_KEYS}
+    for key in data:
+        if key not in kinds:
+            raise ConfigError(f"{path}: unknown config key {key!r}; known keys: {sorted(kinds)}")
+    check_fields(f"{path}: config", data, {k: kinds[k] for k in data}, ConfigError)
+    return ({k: v for k, v in data.items() if k in MODEL_KEYS},
+            {k: v for k, v in data.items() if k in TRAIN_KEYS})
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Bridge-entity extraction, document-graph arrangement and step assembly.
+"""Bridge-entity extraction, breadth-first arrangement and step assembly.
 
 Entities are detected deterministically: maximal runs of capitalized tokens
 (with "of"/"the" connectors inside a run) unioned with whatever entity
-annotations the dataset record carries.  Documents sharing at least one
-entity are connected; the graph is serialized breadth-first from the answer
-document and each step input is laid out as
+annotations the dataset record carries.  ``arrange`` orders an example's
+documents breadth-first from the answer document, stepping from a document
+to every other one that shares an entity with it; no graph object is built.
+Each step input is laid out as
 
     <ans> answer <bridge> e1 <sep> e2 ... <doc> title <sep> text
 
@@ -33,22 +34,6 @@ class Document:
     text: list[str]
     is_answer_doc: bool = False
     annotations: frozenset[str] = frozenset()
-
-
-@dataclass
-class DocumentGraph:
-    nodes: list[int]
-    edges: dict[tuple[int, int], frozenset[str]]  # keys are sorted id pairs
-
-    def __post_init__(self):
-        # adjacency lists in ascending id, built once for the BFS
-        self._adjacent: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for a, b in sorted(self.edges):
-            self._adjacent[a].append(b)
-            self._adjacent[b].append(a)
-
-    def neighbors(self, node: int) -> list[int]:
-        return self._adjacent[node]
 
 
 @dataclass
@@ -121,31 +106,14 @@ def extract_entities(doc: Document) -> frozenset[str]:
     return frozenset(spans)
 
 
-def _shared_pairs(ents: dict[int, frozenset[str]]) -> dict[tuple[int, int], frozenset[str]]:
-    """Shared-entity sets for every unordered pair of ids of ``ents`` (id ->
-    entity set) that has any."""
-    out: dict[tuple[int, int], frozenset[str]] = {}
-    ids = sorted(ents)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            shared = ents[a] & ents[b]
-            if shared:
-                out[(a, b)] = shared
-    return out
-
-
-def bridge_entities(docs: Sequence[Document]) -> dict[tuple[int, int], frozenset[str]]:
-    """Shared-entity sets for every unordered document pair that has any."""
-    return _shared_pairs({d.doc_id: extract_entities(d) for d in docs})
-
-
 def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
     """Order documents by BFS from the answer document and attach bridges.
 
-    Neighbors are visited in ascending document id.  B_t collects the
-    entities of C_t shared with any later document.  Raises
-    ``ArrangementError`` for disconnected graphs (naming the unreachable
-    documents) and for zero or multiple answer documents.
+    A document's neighbors, the documents sharing an entity with it, are
+    visited in ascending document id.  B_t collects the entities of C_t
+    shared with any later document.  Raises ``ArrangementError`` naming the
+    documents that no chain of neighbors reaches from the answer document,
+    and for zero or multiple answer documents.
     """
     answer_docs = [d for d in docs if d.is_answer_doc]
     if len(answer_docs) != 1:
@@ -153,7 +121,7 @@ def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
             f"expected exactly one answer document, found {len(answer_docs)}"
         )
     ents = {d.doc_id: extract_entities(d) for d in docs}
-    graph = DocumentGraph([d.doc_id for d in docs], _shared_pairs(ents))
+    ids = sorted(ents)
     by_id = {d.doc_id: d for d in docs}
     root = answer_docs[0].doc_id
 
@@ -163,8 +131,8 @@ def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
     while queue:
         node = queue.popleft()
         order.append(node)
-        for nb in graph.neighbors(node):
-            if nb not in seen:
+        for nb in ids:
+            if nb not in seen and ents[node] & ents[nb]:
                 seen.add(nb)
                 queue.append(nb)
     if len(order) != len(docs):

@@ -83,13 +83,14 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import math
 import operator
 import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,31 +125,29 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
-
-def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape by name, in the order init draws them and a
-    checkpoint stores them.  q/k/v projections carry no bias (a key bias is
-    provably inert: softmax removes per-row constant score shifts)."""
+def parameter_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, one at a time, in the order init
+    draws them and a checkpoint stores them.  q/k/v projections carry no
+    bias (a key bias is provably inert: softmax removes per-row constant
+    score shifts)."""
     d, f = cfg.d_model, cfg.d_ff
     norm = {"g": (d,), "b": (d,)}
     attn = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), "bo": (d,)}
     ff = {"w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,)}
-    shapes = {"emb.tok": (cfg.vocab_size, d)}
+    yield "emb.tok", (cfg.vocab_size, d)
     for stack, n, blocks in (
         ("enc", cfg.n_enc_layers, {"ln1": norm, "sa": attn, "ln2": norm, "ff": ff}),
         ("dec", cfg.n_dec_layers, {"ln1": norm, "sa": attn, "ln2": norm, "ca": attn,
                                    "ln3": norm, "ff": ff}),
     ):
         for i in range(n):
-            shapes.update({f"{stack}.l{i}.{block}.{w}": shape
-                           for block, ws in blocks.items() for w, shape in ws.items()})
-        shapes.update({f"{stack}.lnf.{w}": shape for w, shape in norm.items()})
-    shapes["out.b"] = (cfg.vocab_size,)
-    return shapes
+            for block, ws in blocks.items():
+                for w, shape in ws.items():
+                    yield f"{stack}.l{i}.{block}.{w}", shape
+        for w, shape in norm.items():
+            yield f"{stack}.lnf.{w}", shape
+    yield "out.b", (cfg.vocab_size,)
 
 
 @dataclass
@@ -509,7 +508,6 @@ class RewriteResult:
     intermediate_tokens: list[list[int]]
     final_tokens: list[int] | None
     final_logits: Tensor | None
-    final_targets: list[int] | None
     truncated: list[bool]             # one flag per decoded step
     cache: AttentionCache | None
     step_logits: list[list[Tensor]] | None = None
@@ -655,12 +653,15 @@ class QuestionRewriter:
         order.  ``arrays`` (a checkpoint's, by name) give them in place of a
         random init drawn from ``rng``: their names and shapes are checked
         against the table, raising ``ShapeError``, before any parameter is
-        allocated."""
+        allocated.  The table is read no further than one entry past the
+        arrays, so a config's layer counts do not set the work of a check
+        that fails."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ShapeError(f"unsupported precision {dtype}")
-        shapes = parameter_shapes(cfg)
+        table = parameter_shapes(cfg)
+        shapes = dict(table if arrays is None else itertools.islice(table, len(arrays) + 1))
         if arrays is None:
             rng = rng or np.random.default_rng(0)
 
@@ -1072,8 +1073,8 @@ class QuestionRewriter:
         # the graph teacher-forces gold finals without picking them
         greedy_finals = gold_finals is None or not graph
         pack = None
-        results = [RewriteResult([], None, None, None, [], None,
-                                 [] if collect_logits else None) for _ in examples]
+        results = [RewriteResult([], None, None, [], None, [] if collect_logits else None)
+                   for _ in examples]
         for t in range(max(n_steps)):
             live = [s for s, n in enumerate(n_steps) if t < n]
             final = [n_steps[s] == t + 1 for s in live]
@@ -1103,7 +1104,6 @@ class QuestionRewriter:
                     res.final_logits = logits if len(forced) == 1 else ad.slice_rows(
                         logits, row, row + len(gold) + 1
                     )
-                    res.final_targets = [*gold, eos]
                     row += len(gold) + 1
                 if graph:
                     state.drop(forced)

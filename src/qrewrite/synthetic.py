@@ -121,14 +121,13 @@ class Chain:
         return len(self.facts)
 
 
-def generate_world(seed: int, sizes: Mapping[str, int] | int) -> World:
+def generate_world(seed: int, sizes: Mapping[str, int]) -> World:
     """Entity pools plus one partial matching per relation type.
 
-    Matchings keep every descriptor direction unique: an entity fills each
-    (relation, role) slot at most once.
+    ``sizes`` gives each category's entity count; a category it omits has
+    none.  Matchings keep every descriptor direction unique: an entity fills
+    each (relation, role) slot at most once.
     """
-    if isinstance(sizes, int):
-        sizes = {cat: sizes for cat in CATEGORIES}
     rng = np.random.default_rng(seed)
     entities = {
         cat: [f"{cat}_{i}" for i in range(int(sizes.get(cat, 0)))]

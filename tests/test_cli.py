@@ -313,7 +313,8 @@ def test_checkpoint_header_without_key_is_data_error(data_dir, train_dir, tmp_pa
 @pytest.mark.parametrize("defect", [
     "invalid_config", "tensor_name_mismatch", "tensor_without_name",
     "bool_tensor_shape", "tensors_5", "tensors_null", "int_vocab_sha256",
-    "float_d_model", "float_max_len", "string_mode", "huge_d_model",
+    "float_d_model", "float_max_len", "string_mode", "huge_d_model", "huge_layer_count",
+    "overflowing_shape",
 ])
 def test_checkpoint_header_that_misfits_the_model_is_data_error(
     data_dir, train_dir, tmp_path, capsys, defect

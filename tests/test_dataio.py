@@ -66,6 +66,12 @@ def corrupt_checkpoint(path, defect):
             header["config"]["mode_accumulated_sa"] = "no"
         elif defect == "huge_d_model":  # tensors that fit, a model that could not
             header["config"]["d_model"] = 2**60
+        elif defect == "huge_layer_count":  # far more layers than tensors
+            header["config"]["n_enc_layers"] = 2**40
+        elif defect == "overflowing_shape":  # 2**64 floats wrap to 0 in int64
+            header["tensors"][0]["shape"] = [2**32, 2**32]
+        elif defect == "zero_size_shape":  # no bytes, but too big to reshape
+            header["tensors"][0]["shape"] = [0, 2**64]
         elif defect.startswith("no_"):
             del header[defect[3:]]
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -218,7 +224,7 @@ class TestCheckpoints:
         "tensor_name_mismatch", "tensor_without_name", "bad_tensor_shape",
         "zero_decoder_layers", "bool_tensor_shape", "tensors_5", "tensors_null",
         "int_vocab_sha256", "float_d_model", "float_max_len", "string_mode",
-        "huge_d_model",
+        "huge_d_model", "huge_layer_count", "overflowing_shape", "zero_size_shape",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"
@@ -258,7 +264,7 @@ class TestConfigFile:
         assert {**model_kw, **train_kw} == fits
         for key, value in [("batch_size", True), ("batch_size", 4.0),
                            ("mode_accumulated_ca", 1), ("curriculum", None),
-                           ("d_ff", [128])]:
+                           ("d_ff", [128]), ("lr_alpha", True)]:
             path.write_text(json.dumps({key: value}))
             with pytest.raises(ConfigError, match=key):
                 dataio.load_config(path)

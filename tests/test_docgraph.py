@@ -5,10 +5,8 @@ from qrewrite import docgraph
 from qrewrite import vocab as V
 from qrewrite.docgraph import (
     Document,
-    DocumentGraph,
     arrange,
     assemble_step_tokens,
-    bridge_entities,
     extract_entities,
     make_step_inputs,
     parse_step_tokens,
@@ -46,35 +44,40 @@ class TestExtractEntities:
 
 
 class TestBridgeEntities:
+    """Bridges are the entities a document shares with later ones, read off
+    ``arrange``."""
+
     def test_figure_style_bridge(self):
-        a = doc(0, "Interstellar was directed by Christopher Nolan")
+        a = doc(0, "Interstellar was directed by Christopher Nolan", answer=True)
         b = doc(1, "Christopher Nolan was born in London")
-        bridges = bridge_entities([a, b])
-        assert bridges[(0, 1)] == {"Christopher Nolan"}
+        assert arrange([a, b], ["a"]).bridges == [{"Christopher Nolan"}]
 
     def test_disjoint_docs(self):
-        assert bridge_entities([doc(0, "Alpha here"), doc(1, "Beta there")]) == {}
+        docs = [doc(0, "Alpha here", answer=True), doc(1, "Beta there")]
+        with pytest.raises(ArrangementError, match=r"\[1\]"):
+            arrange(docs, ["a"])
 
     def test_three_doc_chain(self):
         docs = [
             doc(0, "x", annotations=("e1",)),
             doc(1, "x", annotations=("e1", "e2")),
-            doc(2, "x", annotations=("e2",)),
+            doc(2, "x", answer=True, annotations=("e2",)),
         ]
-        bridges = bridge_entities(docs)
-        assert set(bridges) == {(0, 1), (1, 2)}
-        assert bridges[(0, 1)] == {"e1"}
-        assert bridges[(1, 2)] == {"e2"}
+        arr = arrange(docs, ["a"])
+        assert [d.doc_id for d in arr.documents] == [2, 1, 0]
+        assert arr.bridges == [{"e2"}, {"e1"}]
 
     def test_symmetry_and_permutation_invariance(self):
         docs = [
-            doc(0, "x", annotations=("a", "b")),
+            doc(0, "x", answer=True, annotations=("a", "b")),
             doc(1, "x", annotations=("b", "c")),
             doc(2, "x", annotations=("c", "a")),
         ]
-        forward = bridge_entities(docs)
-        backward = bridge_entities(list(reversed(docs)))
-        assert forward == backward == bridge_entities(docs)  # idempotent too
+        forward = arrange(docs, ["a"])
+        backward = arrange(list(reversed(docs)), ["a"])
+        assert [d.doc_id for d in forward.documents] == [0, 1, 2]
+        assert [d.doc_id for d in backward.documents] == [0, 1, 2]
+        assert forward.bridges == backward.bridges == [{"a", "b"}, {"c"}]
 
 
 class TestArrange:
@@ -142,12 +145,14 @@ class TestArrange:
                 for i in range(n)
             ]
             arr = arrange(docs, ["a"])
-            graph = DocumentGraph([d.doc_id for d in docs], bridge_entities(docs))
+            # lowercase text and title add no entity: the annotations are all
+            adjacent = [[j for j in range(n) if j != i and annos[i] & annos[j]]
+                        for i in range(n)]
             order, seen, queue = [], {0}, [0]
             while queue:
                 cur = queue.pop(0)
                 order.append(cur)
-                for nb in graph.neighbors(cur):
+                for nb in adjacent[cur]:
                     if nb not in seen:
                         seen.add(nb)
                         queue.append(nb)

@@ -1,8 +1,13 @@
-"""numpy stays the only runtime dependency of the package."""
+"""The package's imports: numpy stays its only runtime dependency, and
+each module imports on its own."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qrewrite
 
@@ -27,3 +32,13 @@ def test_package_imports_only_numpy_and_the_standard_library():
     for path in modules:
         foreign = imported_roots(path) - allowed
         assert not foreign, f"{path.relative_to(PACKAGE)} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_each_module_imports_alone(module):
+    # a fresh interpreter, so no module is already loaded by another
+    done = subprocess.run([sys.executable, "-c", f"import qrewrite.{module}"],
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -34,7 +34,7 @@ class TestWorld:
         assert a.entities == b.entities
 
     def test_empty_world_errors_cleanly(self):
-        empty = S.generate_world(3, 0)
+        empty = S.generate_world(3, {})
         assert empty.facts == []
         with pytest.raises(GenerationError):
             S.sample_chain(empty, 1, np.random.default_rng(0))
