@@ -99,6 +99,11 @@ from .autodiff import Tensor
 from .errors import LengthError, ShapeError
 
 
+# the position table holds max_len rows and a pack's self-attention cache
+# max_len rows per step, both allocated upfront
+MAX_LEN_LIMIT = 2**16
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -117,6 +122,8 @@ class ModelConfig:
         if self.n_enc_layers < 0 or self.n_dec_layers < 1:
             # a decoder without layers reads neither the document nor the cache
             raise ShapeError("need n_enc_layers >= 0 and n_dec_layers >= 1")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ShapeError(f"max_len={self.max_len} above {MAX_LEN_LIMIT}")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -569,18 +576,19 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
-def _workers(n_packs: int) -> int:
-    """Processes that decode ``n_packs`` packs at once: one per usable CPU
-    when this process can fork safely, else 1 (in-process).  Forking is
-    safe only from a single OS thread, so that no BLAS or other thread is
-    copied in mid-lock; without procfs the count is unknown."""
-    if n_packs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+def _workers(n_jobs: int) -> int:
+    """Processes that run ``n_jobs`` independent jobs (packs, or training
+    beside validation) at once: up to one per usable CPU when this process
+    can fork safely, else 1 (in-process).  Forking is safe only from a
+    single OS thread, so that no BLAS or other thread is copied in
+    mid-lock; without procfs the count is unknown."""
+    if n_jobs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
         return 1
-    return min(n_packs, len(os.sched_getaffinity(0))) if threads == 1 else 1
+    return min(n_jobs, len(os.sched_getaffinity(0))) if threads == 1 else 1
 
 
 def _run_share(fn, share) -> dict:
@@ -596,47 +604,71 @@ def _run_share(fn, share) -> dict:
     return out
 
 
+class ForkedCall:
+    """``fn(*args)`` run in a forked child.  The child pickles what the call
+    returns, or the exception it raises, into a pipe and always leaves by
+    ``os._exit``, so it never returns into the caller's code.  ``join``
+    returns that result or re-raises that exception; ``join`` and ``kill``
+    each reap the child, whether they return or raise."""
+
+    def __init__(self, fn, *args):
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                try:
+                    outcome = True, fn(*args)
+                except Exception as exc:
+                    outcome = False, exc
+                payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                with open(w, "wb") as fh:
+                    fh.write(payload)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pid, self._pipe = pid, open(r, "rb")
+
+    def join(self):
+        try:
+            with self._pipe:
+                payload = self._pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        except BaseException:
+            self.kill()
+            raise
+        if status != 0:
+            raise RuntimeError(f"forked worker {self.pid} exited with status {status} "
+                               "and no result")
+        returned, value = pickle.loads(payload)
+        if not returned:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        self._pipe.close()
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
 def _run_shares(fn, own, others: list) -> dict:
     """``_run_share`` of every share, merged: ``own`` in this process and
-    each of ``others`` in a forked child.  A child pickles its outcomes
-    into a pipe and always leaves by ``os._exit``, so it never returns into
-    the caller's code.  Every child is reaped before this returns or
-    raises."""
-    children = []  # (pid, read end of its pipe), until reaped
+    each of ``others`` in a ``ForkedCall``.  Every child is reaped before
+    this returns or raises."""
+    children = []  # until joined
     try:
         for share in others:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    payload = pickle.dumps(_run_share(fn, share), pickle.HIGHEST_PROTOCOL)
-                    with open(w, "wb") as fh:
-                        fh.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
+            children.append(ForkedCall(_run_share, fn, share))
         out = _run_share(fn, own)
         while children:
-            pid, fh = children[0]
-            with fh:
-                payload = fh.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if status != 0:
-                raise RuntimeError(f"rewrite worker {pid} exited with status {status} "
-                                   "and no result")
-            out.update(pickle.loads(payload))
+            out.update(children.pop(0).join())
         return out
     finally:
-        for pid, fh in children:
-            fh.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            child.kill()
 
 
 class QuestionRewriter:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as M
+from . import model as model_module
 from .autodiff import Tensor
 from .docgraph import ArrangedExample, make_step_inputs
 from .errors import ConfigError, DivergenceError
@@ -333,9 +334,16 @@ def train(
     """Run the full curriculum; deterministic given (seed, config, dataset).
 
     Emits one metrics record per validation event (end of each epoch) and
-    per checkpoint, each main complexity's and a final one: ``on_event``
-    sees every record as it is produced and ``on_checkpoint`` the model at
-    each checkpoint.  A ``warmup_steps`` longer than the planned number of
+    per checkpoint, each main complexity's and a final one, and hands
+    ``on_checkpoint`` the model at each checkpoint as it is reached.
+    ``on_event`` sees the records in the order they arise, but validation
+    reads only the model and the fixed pool, so it runs in a forked child
+    while training goes on where ``model._workers`` allows two processes
+    and no ``plateau_patience`` needs its loss at once: its record, and
+    every record after it, is held back until the child's result is in,
+    at the latest at the next validation or the end of training.  If
+    training raises meanwhile, the held records are emitted first, as in
+    one process.  A ``warmup_steps`` longer than the planned number of
     updates is clamped to the plan, so the learning rate then peaks at the
     last update.
     """
@@ -368,63 +376,92 @@ def train(
             val_pool.extend((h, ex) for ex in val_dataset.groups[h])
         val_pool = val_pool[: cfg.val_max_examples]
 
-    for main in h_sequence:
-        best_val = math.inf
-        stale = 0
-        for epoch in range(cfg.epochs_per_main_complexity):
-            pool = build_iteration_dataset(groups, main, cfg.rho, rng)
-            pool = [
-                (c, ex)
-                for c, ex in pool
-                if loss_weight(c, main, cfg.gamma_low, cfg.gamma_high) != 0.0
-            ]
-            epoch_losses = []
-            for lo in range(0, len(pool), cfg.batch_size):
-                batch = pool[lo : lo + cfg.batch_size]
-                ad.zero_grads(model.params)
-                losses = _batch_losses(model, [ex for _, ex in batch], voc)
-                batch_loss = weighted_loss(
-                    losses, [c for c, _ in batch], main,
-                    cfg.gamma_low, cfg.gamma_high,
-                )
-                raw = batch_loss.item()
-                if not math.isfinite(raw):
-                    raise DivergenceError(
-                        f"non-finite loss {raw} at step {global_step}, H={main}"
-                    )
-                batch_loss.backward()
-                clip_grad_norm(model.params, cfg.max_grad_norm)
-                # decay reaches zero one virtual step past the final update
-                lr = lr_at(
-                    min(global_step + 1, total_steps),
-                    warmup_steps, total_steps + 1, cfg.lr_alpha,
-                )
-                optimizer.step(lr)
-                global_step += 1
-                epoch_losses.append(raw)
-                last_loss = raw
-            record = {
-                "event": "validation",
-                "step": global_step,
-                "H": main,
-                "epoch": epoch + 1,
-                "train_loss": sum(epoch_losses) / max(len(epoch_losses), 1),
-            }
-            if val_pool:
-                record.update(_validate(model, val_pool, voc))
+    # a forked validation and the records held back until its result is in
+    pending: tuple[model_module.ForkedCall, list[dict]] | None = None
+
+    def post(record: dict) -> None:
+        if pending is None:
             emit(record)
-            if cfg.plateau_patience and val_pool:
-                if record["val_loss"] < best_val - 1e-6:
-                    best_val = record["val_loss"]
-                    stale = 0
+        else:
+            pending[1].append(record)
+
+    def land() -> None:
+        nonlocal pending
+        if pending is not None:
+            (child, held), pending = pending, None
+            held[0].update(child.join())
+            for record in held:
+                emit(record)
+
+    try:
+        for main in h_sequence:
+            best_val = math.inf
+            stale = 0
+            for epoch in range(cfg.epochs_per_main_complexity):
+                pool = build_iteration_dataset(groups, main, cfg.rho, rng)
+                pool = [
+                    (c, ex)
+                    for c, ex in pool
+                    if loss_weight(c, main, cfg.gamma_low, cfg.gamma_high) != 0.0
+                ]
+                epoch_losses = []
+                for lo in range(0, len(pool), cfg.batch_size):
+                    batch = pool[lo : lo + cfg.batch_size]
+                    ad.zero_grads(model.params)
+                    losses = _batch_losses(model, [ex for _, ex in batch], voc)
+                    batch_loss = weighted_loss(
+                        losses, [c for c, _ in batch], main,
+                        cfg.gamma_low, cfg.gamma_high,
+                    )
+                    raw = batch_loss.item()
+                    if not math.isfinite(raw):
+                        raise DivergenceError(
+                            f"non-finite loss {raw} at step {global_step}, H={main}"
+                        )
+                    batch_loss.backward()
+                    clip_grad_norm(model.params, cfg.max_grad_norm)
+                    # decay reaches zero one virtual step past the final update
+                    lr = lr_at(
+                        min(global_step + 1, total_steps),
+                        warmup_steps, total_steps + 1, cfg.lr_alpha,
+                    )
+                    optimizer.step(lr)
+                    global_step += 1
+                    epoch_losses.append(raw)
+                    last_loss = raw
+                record = {
+                    "event": "validation",
+                    "step": global_step,
+                    "H": main,
+                    "epoch": epoch + 1,
+                    "train_loss": sum(epoch_losses) / max(len(epoch_losses), 1),
+                }
+                if val_pool and not cfg.plateau_patience and model_module._workers(2) > 1:
+                    land()
+                    pending = model_module.ForkedCall(_validate, model, val_pool, voc), [record]
                 else:
-                    stale += 1
-                    if stale >= cfg.plateau_patience:
-                        break
-        label = f"H{main}"
-        emit({"event": "checkpoint", "step": global_step, "H": main, "label": label})
+                    if val_pool:
+                        record.update(_validate(model, val_pool, voc))
+                    post(record)
+                if cfg.plateau_patience and val_pool:
+                    if record["val_loss"] < best_val - 1e-6:
+                        best_val = record["val_loss"]
+                        stale = 0
+                    else:
+                        stale += 1
+                        if stale >= cfg.plateau_patience:
+                            break
+            label = f"H{main}"
+            post({"event": "checkpoint", "step": global_step, "H": main, "label": label})
+            if on_checkpoint is not None:
+                on_checkpoint(label, model)
         if on_checkpoint is not None:
-            on_checkpoint(label, model)
-    if on_checkpoint is not None:
-        on_checkpoint("final", model)
+            on_checkpoint("final", model)
+        land()
+    except Exception:
+        land()  # the records before the error, as in one process
+        raise
+    finally:
+        if pending is not None:  # interrupted
+            pending[0].kill()
     return TrainResult(last_loss, global_step)

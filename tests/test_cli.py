@@ -314,7 +314,7 @@ def test_checkpoint_header_without_key_is_data_error(data_dir, train_dir, tmp_pa
     "invalid_config", "tensor_name_mismatch", "tensor_without_name",
     "bool_tensor_shape", "tensors_5", "tensors_null", "int_vocab_sha256",
     "float_d_model", "float_max_len", "string_mode", "huge_d_model", "huge_layer_count",
-    "overflowing_shape",
+    "huge_max_len", "overflowing_shape",
 ])
 def test_checkpoint_header_that_misfits_the_model_is_data_error(
     data_dir, train_dir, tmp_path, capsys, defect
@@ -458,8 +458,9 @@ class TestTrain:
     @pytest.mark.parametrize("config", [
         {"d_model": 10, "n_heads": 3}, {"d_model": 0}, {"d_model": "64"},
         {"lr_alpha": "x"}, {"gamma_low": None}, {"n_enc_layers": -1}, {"n_dec_layers": 0},
+        {"max_len": 2**40},
     ], ids=["heads_misfit", "zero_width", "string_int", "string_float", "null_float",
-            "negative_encoder_layers", "no_decoder_layers"])
+            "negative_encoder_layers", "no_decoder_layers", "huge_max_len"])
     def test_config_the_model_rejects_is_error(self, data_dir, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))

@@ -68,6 +68,8 @@ def corrupt_checkpoint(path, defect):
             header["config"]["d_model"] = 2**60
         elif defect == "huge_layer_count":  # far more layers than tensors
             header["config"]["n_enc_layers"] = 2**40
+        elif defect == "huge_max_len":  # a position table of 8 TiB
+            header["config"]["max_len"] = 2**40
         elif defect == "overflowing_shape":  # 2**64 floats wrap to 0 in int64
             header["tensors"][0]["shape"] = [2**32, 2**32]
         elif defect == "zero_size_shape":  # no bytes, but too big to reshape
@@ -224,7 +226,8 @@ class TestCheckpoints:
         "tensor_name_mismatch", "tensor_without_name", "bad_tensor_shape",
         "zero_decoder_layers", "bool_tensor_shape", "tensors_5", "tensors_null",
         "int_vocab_sha256", "float_d_model", "float_max_len", "string_mode",
-        "huge_d_model", "huge_layer_count", "overflowing_shape", "zero_size_shape",
+        "huge_d_model", "huge_layer_count", "huge_max_len", "overflowing_shape",
+        "zero_size_shape",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"

@@ -1,13 +1,16 @@
 import gc
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from qrewrite import autodiff as ad
 from qrewrite import dataio, synthetic, training
+from qrewrite import model as model_module
 from qrewrite.autodiff import Tensor
-from qrewrite.errors import ConfigError
+from qrewrite.errors import ConfigError, DivergenceError, LengthError
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import ModelConfig, QuestionRewriter, final_step_loss
 from qrewrite.training import (
@@ -422,10 +425,136 @@ def test_no_graph_outlives_its_backward(monkeypatch):
         live["validate"].append(graph_nodes())
         return validate(*args)
 
+    # a forked validation runs the probe above in the child, where its
+    # count is lost: count at the hand-off in this process instead
+    fork = model_module.ForkedCall
+
+    def counted_fork(fn, *args):
+        if fn is counted_validate:
+            live["validate"].append(graph_nodes())
+        return fork(fn, *args)
+
     monkeypatch.setattr(AdamW, "step", counted_step)
     monkeypatch.setattr(training, "_validate", counted_validate)
+    monkeypatch.setattr(model_module, "ForkedCall", counted_fork)
     cfg = CurriculumConfig(warmup_steps=2, batch_size=2, rho=0.5)
     result = train(model, dataset, cfg, voc, val_dataset=dataset)
     assert len(live["adamw"]) == result.total_steps > 3
     assert len(live["validate"]) == 3
     assert live == {"adamw": [0] * result.total_steps, "validate": [0, 0, 0]}
+
+
+# ---------------------------------------------------------------------------
+# validation forked beside training
+
+
+class TestForkedValidation:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self, monkeypatch):
+        monkeypatch.setattr(model_module, "PACK_SIZE", 3)
+
+        def hung(signum, frame):
+            raise TimeoutError("train still waits for a validation after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def train_on(monkeypatch, tmp_path, workers, **overrides):
+        """``train`` of a 1/2/3-hop set, validated on itself, on ``workers``
+        processes: its records, its checkpoints' bytes by label, what it
+        raised (type and message) and the forks this process made."""
+        monkeypatch.setattr(model_module, "_workers", lambda n_jobs: min(n_jobs, workers))
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        examples, voc = mixed_hop_batch((1, 2, 3, 1, 2, 3, 3, 2, 1))
+        dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h]
+                                     for h in (1, 2, 3)})
+        records, checkpoints = [], {}
+
+        def save(label, m):
+            path = tmp_path / f"{workers}-{label}.bin"
+            dataio.save_checkpoint(path, m, "00" * 32)
+            checkpoints[label] = path.read_bytes()
+
+        cfg = CurriculumConfig(**{"lr_alpha": 1e-2, "warmup_steps": 2, "batch_size": 4,
+                                  "epochs_per_main_complexity": 2, **overrides})
+        raised = None
+        try:
+            train(small_model(voc, n_enc_layers=1, n_dec_layers=1), dataset, cfg, voc,
+                  val_dataset=dataset, on_checkpoint=save, on_event=records.append)
+        except (Exception, KeyboardInterrupt) as exc:
+            raised = type(exc), str(exc)
+        finally:
+            monkeypatch.setattr(os, "fork", fork)
+        return records, checkpoints, raised, len(forks)
+
+    # 2 records: one pack; 9: three packs, so the validation child forks too
+    @pytest.mark.parametrize("val_max_examples", [2, 9])
+    @pytest.mark.parametrize("plateau_patience", [0, 1])
+    def test_forked_equals_in_process_byte_for_byte(self, monkeypatch, tmp_path,
+                                                    val_max_examples, plateau_patience):
+        runs = [self.train_on(monkeypatch, tmp_path, workers,
+                              val_max_examples=val_max_examples,
+                              plateau_patience=plateau_patience)
+                for workers in (1, 2)]
+        (records, checkpoints, raised, forks), forked = runs
+        assert raised is None and records and "val_loss" in records[0]
+        assert set(checkpoints) == {"H1", "H2", "H3", "final"}
+        assert forked[:3] == (records, checkpoints, None)
+        # each validation forks, unless patience steers training by its
+        # loss: then it runs in-process and forks for its second pack share
+        validations = sum(r["event"] == "validation" for r in records)
+        forked_here = not plateau_patience or val_max_examples == 9
+        assert (forks, forked[3]) == (0, validations if forked_here else 0)
+
+    def test_a_divergence_after_a_forked_validation_emits_what_one_process_does(
+            self, monkeypatch, tmp_path):
+        batch_losses = training._batch_losses
+        calls = []
+
+        def diverging(model, examples, voc):
+            calls.append(1)
+            losses = batch_losses(model, examples, voc)
+            return losses if len(calls) != 4 else [ad.scale(loss, math.nan) for loss in losses]
+
+        monkeypatch.setattr(training, "_batch_losses", diverging)
+        runs = [calls.clear() or self.train_on(monkeypatch, tmp_path, workers)
+                for workers in (1, 2)]
+        assert runs[0][2] == (DivergenceError, "non-finite loss nan at step 3, H=2")
+        assert runs[0][:3] == runs[1][:3]
+        assert [r["event"] for r in runs[0][0]] == ["validation"] * 2 + ["checkpoint"]
+        assert runs[1][3] == 2  # the second validation was pending at the error
+
+    def test_a_failing_validation_fails_alike_in_a_child(self, monkeypatch, tmp_path):
+        def failing(model, examples, voc):
+            raise LengthError("validation failed")
+
+        monkeypatch.setattr(training, "_validate", failing)
+        runs = [self.train_on(monkeypatch, tmp_path, workers) for workers in (1, 2)]
+        assert runs[0][0] == runs[1][0] == []
+        assert runs[0][2] == runs[1][2] == (LengthError, "validation failed")
+        assert runs[1][3] == 1
+
+    def test_an_interrupt_reaps_the_pending_validation(self, monkeypatch, tmp_path):
+        batch_losses = training._batch_losses
+        calls = []
+
+        def interrupted(model, examples, voc):
+            calls.append(1)
+            if len(calls) == 4:  # H=2's second update: the second validation pends
+                raise KeyboardInterrupt
+            return batch_losses(model, examples, voc)
+
+        monkeypatch.setattr(training, "_batch_losses", interrupted)
+        records, _, raised, forks = self.train_on(monkeypatch, tmp_path, 2)
+        assert raised == (KeyboardInterrupt, "") and forks == 2
+        assert [r["event"] for r in records] == ["validation"]
