@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -604,71 +605,133 @@ def _run_share(fn, share) -> dict:
     return out
 
 
-class ForkedCall:
-    """``fn(*args)`` run in a forked child.  The child pickles what the call
-    returns, or the exception it raises, into a pipe and always leaves by
-    ``os._exit``, so it never returns into the caller's code.  ``join``
-    returns that result or re-raises that exception; ``join`` and ``kill``
-    each reap the child, whether they return or raise."""
+def _send(pipe, obj) -> None:
+    """Pickle ``obj`` down ``pipe``, a buffered writer.  Large arrays go to
+    the pipe from their own memory, with no copy in between."""
+    pickle.dump(obj, pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
 
-    def __init__(self, fn, *args):
-        r, w = os.pipe()
-        pid = os.fork()
+
+class ForkedWorker:
+    """A forked child that serves calls of ``fn``, one at a time:
+    ``submit(*args)`` pipes it the pickled arguments, and ``join`` returns
+    what ``fn(*args)`` returned there or re-raises what it raised.  The
+    child works on the memory this process had at the fork, serves until
+    ``close`` and always leaves by ``os._exit``, so it never returns into
+    the caller's code.  If the pipes or the fork cannot be made, each call
+    runs here instead, at once, at submit.  A child that dies makes
+    ``submit`` or ``join`` raise ``RuntimeError`` naming its exit status;
+    that raise, any other raise out of them, and ``close`` reap it."""
+
+    def __init__(self, fn):
+        self.fn, self.pid, self._pipes, self._outcome, self._busy = fn, None, None, None, False
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        requests_r, requests_w, results_r, results_w = fds
         if pid == 0:
             status = 1
             try:
-                os.close(r)
-                try:
-                    outcome = True, fn(*args)
-                except Exception as exc:
-                    outcome = False, exc
-                payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-                with open(w, "wb") as fh:
-                    fh.write(payload)
+                os.close(requests_w)
+                os.close(results_r)
+                requests, results = open(requests_r, "rb"), open(results_w, "wb")
+                while (args := pickle.load(requests)) is not None:
+                    try:
+                        outcome = True, fn(*args)
+                    except Exception as exc:
+                        outcome = False, exc
+                    _send(results, outcome)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(w)
-        self.pid, self._pipe = pid, open(r, "rb")
+        os.close(requests_r)
+        os.close(results_w)
+        self.pid, self._pipes = pid, (open(requests_w, "wb"), open(results_r, "rb"))
+
+    def submit(self, *args) -> None:
+        """Start ``fn(*args)``; the call before it must have been joined."""
+        self._busy = True
+        if self.pid is None:
+            try:
+                self._outcome = True, self.fn(*args)
+            except Exception as exc:
+                self._outcome = False, exc
+            return
+        try:
+            _send(self._pipes[0], args)
+        except BrokenPipeError:
+            raise self._died() from None
+        except BaseException:
+            self.close()
+            raise
 
     def join(self):
-        try:
-            with self._pipe:
-                payload = self._pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        except BaseException:
-            self.kill()
-            raise
-        if status != 0:
-            raise RuntimeError(f"forked worker {self.pid} exited with status {status} "
-                               "and no result")
-        returned, value = pickle.loads(payload)
+        """What the call submitted last returned; what it raised is raised."""
+        if self.pid is None:
+            outcome, self._outcome = self._outcome, None
+        else:
+            try:
+                outcome = pickle.load(self._pipes[1])
+            except (EOFError, pickle.UnpicklingError):
+                raise self._died() from None
+            except BaseException:
+                self.close()
+                raise
+        self._busy = False
+        returned, value = outcome
         if not returned:
             raise value
         return value
 
-    def kill(self) -> None:
-        self._pipe.close()
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+    def close(self) -> None:
+        """Reap the child, if it still runs: an idle one is told to leave, a
+        busy one is killed."""
+        if self._pipes is not None:
+            if not self._busy:
+                with contextlib.suppress(OSError):  # it died: reaped all the same
+                    _send(self._pipes[0], None)
+            self._reap()
+
+    def _died(self) -> RuntimeError:
+        return RuntimeError(f"forked worker {self.pid} exited with status {self._reap()} "
+                            "and no result")
+
+    def _reap(self) -> int:
+        """Close the pipes, kill the child if it is busy, and wait for it:
+        its exit status."""
+        requests, results = self._pipes
+        self._pipes = None
+        results.close()
+        with contextlib.suppress(OSError):  # what a dead child left unread
+            requests.close()
+        if self._busy:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 def _run_shares(fn, own, others: list) -> dict:
     """``_run_share`` of every share, merged: ``own`` in this process and
-    each of ``others`` in a ``ForkedCall``.  Every child is reaped before
-    this returns or raises."""
-    children = []  # until joined
+    each of ``others`` in a ``ForkedWorker`` of its own.  Every worker is
+    reaped before this returns or raises."""
+    workers = []
     try:
         for share in others:
-            children.append(ForkedCall(_run_share, fn, share))
+            workers.append(ForkedWorker(functools.partial(_run_share, fn)))
+            workers[-1].submit(share)
         out = _run_share(fn, own)
-        while children:
-            out.update(children.pop(0).join())
+        for worker in workers:
+            out.update(worker.join())
         return out
     finally:
-        for child in children:
-            child.kill()
+        for worker in workers:
+            worker.close()
 
 
 class QuestionRewriter:

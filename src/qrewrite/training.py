@@ -337,15 +337,18 @@ def train(
     per checkpoint, each main complexity's and a final one, and hands
     ``on_checkpoint`` the model at each checkpoint as it is reached.
     ``on_event`` sees the records in the order they arise, but validation
-    reads only the model and the fixed pool, so it runs in a forked child
-    while training goes on where ``model._workers`` allows two processes
-    and no ``plateau_patience`` needs its loss at once: its record, and
-    every record after it, is held back until the child's result is in,
-    at the latest at the next validation or the end of training.  If
-    training raises meanwhile, the held records are emitted first, as in
-    one process.  A ``warmup_steps`` longer than the planned number of
-    updates is clamped to the plan, so the learning rate then peaks at the
-    last update.
+    reads only the parameters and the fixed pool, so it runs in a forked
+    worker while training goes on where ``model._workers`` allows two
+    processes and no ``plateau_patience`` needs its loss at once.  The
+    worker is forked once, at the first such validation, and each later
+    validation sends it the parameters of that moment, which it sets on
+    its own copy of the model.  The record, and every record after it, is
+    held back until the worker's result is in, at the latest at the next
+    validation or the end of training.  If training raises meanwhile, the
+    held records are emitted first, as in one process.  If the worker
+    cannot be forked, each validation runs in-process at once.  A
+    ``warmup_steps`` longer than the planned number of updates is clamped
+    to the plan, so the learning rate then peaks at the last update.
     """
     cfg = config.resolved()
     groups = dataset.groups
@@ -376,21 +379,28 @@ def train(
             val_pool.extend((h, ex) for ex in val_dataset.groups[h])
         val_pool = val_pool[: cfg.val_max_examples]
 
-    # a forked validation and the records held back until its result is in
-    pending: tuple[model_module.ForkedCall, list[dict]] | None = None
+    # the validation worker, forked at the first forked validation, and the
+    # records held back until the result of its validation in flight is in
+    worker: model_module.ForkedWorker | None = None
+    held: list[dict] = []
+
+    def validate_on(arrays: dict[str, np.ndarray]) -> dict:
+        for name, data in arrays.items():
+            model.params[name].data = data
+        return _validate(model, val_pool, voc)
 
     def post(record: dict) -> None:
-        if pending is None:
-            emit(record)
+        if held:
+            held.append(record)
         else:
-            pending[1].append(record)
+            emit(record)
 
     def land() -> None:
-        nonlocal pending
-        if pending is not None:
-            (child, held), pending = pending, None
-            held[0].update(child.join())
-            for record in held:
+        if held:
+            records = held.copy()
+            held.clear()
+            records[0].update(worker.join())
+            for record in records:
                 emit(record)
 
     try:
@@ -438,7 +448,12 @@ def train(
                 }
                 if val_pool and not cfg.plateau_patience and model_module._workers(2) > 1:
                     land()
-                    pending = model_module.ForkedCall(_validate, model, val_pool, voc), [record]
+                    if worker is None:  # its copy of the model is up to date
+                        worker, arrays = model_module.ForkedWorker(validate_on), {}
+                    else:
+                        arrays = {name: p.data for name, p in model.params.items()}
+                    worker.submit(arrays)
+                    held.append(record)
                 else:
                     if val_pool:
                         record.update(_validate(model, val_pool, voc))
@@ -462,6 +477,6 @@ def train(
         land()  # the records before the error, as in one process
         raise
     finally:
-        if pending is not None:  # interrupted
-            pending[0].kill()
+        if worker is not None:
+            worker.close()
     return TrainResult(last_loss, global_step)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qrewrite import cli, dataio, metrics, training
+from qrewrite import model as model_module
 from qrewrite.cli import main
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import QuestionRewriter
@@ -377,6 +379,40 @@ def test_four_hop_train_and_generate(tmp_path, monkeypatch):
         final, intermediates = training.predict(model, ex, voc)
         assert line["prediction"] == " ".join(final)
         assert line["intermediates"] == [" ".join(q) for q in intermediates]
+
+
+def test_a_fork_that_fails_runs_in_process(data_dir, tmp_path, monkeypatch, capsys):
+    # train validates and generate decodes the 6 test records in 2 packs of
+    # 3; with 2 workers allowed but no fork to be had, both work in-process,
+    # with the bytes of one process, and report no data error
+    monkeypatch.setattr(model_module, "PACK_SIZE", 3)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "val_max_examples": 6}))
+
+    def outputs(workers):
+        monkeypatch.setattr(model_module, "_workers", lambda n_jobs: min(n_jobs, workers))
+        out = tmp_path / f"run-{workers}"
+        assert run("train", "--config", cfg, "--data", data_dir, "--out", out) == 0
+        assert run("generate", "--checkpoint", out / "checkpoint-final.bin",
+                   "--data", data_dir / "test.jsonl", "--vocab", data_dir / "vocab.txt",
+                   "--out", out / "pred.jsonl", "--emit-intermediates") == 0
+        return {name: (out / name).read_bytes() for name in (
+            "metrics.jsonl", "checkpoint-H1.bin", "checkpoint-H2.bin",
+            "checkpoint-final.bin", "pred.jsonl")}
+
+    one = outputs(1)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    tried = []
+
+    def failing_fork():
+        tried.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert outputs(2) == one
+    assert len(tried) >= 2  # train's validation worker and generate's second pack
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert "data error" not in capsys.readouterr().err
 
 
 def test_generate_keeps_failed_records_in_place(data_dir, train_dir, tmp_path, capsys):

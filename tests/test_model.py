@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import itertools
 import os
 import signal
@@ -963,6 +964,26 @@ class TestForkedPacks:
         in_workers(monkeypatch, 3)  # the second child is reaped after the raise
         with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
             m.rewrite_packed(self.examples(m), BOS, EOS)
+
+    def test_a_fork_that_fails_decodes_in_process(self, monkeypatch):
+        m = pack_model()
+        examples = self.examples(m)
+        in_workers(monkeypatch, 1)
+        expected = m.rewrite_packed(examples, BOS, EOS)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        tried = []
+
+        def failing_fork():
+            tried.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        in_workers(monkeypatch, 2)
+        results = m.rewrite_packed(examples, BOS, EOS)
+        assert tried == [1]
+        assert ([[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in results]
+                == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_one_pack_never_forks(self, monkeypatch):
         m = pack_model()

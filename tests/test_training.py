@@ -1,3 +1,4 @@
+import errno
 import gc
 import math
 import os
@@ -425,18 +426,18 @@ def test_no_graph_outlives_its_backward(monkeypatch):
         live["validate"].append(graph_nodes())
         return validate(*args)
 
-    # a forked validation runs the probe above in the child, where its
-    # count is lost: count at the hand-off in this process instead
-    fork = model_module.ForkedCall
+    # a forked validation runs the probe above in the worker, where its
+    # count is lost: count at the hand-off in this process instead (the
+    # pool is one pack, so no other worker is submitted to here)
+    submit = model_module.ForkedWorker.submit
 
-    def counted_fork(fn, *args):
-        if fn is counted_validate:
-            live["validate"].append(graph_nodes())
-        return fork(fn, *args)
+    def counted_submit(self, *args):
+        live["validate"].append(graph_nodes())
+        submit(self, *args)
 
     monkeypatch.setattr(AdamW, "step", counted_step)
     monkeypatch.setattr(training, "_validate", counted_validate)
-    monkeypatch.setattr(model_module, "ForkedCall", counted_fork)
+    monkeypatch.setattr(model_module.ForkedWorker, "submit", counted_submit)
     cfg = CurriculumConfig(warmup_steps=2, batch_size=2, rho=0.5)
     result = train(model, dataset, cfg, voc, val_dataset=dataset)
     assert len(live["adamw"]) == result.total_steps > 3
@@ -467,14 +468,22 @@ class TestForkedValidation:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
-    def train_on(monkeypatch, tmp_path, workers, **overrides):
+    def train_on(monkeypatch, tmp_path, workers, fork_fails=False, **overrides):
         """``train`` of a 1/2/3-hop set, validated on itself, on ``workers``
         processes: its records, its checkpoints' bytes by label, what it
-        raised (type and message) and the forks this process made."""
+        raised (type and message) and the forks this process made, or
+        tried to make if ``fork_fails``."""
         monkeypatch.setattr(model_module, "_workers", lambda n_jobs: min(n_jobs, workers))
         forks = []
         fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def counted_fork():
+            forks.append(1)
+            if fork_fails:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
         examples, voc = mixed_hop_batch((1, 2, 3, 1, 2, 3, 3, 2, 1))
         dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h]
                                      for h in (1, 2, 3)})
@@ -510,11 +519,12 @@ class TestForkedValidation:
         assert raised is None and records and "val_loss" in records[0]
         assert set(checkpoints) == {"H1", "H2", "H3", "final"}
         assert forked[:3] == (records, checkpoints, None)
-        # each validation forks, unless patience steers training by its
-        # loss: then it runs in-process and forks for its second pack share
+        # the first validation forks the run's one worker, unless patience
+        # steers training by the loss: then each validation runs in-process
+        # and forks for its second pack share
         validations = sum(r["event"] == "validation" for r in records)
-        forked_here = not plateau_patience or val_max_examples == 9
-        assert (forks, forked[3]) == (0, validations if forked_here else 0)
+        in_process = validations if val_max_examples == 9 else 0
+        assert (forks, forked[3]) == (0, in_process if plateau_patience else 1)
 
     def test_a_divergence_after_a_forked_validation_emits_what_one_process_does(
             self, monkeypatch, tmp_path):
@@ -532,7 +542,7 @@ class TestForkedValidation:
         assert runs[0][2] == (DivergenceError, "non-finite loss nan at step 3, H=2")
         assert runs[0][:3] == runs[1][:3]
         assert [r["event"] for r in runs[0][0]] == ["validation"] * 2 + ["checkpoint"]
-        assert runs[1][3] == 2  # the second validation was pending at the error
+        assert runs[1][3] == 1  # the second validation was pending at the error
 
     def test_a_failing_validation_fails_alike_in_a_child(self, monkeypatch, tmp_path):
         def failing(model, examples, voc):
@@ -556,5 +566,41 @@ class TestForkedValidation:
 
         monkeypatch.setattr(training, "_batch_losses", interrupted)
         records, _, raised, forks = self.train_on(monkeypatch, tmp_path, 2)
-        assert raised == (KeyboardInterrupt, "") and forks == 2
+        assert raised == (KeyboardInterrupt, "") and forks == 1
         assert [r["event"] for r in records] == ["validation"]
+
+    # 2 records: one pack; 9: three packs, so in-process validation forks too
+    @pytest.mark.parametrize("val_max_examples", [2, 9])
+    def test_a_fork_that_fails_validates_in_process(self, monkeypatch, tmp_path,
+                                                    val_max_examples):
+        open_fds = len(os.listdir("/proc/self/fd"))
+        runs = [self.train_on(monkeypatch, tmp_path, workers, fork_fails=workers > 1,
+                              val_max_examples=val_max_examples)
+                for workers in (1, 2)]
+        assert runs[0][2] is None and "val_loss" in runs[0][0][0]
+        assert runs[1][:3] == runs[0][:3]
+        # the worker's fork is tried once; each validation then tries one
+        # for its second pack share
+        validations = sum(r["event"] == "validation" for r in runs[0][0])
+        assert runs[1][3] == 1 + (validations if val_max_examples == 9 else 0)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_a_worker_that_dies_between_validations_names_its_exit_status(
+            self, monkeypatch, tmp_path):
+        join = model_module.ForkedWorker.join
+        killed = []
+
+        def join_then_kill(self):
+            result = join(self)
+            if not killed:  # the first validation lands, then its worker dies
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)  # left unreaped
+                killed.append(self.pid)
+            return result
+
+        monkeypatch.setattr(model_module.ForkedWorker, "join", join_then_kill)
+        records, _, raised, forks = self.train_on(monkeypatch, tmp_path, 2,
+                                                  val_max_examples=2)
+        assert raised == (RuntimeError, f"forked worker {killed[0]} exited with status -9 "
+                                         "and no result")
+        assert [r["event"] for r in records] == ["validation"] and forks == 1
