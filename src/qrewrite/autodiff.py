@@ -144,11 +144,16 @@ def _consumed(g: np.ndarray | None = None) -> None:
     raise ShapeError("backward() through a graph an earlier backward consumed")
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t``'s gradient.  A first gradient keeps ``g``
+    itself, cast to ``t``'s dtype, when the backward that passes it has
+    just computed it; a ``shared`` one (also read by another parent, or a
+    view of an array that is) is copied, since later ``+=`` write into
+    what is kept."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = np.array(g, dtype=t.data.dtype) if shared else np.asarray(g, t.data.dtype)
     else:
         t.grad += g
 
@@ -197,8 +202,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _result(a.data + b.data, (a, b), None)
     if out.requires_grad:
         def bwd(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0) if bias_row else g)
+            _accumulate(a, g, shared=True)
+            _accumulate(b, g.sum(axis=0) if bias_row else g, shared=not bias_row)
         out._backward = bwd
     return out
 
@@ -243,23 +248,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-            residual: np.ndarray | None = None) -> np.ndarray:
-    """``residual + (x @ w + b)`` on arrays, the forward pass of ``linear``:
-    the numpy operations of the matmul, bias add and residual add it fuses."""
+            residual: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
+    """``residual + (x @ w + b)``, then ``relu`` of it if asked, on arrays,
+    the forward pass of ``linear``: the numpy operations of the matmul,
+    bias add, residual add and relu it fuses."""
     y = x @ w
     if b is not None:
         y += b
     if residual is not None:
         y += residual
+    if relu:
+        np.maximum(y, 0.0, out=y)
     return y
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
-           residual: Tensor | None = None, transpose: bool = False) -> Tensor:
+           residual: Tensor | None = None, transpose: bool = False,
+           relu: bool = False) -> Tensor:
     """The affine map ``residual + (x @ w + b)`` as one node (``w.T`` with
-    ``transpose``), by the numpy operations of the matmul, bias add and
-    residual add it fuses, so it is bit-equal to them.  Its parents are
-    listed as ``(residual, x, w, b)``: backward then visits them, and
+    ``transpose``), followed by ``relu`` in place if asked, by the numpy
+    operations of the matmul, bias add, residual add and relu it fuses, so
+    it is bit-equal to them and keeps no pre-activation rows.  Its parents
+    are listed as ``(residual, x, w, b)``: backward then visits them, and
     accumulates into them, in the order of the unfused chain."""
     wt = w.data.T if transpose else w.data
     if x.data.ndim != 2 or wt.ndim != 2 or x.data.shape[1] != wt.shape[0]:
@@ -269,13 +279,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     if residual is not None and residual.data.shape != (x.data.shape[0], wt.shape[1]):
         raise ShapeError(f"linear: residual {residual.shape} for {x.shape} x {wt.shape}")
     y = _affine(x.data, wt, None if b is None else b.data,
-                None if residual is None else residual.data)
+                None if residual is None else residual.data, relu)
     parents = (x, w) if b is None else (x, w, b)
     out = _result(y, parents if residual is None else (residual, *parents), None)
     if out.requires_grad:
+        mask = y > 0 if relu else None
+
         def bwd(g):
+            if mask is not None:
+                g = g * mask
             if residual is not None:
-                _accumulate(residual, g)
+                _accumulate(residual, g, shared=True)
             if b is not None:
                 _accumulate(b, np.add.reduce(g, axis=0))
             _accumulate(x, g @ (w.data if transpose else w.data.T))
@@ -297,7 +311,7 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
         offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
         def bwd(g):
             for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                _accumulate(t, g[lo:hi])
+                _accumulate(t, g[lo:hi], shared=True)
         out._backward = bwd
     return out
 
@@ -339,6 +353,22 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         def bwd(g):
             full = np.zeros_like(table.data)
             np.add.at(full, idx, g)
+            _accumulate(table, full)
+        out._backward = bwd
+    return out
+
+
+def embed(table: Tensor, ids: Sequence[int], scale: float, pos: np.ndarray) -> Tensor:
+    """Rows ``ids`` of ``table`` times ``scale`` plus the constant rows
+    ``pos``: ``add(scale(embedding(table, ids), scale), constant(pos))`` as
+    one node, by the same operations, which keeps none of the chain's
+    intermediate rows alive until backward."""
+    rows, idx = _lookup(table.data, ids)
+    out = _result(rows * scale + pos, (table,), None)
+    if out.requires_grad:
+        def bwd(g):
+            full = np.zeros_like(table.data)
+            np.add.at(full, idx, g * scale)
             _accumulate(table, full)
         out._backward = bwd
     return out
@@ -512,8 +542,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
         def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
             grad = padded[seen]
             if rows is not None:
-                grad = np.zeros_like(t.data)
-                np.add.at(grad, rows, padded[seen])
+                full = np.zeros_like(t.data)
+                np.add.at(full, rows, grad)
+                grad = full
             _accumulate(t, grad)
 
         def bwd(g):

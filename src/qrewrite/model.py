@@ -239,7 +239,7 @@ class PackCache:
     ``arrays`` holds every parameter's array by name and ``layers[i]``
     decoder layer i's by the rest of its name (``ln1.g``, ``sa.wq``, ...).
     They are bound once per pack: a pack lives within one rewrite, and no
-    optimizer update rebinds a parameter's array there.
+    optimizer update runs there.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], layers: list[dict[str, np.ndarray]],
@@ -473,20 +473,17 @@ def _pack_only(state: GraphState | PackState) -> PackState:
 # A decoder pass's ops besides attention, for each executor: the autodiff ops
 # on the graph (the encoder embeds by them too), and their array kernels (the
 # same numpy operations in the same order, no graph) in a pack.  embed(table,
-# ids, scale, pos) = table[ids] * scale + pos, affine(x, w, b, residual) =
-# residual + (x @ w + b) and the tied output head(x, g, b, table, bias) =
-# layer_norm(x, g, b) @ table.T + bias
-Ops = collections.namedtuple("Ops", "embed layer_norm matmul affine relu head")
+# ids, scale, pos) = table[ids] * scale + pos, affine(x, w, b, residual,
+# relu=False) = residual + (x @ w + b), then relu of it if asked, and the tied
+# output head(x, g, b, table, bias) = layer_norm(x, g, b) @ table.T + bias
+Ops = collections.namedtuple("Ops", "embed layer_norm matmul affine head")
 GRAPH_OPS = Ops(
-    lambda table, ids, scale, pos: ad.add(ad.scale(ad.embedding(table, ids), scale),
-                                          ad.constant(pos)),
-    ad.layer_norm_rows, ad.matmul, ad.linear, ad.relu,
+    ad.embed, ad.layer_norm_rows, ad.matmul, ad.linear,
     lambda x, g, b, table, bias: ad.linear(ad.layer_norm_rows(x, g, b), table, bias,
                                            transpose=True))
 PACK_OPS = Ops(
     lambda table, ids, scale, pos: ad._lookup(table, ids)[0] * scale + pos,
     lambda x, g, b: ad._layer_norm(x, g, b)[0], operator.matmul, ad._affine,
-    lambda h: np.maximum(h, 0.0, out=h),  # in place on its own rows
     lambda x, g, b, table, bias: ad._affine(ad._layer_norm(x, g, b)[0], table.T, bias))
 
 
@@ -495,7 +492,7 @@ def _decoder_layers(ops: Ops, layers: list, state, x, n_heads: int, want_logits:
     over the rows ``x`` of a pass laid out in ``state``, which owns its K/V
     rows and attention.  Without ``want_logits`` it stops after the last
     layer's K/V rows, which complete a sealed step, and returns None."""
-    ln, mm, affine, relu = ops.layer_norm, ops.matmul, ops.affine, ops.relu
+    ln, mm, affine = ops.layer_norm, ops.matmul, ops.affine
     place, attend_self, attend_cross = state.place, state.attend_self, state.attend_cross
     last = len(layers) - 1
     for i, w in enumerate(layers):
@@ -506,8 +503,8 @@ def _decoder_layers(ops: Ops, layers: list, state, x, n_heads: int, want_logits:
         x = affine(attend_self(i, mm(h, w["sa.wq"]), n_heads), w["sa.wo"], w["sa.bo"], x)
         h = ln(x, w["ln2.g"], w["ln2.b"])
         x = affine(attend_cross(i, mm(h, w["ca.wq"]), n_heads), w["ca.wo"], w["ca.bo"], x)
-        h = affine(ln(x, w["ln3.g"], w["ln3.b"]), w["ff.w1"], w["ff.b1"])
-        x = affine(relu(h), w["ff.w2"], w["ff.b2"], x)
+        h = affine(ln(x, w["ln3.g"], w["ln3.b"]), w["ff.w1"], w["ff.b1"], relu=True)
+        x = affine(h, w["ff.w2"], w["ff.b2"], x)
     return x
 
 
@@ -765,16 +762,23 @@ class QuestionRewriter:
                     std = (cfg.d_model if name == "emb.tok" else shape[0]) ** -0.5
                     return rng.normal(0.0, std, shape)
                 return np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-            arrays = {name: draw(name, shape) for name, shape in shapes.items()}
         elif set(arrays) != set(shapes):
             missing = set(shapes) ^ set(arrays)
             raise ShapeError(f"parameter name mismatch: {sorted(missing)[:5]}")
+        else:
+            for name, shape in shapes.items():
+                if arrays[name].shape != shape:
+                    raise ShapeError(f"shape mismatch for {name}")
+        # every parameter is a view of one buffer, in the table's order, which
+        # the optimizer then updates in place
+        flat = np.empty(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
+        self.params: dict[str, Tensor] = {}
+        lo = 0
         for name, shape in shapes.items():
-            if arrays[name].shape != shape:
-                raise ShapeError(f"shape mismatch for {name}")
-        self.params: dict[str, Tensor] = {
-            name: Tensor(arrays[name].astype(self.dtype), requires_grad=True)
-            for name in shapes}
+            view = flat[lo:lo + math.prod(shape)].reshape(shape)
+            view[...] = draw(name, shape) if arrays is None else arrays[name]
+            self.params[name] = Tensor(view, requires_grad=True)
+            lo += view.size
         # each layer's parameters by the rest of their name (ln1.g, sa.wq, ...),
         # built once: optimizers and checkpoints assign .data, never a tensor
         self._enc_layers, self._dec_layers = (
@@ -797,10 +801,14 @@ class QuestionRewriter:
             )
         return self._pos[positions]
 
-    def encode(self, step: StepInput | Sequence[StepInput]) -> Tensor | list[Tensor]:
+    def encode(
+        self, step: StepInput | Sequence[StepInput], packed: bool = False
+    ) -> Tensor | list[Tensor] | tuple[Tensor, np.ndarray]:
         """Encoder stack over one step input; returns (l_t, d_model).  A list
         of step inputs runs as one packed pass, each input a segment that
-        attends only to itself, and gives one encoding per input."""
+        attends only to itself, and gives one encoding per input; with
+        ``packed`` it gives the pass's output, the inputs' rows in order,
+        and each input's row count instead."""
         steps = [step] if isinstance(step, StepInput) else step
         if not all(s.tokens for s in steps):
             raise ShapeError("encode: empty token sequence")
@@ -818,9 +826,11 @@ class QuestionRewriter:
             attended = ad.attention(ad.matmul(h, w["sa.wq"]), k, v, self.cfg.n_heads, *layout)
             x = ad.linear(attended, w["sa.wo"], w["sa.bo"], residual=x)
             h = ad.layer_norm_rows(x, w["ln2.g"], w["ln2.b"])
-            h = ad.relu(ad.linear(h, w["ff.w1"], w["ff.b1"]))
+            h = ad.linear(h, w["ff.w1"], w["ff.b1"], relu=True)
             x = ad.linear(h, w["ff.w2"], w["ff.b2"], residual=x)
         out = ad.layer_norm_rows(x, self.params["enc.lnf.g"], self.params["enc.lnf.b"])
+        if packed:
+            return out, np.asarray(lens, dtype=np.intp)
         if len(steps) == 1:
             return out if isinstance(step, StepInput) else [out]
         return [ad.slice_rows(out, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -840,23 +850,29 @@ class QuestionRewriter:
         encoder_output: Tensor | Sequence[Tensor],
         cache: AttentionCache | PackCache,
         segments: Sequence[int] | None = None,
+        lens: Sequence[int] | None = None,
     ) -> GraphState | PackState:
         """Open a step: project its cross-attention rows and expose the
         sealed rows to it.
 
         ``encoder_output`` is one encoding per segment in ``segments``
-        (default: the first ones), or one example's encoding.  With an
-        ``AttentionCache`` the projected rows stay on the graph; with a
-        ``PackCache`` they are written into the stores in place.
+        (default: the first ones), or one example's encoding, or with
+        ``lens`` one tensor that packs the segments' encodings, ``lens[j]``
+        rows each, in order.  With an ``AttentionCache`` the projected
+        rows stay on the graph; with a ``PackCache`` they are written into
+        the stores in place.
         """
         cfg = self.cfg
-        encs = [encoder_output] if isinstance(encoder_output, Tensor) else encoder_output
-        segs = np.arange(len(encs))
+        if lens is None:
+            encs = [encoder_output] if isinstance(encoder_output, Tensor) else encoder_output
+            lens = [e.shape[0] for e in encs]
+            encoder_output = encs[0] if len(encs) == 1 else ad.concat_rows(encs)
+        lens = np.asarray(lens, dtype=np.intp)
+        segs = np.arange(len(lens))
         if segments is not None:
             segs = np.asarray(segments, dtype=np.intp)
-        lens = np.array([e.shape[0] for e in encs], dtype=np.intp)
         if not isinstance(cache, PackCache):
-            rows = encs[0] if len(encs) == 1 else ad.concat_rows(encs)
+            rows = encoder_output
             ks = [ad.matmul(rows, w["ca.wk"]) for w in self._dec_layers]
             vs = [ad.matmul(rows, w["ca.wv"]) for w in self._dec_layers]
             return GraphState(cache, segs, lens, ks, vs, cfg.mode_accumulated_sa,
@@ -867,7 +883,7 @@ class QuestionRewriter:
         offsets = np.cumsum(lens) - lens
         dest = (np.repeat(segs, lens),
                 np.repeat(state.ca_end - lens - offsets, lens) + np.arange(int(lens.sum())))
-        rows = encs[0].data if len(encs) == 1 else np.concatenate([e.data for e in encs])
+        rows = encoder_output.data
         for i, w in enumerate(cache.layers):
             cache.ca_k[i][dest] = rows @ w["ca.wk"]
             cache.ca_v[i][dest] = rows @ w["ca.wv"]
@@ -1175,8 +1191,8 @@ class QuestionRewriter:
             final = [n_steps[s] == t + 1 for s in live]
             picking = [j for j, f in enumerate(final)
                        if pinned is None and (greedy_finals or not f)]
-            encs = self.encode([examples[s][t] for s in live])
-            state = self.start_step(encs, cache, live) if graph else None
+            enc, lens = self.encode([examples[s][t] for s in live], packed=True)
+            state = self.start_step(enc, cache, live, lens) if graph else None
             if picking:
                 with ad.no_grad():
                     if pack is None:
@@ -1184,8 +1200,13 @@ class QuestionRewriter:
                             len(examples), max(n_steps) * self.cfg.max_len,
                             max(sum(len(s.tokens) for s in steps) for steps in examples),
                         )
-                    pack_state = self.start_step([encs[j] for j in picking], pack,
-                                                 [live[j] for j in picking])
+                    picked = enc
+                    if len(picking) < len(live):  # the picking segments' rows
+                        keep = np.zeros(len(live), dtype=bool)
+                        keep[picking] = True
+                        picked = ad.constant(enc.data[np.repeat(keep, lens)])
+                    pack_state = self.start_step(picked, pack, [live[j] for j in picking],
+                                                 lens[picking])
             forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
             if forced:
                 golds = [gold_finals[live[j]] for j in forced]

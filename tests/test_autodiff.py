@@ -130,6 +130,25 @@ class TestLinear:
             else:
                 assert np.array_equal(f.grad, u.grad), i
 
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_relu_bit_equal_to_unfused_chain(self, residual):
+        # the relu applied in place after the affine map gives the bytes of
+        # relu(linear(...)), forward and backward
+        def fused(x, w, b, res, transpose):
+            return ad.linear(x, w, b, res, transpose, relu=True)
+
+        def unfused(*args):
+            return ad.relu(ad.linear(*args))
+
+        mine, ref = self._leaves(7), self._leaves(7)
+        lf = self._loss(fused, mine, False, True, residual)
+        lu = self._loss(unfused, ref, False, True, residual)
+        assert np.array_equal(lf.data, lu.data)
+        lf.backward()
+        lu.backward()
+        for i, (f, u) in enumerate(zip(mine, ref)):
+            assert f.grad.tobytes() == u.grad.tobytes(), i
+
     @pytest.mark.parametrize("transpose", [False, True])
     def test_grad_check(self, transpose):
         leaves = self._leaves(11)
@@ -271,6 +290,28 @@ class TestBackward:
         np.testing.assert_array_equal(w.grad, 2 * np.ones((2, 2)))
         ad.zero_grads([w])
         assert w.grad is None
+
+    def test_first_gradients_of_a_shared_array_are_copies(self):
+        # add hands its output gradient to both parents, linear to its
+        # residual, concat_rows views of it to each block: each parent keeps
+        # a copy, so the second backward adds into each gradient once
+        rng = np.random.default_rng(7)
+        a, b, c, x = (t(rng.normal(size=(2, 3)), grad=True) for _ in range(4))
+        w = t(rng.normal(size=(3, 3)), grad=True)
+        weights = t(rng.normal(size=(4, 3)))
+
+        def backward():
+            rows = ad.concat_rows([ad.add(a, b), ad.linear(x, w, residual=c)])
+            ad.sum_all(ad.mul(rows, weights)).backward()
+
+        backward()
+        once = {name: p.grad.copy() for name, p in zip("abcxw", (a, b, c, x, w))}
+        backward()
+        for name, p in zip("abcxw", (a, b, c, x, w)):
+            np.testing.assert_array_equal(p.grad, 2 * once[name], err_msg=name)
+        grads = [a.grad, b.grad, c.grad, x.grad, w.grad]
+        assert not any(np.shares_memory(g, h) for i, g in enumerate(grads)
+                       for h in grads[i + 1:])
 
     def test_non_scalar_backward_rejected(self):
         w = t(np.ones((2, 2)), grad=True)
@@ -601,6 +642,33 @@ class TestAttention:
         for x, total in zip((k, v), expected):
             np.testing.assert_allclose(x.grad, total, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("keys", [
+        [np.arange(0, 3), np.arange(3, 7)],          # every row once, in order
+        [np.array([5, 2]), np.array([0, 3, 6])],     # unique rows, out of order
+        [np.arange(1, 5), np.arange(3, 7)],          # rows 3 and 4 shared
+    ], ids=["in-order", "unique", "shared"])
+    def test_backward_scatters_each_key_column_into_its_row(self, keys):
+        # the key and value gradients equal those of a copy of every
+        # segment's padded keys, each column its own row, added into the
+        # rows the columns came from
+        rng = np.random.default_rng(5)
+        n_heads, counts = 2, [1, 2]
+        q = t(rng.normal(size=(sum(counts), 4)), grad=True)
+        k, v = (t(rng.normal(size=(7, 4)), grad=True) for _ in range(2))
+        w = t(rng.normal(size=q.shape))
+        index, layout = ad.segment_layout(counts, keys)
+        ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, index, layout), w)).backward()
+        kc, vc = (t(x.data[index.ravel()], grad=True) for x in (k, v))
+        copies = np.arange(index.size).reshape(index.shape)
+        ad.sum_all(ad.mul(ad.attention(t(q.data), kc, vc, n_heads, copies, layout),
+                          w)).backward()
+        for x, copy in ((k, kc), (v, vc)):
+            expected = np.zeros_like(x.data)
+            np.add.at(expected, index.ravel(), copy.grad)
+            np.testing.assert_array_equal(x.grad, expected)
+        seen = np.unique(np.concatenate(keys))
+        assert not np.any(np.delete(k.grad, seen, axis=0))
+
     def test_segments_shape_errors(self):
         q, k = t(np.zeros((3, 4))), t(np.zeros((5, 4)))
         with pytest.raises(ShapeError):  # a segment without queries
@@ -679,6 +747,22 @@ class TestStructuralOps:
         expected[1] = 2.0
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_embed_bit_equal_to_unfused_chain(self, dtype):
+        # embed is embedding, scale and the add of constant rows as one
+        # node: the same bytes forward and in the table's gradient
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(6, 4)).astype(dtype)
+        mine, ref = (Tensor(table.copy(), requires_grad=True) for _ in range(2))
+        ids, pos = [1, 4, 1, 0], rng.normal(size=(4, 4)).astype(dtype)
+        weights = Tensor(rng.normal(size=(4, 4)).astype(dtype))
+        fused = ad.embed(mine, ids, 2.0, pos)
+        chain = ad.add(ad.scale(ad.embedding(ref, ids), 2.0), ad.constant(pos))
+        assert fused.data.dtype == dtype and fused.data.tobytes() == chain.data.tobytes()
+        ad.sum_all(ad.mul(fused, weights)).backward()
+        ad.sum_all(ad.mul(chain, weights)).backward()
+        assert mine.grad.tobytes() == ref.grad.tobytes()
 
     def test_embedding_bounds(self):
         table = t(np.ones((5, 2)))

@@ -354,9 +354,9 @@ def test_four_hop_train_and_generate(tmp_path, monkeypatch):
     segments = []
     start_step = QuestionRewriter.start_step
 
-    def spy(self, encoder_output, cache, segments_=None):
-        segments.append(len(encoder_output))
-        return start_step(self, encoder_output, cache, segments_)
+    def spy(self, encoder_output, cache, segments_=None, lens=None):
+        segments.append(len(encoder_output if lens is None else lens))
+        return start_step(self, encoder_output, cache, segments_, lens)
 
     monkeypatch.setattr(QuestionRewriter, "start_step", spy)
     preds = [tmp_path / f"pred{i}.jsonl" for i in range(2)]

@@ -1047,7 +1047,7 @@ def test_graph_passes_gather_no_key_rows(monkeypatch):
                            t + 1) for t in range(n)] for n in (1, 2, 3)]
     golds = [[5, 6], [7], [3, 8, 4]]
     sealing, lookups = [], []
-    embedding = ad.embedding
+    lookup = ad._lookup
     sealed_blocks = model_module.GraphState.sealed_blocks
 
     def spy_sealed_blocks(state, i):
@@ -1058,9 +1058,9 @@ def test_graph_passes_gather_no_key_rows(monkeypatch):
             sealing.pop()
 
     monkeypatch.setattr(model_module.GraphState, "sealed_blocks", spy_sealed_blocks)
-    monkeypatch.setattr(ad, "embedding", lambda table, ids: lookups.append(
-        "token" if table is m.params["emb.tok"] else "seal" if sealing else "keys"
-    ) or embedding(table, ids))
+    monkeypatch.setattr(ad, "_lookup", lambda table, ids: lookups.append(
+        "token" if table is m.params["emb.tok"].data else "seal" if sealing else "keys"
+    ) or lookup(table, ids))
     results, _ = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds)
     losses = [final_step_loss(r.final_logits, g, EOS) for r, g in zip(results, golds)]
     ad.add(ad.add(losses[0], losses[1]), losses[2]).backward()

@@ -11,7 +11,7 @@ from qrewrite import autodiff as ad
 from qrewrite import dataio, synthetic, training
 from qrewrite import model as model_module
 from qrewrite.autodiff import Tensor
-from qrewrite.errors import ConfigError, DivergenceError, LengthError
+from qrewrite.errors import ConfigError, DivergenceError, LengthError, ShapeError
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import ModelConfig, QuestionRewriter, final_step_loss
 from qrewrite.training import (
@@ -224,6 +224,172 @@ class TestAdamW:
         assert np.linalg.norm(p.grad) == pytest.approx(1.0)
 
 
+class LoopAdamW:
+    """The per-tensor AdamW that the flat one replaced, kept as its
+    reference: one update per tensor, a new parameter array each step."""
+
+    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+        self.params = dict(params)
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p.data = p.data - lr * (update + self.weight_decay * p.data)
+
+
+# shapes of the parameters the flat and the loop AdamW update side by side:
+# a matrix, a bias, a scalar and a matrix that spans several chunks
+FLAT_SHAPES = {"w": (7, 5), "b": (5,), "s": (), "big": (90, 130)}
+
+
+def twin_params(dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.normal(size=shape).astype(dtype) for name, shape in FLAT_SHAPES.items()}
+    return [{name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()}
+            for _ in range(2)]
+
+
+class TestFlatAdamW:
+    @pytest.mark.parametrize("chunk_bytes", [training.STEP_CHUNK_BYTES, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_per_tensor_loop_byte_for_byte(self, monkeypatch, dtype, chunk_bytes):
+        # gradients that backward accumulates into the buffer, one the caller
+        # assigns, one left None or never reached, and -0.0 elements: every
+        # parameter and moment has the loop's bytes after each of 25 steps
+        monkeypatch.setattr(training, "STEP_CHUNK_BYTES", chunk_bytes)
+        flat_params, loop_params = twin_params(dtype)
+        flat, loop = AdamW(flat_params), LoopAdamW(loop_params)
+        rng = np.random.default_rng(1)
+        for step in range(25):
+            flat.zero_grad()
+            for name, shape in FLAT_SHAPES.items():
+                g = rng.normal(size=shape).astype(dtype)
+                if g.ndim:
+                    g.flat[::3] = -0.0
+                if name == "s" and step % 3 == 0:  # no gradient this step
+                    if step % 2:
+                        flat_params[name].grad = None
+                    loop_params[name].grad = None
+                elif name == "b":  # a gradient the caller assigns
+                    flat_params[name].grad = g.copy()
+                    loop_params[name].grad = g.copy()
+                else:  # backward's first +=, and a fresh array in the loop
+                    flat_params[name].grad += g
+                    loop_params[name].grad = np.array(g)
+            lr = 0.05 / (step + 1)
+            flat.step(lr)
+            loop.step(lr)
+            for name in FLAT_SHAPES:
+                mine, ref = flat_params[name], loop_params[name]
+                assert mine.data.dtype == dtype
+                assert mine.data.tobytes() == ref.data.tobytes(), (step, name)
+        assert flat.m.tobytes() == np.concatenate(
+            [loop.m[name].ravel() for name in FLAT_SHAPES]).tobytes()
+        assert flat.v.tobytes() == np.concatenate(
+            [loop.v[name].ravel() for name in FLAT_SHAPES]).tobytes()
+
+    def test_parameters_are_views_of_the_buffer(self):
+        params, _ = twin_params(np.float64)
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = AdamW(params)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.data)
+            assert p.data.tobytes() == before[name].tobytes()
+        opt.zero_grad()
+        for p in params.values():
+            assert np.shares_memory(p.grad, opt.grad)
+            assert np.all(np.signbit(p.grad)) and not np.any(p.grad)
+
+    def test_a_model_is_updated_in_its_own_buffer(self):
+        # QuestionRewriter allocates its parameters as views of one buffer
+        # in checkpoint order; the optimizer adopts it rather than copying
+        model = QuestionRewriter(ModelConfig(vocab_size=11, d_model=8, n_heads=2, d_ff=12,
+                                             n_enc_layers=1, n_dec_layers=1, max_len=8),
+                                 rng=np.random.default_rng(0), dtype=np.float32)
+        arrays = {name: p.data for name, p in model.params.items()}
+        opt = AdamW(model.params)
+        base = arrays["emb.tok"].base
+        assert opt.data is base and opt.data.dtype == np.float32
+        assert all(model.params[name].data is a for name, a in arrays.items())
+        assert opt.grad.dtype == opt.m.dtype == opt.v.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_rebound_parameter_is_taken_not_skipped(self, dtype):
+        # a parameter whose data is rebound after the optimizer is built is
+        # updated from the new array, which the buffer then holds, as the
+        # loop updates it
+        flat_params, loop_params = twin_params(dtype)
+        flat, loop = AdamW(flat_params), LoopAdamW(loop_params)
+        rng = np.random.default_rng(2)
+        for step in range(3):
+            if step == 1:
+                new = rng.normal(size=FLAT_SHAPES["w"]).astype(dtype)
+                flat_params["w"].data = new.copy()
+                loop_params["w"].data = new.copy()
+            flat.zero_grad()
+            for name, shape in FLAT_SHAPES.items():
+                g = rng.normal(size=shape).astype(dtype)
+                flat_params[name].grad += g
+                loop_params[name].grad = g
+            flat.step(0.1)
+            loop.step(0.1)
+            assert np.shares_memory(flat_params["w"].data, flat.data)
+            for name in FLAT_SHAPES:
+                assert (flat_params[name].data.tobytes()
+                        == loop_params[name].data.tobytes()), (step, name)
+
+    def test_mixed_dtypes_raise(self):
+        params = {"a": Tensor(np.zeros(2), requires_grad=True),
+                  "b": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)}
+        with pytest.raises(ShapeError):
+            AdamW(params)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_grad_then_backward_gives_the_fresh_gradients(self, dtype):
+        # backward into the cleared buffer gives each parameter the bytes
+        # of the gradient it gets after ad.zero_grads, signed zeros and the
+        # cast to the model's dtype included, twice accumulated too; a
+        # parameter no path reaches keeps -0.0, which None stood for
+        examples, voc = mixed_hop_batch((1, 2, 3))
+        fresh, flat = (small_model(voc, dtype=dtype, n_enc_layers=1) for _ in range(2))
+        opt = AdamW(flat.params)
+
+        def backward(model):
+            losses = _batch_losses(model, examples, voc)
+            weighted_loss(losses, [ex.hops for ex in examples], 2, 0.8, 0.1).backward()
+
+        ad.zero_grads(fresh.params)
+        opt.zero_grad()
+        for _ in range(2):
+            backward(fresh)
+            backward(flat)
+            for name, p in fresh.params.items():
+                mine = flat.params[name].grad
+                assert np.shares_memory(mine, opt.grad) and mine.dtype == dtype
+                if p.grad is None:
+                    assert np.all(np.signbit(mine)) and not np.any(mine), name
+                else:
+                    assert mine.tobytes() == p.grad.tobytes(), name
+
+
 def test_train_plan_shorter_than_warmup_runs():
     # the warmup is clamped to the plan, so lr_at never sees total <= warmup
     world = synthetic.generate_world(3, {"person": 10, "film": 8, "city": 6, "country": 6})
@@ -241,6 +407,15 @@ def test_train_plan_shorter_than_warmup_runs():
     result = train(model, dataset, cfg, voc)
     assert result.total_steps == 2
     assert math.isfinite(result.final_train_loss)
+
+
+def test_an_f32_model_trains_in_f32():
+    examples, voc = mixed_hop_batch((1, 2, 1, 2))
+    dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h] for h in (1, 2)})
+    model = small_model(voc, dtype=np.float32, n_enc_layers=1, n_dec_layers=1)
+    train(model, dataset, CurriculumConfig(warmup_steps=1, batch_size=2, lr_alpha=0.01), voc)
+    assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
+    assert {p.grad.dtype for p in model.params.values()} == {np.dtype(np.float32)}
 
 
 def test_plateau_patience_ends_each_h_early():
@@ -275,7 +450,7 @@ def test_validation_encodes_each_step_once(monkeypatch):
     calls = []
     encode = QuestionRewriter.encode
     monkeypatch.setattr(QuestionRewriter, "encode",
-                        lambda self, step: calls.append(step) or encode(self, step))
+                        lambda self, step, **kw: calls.append(step) or encode(self, step, **kw))
     record = _validate(model, [(2, example)], voc)
     assert len(calls) == 2
     assert math.isfinite(record["val_loss"])
@@ -296,11 +471,11 @@ def mixed_hop_batch(hops=(1, 3, 2, 1, 3, 2)):
     return examples, voc
 
 
-def small_model(voc, seed=0, **overrides):
+def small_model(voc, seed=0, dtype=np.float64, **overrides):
     kw = dict(vocab_size=len(voc), d_model=16, n_heads=2, d_ff=24,
               n_enc_layers=2, n_dec_layers=2, max_len=64)
     kw.update(overrides)
-    return QuestionRewriter(ModelConfig(**kw), rng=np.random.default_rng(seed))
+    return QuestionRewriter(ModelConfig(**kw), rng=np.random.default_rng(seed), dtype=dtype)
 
 
 def batch_inputs(model, examples, voc):
@@ -398,7 +573,7 @@ def test_training_encodes_each_step_once(monkeypatch):
     calls = []
     encode = QuestionRewriter.encode
     monkeypatch.setattr(QuestionRewriter, "encode",
-                        lambda self, step: calls.append(len(step)) or encode(self, step))
+                        lambda self, step, **kw: calls.append(len(step)) or encode(self, step, **kw))
     losses = _batch_losses(model, examples, voc)
     assert calls == [3, 2, 1]
     assert all(math.isfinite(loss.item()) for loss in losses)
