@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataio, metrics, synthetic, training
-from .docgraph import make_step_inputs, step_tokens
+from .docgraph import ArrangedExample, make_step_inputs, step_tokens
 from .errors import (
     ArrangementError,
     CompatibilityError,
@@ -145,24 +145,19 @@ def cmd_arrange(args) -> int:
 # train
 
 
-def _load_complexity_dataset(path: Path) -> training.ComplexityDataset:
-    groups: dict[int, list] = {}
-    for rec in dataio.read_records(path):
-        ex = dataio.arranged_example(rec)
-        groups.setdefault(ex.hops, []).append(ex)
-    if not groups:
+def _load_examples(path: Path) -> list[ArrangedExample]:
+    examples = [dataio.arranged_example(rec) for rec in dataio.read_records(path)]
+    if not examples:
         raise DataFormatError(f"{path}: no records")
-    return training.ComplexityDataset(groups)
+    return examples
 
 
-def _required_max_len(datasets) -> int:
+def _required_max_len(examples) -> int:
     """Positions that the longest step input, or gold question with <bos>
-    and <eos>, of ``datasets`` needs."""
+    and <eos>, of ``examples`` needs."""
     need = 1
-    for ds in datasets:
-        for group in ds.groups.values():
-            for ex in group:
-                need = max(need, *map(len, step_tokens(ex)), len(ex.gold_question) + 2)
+    for ex in examples:
+        need = max(need, *map(len, step_tokens(ex)), len(ex.gold_question) + 2)
     return need
 
 
@@ -175,9 +170,9 @@ def cmd_train(args) -> int:
     cfg_train = training.CurriculumConfig(**train_kw)
 
     voc = Vocab.load(data_dir / "vocab.txt")
-    train_ds = _load_complexity_dataset(data_dir / "train.jsonl")
+    train_examples = _load_examples(data_dir / "train.jsonl")
     valid_path = data_dir / "valid.jsonl"
-    valid_ds = _load_complexity_dataset(valid_path) if valid_path.exists() else None
+    valid_examples = _load_examples(valid_path) if valid_path.exists() else []
 
     if "vocab_size" in model_kw and model_kw["vocab_size"] != len(voc):
         raise ConfigError(
@@ -185,7 +180,7 @@ def cmd_train(args) -> int:
             f"{len(voc)} tokens"
         )
     model_kw["vocab_size"] = len(voc)
-    needed = _required_max_len(filter(None, [train_ds, valid_ds]))
+    needed = _required_max_len([*train_examples, *valid_examples])
     if "max_len" not in model_kw:
         model_kw["max_len"] = needed + 8
     elif model_kw["max_len"] < needed:
@@ -218,12 +213,12 @@ def cmd_train(args) -> int:
             fh.flush()
 
         result = training.train(
-            model, train_ds, cfg_train, voc, val_dataset=valid_ds,
+            model, train_examples, cfg_train, voc, val_examples=valid_examples,
             on_checkpoint=on_checkpoint, on_event=on_event,
         )
     written.append("metrics.jsonl")
     inputs = {"train": data_dir / "train.jsonl", "vocab": data_dir / "vocab.txt"}
-    if valid_ds is not None:
+    if valid_examples:
         inputs["valid"] = valid_path
     dataio.write_manifest(
         out_dir, "train",

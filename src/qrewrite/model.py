@@ -24,8 +24,9 @@ Conventions, fixed here once:
     makes copy behaviour generalize to entities unseen as training targets;
   * a batch of examples runs in lockstep, each example a segment of the
     packed rows that attends only to its own rows: at step t one encoder
-    pass serves the examples with at least t steps, and decoder passes
-    feed rows of every live segment;
+    pass serves the examples with at least t steps, start_step opens the
+    step on that pass's packed output and its segments' row counts, and
+    decoder passes feed rows of every live segment;
   * one step-major loop serves a batch on the graph and a pack without
     one: greedy tokens are chosen under no_grad, one position per pass,
     in the one pack of the batch, allocated when a step first picks, and
@@ -514,7 +515,7 @@ class RewriteResult:
     final_tokens: list[int] | None
     final_logits: Tensor | None
     truncated: list[bool]             # one flag per decoded step
-    cache: AttentionCache | None
+    cache: AttentionCache | None      # the graph batch's one cache; None in a pack
     step_logits: list[list[Tensor]] | None = None
 
 
@@ -769,16 +770,11 @@ class QuestionRewriter:
             for name, shape in shapes.items():
                 if arrays[name].shape != shape:
                     raise ShapeError(f"shape mismatch for {name}")
-        # every parameter is a view of one buffer, in the table's order, which
-        # the optimizer then updates in place
-        flat = np.empty(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
         self.params: dict[str, Tensor] = {}
-        lo = 0
         for name, shape in shapes.items():
-            view = flat[lo:lo + math.prod(shape)].reshape(shape)
-            view[...] = draw(name, shape) if arrays is None else arrays[name]
-            self.params[name] = Tensor(view, requires_grad=True)
-            lo += view.size
+            data = np.empty(shape, self.dtype)
+            data[...] = draw(name, shape) if arrays is None else arrays[name]
+            self.params[name] = Tensor(data, requires_grad=True)
         # each layer's parameters by the rest of their name (ln1.g, sa.wq, ...),
         # built once: optimizers and checkpoints assign .data, never a tensor
         self._enc_layers, self._dec_layers = (
@@ -801,18 +797,14 @@ class QuestionRewriter:
             )
         return self._pos[positions]
 
-    def encode(
-        self, step: StepInput | Sequence[StepInput], packed: bool = False
-    ) -> Tensor | list[Tensor] | tuple[Tensor, np.ndarray]:
-        """Encoder stack over one step input; returns (l_t, d_model).  A list
-        of step inputs runs as one packed pass, each input a segment that
-        attends only to itself, and gives one encoding per input; with
-        ``packed`` it gives the pass's output, the inputs' rows in order,
-        and each input's row count instead."""
-        steps = [step] if isinstance(step, StepInput) else step
+    def encode(self, steps: Sequence[StepInput]) -> tuple[Tensor, np.ndarray]:
+        """Encoder stack over step inputs as one packed pass, each input a
+        segment that attends only to itself.  Returns the pass's output,
+        (total rows, d_model) with the inputs' rows in order, and each
+        input's row count."""
         if not all(s.tokens for s in steps):
             raise ShapeError("encode: empty token sequence")
-        lens = [len(s.tokens) for s in steps]
+        lens = np.array([len(s.tokens) for s in steps], dtype=np.intp)
         bounds = np.cumsum([0, *lens])
         layout = ad.segment_layout(lens, [np.arange(lo, hi) for lo, hi
                                           in zip(bounds[:-1], bounds[1:])])
@@ -828,12 +820,7 @@ class QuestionRewriter:
             h = ad.layer_norm_rows(x, w["ln2.g"], w["ln2.b"])
             h = ad.linear(h, w["ff.w1"], w["ff.b1"], relu=True)
             x = ad.linear(h, w["ff.w2"], w["ff.b2"], residual=x)
-        out = ad.layer_norm_rows(x, self.params["enc.lnf.g"], self.params["enc.lnf.b"])
-        if packed:
-            return out, np.asarray(lens, dtype=np.intp)
-        if len(steps) == 1:
-            return out if isinstance(step, StepInput) else [out]
-        return [ad.slice_rows(out, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return ad.layer_norm_rows(x, self.params["enc.lnf.g"], self.params["enc.lnf.b"]), lens
 
     # ------------------------------------------------------------------
     # decoder
@@ -847,27 +834,21 @@ class QuestionRewriter:
 
     def start_step(
         self,
-        encoder_output: Tensor | Sequence[Tensor],
+        encoder_output: Tensor,
+        lens: np.ndarray,
         cache: AttentionCache | PackCache,
         segments: Sequence[int] | None = None,
-        lens: Sequence[int] | None = None,
     ) -> GraphState | PackState:
         """Open a step: project its cross-attention rows and expose the
         sealed rows to it.
 
-        ``encoder_output`` is one encoding per segment in ``segments``
-        (default: the first ones), or one example's encoding, or with
-        ``lens`` one tensor that packs the segments' encodings, ``lens[j]``
-        rows each, in order.  With an ``AttentionCache`` the projected
-        rows stay on the graph; with a ``PackCache`` they are written into
-        the stores in place.
+        ``encoder_output`` and ``lens`` are what ``encode`` returns: the
+        packed encodings of the segments in ``segments`` (default: the
+        first ones), ``lens[j]`` rows each, in order.  With an
+        ``AttentionCache`` the projected rows stay on the graph; with a
+        ``PackCache`` they are written into the stores in place.
         """
         cfg = self.cfg
-        if lens is None:
-            encs = [encoder_output] if isinstance(encoder_output, Tensor) else encoder_output
-            lens = [e.shape[0] for e in encs]
-            encoder_output = encs[0] if len(encs) == 1 else ad.concat_rows(encs)
-        lens = np.asarray(lens, dtype=np.intp)
         segs = np.arange(len(lens))
         if segments is not None:
             segs = np.asarray(segments, dtype=np.intp)
@@ -937,20 +918,19 @@ class QuestionRewriter:
     def decode_token(
         self,
         state: PackState,
-        token: int | Sequence[int],
+        tokens: Sequence[int],
         want_logits: bool = True,
         active: Sequence[int] | None = None,
     ) -> np.ndarray | None:
         """Feed one token per segment of a pack at its next step-local
-        position: ``token`` is one id for a one-segment state, else one id
-        per segment of ``state`` (or per index in ``active``).
+        position: ``tokens`` holds one id per segment of ``state`` (or per
+        index in ``active``).
 
         Writes the positions' K/V rows into the stores and, when
         ``want_logits``, returns next-token logits of shape (segments fed,
         vocab) as an array.  A graph step is block passes only, so a
         ``GraphState`` raises ``ShapeError``.
         """
-        tokens = [token] if isinstance(token, (int, np.integer)) else token
         return self._pass(_pack_only(state), [[t] for t in tokens], want_logits, active)
 
     def _greedy_lockstep(
@@ -990,23 +970,12 @@ class QuestionRewriter:
                 live = still
         return list(outs.values())
 
-    def greedy_decode_step(
-        self,
-        state: PackState,
-        bos: int,
-        eos: int,
-        forced_tokens: Sequence[int] | None = None,
-        collect_logits: bool = False,
-    ) -> StepOutput:
+    def greedy_decode_step(self, state: PackState, bos: int, eos: int) -> StepOutput:
         """Decode the step of a pack of one greedily, one position at a time
-        under ``no_grad`` (or write ``forced_tokens`` verbatim by one block
-        pass).  A graph step is block passes only, so a ``GraphState``
-        raises ``ShapeError``.
+        under ``no_grad``.  A graph step is block passes only, so a
+        ``GraphState`` raises ``ShapeError``.
         """
-        if forced_tokens is not None:
-            self._pass(_pack_only(state), [[bos, *forced_tokens]], want_logits=False)
-            return StepOutput(list(forced_tokens))
-        (out,) = self._greedy_lockstep(_pack_only(state), bos, eos, collect_logits)
+        (out,) = self._greedy_lockstep(_pack_only(state), bos, eos)
         return out
 
     def seal_step(
@@ -1077,7 +1046,7 @@ class QuestionRewriter:
         of one of ``rewrite_batch``, with gradients or under ``no_grad``;
         ``res.cache`` holds its sealed blocks.
         """
-        (res,), res.cache = self.rewrite_batch(
+        (res,) = self.rewrite_batch(
             [steps], bos, eos, None if gold_final is None else [gold_final],
             None if pinned_intermediates is None else [pinned_intermediates],
             collect_logits, detach_cache,
@@ -1093,19 +1062,18 @@ class QuestionRewriter:
         pinned_intermediates: Sequence[Sequence[Sequence[int]]] | None = None,
         collect_logits: bool = False,
         detach_cache: bool = False,
-    ) -> tuple[list[RewriteResult], AttentionCache]:
+    ) -> list[RewriteResult]:
         """``rewrite_forward`` of every example of a batch, on one autodiff
-        graph; returns the results, which follow ``examples``, and the
-        batch's cache.
+        graph; returns the results, which follow ``examples`` and each
+        hold the batch's one cache.
 
         Final steps with a gold question are teacher-forced by one block
         pass.  Every other step's question is pinned (with gold finals only)
         or picked greedily in the batch's one no_grad pack, then sealed by
         one more block pass."""
         cache = AttentionCache(self.cfg.n_dec_layers, len(examples))
-        results = self._rewrite(examples, bos, eos, gold_finals, pinned_intermediates,
-                                collect_logits, cache, detach_cache)
-        return results, cache
+        return self._rewrite(examples, bos, eos, gold_finals, pinned_intermediates,
+                             collect_logits, cache, detach_cache)
 
     def rewrite_packed(
         self,
@@ -1184,15 +1152,15 @@ class QuestionRewriter:
         # the graph teacher-forces gold finals without picking them
         greedy_finals = gold_finals is None or not graph
         pack = None
-        results = [RewriteResult([], None, None, [], None, [] if collect_logits else None)
+        results = [RewriteResult([], None, None, [], cache, [] if collect_logits else None)
                    for _ in examples]
         for t in range(max(n_steps)):
             live = [s for s, n in enumerate(n_steps) if t < n]
             final = [n_steps[s] == t + 1 for s in live]
             picking = [j for j, f in enumerate(final)
                        if pinned is None and (greedy_finals or not f)]
-            enc, lens = self.encode([examples[s][t] for s in live], packed=True)
-            state = self.start_step(enc, cache, live, lens) if graph else None
+            enc, lens = self.encode([examples[s][t] for s in live])
+            state = self.start_step(enc, lens, cache, live) if graph else None
             if picking:
                 with ad.no_grad():
                     if pack is None:
@@ -1205,8 +1173,8 @@ class QuestionRewriter:
                         keep = np.zeros(len(live), dtype=bool)
                         keep[picking] = True
                         picked = ad.constant(enc.data[np.repeat(keep, lens)])
-                    pack_state = self.start_step(picked, pack, [live[j] for j in picking],
-                                                 lens[picking])
+                    pack_state = self.start_step(picked, lens[picking], pack,
+                                                 [live[j] for j in picking])
             forced = [j for j, f in enumerate(final) if f and gold_finals is not None]
             if forced:
                 golds = [gold_finals[live[j]] for j in forced]

@@ -1,9 +1,11 @@
 """Adaptive curriculum training: loss reweighting by question complexity.
 
-Training sweeps a main complexity H from 1 to N.  Each iteration trains on
-all examples up to complexity H plus a rho-sized subsample of each harder
-group; losses below H are scaled by gamma_low, above H by gamma_high.  The
-named variants wire the same loop differently:
+Training sweeps a main complexity H from 1 to N, the highest hop count of
+its examples, which ``train`` takes as one list and groups by hop count
+itself.  Each iteration trains on all examples up to complexity H plus a
+rho-sized subsample of each harder group; losses below H are scaled by
+gamma_low, above H by gamma_high.  The named variants wire the same loop
+differently:
 
     standard     one pass with H fixed at N, everything unweighted
     step_by_step gamma_low=0, gamma_high=0, rho=0
@@ -86,26 +88,6 @@ class CurriculumConfig:
         return asdict(self)
 
 
-@dataclass
-class ComplexityDataset:
-    """Arranged examples grouped by hop count."""
-
-    groups: dict[int, list[ArrangedExample]]
-
-    def __post_init__(self):
-        for h, examples in self.groups.items():
-            for ex in examples:
-                if ex.hops != h:
-                    raise ConfigError(
-                        f"example {ex.example_id!r} has {ex.hops} hops but sits "
-                        f"in group {h}"
-                    )
-
-    @property
-    def max_complexity(self) -> int:
-        return max(self.groups)
-
-
 def build_iteration_dataset(
     groups: Mapping[int, Sequence],
     main_complexity: int,
@@ -185,33 +167,17 @@ def lr_at(step: int, warmup_steps: int, total_steps: int, lr_alpha: float) -> fl
 STEP_CHUNK_BYTES = 1 << 17
 
 
-def _tiled_buffer(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The one 1-D buffer that ``arrays`` are consecutive views of, in
-    order and covering all of it; None if there is no such buffer."""
-    base = arrays[0].base if arrays else None
-    if (not isinstance(base, np.ndarray) or base.ndim != 1 or base.dtype != arrays[0].dtype
-            or not base.flags.writeable):
-        return None
-    at = base.ctypes.data
-    for a in arrays:
-        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != at:
-            return None
-        at += a.nbytes
-    return base if at == base.ctypes.data + base.nbytes else None
-
-
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
     The parameters, their gradients and both moments live in four flat
     buffers of the parameters' one dtype, in the order of ``params``.
-    Each parameter's ``data`` is a view into the first: the buffer its
-    arrays already tile (as ``QuestionRewriter`` allocates them), else a
-    new one they are copied into and rebound to.  ``zero_grad`` points
-    each ``grad`` at its view of the gradient buffer, so backward
-    accumulates there in place.  ``step`` updates the buffers in place,
-    a cache-sized chunk at a time, by the elementwise operations of one
-    update per tensor in their order, so the bits are the same.
+    Each parameter's ``data`` is copied into the first and rebound to its
+    view there.  ``zero_grad`` points each ``grad`` at its view of the
+    gradient buffer, so backward accumulates there in place.  ``step``
+    updates the buffers in place, a cache-sized chunk at a time, by the
+    elementwise operations of one update per tensor in their order, so
+    the bits are the same.
     """
 
     def __init__(
@@ -230,23 +196,20 @@ class AdamW:
         dtypes = {p.data.dtype for p in tensors}
         if len(dtypes) > 1:
             raise ShapeError(f"AdamW: parameters of mixed dtypes {sorted(map(str, dtypes))}")
-        self.data = _tiled_buffer([p.data for p in tensors])
-        tiled = self.data is not None
-        if not tiled:
-            self.data = np.empty(sum(p.data.size for p in tensors), *dtypes)
+        bounds = np.cumsum([0] + [p.data.size for p in tensors]).tolist()
+        self.data = np.empty(bounds[-1], *dtypes)
+        for p, lo, hi in zip(tensors, bounds, bounds[1:]):
+            data = self.data[lo:hi].reshape(p.data.shape)
+            data[...] = p.data
+            p.data = data
         self.grad = np.zeros_like(self.data)
         self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
         # the step's two chunk-sized temporaries, allocated once
         chunk = max(1, min(STEP_CHUNK_BYTES // self.data.itemsize, len(self.data)))
         self._scratch = np.empty((2, chunk), self.data.dtype)
-        bounds = np.cumsum([0] + [p.data.size for p in tensors]).tolist()
-        self._views = []  # each tensor's views of the parameter and gradient buffers
-        for p, lo, hi in zip(tensors, bounds, bounds[1:]):
-            if not tiled:
-                data = self.data[lo:hi].reshape(p.data.shape)
-                data[...] = p.data
-                p.data = data
-            self._views.append((p, p.data, self.grad[lo:hi].reshape(p.data.shape)))
+        # each tensor's views of the parameter and gradient buffers
+        self._views = [(p, p.data, self.grad[lo:hi].reshape(p.data.shape))
+                       for p, lo, hi in zip(tensors, bounds, bounds[1:])]
 
     def zero_grad(self) -> None:
         """Clear every gradient to its view of the gradient buffer, filled
@@ -341,7 +304,7 @@ def _batch_losses(
     seals them, or teacher-forces the final ones."""
     steps = [make_step_inputs(ex, voc, model.cfg.max_len) for ex in examples]
     golds = [voc.encode(ex.gold_question) for ex in examples]
-    results, _ = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
+    results = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
     return [final_step_loss(res.final_logits, gold, voc.eos_id)
             for res, gold in zip(results, golds)]
 
@@ -359,19 +322,17 @@ def predict(
 
 
 def _validate(
-    model: QuestionRewriter,
-    examples: Sequence[tuple[int, ArrangedExample]],
-    voc: Vocab,
+    model: QuestionRewriter, examples: Sequence[ArrangedExample], voc: Vocab
 ) -> dict:
     """Loss and greedy final question per example from one lockstep pass
     over the pool: each final step is teacher-forced for the loss, then
     greedy-decoded from the same step state."""
-    steps = [make_step_inputs(ex, voc, model.cfg.max_len) for _, ex in examples]
-    golds = [voc.encode(ex.gold_question) for _, ex in examples]
+    steps = [make_step_inputs(ex, voc, model.cfg.max_len) for ex in examples]
+    golds = [voc.encode(ex.gold_question) for ex in examples]
     results = model.rewrite_packed(steps, voc.bos_id, voc.eos_id, gold_finals=golds)
     losses = []
     pairs = []
-    for (_, ex), gold, res in zip(examples, golds, results):
+    for ex, gold, res in zip(examples, golds, results):
         losses.append(final_step_loss(res.final_logits, gold, voc.eos_id).item())
         final = voc.decode(res.final_tokens)
         pairs.append(
@@ -402,14 +363,18 @@ def _planned_steps(groups, main, cfg: CurriculumConfig) -> int:
 
 def train(
     model: QuestionRewriter,
-    dataset: ComplexityDataset,
+    examples: Sequence[ArrangedExample],
     config: CurriculumConfig,
     voc: Vocab,
-    val_dataset: ComplexityDataset | None = None,
+    val_examples: Sequence[ArrangedExample] = (),
     on_checkpoint: Callable[[str, QuestionRewriter], None] | None = None,
     on_event: Callable[[dict], None] | None = None,
 ) -> TrainResult:
-    """Run the full curriculum; deterministic given (seed, config, dataset).
+    """Run the full curriculum; deterministic given (seed, config,
+    examples).  The examples are grouped by hop count, in input order
+    within each group; every count from 1 to the highest needs one.
+    Validation decodes the first ``val_max_examples`` of ``val_examples``
+    stably sorted by hop count, so the lowest hops come first.
 
     Emits one metrics record per validation event (end of each epoch) and
     per checkpoint, each main complexity's and a final one, and hands
@@ -432,8 +397,10 @@ def train(
     to the plan, so the learning rate then peaks at the last update.
     """
     cfg = config.resolved()
-    groups = dataset.groups
-    n_max = dataset.max_complexity
+    groups: dict[int, list[ArrangedExample]] = {}
+    for ex in examples:
+        groups.setdefault(ex.hops, []).append(ex)
+    n_max = max(groups, default=1)
     for h in range(1, n_max + 1):
         if not groups.get(h):
             raise ConfigError(f"dataset has no examples at complexity {h}")
@@ -454,11 +421,7 @@ def train(
     last_loss = math.nan
     emit = on_event or (lambda record: None)
 
-    val_pool: list[tuple[int, ArrangedExample]] = []
-    if val_dataset is not None:
-        for h in sorted(val_dataset.groups):
-            val_pool.extend((h, ex) for ex in val_dataset.groups[h])
-        val_pool = val_pool[: cfg.val_max_examples]
+    val_pool = sorted(val_examples, key=lambda ex: ex.hops)[: cfg.val_max_examples]
 
     # the validation worker, forked at the first forked validation, the
     # memory it shares with this process, which hands it the parameters,

@@ -269,7 +269,7 @@ def test_non_utf8_file_is_data_error(kind, data_dir, train_dir, tmp_path, capsys
 
 
 @pytest.mark.parametrize("defect", ["unknown_config_key", "missing_vocab",
-                                    "blank_vocab_line"])
+                                    "blank_vocab_line", "empty_train"])
 def test_rejected_train_leaves_no_run_directory(defect, data_dir, tmp_path, capsys):
     data, config = tmp_path / "data", tmp_path / "config.json"
     data.mkdir()
@@ -280,6 +280,8 @@ def test_rejected_train_leaves_no_run_directory(defect, data_dir, tmp_path, caps
         config.write_text(json.dumps({"bogus": 1}))
     elif defect == "missing_vocab":
         (data / "vocab.txt").unlink()
+    elif defect == "empty_train":
+        (data / "train.jsonl").write_text("")
     else:  # a blank line would load as the token '' and shift every later id
         tokens = (data / "vocab.txt").read_text().splitlines()
         (data / "vocab.txt").write_text("\n".join([*tokens[:8], "", *tokens[8:]]) + "\n")
@@ -288,6 +290,7 @@ def test_rejected_train_leaves_no_run_directory(defect, data_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err and (defect != "blank_vocab_line" or "vocab.txt:9: " in err)
+    assert defect != "empty_train" or "train.jsonl: no records" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -351,12 +354,12 @@ def test_four_hop_train_and_generate(tmp_path, monkeypatch):
     assert run("train", "--config", cfg, "--data", data, "--out", out) == 0
 
     # one pack holds every test record; it loses two segments at each step
-    segments = []
+    opened = []
     start_step = QuestionRewriter.start_step
 
-    def spy(self, encoder_output, cache, segments_=None, lens=None):
-        segments.append(len(encoder_output if lens is None else lens))
-        return start_step(self, encoder_output, cache, segments_, lens)
+    def spy(self, encoder_output, lens, cache, segments=None):
+        opened.append(len(lens))
+        return start_step(self, encoder_output, lens, cache, segments)
 
     monkeypatch.setattr(QuestionRewriter, "start_step", spy)
     preds = [tmp_path / f"pred{i}.jsonl" for i in range(2)]
@@ -364,7 +367,7 @@ def test_four_hop_train_and_generate(tmp_path, monkeypatch):
         assert run("generate", "--checkpoint", out / "checkpoint-final.bin",
                    "--data", data / "test.jsonl", "--vocab", data / "vocab.txt",
                    "--out", pred, "--emit-intermediates") == 0
-    assert segments == [8, 6, 4, 2] * 2
+    assert opened == [8, 6, 4, 2] * 2
     assert preds[0].read_bytes() == preds[1].read_bytes()
     lines = dataio.read_records(preds[0])
     assert sorted(r["hops"] for r in lines) == [1, 1, 2, 2, 3, 3, 4, 4]

@@ -99,39 +99,42 @@ class TestConfig:
 class TestEncoder:
     def test_output_shape(self):
         m = tiny_model()
-        h = m.encode(StepInput([3, 4, 5, 6, 7], 1))
-        assert h.shape == (5, m.cfg.d_model)
+        h, lens = m.encode([StepInput([3, 4, 5, 6, 7], 1)])
+        assert h.shape == (5, m.cfg.d_model) and lens.tolist() == [5]
 
     def test_position_sensitivity(self):
         m = tiny_model()
-        a = m.encode(StepInput([3, 4, 5], 1)).data
-        b = m.encode(StepInput([4, 3, 5], 1)).data
+        a = m.encode([StepInput([3, 4, 5], 1)])[0].data
+        b = m.encode([StepInput([4, 3, 5], 1)])[0].data
         assert np.abs(a - b).max() > 1e-6
 
     def test_empty_input_rejected(self):
         with pytest.raises(ShapeError):
-            tiny_model().encode(StepInput([], 1))
+            tiny_model().encode([StepInput([], 1)])
 
     def test_token_out_of_range(self):
         m = tiny_model(vocab=10)
         with pytest.raises(IndexError):
-            m.encode(StepInput([11], 1))
+            m.encode([StepInput([11], 1)])
 
     def test_packed_inputs_encode_alone(self):
         m = tiny_model(seed=3)
         steps = [StepInput([4, 9, 8], 1), StepInput([5], 2),
                  StepInput([7, 3, 6, 6, 2], 3)]
-        packed = m.encode(steps)
-        for step, enc in zip(steps, packed, strict=True):
-            assert np.abs(enc.data - m.encode(step).data).max() <= 1e-12
-        weights = Tensor(np.random.default_rng(0).normal(size=packed[2].shape))
-        ad.sum_all(ad.mul(packed[2], weights)).backward()  # encodings stay on the graph
+        packed, lens = m.encode(steps)
+        assert lens.tolist() == [3, 1, 5]
+        bounds = np.cumsum([0, *lens]).tolist()
+        for step, lo, hi in zip(steps, bounds, bounds[1:]):
+            assert np.abs(packed.data[lo:hi] - m.encode([step])[0].data).max() <= 1e-12
+        weights = np.random.default_rng(0).normal(size=packed.shape)
+        weights[:bounds[2]] = 0.0  # the third input's rows only
+        ad.sum_all(ad.mul(packed, Tensor(weights))).backward()  # encodings stay on the graph
         assert np.abs(m.params["enc.l0.sa.wq"].grad).max() > 0.0
 
     def test_matches_reference(self):
         m = tiny_model(seed=3)
         ids = [4, 9, 8, 3, 17]
-        mine = m.encode(StepInput(ids, 1)).data
+        mine = m.encode([StepInput(ids, 1)])[0].data
         ref = ref_encode(param_arrays(m), m.cfg.to_dict(), ids)
         assert np.abs(mine - ref).max() <= 1e-12
 
@@ -196,8 +199,8 @@ class TestDecoding:
     def test_logits_shape(self):
         m = tiny_model()
         with ad.no_grad():
-            state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), pack_of_one(m))
-            logits = m.decode_token(state, BOS)
+            state = m.start_step(*m.encode([StepInput([3, 4, 5], 1)]), pack_of_one(m))
+            logits = m.decode_token(state, [BOS])
         assert logits.shape == (1, m.cfg.vocab_size)
 
     def test_incremental_equals_batched_teacher_forcing(self):
@@ -207,11 +210,11 @@ class TestDecoding:
         enc = StepInput([3, 4, 5, 6], 1)
         prefix = [7, 8, 9, 10, 11]
         with ad.no_grad():
-            state = m.start_step(m.encode(enc), pack_of_one(m))
-            rows = np.concatenate([m.decode_token(state, tok) for tok in [BOS, *prefix]])
-            state = m.start_step(m.encode(enc), pack_of_one(m))
+            state = m.start_step(*m.encode([enc]), pack_of_one(m))
+            rows = np.concatenate([m.decode_token(state, [tok]) for tok in [BOS, *prefix]])
+            state = m.start_step(*m.encode([enc]), pack_of_one(m))
             packed, _ = m.teacher_forced_final(state, prefix, BOS, EOS)
-        state = m.start_step(m.encode(enc), AttentionCache(m.cfg.n_dec_layers))
+        state = m.start_step(*m.encode([enc]), AttentionCache(m.cfg.n_dec_layers))
         graph = m._pass(state, [[BOS, *prefix]], True)
         assert graph.requires_grad
         for block in (packed, graph.data):
@@ -220,11 +223,11 @@ class TestDecoding:
     def test_max_len_exceeded(self):
         m = tiny_model(max_len=4)
         with ad.no_grad():
-            state = m.start_step(m.encode(StepInput([3, 4], 1)), pack_of_one(m))
+            state = m.start_step(*m.encode([StepInput([3, 4], 1)]), pack_of_one(m))
             for tok in [BOS, 5, 6, 7]:
-                m.decode_token(state, tok)
+                m.decode_token(state, [tok])
             with pytest.raises(LengthError):
-                m.decode_token(state, 8)
+                m.decode_token(state, [8])
 
     def test_forced_eos_gives_empty_question(self):
         m = tiny_model()
@@ -242,10 +245,10 @@ class TestDecoding:
         )
         with ad.no_grad():
             cache = pack_of_one(m, n_steps=2)
-            state = m.start_step(m.encode(StepInput([3, 4, 5], 1)), cache)
+            state = m.start_step(*m.encode([StepInput([3, 4, 5], 1)]), cache)
             m.greedy_decode_step(state, BOS, EOS)
             m.seal_step(state, cache)
-            state = m.start_step(m.encode(StepInput([6, 7], 2)), cache)
+            state = m.start_step(*m.encode([StepInput([6, 7], 2)]), cache)
             out = m.greedy_decode_step(state, BOS, EOS)
             m.rewrite_packed([[StepInput([3, 4], 1), StepInput([5], 2)],
                               [StepInput([6, 7, 8], 1)]], BOS, EOS)
@@ -258,7 +261,7 @@ class TestDecoding:
         m.params["emb.tok"].data[:] = m.params["emb.tok"].data[:1]
         m.params["out.b"].data[:] = 0.0
         with ad.no_grad():
-            state = m.start_step(m.encode(StepInput([3], 1)), pack_of_one(m))
+            state = m.start_step(*m.encode([StepInput([3], 1)]), pack_of_one(m))
             out = m.greedy_decode_step(state, BOS, EOS)
         assert set(out.question_tokens) == {0}
 
@@ -270,7 +273,7 @@ class TestDecoding:
         cache = m.rewrite_forward(steps[:1], BOS, EOS).cache
 
         def fresh():
-            return m.start_step(m.encode(steps[1]), cache)
+            return m.start_step(*m.encode([steps[1]]), cache)
 
         state = fresh()
         m._pass(state, [[BOS, 8, 9, 10]], True)
@@ -282,9 +285,9 @@ class TestDecoding:
                                       "teacher_forced_final"])
     def test_one_example_api_takes_no_graph_state(self, name):
         m = tiny_model()
-        state = m.start_step(m.encode(StepInput([3, 4], 1)),
+        state = m.start_step(*m.encode([StepInput([3, 4], 1)]),
                              AttentionCache(m.cfg.n_dec_layers))
-        args = {"decode_token": (BOS,), "greedy_decode_step": (BOS, EOS),
+        args = {"decode_token": ([BOS],), "greedy_decode_step": (BOS, EOS),
                 "teacher_forced_final": ([5, 6], BOS, EOS)}[name]
         with ad.no_grad(), pytest.raises(ShapeError):
             getattr(m, name)(state, *args)
@@ -373,7 +376,7 @@ class TestRewriteForward:
             pack, questions = pack_of_one(m, n_steps), []
             with ad.no_grad():
                 for step in steps:
-                    state = m.start_step(m.encode(step), pack)
+                    state = m.start_step(*m.encode([step]), pack)
                     questions.append(m.greedy_decode_step(state, BOS, EOS).question_tokens)
                     m.seal_step(state, pack)
             incremental = pack_blocks(pack, [len(q) + 1 for q in questions],
@@ -417,7 +420,7 @@ class TestRewriteForward:
             snapshots = []
             with ad.no_grad():
                 for t, step in enumerate(steps):
-                    state = m.start_step(m.encode(step), cache)
+                    state = m.start_step(*m.encode([step]), cache)
                     if store:
                         question = m.greedy_decode_step(state, BOS, EOS).question_tokens
                     else:
@@ -563,16 +566,16 @@ class TestPackedDecoding:
         golds = [[BOS, *g] for g in rows((4, 6, 2)[:n_segments])]
         encodings = [m.encode(step) for step in docs]
         cache = AttentionCache(m.cfg.n_dec_layers, n_segments)
-        state = m.start_step(encodings[0], cache)
+        state = m.start_step(*encodings[0], cache)
         m._pass(state, questions, False)
         m.seal_step(state, cache)
-        graph = m._pass(m.start_step(encodings[1], cache), golds, True).data
+        graph = m._pass(m.start_step(*encodings[1], cache), golds, True).data
         with ad.no_grad():
             pack = m._pack_cache(n_segments, 2 * m.cfg.max_len, 12)
-            state = m.start_step(encodings[0], pack)
+            state = m.start_step(*encodings[0], pack)
             m._pass(state, questions, False)
             m.seal_step(state, pack)
-            packed = m._pass(m.start_step(encodings[1], pack), golds, True)
+            packed = m._pass(m.start_step(*encodings[1], pack), golds, True)
         assert graph.shape == packed.shape == (sum(map(len, golds)), m.cfg.vocab_size)
         if dtype == np.float64 and sa and ca:
             assert np.array_equal(graph, packed)
@@ -583,9 +586,9 @@ class TestPackedDecoding:
         m = pack_model()
         with ad.no_grad():
             encodings = m.encode([StepInput([3, 4], 1), StepInput([5], 1)])
-            state = m.start_step(encodings, m._pack_cache(2, 12, 12))
+            state = m.start_step(*encodings, m._pack_cache(2, 12, 12))
             with pytest.raises(ShapeError):  # one token for two segments
-                m.decode_token(state, BOS)
+                m.decode_token(state, [BOS])
         with pytest.raises(ShapeError):  # store rows carry no graph
             m.decode_token(state, [BOS, BOS])
 
@@ -593,22 +596,22 @@ class TestPackedDecoding:
         # a segment past its capacity would write into its neighbour's rows
         m = pack_model()
         with ad.no_grad():
-            state = m.start_step(m.encode(StepInput([3, 4], 1)), m._pack_cache(2, 2, 12))
-            m.decode_token(state, BOS)
-            m.decode_token(state, 5)
+            state = m.start_step(*m.encode([StepInput([3, 4], 1)]), m._pack_cache(2, 2, 12))
+            m.decode_token(state, [BOS])
+            m.decode_token(state, [5])
             with pytest.raises(ShapeError):
-                m.decode_token(state, 6)
+                m.decode_token(state, [6])
             with pytest.raises(ShapeError):
-                m.start_step(m.encode(StepInput([3, 4], 1)), m._pack_cache(1, 12, 1))
+                m.start_step(*m.encode([StepInput([3, 4], 1)]), m._pack_cache(1, 12, 1))
 
     def test_graph_segments_seal_in_order(self):
         # block t of a graph cache holds the segments that sealed t steps
         m = pack_model()
         cache = AttentionCache(m.cfg.n_dec_layers, n_segments=2)
-        state = m.start_step(m.encode([StepInput([5], 1)]), cache, [1])
+        state = m.start_step(*m.encode([StepInput([5], 1)]), cache, [1])
         m._pass(state, [[BOS, 7]], want_logits=False)
         m.seal_step(state, cache)
-        state = m.start_step(m.encode([StepInput([3, 4], 1), StepInput([6], 2)]),
+        state = m.start_step(*m.encode([StepInput([3, 4], 1), StepInput([6], 2)]),
                              cache, [0, 1])
         m._pass(state, [[BOS], [BOS]], want_logits=False)
         with pytest.raises(ShapeError):
@@ -622,16 +625,25 @@ class TestPackedDecoding:
         monkeypatch.setattr(m, "_pack_cache",
                             lambda *a: allocated.append(a) or pack_cache(*a))
         steps = [StepInput([3, 4], 1), StepInput([5, 6, 7], 2), StepInput([8], 3)]
-        (res,), _ = m.rewrite_batch([steps], BOS, EOS)
+        (res,) = m.rewrite_batch([steps], BOS, EOS)
         assert len(res.intermediate_tokens) == 2 and len(allocated) == 1
+
+    def test_a_batch_shares_one_cache(self):
+        m = pack_model()
+        examples = [[StepInput([3, 4], 1), StepInput([5, 6, 7], 2)], [StepInput([8], 1)]]
+        results = m.rewrite_batch(examples, BOS, EOS)
+        cache = results[0].cache
+        assert isinstance(cache, AttentionCache) and len(cache.step_lengths) == 2
+        assert all(res.cache is cache for res in results)
+        assert all(res.cache is None for res in m.rewrite_packed(examples, BOS, EOS))
 
     def test_teacher_forced_batch_opens_no_pack_step(self, monkeypatch):
         # a batch whose every step is teacher-forced or pinned picks nothing
         m = pack_model()
         opened = []
         start_step = m.start_step
-        monkeypatch.setattr(m, "start_step", lambda encs, cache, *a: (
-            opened.append(type(cache)) or start_step(encs, cache, *a)))
+        monkeypatch.setattr(m, "start_step", lambda enc, lens, cache, *a: (
+            opened.append(type(cache)) or start_step(enc, lens, cache, *a)))
         one_hop = [[StepInput([3, 4], 1)], [StepInput([5], 1)], [StepInput([6, 7, 8], 1)]]
         m.rewrite_batch(one_hop, BOS, EOS, gold_finals=[[6], [7, 8], [9]])
         assert opened == [AttentionCache]
@@ -647,7 +659,7 @@ class TestPackedDecoding:
                        t + 1) for t in range(n)]
             for n in (3, 1, 2, 3, 2)
         ]
-        batch, _ = m.rewrite_batch(examples, BOS, EOS, collect_logits=True)
+        batch = m.rewrite_batch(examples, BOS, EOS, collect_logits=True)
         packed = m.rewrite_packed(examples, BOS, EOS, collect_logits=True)
         assert any(t for r in packed for t in r.truncated)
         for a, b in zip(batch, packed, strict=True):
@@ -670,7 +682,7 @@ class TestPackedDecoding:
             encodings = m.encode([StepInput([3, 4], 1), StepInput([5, 6, 7], 1),
                                   StepInput([8], 1)])
             cache = m._pack_cache(3, 12, 12)
-            state = m.start_step(encodings, cache)
+            state = m.start_step(*encodings, cache)
         made, keys = [], []
         attention, attend = ad.attention, ad._attend
         monkeypatch.setattr(ad, "attention",
@@ -720,7 +732,7 @@ class TestPackedDecoding:
             cache, logits = m._pack_cache(3, 2 * m.cfg.max_len, 12), []
             with ad.no_grad():
                 for t in range(2):
-                    state = m.start_step(m.encode([steps[t] for steps in examples]), cache)
+                    state = m.start_step(*m.encode([steps[t] for steps in examples]), cache)
                     for ids, active in passes:
                         if poisoned:
                             poison(cache, state)
@@ -1061,7 +1073,7 @@ def test_graph_passes_gather_no_key_rows(monkeypatch):
     monkeypatch.setattr(ad, "_lookup", lambda table, ids: lookups.append(
         "token" if table is m.params["emb.tok"].data else "seal" if sealing else "keys"
     ) or lookup(table, ids))
-    results, _ = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds)
+    results = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds)
     losses = [final_step_loss(r.final_logits, g, EOS) for r, g in zip(results, golds)]
     ad.add(ad.add(losses[0], losses[1]), losses[2]).backward()
     assert set(lookups) == {"token", "seal"}
@@ -1170,8 +1182,8 @@ def test_shape_fuzz():
 
         def f(batched=True):
             if batched:
-                results, _ = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds,
-                                             pinned_intermediates=pinned)
+                results = m.rewrite_batch(examples, BOS, EOS, gold_finals=golds,
+                                          pinned_intermediates=pinned)
             else:
                 results = [m.rewrite_forward(steps, BOS, EOS, gold_final=gold,
                                              pinned_intermediates=p)
@@ -1221,7 +1233,7 @@ class TestAblations:
         stripped.ca_values = cache.ca_values
         stripped.step_lengths = list(cache.step_lengths)
         stripped.context_lengths = list(cache.context_lengths)
-        state = base.start_step(base.encode(steps[1]), stripped)
+        state = base.start_step(*base.encode([steps[1]]), stripped)
         logits = base._pass(state, [[BOS, *gold]], want_logits=True)
 
         # same intermediate question either way (step 1 has no prior cache)

@@ -16,7 +16,6 @@ from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import ModelConfig, QuestionRewriter, final_step_loss
 from qrewrite.training import (
     AdamW,
-    ComplexityDataset,
     CurriculumConfig,
     _batch_losses,
     _example_loss,
@@ -179,14 +178,6 @@ class TestCurriculumConfig:
             CurriculumConfig(**{key: math.nan})
         assert getattr(CurriculumConfig(**{key: 0}), key) == 0  # 0 stays valid
 
-    def test_dataset_group_validation(self):
-        from qrewrite.docgraph import ArrangedExample, Document
-
-        doc = Document(0, ["t"], ["x"], True)
-        ex = ArrangedExample(["a"], [doc], [], ["q"], hops=1)
-        with pytest.raises(ConfigError):
-            ComplexityDataset({2: [ex]})
-
 
 class TestAdamW:
     def test_single_step_direction(self):
@@ -318,19 +309,6 @@ class TestFlatAdamW:
             assert np.shares_memory(p.grad, opt.grad)
             assert np.all(np.signbit(p.grad)) and not np.any(p.grad)
 
-    def test_a_model_is_updated_in_its_own_buffer(self):
-        # QuestionRewriter allocates its parameters as views of one buffer
-        # in checkpoint order; the optimizer adopts it rather than copying
-        model = QuestionRewriter(ModelConfig(vocab_size=11, d_model=8, n_heads=2, d_ff=12,
-                                             n_enc_layers=1, n_dec_layers=1, max_len=8),
-                                 rng=np.random.default_rng(0), dtype=np.float32)
-        arrays = {name: p.data for name, p in model.params.items()}
-        opt = AdamW(model.params)
-        base = arrays["emb.tok"].base
-        assert opt.data is base and opt.data.dtype == np.float32
-        assert all(model.params[name].data is a for name, a in arrays.items())
-        assert opt.grad.dtype == opt.m.dtype == opt.v.dtype == np.float32
-
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_a_rebound_parameter_is_taken_not_skipped(self, dtype):
         # a parameter whose data is rebound after the optimizer is built is
@@ -395,25 +373,58 @@ def test_train_plan_shorter_than_warmup_runs():
     world = synthetic.generate_world(3, {"person": 10, "film": 8, "city": 6, "country": 6})
     recs = [synthetic.generate_example(world, 1, seed=s) for s in range(4)]
     voc = Vocab.build(synthetic.collect_tokens(recs))
-    dataset = ComplexityDataset(
-        {1: [dataio.arranged_example(dataio.arrange_record(r)) for r in recs]}
-    )
+    examples = [dataio.arranged_example(dataio.arrange_record(r)) for r in recs]
     model = QuestionRewriter(
         ModelConfig(vocab_size=len(voc), d_model=16, n_heads=2, d_ff=24,
                     n_enc_layers=1, n_dec_layers=1, max_len=32),
         rng=np.random.default_rng(0), dtype=np.float64,
     )
     cfg = CurriculumConfig(warmup_steps=100, batch_size=2, epochs_per_main_complexity=1)
-    result = train(model, dataset, cfg, voc)
+    result = train(model, examples, cfg, voc)
     assert result.total_steps == 2
     assert math.isfinite(result.final_train_loss)
 
 
+def test_no_examples_is_a_config_error():
+    _, voc = mixed_hop_batch((1,))
+    with pytest.raises(ConfigError, match="no examples at complexity 1"):
+        train(small_model(voc), [], CurriculumConfig(), voc)
+
+
+def test_train_groups_its_examples_by_hop(monkeypatch, tmp_path):
+    # interleaved hop levels train as the same list stably sorted by hop:
+    # the same records and checkpoint bytes.  Validation decodes the lowest
+    # hops first, in input order within each hop, cut to val_max_examples
+    monkeypatch.setattr(model_module, "_workers", lambda n_jobs: 1)
+    examples, voc = mixed_hop_batch((2, 1, 3, 1, 2, 3, 3, 2, 1))
+    pools = []
+    validate = training._validate
+    monkeypatch.setattr(training, "_validate", lambda model, pool, voc: (
+        pools.append([ex.example_id for ex in pool]) or validate(model, pool, voc)))
+    runs = []
+    for order in (examples, sorted(examples, key=lambda ex: ex.hops)):
+        records, checkpoints = [], {}
+
+        def save(label, m):
+            path = tmp_path / f"{label}.bin"
+            dataio.save_checkpoint(path, m, "00" * 32)
+            checkpoints[label] = path.read_bytes()
+
+        cfg = CurriculumConfig(lr_alpha=1e-2, warmup_steps=2, batch_size=4,
+                               val_max_examples=4)
+        train(small_model(voc, n_enc_layers=1, n_dec_layers=1), order, cfg, voc,
+              val_examples=order, on_checkpoint=save, on_event=records.append)
+        runs.append((records, checkpoints))
+    assert runs[0] == runs[1] and set(runs[0][1]) == {"H1", "H2", "H3", "final"}
+    ids = [ex.example_id for ex in examples]
+    assert pools[0] == [ids[1], ids[3], ids[8], ids[0]]
+    assert pools == [pools[0]] * len(pools) and len(pools) == 6
+
+
 def test_an_f32_model_trains_in_f32():
     examples, voc = mixed_hop_batch((1, 2, 1, 2))
-    dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h] for h in (1, 2)})
     model = small_model(voc, dtype=np.float32, n_enc_layers=1, n_dec_layers=1)
-    train(model, dataset, CurriculumConfig(warmup_steps=1, batch_size=2, lr_alpha=0.01), voc)
+    train(model, examples, CurriculumConfig(warmup_steps=1, batch_size=2, lr_alpha=0.01), voc)
     assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float32)}
     assert {p.grad.dtype for p in model.params.values()} == {np.dtype(np.float32)}
 
@@ -423,15 +434,14 @@ def test_plateau_patience_ends_each_h_early():
     # improves on an H's first epoch: patience 1 ends each H after its second
     # validation, and 0 (off) runs all three epochs
     examples, voc = mixed_hop_batch((1, 2, 1, 2))
-    dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h] for h in (1, 2)})
     validations = {}
     for patience in (0, 1):
         records = []
         cfg = CurriculumConfig(lr_alpha=0.0, warmup_steps=1, batch_size=2,
                                epochs_per_main_complexity=3, val_max_examples=2,
                                plateau_patience=patience)
-        train(small_model(voc, n_enc_layers=1, n_dec_layers=1), dataset, cfg, voc,
-              val_dataset=dataset, on_event=records.append)
+        train(small_model(voc, n_enc_layers=1, n_dec_layers=1), examples, cfg, voc,
+              val_examples=examples, on_event=records.append)
         validations[patience] = [
             sum(r["event"] == "validation" and r["H"] == h for r in records) for h in (1, 2)]
     assert validations == {0: [3, 3], 1: [2, 2]}
@@ -450,8 +460,8 @@ def test_validation_encodes_each_step_once(monkeypatch):
     calls = []
     encode = QuestionRewriter.encode
     monkeypatch.setattr(QuestionRewriter, "encode",
-                        lambda self, step, **kw: calls.append(step) or encode(self, step, **kw))
-    record = _validate(model, [(2, example)], voc)
+                        lambda self, steps: calls.append(steps) or encode(self, steps))
+    record = _validate(model, [example], voc)
     assert len(calls) == 2
     assert math.isfinite(record["val_loss"])
 
@@ -489,8 +499,8 @@ def batch_inputs(model, examples, voc):
 
 
 def batched_loss(model, examples, voc, steps, golds, pinned, detach=False):
-    results, _ = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds,
-                                     pinned_intermediates=pinned, detach_cache=detach)
+    results = model.rewrite_batch(steps, voc.bos_id, voc.eos_id, gold_finals=golds,
+                                  pinned_intermediates=pinned, detach_cache=detach)
     losses = [final_step_loss(r.final_logits, g, voc.eos_id)
               for r, g in zip(results, golds)]
     return weighted_loss(losses, [ex.hops for ex in examples], 2, 0.8, 0.1)
@@ -573,7 +583,7 @@ def test_training_encodes_each_step_once(monkeypatch):
     calls = []
     encode = QuestionRewriter.encode
     monkeypatch.setattr(QuestionRewriter, "encode",
-                        lambda self, step, **kw: calls.append(len(step)) or encode(self, step, **kw))
+                        lambda self, steps: calls.append(len(steps)) or encode(self, steps))
     losses = _batch_losses(model, examples, voc)
     assert calls == [3, 2, 1]
     assert all(math.isfinite(loss.item()) for loss in losses)
@@ -583,8 +593,6 @@ def test_no_graph_outlives_its_backward(monkeypatch):
     # backward consumes the batch's graph: by the update and by validation
     # no tensor keeps a parent link, so no graph is alive
     examples, voc = mixed_hop_batch((1, 2, 3, 1, 2, 3, 3, 2, 1))
-    dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h]
-                                 for h in (1, 2, 3)})
     model = small_model(voc)
     live = {"adamw": [], "validate": []}
 
@@ -614,7 +622,7 @@ def test_no_graph_outlives_its_backward(monkeypatch):
     monkeypatch.setattr(training, "_validate", counted_validate)
     monkeypatch.setattr(model_module.ForkedWorker, "submit", counted_submit)
     cfg = CurriculumConfig(warmup_steps=2, batch_size=2, rho=0.5)
-    result = train(model, dataset, cfg, voc, val_dataset=dataset)
+    result = train(model, examples, cfg, voc, val_examples=examples)
     assert len(live["adamw"]) == result.total_steps > 3
     assert len(live["validate"]) == 3
     assert live == {"adamw": [0] * result.total_steps, "validate": [0, 0, 0]}
@@ -660,8 +668,6 @@ class TestForkedValidation:
 
         monkeypatch.setattr(os, "fork", counted_fork)
         examples, voc = mixed_hop_batch((1, 2, 3, 1, 2, 3, 3, 2, 1))
-        dataset = ComplexityDataset({h: [ex for ex in examples if ex.hops == h]
-                                     for h in (1, 2, 3)})
         records, checkpoints = [], {}
 
         def save(label, m):
@@ -673,8 +679,8 @@ class TestForkedValidation:
                                   "epochs_per_main_complexity": 2, **overrides})
         raised = None
         try:
-            train(small_model(voc, n_enc_layers=1, n_dec_layers=1), dataset, cfg, voc,
-                  val_dataset=dataset, on_checkpoint=save, on_event=records.append)
+            train(small_model(voc, n_enc_layers=1, n_dec_layers=1), examples, cfg, voc,
+                  val_examples=examples, on_checkpoint=save, on_event=records.append)
         except (Exception, KeyboardInterrupt) as exc:
             raised = type(exc), str(exc)
         finally:
