@@ -1,14 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Flat row-major numpy buffers and the handful of differentiable operations a
-small encoder-decoder transformer needs: matmul, a fused affine map
-(``linear``: matmul, bias and residual add as one node, bit-equal to the
-chain), fused multi-head attention with a masked softmax over row segments
-packed into one op (one index takes every segment's keys from stacked
-rows, and backward scatter-adds into those rows), layer normalization,
-embedding lookup, cross-entropy.  Every tensor is 2-D or smaller.  No
-general broadcasting; the only implicit broadcast is a bias row added to
-every row of a matrix.
+small encoder-decoder transformer needs: an affine map (``linear``: matmul,
+optional bias and residual add and ReLU as one node, bit-equal to the
+chain; a plain product is ``linear(x, w)``), fused multi-head attention
+with a masked softmax over row segments packed into one op (one index takes
+every segment's keys from stacked rows, and backward scatter-adds into
+those rows), layer normalization, a row lookup (``embed``: optionally
+scaled and plus position rows, one node), cross-entropy.  Every tensor is
+2-D or smaller.  No general broadcasting; the only implicit broadcast is a
+bias row added to every row of a matrix.
 
 The forward passes of the ops a decoder pass runs are array kernels
 (``_lookup``, ``_affine``, ``_layer_norm`` and ``_attend``, the masked
@@ -227,26 +228,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors.
-
-    Backward: dA = dC @ B^T, dB = A^T @ dC.
-    """
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"matmul expects 2-D operands, got {a.shape} and {b.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    out = _result(a.data @ b.data, (a, b), None)
-    if out.requires_grad:
-        def bwd(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        out._backward = bwd
-    return out
-
-
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
             residual: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
     """``residual + (x @ w + b)``, then ``relu`` of it if asked, on arrays,
@@ -332,12 +313,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 def _lookup(table: np.ndarray, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``ids`` of ``table`` and their checked index, the forward pass
-    of ``embedding``."""
+    of ``embed``."""
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("embedding expects a non-empty 1-D id sequence")
+        raise ShapeError("embed expects a non-empty 1-D id sequence")
     if table.ndim != 2:
-        raise ShapeError("embedding table must be 2-D")
+        raise ShapeError("embed: the table must be 2-D")
     if np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= table.shape[0]:
         raise IndexError(
             f"token id out of range [0, {table.shape[0]}): {idx.min()}..{idx.max()}"
@@ -345,32 +326,27 @@ def _lookup(table: np.ndarray, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     return table[idx], idx
 
 
-def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds into the used rows."""
-    rows, idx = _lookup(table.data, ids)
-    out = _result(rows, (table,), None)
-    if out.requires_grad:
-        def bwd(g):
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            _accumulate(table, full)
-        out._backward = bwd
-    return out
+def _scatter_add(t: Tensor, rows: np.ndarray, grad: np.ndarray) -> None:
+    """Add the gradient row ``grad[i]`` into row ``rows[i]`` of ``t``'s
+    gradient; a row named twice gets both."""
+    full = np.zeros_like(t.data)
+    np.add.at(full, rows, grad)
+    _accumulate(t, full)
 
 
-def embed(table: Tensor, ids: Sequence[int], scale: float, pos: np.ndarray) -> Tensor:
-    """Rows ``ids`` of ``table`` times ``scale`` plus the constant rows
-    ``pos``: ``add(scale(embedding(table, ids), scale), constant(pos))`` as
-    one node, by the same operations, which keeps none of the chain's
-    intermediate rows alive until backward."""
+def embed(table: Tensor, ids: Sequence[int], scale: float | None = None,
+          pos: np.ndarray | None = None) -> Tensor:
+    """Rows ``ids`` of ``table``, times ``scale`` and plus the constant rows
+    ``pos`` when given: the lookup, ``scale`` and the add of ``constant(pos)``
+    as one node, by the same operations, which keeps none of the chain's
+    intermediate rows alive until backward.  Backward scatter-adds into the
+    looked-up rows."""
     rows, idx = _lookup(table.data, ids)
-    out = _result(rows * scale + pos, (table,), None)
+    if scale is not None:
+        rows = rows * scale
+    out = _result(rows if pos is None else rows + pos, (table,), None)
     if out.requires_grad:
-        def bwd(g):
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g * scale)
-            _accumulate(table, full)
-        out._backward = bwd
+        out._backward = lambda g: _scatter_add(table, idx, g if scale is None else g * scale)
     return out
 
 
@@ -540,12 +516,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
             rows = None  # every row once, in order
 
         def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
-            grad = padded[seen]
-            if rows is not None:
-                full = np.zeros_like(t.data)
-                np.add.at(full, rows, grad)
-                grad = full
-            _accumulate(t, grad)
+            if rows is None:
+                _accumulate(t, padded[seen])
+            else:
+                _scatter_add(t, rows, padded[seen])
 
         def bwd(g):
             # rebuilt rather than kept alive until now

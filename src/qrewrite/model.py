@@ -36,10 +36,11 @@ Conventions, fixed here once:
     only;
   * one decoder pass serves both executors, from the token embedding to
     the tied output head: the step state places each layer's K/V rows and
-    runs its attention, and a fixed table gives the pass's other ops, the
-    autodiff ops on the graph or their array kernels in a pack (the same
-    numpy operations, order and dtypes).  The encoder embeds by the
-    graph's entry;
+    runs its attention, and a fixed table gives the pass's other ops
+    (embed, layer_norm, affine, head), the autodiff ops on the graph or
+    their array kernels in a pack (the same numpy operations, order and
+    dtypes).  Every projection is an affine map without bias.  The encoder
+    embeds by the graph's entry;
   * on the autodiff graph a batch is one graph, and a step is block passes
     only: at each step one decoder block pass over [<bos>] + gold
     teacher-forces the final questions and one over [<bos>] + question
@@ -87,7 +88,6 @@ import contextlib
 import functools
 import itertools
 import math
-import operator
 import os
 import pickle
 import signal
@@ -223,7 +223,7 @@ def _gather(blocks: Sequence[Tensor], index: np.ndarray | None = None) -> Tensor
     """Rows ``index`` of the stacked ``blocks``; None takes them all."""
     rows = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
     # a row lookup whose backward scatter-adds into the looked-up rows
-    return rows if index is None else ad.embedding(rows, index)
+    return rows if index is None else ad.embed(rows, index)
 
 
 class PackCache:
@@ -344,12 +344,13 @@ class GraphState:
 
     def drop(self, js) -> None:
         """Leave out the segments at indices ``js`` (they are not sealed)."""
-        keep = np.setdiff1d(np.arange(len(self.segs)), js)
+        keep = np.ones(len(self.segs), dtype=bool)
+        keep[js] = False
         for name in ("segs", "ca_lens", "n_fed"):
             setattr(self, name, getattr(self, name)[keep])
         for name in ("sealed", "ca_own", "ca_rows"):
-            setattr(self, name, [getattr(self, name)[j] for j in keep])
-        if len(keep):  # only the kept segments' rows of this step's block seal
+            setattr(self, name, list(itertools.compress(getattr(self, name), keep)))
+        if keep.any():  # only the kept segments' rows of this step's block seal
             self.ca_index = np.concatenate(self.ca_own)
 
     def sealed_blocks(self, i: int) -> tuple[Tensor, ...]:
@@ -474,17 +475,17 @@ def _pack_only(state: GraphState | PackState) -> PackState:
 # A decoder pass's ops besides attention, for each executor: the autodiff ops
 # on the graph (the encoder embeds by them too), and their array kernels (the
 # same numpy operations in the same order, no graph) in a pack.  embed(table,
-# ids, scale, pos) = table[ids] * scale + pos, affine(x, w, b, residual,
+# ids, scale, pos) = table[ids] * scale + pos, affine(x, w[, b, residual],
 # relu=False) = residual + (x @ w + b), then relu of it if asked, and the tied
 # output head(x, g, b, table, bias) = layer_norm(x, g, b) @ table.T + bias
-Ops = collections.namedtuple("Ops", "embed layer_norm matmul affine head")
+Ops = collections.namedtuple("Ops", "embed layer_norm affine head")
 GRAPH_OPS = Ops(
-    ad.embed, ad.layer_norm_rows, ad.matmul, ad.linear,
+    ad.embed, ad.layer_norm_rows, ad.linear,
     lambda x, g, b, table, bias: ad.linear(ad.layer_norm_rows(x, g, b), table, bias,
                                            transpose=True))
 PACK_OPS = Ops(
     lambda table, ids, scale, pos: ad._lookup(table, ids)[0] * scale + pos,
-    lambda x, g, b: ad._layer_norm(x, g, b)[0], operator.matmul, ad._affine,
+    lambda x, g, b: ad._layer_norm(x, g, b)[0], ad._affine,
     lambda x, g, b, table, bias: ad._affine(ad._layer_norm(x, g, b)[0], table.T, bias))
 
 
@@ -493,17 +494,17 @@ def _decoder_layers(ops: Ops, layers: list, state, x, n_heads: int, want_logits:
     over the rows ``x`` of a pass laid out in ``state``, which owns its K/V
     rows and attention.  Without ``want_logits`` it stops after the last
     layer's K/V rows, which complete a sealed step, and returns None."""
-    ln, mm, affine = ops.layer_norm, ops.matmul, ops.affine
+    ln, affine = ops.layer_norm, ops.affine
     place, attend_self, attend_cross = state.place, state.attend_self, state.attend_cross
     last = len(layers) - 1
     for i, w in enumerate(layers):
         h = ln(x, w["ln1.g"], w["ln1.b"])
-        place(i, mm(h, w["sa.wk"]), mm(h, w["sa.wv"]))
+        place(i, affine(h, w["sa.wk"]), affine(h, w["sa.wv"]))
         if not want_logits and i == last:
             return None
-        x = affine(attend_self(i, mm(h, w["sa.wq"]), n_heads), w["sa.wo"], w["sa.bo"], x)
+        x = affine(attend_self(i, affine(h, w["sa.wq"]), n_heads), w["sa.wo"], w["sa.bo"], x)
         h = ln(x, w["ln2.g"], w["ln2.b"])
-        x = affine(attend_cross(i, mm(h, w["ca.wq"]), n_heads), w["ca.wo"], w["ca.bo"], x)
+        x = affine(attend_cross(i, affine(h, w["ca.wq"]), n_heads), w["ca.wo"], w["ca.bo"], x)
         h = affine(ln(x, w["ln3.g"], w["ln3.b"]), w["ff.w1"], w["ff.b1"], relu=True)
         x = affine(h, w["ff.w2"], w["ff.b2"], x)
     return x
@@ -814,8 +815,8 @@ class QuestionRewriter:
                             self._position_rows(len(ids), positions))
         for w in self._enc_layers:
             h = ad.layer_norm_rows(x, w["ln1.g"], w["ln1.b"])
-            k, v = ad.matmul(h, w["sa.wk"]), ad.matmul(h, w["sa.wv"])
-            attended = ad.attention(ad.matmul(h, w["sa.wq"]), k, v, self.cfg.n_heads, *layout)
+            k, v = ad.linear(h, w["sa.wk"]), ad.linear(h, w["sa.wv"])
+            attended = ad.attention(ad.linear(h, w["sa.wq"]), k, v, self.cfg.n_heads, *layout)
             x = ad.linear(attended, w["sa.wo"], w["sa.bo"], residual=x)
             h = ad.layer_norm_rows(x, w["ln2.g"], w["ln2.b"])
             h = ad.linear(h, w["ff.w1"], w["ff.b1"], relu=True)
@@ -854,8 +855,8 @@ class QuestionRewriter:
             segs = np.asarray(segments, dtype=np.intp)
         if not isinstance(cache, PackCache):
             rows = encoder_output
-            ks = [ad.matmul(rows, w["ca.wk"]) for w in self._dec_layers]
-            vs = [ad.matmul(rows, w["ca.wv"]) for w in self._dec_layers]
+            ks = [ad.linear(rows, w["ca.wk"]) for w in self._dec_layers]
+            vs = [ad.linear(rows, w["ca.wv"]) for w in self._dec_layers]
             return GraphState(cache, segs, lens, ks, vs, cfg.mode_accumulated_sa,
                               cfg.mode_accumulated_ca)
         state = PackState(cache, segs, lens, cfg.mode_accumulated_sa,

@@ -42,34 +42,49 @@ def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
 
 
 class TestMatmul:
+    """``linear(x, w)``, an affine map with neither bias nor residual: the
+    plain matrix product."""
+
     def test_identity(self):
         a = t([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.matmul(a, t(np.eye(2))).data, a.data)
+        np.testing.assert_array_equal(ad.linear(a, t(np.eye(2))).data, a.data)
 
     def test_hand_case(self):
-        out = ad.matmul(t([[1.0, 2.0], [3.0, 4.0]]), t([[5.0], [6.0]]))
+        out = ad.linear(t([[1.0, 2.0], [3.0, 4.0]]), t([[5.0], [6.0]]))
         np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
 
     def test_dimension_error(self):
         with pytest.raises(ShapeError):
-            ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+            ad.linear(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
 
     def test_associativity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             a, b, c = (t(rng.normal(size=(4, 5))), t(rng.normal(size=(5, 3))),
                        t(rng.normal(size=(3, 6))))
-            left = ad.matmul(ad.matmul(a, b), c).data
-            right = ad.matmul(a, ad.matmul(b, c)).data
+            left = ad.linear(ad.linear(a, b), c).data
+            right = ad.linear(a, ad.linear(b, c)).data
             assert np.abs(left - right).max() <= 1e-9
 
     def test_backward_formulas(self):
         a = t([[1.0, 2.0], [3.0, 4.0]], grad=True)
         b = t([[5.0, 6.0], [7.0, 8.0]], grad=True)
-        ad.sum_all(ad.matmul(a, b)).backward()
+        ad.sum_all(ad.linear(a, b)).backward()
         ones = np.ones((2, 2))
         np.testing.assert_allclose(a.grad, ones @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ ones)
+
+
+def matmul_nn(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b as one node, written here so that the reference for
+    ``ad.linear`` shares no code with it."""
+    out = ad._result(a.data @ b.data, (a, b), None)
+    if out.requires_grad:
+        def bwd(g):
+            ad._accumulate(a, g @ b.data.T)
+            ad._accumulate(b, a.data.T @ g)
+        out._backward = bwd
+    return out
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
@@ -86,7 +101,7 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 
 def unfused_linear(x, w, b=None, residual=None, transpose=False):
     """``ad.linear`` as the chain of nodes it replaces."""
-    y = matmul_nt(x, w) if transpose else ad.matmul(x, w)
+    y = matmul_nt(x, w) if transpose else matmul_nn(x, w)
     if b is not None:
         y = ad.add(y, b)
     return y if residual is None else ad.add(residual, y)
@@ -100,10 +115,10 @@ class TestLinear:
         # reads the encoder: the context's gradient sums four terms in the
         # order backward visits the nodes, which the parents' order sets
         ctx_in, u, x_in, wq, wk, w, b, g, beta = leaves
-        ctx, x = ad.matmul(ctx_in, u), ad.matmul(x_in, u)
+        ctx, x = ad.linear(ctx_in, u), ad.linear(x_in, u)
         for _ in range(2):
-            keys, values = ad.matmul(ctx, wk), ad.matmul(ctx, wq)
-            q = ad.matmul(ad.layer_norm_rows(x, g, beta), wq)
+            keys, values = ad.linear(ctx, wk), ad.linear(ctx, wq)
+            q = ad.linear(ad.layer_norm_rows(x, g, beta), wq)
             attended = ad.attention(q, keys, values, 2, *plain_layout(3, 5))
             x = linear(attended, w, b if bias else None, x if residual else None, transpose)
         return ad.cross_entropy(x, [0, 4, 5])
@@ -274,7 +289,7 @@ class TestBackward:
     def test_linear_gradient_outer_pattern(self):
         w = t(np.ones((2, 3)), grad=True)
         x = t([[1.0], [2.0], [3.0]])
-        ad.sum_all(ad.matmul(w, x)).backward()
+        ad.sum_all(ad.linear(w, x)).backward()
         np.testing.assert_allclose(w.grad, np.tile([1.0, 2.0, 3.0], (2, 1)))
 
     def test_unused_parameter_gets_no_gradient(self):
@@ -316,7 +331,7 @@ class TestBackward:
     def test_non_scalar_backward_rejected(self):
         w = t(np.ones((2, 2)), grad=True)
         with pytest.raises(ShapeError):
-            ad.matmul(w, w).backward()
+            ad.linear(w, w).backward()
 
     def test_shared_subgraph(self):
         w = t([[2.0]], grad=True)
@@ -342,7 +357,7 @@ class TestRelease:
         # dw = 2 x^T 1 and dx = 2 * 1 w^T
         x = t([[1.0, 2.0], [3.0, 4.0]], grad=True)
         w = t([[0.5, 1.0], [1.5, 2.0]], grad=True)
-        y = ad.matmul(x, w)
+        y = ad.linear(x, w)
         loss = ad.sum_all(ad.relu(ad.add(y, y)))
         nodes = graph_of(loss)
         leaves = [n for n in nodes if not n._parents]
@@ -360,7 +375,7 @@ class TestRelease:
         # sum(x @ w) with x = 3: dw is 3; a second pass must not add the
         # first pass's interior gradients again
         w = t([[1.0]], grad=True)
-        loss = ad.sum_all(ad.matmul(t([[3.0]]), w))
+        loss = ad.sum_all(ad.linear(t([[3.0]]), w))
         loss.backward()
         assert w.grad[0, 0] == 3.0
         with pytest.raises(ShapeError):
@@ -373,10 +388,10 @@ class TestRelease:
         # alone or beside a leaf it could still reach
         w = t([[1.0, 2.0], [3.0, 4.0]], grad=True)
         v = t([[1.0], [-1.0]], grad=True)
-        h = ad.matmul(t(np.eye(2)), w)
+        h = ad.linear(t(np.eye(2)), w)
         ad.sum_all(h).backward()
         before = w.grad.copy()
-        again = ad.matmul(h, v) if other_leaf else ad.mul(h, h)
+        again = ad.linear(h, v) if other_leaf else ad.mul(h, h)
         with pytest.raises(ShapeError):
             ad.sum_all(again).backward()
         np.testing.assert_array_equal(w.grad, before)
@@ -387,7 +402,7 @@ class TestNoGrad:
     def test_no_graph_recorded(self):
         w = t(np.ones((2, 2)), grad=True)
         with ad.no_grad():
-            out = ad.sum_all(ad.matmul(w, w))
+            out = ad.sum_all(ad.linear(w, w))
         assert not out.requires_grad
 
 
@@ -398,7 +413,7 @@ class TestGradCheck:
         a = rng.normal(size=(3, 3))
 
         def f():
-            return ad.sum_all(ad.mul(ad.matmul(w, t(a)), w))
+            return ad.sum_all(ad.mul(ad.linear(w, t(a)), w))
 
         err = ad.grad_check(f, {"w": w}, eps=1e-5, n_samples=9, rng=rng)
         assert err <= 1e-8
@@ -412,7 +427,7 @@ class TestGradCheck:
         assert caught
 
     def test_composite_pipeline(self):
-        # matmul -> layer norm -> softmax-weighted mix -> cross entropy
+        # product -> layer norm -> softmax-weighted mix -> cross entropy
         rng = np.random.default_rng(42)
         w1 = t(rng.normal(size=(4, 6)), grad=True)
         w2 = t(rng.normal(size=(6, 5)), grad=True)
@@ -421,8 +436,8 @@ class TestGradCheck:
         x = rng.normal(size=(3, 4))
 
         def f():
-            h = ad.layer_norm_rows(ad.matmul(t(x), w1), g, b)
-            logits = ad.matmul(softmax_rows(h), w2)
+            h = ad.layer_norm_rows(ad.linear(t(x), w1), g, b)
+            logits = ad.linear(softmax_rows(h), w2)
             return ad.cross_entropy(logits, [0, 2, 4])
 
         err = ad.grad_check(
@@ -742,7 +757,9 @@ class TestStructuralOps:
 
     def test_embedding_scatter_add(self):
         table = t(np.ones((5, 2)), grad=True)
-        ad.sum_all(ad.embedding(table, [1, 1, 3])).backward()
+        rows = ad.embed(table, [1, 1, 3])
+        np.testing.assert_array_equal(rows.data, np.ones((3, 2)))
+        ad.sum_all(rows).backward()
         expected = np.zeros((5, 2))
         expected[1] = 2.0
         expected[3] = 1.0
@@ -750,15 +767,16 @@ class TestStructuralOps:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_embed_bit_equal_to_unfused_chain(self, dtype):
-        # embed is embedding, scale and the add of constant rows as one
-        # node: the same bytes forward and in the table's gradient
+        # embed with scale and position rows is the lookup, scale and the
+        # add of constant rows as one node: the same bytes forward and in
+        # the table's gradient
         rng = np.random.default_rng(3)
         table = rng.normal(size=(6, 4)).astype(dtype)
         mine, ref = (Tensor(table.copy(), requires_grad=True) for _ in range(2))
         ids, pos = [1, 4, 1, 0], rng.normal(size=(4, 4)).astype(dtype)
         weights = Tensor(rng.normal(size=(4, 4)).astype(dtype))
         fused = ad.embed(mine, ids, 2.0, pos)
-        chain = ad.add(ad.scale(ad.embedding(ref, ids), 2.0), ad.constant(pos))
+        chain = ad.add(ad.scale(ad.embed(ref, ids), 2.0), ad.constant(pos))
         assert fused.data.dtype == dtype and fused.data.tobytes() == chain.data.tobytes()
         ad.sum_all(ad.mul(fused, weights)).backward()
         ad.sum_all(ad.mul(chain, weights)).backward()
@@ -767,9 +785,9 @@ class TestStructuralOps:
     def test_embedding_bounds(self):
         table = t(np.ones((5, 2)))
         with pytest.raises(IndexError):
-            ad.embedding(table, [5])
+            ad.embed(table, [5])
         with pytest.raises(IndexError):
-            ad.embedding(table, [-1])
+            ad.embed(table, [-1])
 
     def test_bias_add_broadcast(self):
         a = t(np.zeros((3, 2)), grad=True)

@@ -181,9 +181,9 @@ class TestAccumulatedAttention:
             merged_k = Tensor(np.concatenate([b.data for b in blocks_k] + [cur_k.data]))
             merged_v = Tensor(np.concatenate([b.data for b in blocks_v] + [cur_v.data]))
             n_prior = merged_k.shape[0] - n_q
-            scores = ad.scale(ad.matmul(q, Tensor(merged_k.data.T)), 1 / np.sqrt(d_k))
+            scores = ad.scale(ad.linear(q, Tensor(merged_k.data.T)), 1 / np.sqrt(d_k))
             allow = within_step_causal_mask(n_prior, n_q) if causal else None
-            whole = ad.matmul(softmax_rows(scores, allow), merged_v)
+            whole = ad.linear(softmax_rows(scores, allow), merged_v)
             assert np.abs(split.data - whole.data).max() <= 1e-12
 
     def test_mask_law(self):

@@ -7,8 +7,11 @@ a temporary directory and runs one fixed matrix of ``qrewrite`` commands on
 each, from each revision's own ``src/``, with BLAS pinned to one thread:
 
   * the train-1hop and train-multihop set-ups of ``perfbench/workloads.py``
-    on seeds 1-3: gen-data, arrange, then train at f64 and f32, once with
-    every usable CPU (validation forks a worker) and once under
+    on seeds 1-3, and the two-pack set-up (1/2/3 hops, 4 training and 12
+    validation records per hop, 30 entities, seed 3, d_model 16), whose
+    36-record validation pool spans two packs: gen-data, arrange, then
+    train at f64 and f32, once with every usable CPU (validation forks a
+    worker, which forks again for a second pack) and once under
     ``taskset -c 0``;
   * the generate workload's fixture checkpoint on every arranged test
     record of its data: ``generate --emit-intermediates`` plain, with
@@ -45,6 +48,10 @@ from perfbench.workloads import (  # noqa: E402  (needs the paths above)
 )
 
 SEEDS = (1, 2, 3)
+TWO_PACKS = {"hops": "1,2,3", "train": 4, "valid": 12, "test": 1, "entities": 30,
+             "seed": 3}
+TWO_PACKS_CONFIG = {"d_model": 16, "n_heads": 2, "d_ff": 24, "warmup_steps": 2,
+                    "epochs_per_main_complexity": 2, "lr_alpha": 0.01}
 PRECISIONS = ("f64", "f32")
 GENERATE_VARIANTS = {
     "plain": [], "ablate-sa": ["--ablate", "sa"], "ablate-ca": ["--ablate", "ca"],
@@ -81,9 +88,29 @@ class Runner:
 
 
 def gen_data(run: Runner, out: str, hops: str, train: int, valid: int, test: int,
-             seed: int) -> None:
+             seed: int, entities: int = ENTITIES) -> None:
     run("gen-data", "--out", out, "--hops", hops, "--train", train, "--valid", valid,
-        "--test", test, "--entities", ENTITIES, "--seed", seed)
+        "--test", test, "--entities", entities, "--seed", seed)
+
+
+def train_case(run: Runner, case: str, config: dict, hops: str, train: int,
+               valid: int, test: int, seed: int, entities: int = ENTITIES) -> None:
+    """gen-data into ``case``, arrange its training and validation splits,
+    then train ``config`` on them at each precision, with every usable CPU
+    and on one."""
+    gen_data(run, f"{case}/data", hops, train, valid, test, seed, entities)
+    (run.work / case / "arranged").mkdir(parents=True, exist_ok=True)
+    for split in ["train", "valid"] if valid else ["train"]:
+        run("arrange", "--in", f"{case}/data/{split}.jsonl",
+            "--out", f"{case}/arranged/{split}.jsonl")
+    vocab = (run.work / case / "data" / "vocab.txt").read_bytes()
+    (run.work / case / "arranged" / "vocab.txt").write_bytes(vocab)
+    (run.work / case / "config.json").write_text(json.dumps(config, sort_keys=True))
+    for precision in PRECISIONS:
+        for one_cpu in (False, True):
+            out = f"{case}/train-{precision}-{'one-cpu' if one_cpu else 'all-cpus'}"
+            run("train", "--config", f"{case}/config.json", "--data", f"{case}/arranged",
+                "--out", out, "--precision", precision, one_cpu=one_cpu)
 
 
 def run_matrix(tree: Path, work: Path) -> int:
@@ -94,25 +121,11 @@ def run_matrix(tree: Path, work: Path) -> int:
     for name, workload in make_workloads().items():
         if name == "generate":
             continue
-        splits = ["train", "valid"] if workload.valid_per_hop else ["train"]
+        config = {**TOY_MODEL, **TOY_TRAINER, **workload.trainer}
         for seed in SEEDS:
-            case = f"{name}-s{seed}"
-            gen_data(run, f"{case}/data", workload.hops, workload.per_hop,
-                     workload.valid_per_hop, 0, seed)
-            (work / case / "arranged").mkdir(parents=True, exist_ok=True)
-            for split in splits:
-                run("arrange", "--in", f"{case}/data/{split}.jsonl",
-                    "--out", f"{case}/arranged/{split}.jsonl")
-            vocab = (work / case / "data" / "vocab.txt").read_bytes()
-            (work / case / "arranged" / "vocab.txt").write_bytes(vocab)
-            config = {**TOY_MODEL, **TOY_TRAINER, **workload.trainer}
-            (work / case / "config.json").write_text(json.dumps(config, sort_keys=True))
-            for precision in PRECISIONS:
-                for one_cpu in (False, True):
-                    out = f"{case}/train-{precision}-{'one-cpu' if one_cpu else 'all-cpus'}"
-                    run("train", "--config", f"{case}/config.json",
-                        "--data", f"{case}/arranged", "--out", out,
-                        "--precision", precision, one_cpu=one_cpu)
+            train_case(run, f"{name}-s{seed}", config, workload.hops, workload.per_hop,
+                       workload.valid_per_hop, 0, seed)
+    train_case(run, "two-packs", TWO_PACKS_CONFIG, **TWO_PACKS)
 
     fx = FIXTURE_DATA
     gen_data(run, "generate/data", fx["hops"], fx["train"], fx["valid"], fx["test"],
