@@ -208,9 +208,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     A truncated file, bytes after the last tensor, a set header flag, a
     header that is not a JSON object, lacks a key or holds a value of the
     wrong JSON type, a tensor entry without a string name or a shape of
-    positive integers, or a header config that a config file could not
-    give (see ``load_config``) or that ``ModelConfig`` rejects raise
-    ``DataFormatError`` naming the file.
+    positive integers, a tensor name that comes twice, or a header config
+    that a config file could not give (see ``load_config``) or that
+    ``ModelConfig`` rejects raise ``DataFormatError`` naming the file.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -243,6 +243,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     for spec in header["tensors"]:
         check_fields(f"{path}: a tensor entry of the header", spec, _TENSOR_TYPES)
         name, shape = spec["name"], tuple(spec["shape"])
+        if name in arrays:
+            raise DataFormatError(f"{path}: tensor {name!r} comes twice in the header")
         if min(shape, default=1) < 1:
             raise DataFormatError(f"{path}: tensor {name!r} has a bad shape {spec['shape']!r}")
         end = offset + math.prod(shape) * float_size

@@ -319,7 +319,7 @@ def test_checkpoint_header_without_key_is_data_error(data_dir, train_dir, tmp_pa
     "invalid_config", "tensor_name_mismatch", "tensor_without_name",
     "bool_tensor_shape", "tensors_5", "tensors_null", "int_vocab_sha256",
     "float_d_model", "float_max_len", "string_mode", "huge_d_model", "huge_layer_count",
-    "huge_max_len", "overflowing_shape",
+    "huge_max_len", "overflowing_shape", "repeated_tensor_name",
 ])
 def test_checkpoint_header_that_misfits_the_model_is_data_error(
     data_dir, train_dir, tmp_path, capsys, defect

@@ -76,10 +76,15 @@ def corrupt_checkpoint(path, defect):
             header["tensors"][0]["shape"] = [0, 2**64]
         elif defect.startswith("no_"):
             del header[defect[3:]]
+        body = raw[12 + n :]
+        if defect == "repeated_tensor_name":  # a second emb.tok, all 7.0
+            (spec,) = [t for t in header["tensors"] if t["name"] == "emb.tok"]
+            header["tensors"].append(dict(spec))
+            body += np.full(spec["shape"], 7.0, dtype=f"<f{raw[6]}").tobytes()
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         if defect == "header_not_json":
             blob = blob[:-1]
-        raw = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :]
+        raw = raw[:8] + struct.pack("<I", len(blob)) + blob + body
     path.write_bytes(raw)
 
 
@@ -227,7 +232,7 @@ class TestCheckpoints:
         "zero_decoder_layers", "bool_tensor_shape", "tensors_5", "tensors_null",
         "int_vocab_sha256", "float_d_model", "float_max_len", "string_mode",
         "huge_d_model", "huge_layer_count", "huge_max_len", "overflowing_shape",
-        "zero_size_shape",
+        "zero_size_shape", "repeated_tensor_name",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"

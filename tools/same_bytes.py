@@ -1,32 +1,46 @@
-"""Check that two revisions write the same bytes.
+"""Check that forked runs write the same bytes as one-CPU runs, and
+compare two revisions' bytes.
 
     python3 tools/same_bytes.py --against <rev> [--rev <rev>]
 
 Exports ``--against`` and ``--rev`` (default HEAD) with ``git archive`` into
 a temporary directory and runs one fixed matrix of ``qrewrite`` commands on
-each, from each revision's own ``src/``, with BLAS pinned to one thread:
+each, from each revision's own ``src/``, with BLAS pinned to one thread.
+Every output is written twice: once with every usable CPU, where training
+validates in a forked worker and generation decodes packs in forked
+workers, into a ``*-all-cpus`` directory, and once pinned with ``taskset``
+to the first usable CPU, where both run in-process, into its ``*-one-cpu``
+twin:
 
   * the train-1hop and train-multihop set-ups of ``perfbench/workloads.py``
     on seeds 1-3, and the two-pack set-up (1/2/3 hops, 4 training and 12
     validation records per hop, 30 entities, seed 3, d_model 16), whose
-    36-record validation pool spans two packs: gen-data, arrange, then
-    train at f64 and f32, once with every usable CPU (validation forks a
-    worker, which forks again for a second pack) and once under
-    ``taskset -c 0``;
+    36-record validation pool spans two packs, so the validation worker
+    forks again: gen-data, arrange, then train at f64 and f32 (14 pairs);
   * the generate workload's fixture checkpoint on every arranged test
     record of its data: ``generate --emit-intermediates`` plain, with
     ``--ablate sa``, with ``--ablate ca`` and at ``--precision f32``, each
-    followed by ``evaluate``.
+    followed by ``evaluate`` (4 pairs).
 
 Every command runs with relative paths, and its exit status and output go
-to one ``commands.txt`` per revision.  Then every file the two runs wrote,
-that log included, is compared byte for byte, except
-``manifest-generate.json``, which holds an absolute path.  Prints a table of the output directories and the
-files that differ; exits 0 when every command succeeded and every file is
-equal, 1 when a command failed or a file differs, and 2 when a revision
-cannot be exported.
-To check uncommitted work, pass ``--rev $(git stash create)`` (after
-``git add`` for new files).
+to one ``commands.txt`` per revision.  ``manifest-generate.json``, which
+holds an absolute path, is never compared.  Prints the number of usable
+CPUs; a table of the output directories and the files that differ between
+the revisions; and, for each revision, a table of the 18 forked outputs
+against their one-CPU twins.  Exit status:
+
+  0  every command succeeded and every file is equal;
+  1  for information: files differ between the revisions, or a command of
+     ``--against`` failed or one of its forked outputs differs from its
+     twin (a change may move bytes on purpose, and a fix must not fail
+     because its parent was broken);
+  2  a revision cannot be exported;
+  3  a command of ``--rev`` failed, or a forked output of ``--rev`` differs
+     from its one-CPU twin.
+
+With one usable CPU both sides of every pair run in-process, so the pairs
+prove nothing.  To check uncommitted work, pass ``--rev $(git stash
+create)`` (after ``git add`` for new files).
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +73,8 @@ GENERATE_VARIANTS = {
     "f32": ["--precision", "f32"],
 }
 SKIPPED = {"manifest-generate.json"}
+SIDES = {False: "-all-cpus", True: "-one-cpu"}  # by one_cpu
+CPUS = sorted(os.sched_getaffinity(0))
 BLAS_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                           "MKL_NUM_THREADS")}
 
@@ -75,7 +92,7 @@ class Runner:
         argv = [str(a) for a in argv]
         cmd = [sys.executable, "-m", "qrewrite.cli", *argv]
         if one_cpu:
-            cmd = ["taskset", "-c", "0", *cmd]
+            cmd = ["taskset", "-c", str(CPUS[0]), *cmd]
         done = subprocess.run(cmd, cwd=self.work, env=self.env, capture_output=True,
                               text=True)
         with open(self.log, "a", encoding="utf-8") as fh:
@@ -107,8 +124,8 @@ def train_case(run: Runner, case: str, config: dict, hops: str, train: int,
     (run.work / case / "arranged" / "vocab.txt").write_bytes(vocab)
     (run.work / case / "config.json").write_text(json.dumps(config, sort_keys=True))
     for precision in PRECISIONS:
-        for one_cpu in (False, True):
-            out = f"{case}/train-{precision}-{'one-cpu' if one_cpu else 'all-cpus'}"
+        for one_cpu, side in SIDES.items():
+            out = f"{case}/train-{precision}{side}"
             run("train", "--config", f"{case}/config.json", "--data", f"{case}/arranged",
                 "--out", out, "--precision", precision, one_cpu=one_cpu)
 
@@ -133,13 +150,15 @@ def run_matrix(tree: Path, work: Path) -> int:
     run("arrange", "--in", "generate/data/test.jsonl", "--out", "generate/test.jsonl")
     fixture = Path(os.path.relpath(tree / "perfbench" / "fixture", work))
     for variant, flags in GENERATE_VARIANTS.items():
-        out = Path("generate") / variant
-        (work / out).mkdir()
-        run("generate", "--checkpoint", fixture / "checkpoint.bin",
-            "--data", "generate/test.jsonl", "--vocab", fixture / "vocab.txt",
-            "--out", out / "pred.jsonl", "--emit-intermediates", *flags)
-        run("evaluate", "--pred", out / "pred.jsonl", "--gold", "generate/test.jsonl",
-            "--out", out / "report.jsonl")
+        for one_cpu, side in SIDES.items():
+            out = Path("generate") / f"{variant}{side}"
+            (work / out).mkdir()
+            run("generate", "--checkpoint", fixture / "checkpoint.bin",
+                "--data", "generate/test.jsonl", "--vocab", fixture / "vocab.txt",
+                "--out", out / "pred.jsonl", "--emit-intermediates", *flags,
+                one_cpu=one_cpu)
+            run("evaluate", "--pred", out / "pred.jsonl", "--gold", "generate/test.jsonl",
+                "--out", out / "report.jsonl", one_cpu=one_cpu)
     return run.failed
 
 
@@ -158,29 +177,69 @@ def files_of(work: Path) -> dict[str, Path]:
             if p.is_file() and p.name not in SKIPPED}
 
 
-def compare(works: list[Path]) -> bool:
-    """Print the table of both runs' output directories and the files that
-    differ; whether every file is equal."""
-    left, right = map(files_of, works)
-    rows: dict[str, list[int]] = {}
-    differ = []
-    for name in sorted(left.keys() | right.keys()):
-        same = (name in left and name in right
-                and left[name].read_bytes() == right[name].read_bytes())
-        row = rows.setdefault(str(Path(name).parent), [0, 0])
-        row[0] += 1
-        row[1] += same
-        if not same:
-            differ.append(name if name in left and name in right
-                          else f"{name} (only in {'--against' if name in left else '--rev'})")
+def differing(left: dict[str, Path], right: dict[str, Path], sides: tuple[str, str]
+              ) -> list[str]:
+    """The names of ``left`` and ``right`` whose bytes differ or that only
+    one of them holds, the latter marked with its ``sides`` label."""
+    return [name if name in left and name in right
+            else f"{name} (only in {sides[name in right]})"
+            for name in sorted(left.keys() | right.keys())
+            if not (name in left and name in right
+                    and left[name].read_bytes() == right[name].read_bytes())]
+
+
+def compare(against: Path, rev: Path) -> bool:
+    """Print the table of both revisions' output directories and the files
+    that differ; whether every file is equal."""
+    left, right = files_of(against), files_of(rev)
+    differ = differing(left, right, ("--against", "--rev"))
+    rows = Counter(str(Path(name).parent) for name in left.keys() | right.keys())
+    unequal = Counter(str(Path(name).parent) for name in differ)
     print("| output directory | files | equal |\n|---|---|---|")
-    for directory, (n, same) in sorted(rows.items()):
-        print(f"| {directory} | {n} | {same} |")
-    total = sum(n for n, _ in rows.values())
+    for directory, n in sorted(rows.items()):
+        print(f"| {directory} | {n} | {n - unequal[directory]} |")
+    total = sum(rows.values())
     print(f"\n{total - len(differ)} of {total} files equal")
     for name in differ:
         print(f"differs: {name}")
     return not differ
+
+
+def compare_twins(label: str, work: Path) -> bool:
+    """Print the table of ``work``'s forked outputs against their one-CPU
+    twins; whether every pair is equal."""
+    pairs: dict[str, dict[bool, Path]] = {}
+    for path in sorted(p for p in work.rglob("*") if p.is_dir()):
+        for one_cpu, side in SIDES.items():
+            if path.name.endswith(side):
+                pairs.setdefault(str(path.relative_to(work))[:-len(side)], {})[one_cpu] = path
+    print(f"\n{label}: forked outputs against their one-CPU twins\n"
+          f"| output ({' and '.join(SIDES.values())}) | files | verdict |\n|---|---|---|")
+    unequal = 0
+    for stem, twins in sorted(pairs.items()):
+        left, right = (files_of(twins[k]) if k in twins else {} for k in SIDES)
+        differ = differing(left, right, tuple(SIDES.values()))
+        unequal += bool(differ)
+        verdict = f"differs: {', '.join(differ)}" if differ else "equal"
+        print(f"| {stem} | {len(left.keys() | right.keys())} | {verdict} |")
+    print(f"\n{len(pairs) - unequal} of {len(pairs)} pairs equal")
+    return not unequal
+
+
+def verdict(against: Path, rev: Path, failed_against: int = 0, failed_rev: int = 0
+            ) -> int:
+    """Print every table for the matrix outputs ``against`` and ``rev``, and
+    the commands that failed in each; the exit status of the module
+    docstring."""
+    same = compare(against, rev)
+    twins_against = compare_twins("--against", against)
+    twins_rev = compare_twins("--rev", rev)
+    for label, failed in (("--against", failed_against), ("--rev", failed_rev)):
+        if failed:
+            print(f"{label}: {failed} commands failed (see above)")
+    if failed_rev or not twins_rev:
+        return 3
+    return 0 if same and twins_against and not failed_against else 1
 
 
 def main(argv=None) -> int:
@@ -188,20 +247,21 @@ def main(argv=None) -> int:
     parser.add_argument("--against", required=True, help="the revision to compare with")
     parser.add_argument("--rev", default="HEAD", help="the revision checked (default HEAD)")
     args = parser.parse_args(argv)
+    print(f"usable CPUs: {len(CPUS)}; one-CPU runs are pinned to CPU {CPUS[0]}")
+    if len(CPUS) == 1:
+        print("with one usable CPU both sides of every pair run in-process, "
+              "so the pairs prove nothing")
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
-        works, failed = [], 0
+        works, failed = [], []
         for label, rev in (("against", args.against), ("rev", args.rev)):
             base = Path(tmp) / label
             t0 = time.perf_counter()
             export(rev, base / "tree")
-            failed += run_matrix(base / "tree", base / "out")
+            failed.append(run_matrix(base / "tree", base / "out"))
             print(f"{label} ({rev}): matrix ran in {time.perf_counter() - t0:.0f} s",
                   file=sys.stderr)
             works.append(base / "out")
-        same = compare(works)
-        if failed:
-            print(f"{failed} commands failed (see above)")
-        return 0 if same and not failed else 1
+        return verdict(*works, *failed)
 
 
 if __name__ == "__main__":
