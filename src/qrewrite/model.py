@@ -75,9 +75,9 @@ Conventions, fixed here once:
     validation; one example, with gradients or under no_grad, is the graph
     batch of one.  A pack's bits depend on its own examples only, so the
     packs run on up to one process per usable CPU when this process runs a
-    single OS thread (BLAS pinned to one): forked workers decode the other
-    shares of packs and pipe their results back.  Outputs repeat byte for
-    byte whatever the CPU count; a worker's memory is not in this
+    single OS thread (BLAS pinned to one): a child forked per share decodes
+    each other share of packs and pipes its results back.  Outputs repeat
+    byte for byte whatever the CPU count; a child's memory is not in this
     process's RSS.
 """
 
@@ -104,6 +104,9 @@ from .errors import LengthError, ShapeError
 # the position table holds max_len rows and a pack's self-attention cache
 # max_len rows per step, both allocated upfront
 MAX_LEN_LIMIT = 2**16
+# parameters a model may have, counted before any is allocated: 512 MiB at
+# f64, and training adds three buffers of that size
+MAX_PARAMETERS = 2**26
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,11 @@ class ModelConfig:
             raise ShapeError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
+        count = 0
+        for _, shape in parameter_shapes(self):
+            count += math.prod(shape)
+            if count > MAX_PARAMETERS:
+                raise ShapeError(f"more than MAX_PARAMETERS={MAX_PARAMETERS} parameters")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -577,11 +585,11 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
 
 
 def _workers(n_jobs: int) -> int:
-    """Processes that run ``n_jobs`` independent jobs (packs, or training
-    beside validation) at once: up to one per usable CPU when this process
-    can fork safely, else 1 (in-process).  Forking is safe only from a
-    single OS thread, so that no BLAS or other thread is copied in
-    mid-lock; without procfs the count is unknown."""
+    """Processes that run ``n_jobs`` independent jobs (packs) at once: up
+    to one per usable CPU when this process can fork safely, else 1
+    (in-process).  Forking is safe only from a single OS thread, so that
+    no BLAS or other thread is copied in mid-lock; without procfs the
+    count is unknown."""
     if n_jobs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     try:
@@ -604,115 +612,76 @@ def _run_share(fn, share) -> dict:
     return out
 
 
-def _send(pipe, obj) -> None:
-    """Pickle ``obj`` down ``pipe``, a buffered writer.  Large arrays go to
-    the pipe from their own memory, with no copy in between."""
-    pickle.dump(obj, pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.flush()
-
-
 class ForkedWorker:
-    """A forked child that serves calls of ``fn``, one at a time:
-    ``submit(*args)`` pipes it the pickled arguments, and ``join`` returns
-    what ``fn(*args)`` returned there or re-raises what it raised.  The
-    child works on the memory this process had at the fork, serves until
-    ``close`` and always leaves by ``os._exit``, so it never returns into
-    the caller's code.  If the pipes or the fork cannot be made, each call
-    runs here instead, at once, at submit.  A child that dies makes
-    ``submit`` or ``join`` raise ``RuntimeError`` naming its exit status;
-    that raise, any other raise out of them, and ``close`` reap it."""
+    """A forked child that runs ``fn()`` once: ``join`` returns what it
+    returned there or re-raises what it raised.  The child works on the
+    memory this process had at the fork, pickles its outcome down a pipe
+    and always leaves by ``os._exit``, so it never returns into the
+    caller's code.  If the pipe or the fork cannot be made, ``fn()`` runs
+    here instead, at once.  ``join`` reaps the child and raises
+    ``RuntimeError`` naming its exit status if it died without a result;
+    ``close`` kills and reaps a child that was not joined."""
 
     def __init__(self, fn):
-        self.fn, self.pid, self._pipes, self._outcome, self._busy = fn, None, None, None, False
+        self.pid, self._results = None, None
         fds = []
         try:
-            fds += os.pipe()
             fds += os.pipe()
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
+            self._outcome = _outcome(fn)
             return
-        requests_r, requests_w, results_r, results_w = fds
+        results_r, results_w = fds
         if pid == 0:
             status = 1
             try:
-                os.close(requests_w)
                 os.close(results_r)
-                requests, results = open(requests_r, "rb"), open(results_w, "wb")
-                while (args := pickle.load(requests)) is not None:
-                    try:
-                        outcome = True, fn(*args)
-                    except Exception as exc:
-                        outcome = False, exc
-                    _send(results, outcome)
+                with open(results_w, "wb") as results:
+                    pickle.dump(_outcome(fn), results, pickle.HIGHEST_PROTOCOL)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(requests_r)
         os.close(results_w)
-        self.pid, self._pipes = pid, (open(requests_w, "wb"), open(results_r, "rb"))
-
-    def submit(self, *args) -> None:
-        """Start ``fn(*args)``; the call before it must have been joined."""
-        self._busy = True
-        if self.pid is None:
-            try:
-                self._outcome = True, self.fn(*args)
-            except Exception as exc:
-                self._outcome = False, exc
-            return
-        try:
-            _send(self._pipes[0], args)
-        except BrokenPipeError:
-            raise self._died() from None
-        except BaseException:
-            self.close()
-            raise
+        self.pid, self._results = pid, open(results_r, "rb")
 
     def join(self):
-        """What the call submitted last returned; what it raised is raised."""
-        if self.pid is None:
-            outcome, self._outcome = self._outcome, None
-        else:
+        """What ``fn()`` returned; what it raised is raised."""
+        if self._results is not None:
             try:
-                outcome = pickle.load(self._pipes[1])
+                self._outcome = pickle.load(self._results)
             except (EOFError, pickle.UnpicklingError):
-                raise self._died() from None
-            except BaseException:
-                self.close()
-                raise
-        self._busy = False
-        returned, value = outcome
+                self._outcome = False, RuntimeError(
+                    f"forked worker {self.pid} exited with status {self._reap()} "
+                    "and no result")
+            else:
+                self._reap()
+        returned, value = self._outcome
         if not returned:
             raise value
         return value
 
     def close(self) -> None:
-        """Reap the child, if it still runs: an idle one is told to leave, a
-        busy one is killed."""
-        if self._pipes is not None:
-            if not self._busy:
-                with contextlib.suppress(OSError):  # it died: reaped all the same
-                    _send(self._pipes[0], None)
-            self._reap()
-
-    def _died(self) -> RuntimeError:
-        return RuntimeError(f"forked worker {self.pid} exited with status {self._reap()} "
-                            "and no result")
-
-    def _reap(self) -> int:
-        """Close the pipes, kill the child if it is busy, and wait for it:
-        its exit status."""
-        requests, results = self._pipes
-        self._pipes = None
-        results.close()
-        with contextlib.suppress(OSError):  # what a dead child left unread
-            requests.close()
-        if self._busy:
+        """Kill and reap the child, if it was not joined."""
+        if self._results is not None:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        """Close the pipe and wait for the child: its exit status."""
+        self._results.close()
+        self._results = None
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _outcome(fn) -> tuple[bool, object]:
+    """(True, what ``fn()`` returned) or (False, the exception it raised)."""
+    try:
+        return True, fn()
+    except Exception as exc:
+        return False, exc
 
 
 def _run_shares(fn, own, others: list) -> dict:
@@ -722,8 +691,7 @@ def _run_shares(fn, own, others: list) -> dict:
     workers = []
     try:
         for share in others:
-            workers.append(ForkedWorker(functools.partial(_run_share, fn)))
-            workers[-1].submit(share)
+            workers.append(ForkedWorker(functools.partial(_run_share, fn, share)))
         out = _run_share(fn, own)
         for worker in workers:
             out.update(worker.join())

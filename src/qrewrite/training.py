@@ -22,7 +22,6 @@ law |D| = sum_{h<=H} n(D_h) + sum_{h>H} floor(rho*n(D_h)) stays checkable.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics as M
-from . import model as model_module
 from .autodiff import Tensor
 from .docgraph import ArrangedExample, make_step_inputs
 from .errors import ConfigError, DivergenceError, ShapeError
@@ -377,24 +375,11 @@ def train(
     stably sorted by hop count, so the lowest hops come first.
 
     Emits one metrics record per validation event (end of each epoch) and
-    per checkpoint, each main complexity's and a final one, and hands
-    ``on_checkpoint`` the model at each checkpoint as it is reached.
-    ``on_event`` sees the records in the order they arise, but validation
-    reads only the parameters and the fixed pool, so it runs in a forked
-    worker while training goes on where ``model._workers`` allows two
-    processes and no ``plateau_patience`` needs its loss at once.  The
-    worker is forked once, at the first such validation, beside a shared
-    anonymous mmap of the parameter buffer's size.  Each validation copies
-    the parameters of that moment into the mmap and sends the worker only
-    the call; the worker copies them into its own copy of the model.  The
-    parent writes the mmap again only once that result is in.  The
-    record, and every record after it, is
-    held back until the worker's result is in, at the latest at the next
-    validation or the end of training.  If training raises meanwhile, the
-    held records are emitted first, as in one process.  If the worker
-    cannot be forked, each validation runs in-process at once.  A
-    ``warmup_steps`` longer than the planned number of updates is clamped
-    to the plan, so the learning rate then peaks at the last update.
+    per checkpoint, each main complexity's and a final one, in the order
+    they arise, and hands ``on_checkpoint`` the model at each checkpoint as
+    it is reached.  A ``warmup_steps`` longer than the planned number of
+    updates is clamped to the plan, so the learning rate then peaks at the
+    last update.
     """
     cfg = config.resolved()
     groups: dict[int, list[ArrangedExample]] = {}
@@ -423,107 +408,63 @@ def train(
 
     val_pool = sorted(val_examples, key=lambda ex: ex.hops)[: cfg.val_max_examples]
 
-    # the validation worker, forked at the first forked validation, the
-    # memory it shares with this process, which hands it the parameters,
-    # and the records held back until the result of its validation in
-    # flight is in
-    worker: model_module.ForkedWorker | None = None
-    shared: np.ndarray | None = None
-    held: list[dict] = []
-
-    def validate_on() -> dict:
-        np.copyto(optimizer.data, shared)
-        return _validate(model, val_pool, voc)
-
-    def post(record: dict) -> None:
-        if held:
-            held.append(record)
-        else:
+    for main in h_sequence:
+        best_val = math.inf
+        stale = 0
+        for epoch in range(cfg.epochs_per_main_complexity):
+            pool = build_iteration_dataset(groups, main, cfg.rho, rng)
+            pool = [
+                (c, ex)
+                for c, ex in pool
+                if loss_weight(c, main, cfg.gamma_low, cfg.gamma_high) != 0.0
+            ]
+            epoch_losses = []
+            for lo in range(0, len(pool), cfg.batch_size):
+                batch = pool[lo : lo + cfg.batch_size]
+                optimizer.zero_grad()
+                losses = _batch_losses(model, [ex for _, ex in batch], voc)
+                batch_loss = weighted_loss(
+                    losses, [c for c, _ in batch], main,
+                    cfg.gamma_low, cfg.gamma_high,
+                )
+                raw = batch_loss.item()
+                if not math.isfinite(raw):
+                    raise DivergenceError(
+                        f"non-finite loss {raw} at step {global_step}, H={main}"
+                    )
+                batch_loss.backward()
+                clip_grad_norm(model.params, cfg.max_grad_norm)
+                # decay reaches zero one virtual step past the final update
+                lr = lr_at(
+                    min(global_step + 1, total_steps),
+                    warmup_steps, total_steps + 1, cfg.lr_alpha,
+                )
+                optimizer.step(lr)
+                global_step += 1
+                epoch_losses.append(raw)
+                last_loss = raw
+            record = {
+                "event": "validation",
+                "step": global_step,
+                "H": main,
+                "epoch": epoch + 1,
+                "train_loss": sum(epoch_losses) / max(len(epoch_losses), 1),
+            }
+            if val_pool:
+                record.update(_validate(model, val_pool, voc))
             emit(record)
-
-    def land() -> None:
-        if held:
-            records = held.copy()
-            held.clear()
-            records[0].update(worker.join())
-            for record in records:
-                emit(record)
-
-    try:
-        for main in h_sequence:
-            best_val = math.inf
-            stale = 0
-            for epoch in range(cfg.epochs_per_main_complexity):
-                pool = build_iteration_dataset(groups, main, cfg.rho, rng)
-                pool = [
-                    (c, ex)
-                    for c, ex in pool
-                    if loss_weight(c, main, cfg.gamma_low, cfg.gamma_high) != 0.0
-                ]
-                epoch_losses = []
-                for lo in range(0, len(pool), cfg.batch_size):
-                    batch = pool[lo : lo + cfg.batch_size]
-                    optimizer.zero_grad()
-                    losses = _batch_losses(model, [ex for _, ex in batch], voc)
-                    batch_loss = weighted_loss(
-                        losses, [c for c, _ in batch], main,
-                        cfg.gamma_low, cfg.gamma_high,
-                    )
-                    raw = batch_loss.item()
-                    if not math.isfinite(raw):
-                        raise DivergenceError(
-                            f"non-finite loss {raw} at step {global_step}, H={main}"
-                        )
-                    batch_loss.backward()
-                    clip_grad_norm(model.params, cfg.max_grad_norm)
-                    # decay reaches zero one virtual step past the final update
-                    lr = lr_at(
-                        min(global_step + 1, total_steps),
-                        warmup_steps, total_steps + 1, cfg.lr_alpha,
-                    )
-                    optimizer.step(lr)
-                    global_step += 1
-                    epoch_losses.append(raw)
-                    last_loss = raw
-                record = {
-                    "event": "validation",
-                    "step": global_step,
-                    "H": main,
-                    "epoch": epoch + 1,
-                    "train_loss": sum(epoch_losses) / max(len(epoch_losses), 1),
-                }
-                if val_pool and not cfg.plateau_patience and model_module._workers(2) > 1:
-                    land()
-                    if worker is None:
-                        shared = np.frombuffer(mmap.mmap(-1, optimizer.data.nbytes),
-                                               optimizer.data.dtype)
-                        worker = model_module.ForkedWorker(validate_on)
-                    np.copyto(shared, optimizer.data)
-                    worker.submit()
-                    held.append(record)
+            if cfg.plateau_patience and val_pool:
+                if record["val_loss"] < best_val - 1e-6:
+                    best_val = record["val_loss"]
+                    stale = 0
                 else:
-                    if val_pool:
-                        record.update(_validate(model, val_pool, voc))
-                    post(record)
-                if cfg.plateau_patience and val_pool:
-                    if record["val_loss"] < best_val - 1e-6:
-                        best_val = record["val_loss"]
-                        stale = 0
-                    else:
-                        stale += 1
-                        if stale >= cfg.plateau_patience:
-                            break
-            label = f"H{main}"
-            post({"event": "checkpoint", "step": global_step, "H": main, "label": label})
-            if on_checkpoint is not None:
-                on_checkpoint(label, model)
+                    stale += 1
+                    if stale >= cfg.plateau_patience:
+                        break
+        label = f"H{main}"
+        emit({"event": "checkpoint", "step": global_step, "H": main, "label": label})
         if on_checkpoint is not None:
-            on_checkpoint("final", model)
-        land()
-    except Exception:
-        land()  # the records before the error, as in one process
-        raise
-    finally:
-        if worker is not None:
-            worker.close()
+            on_checkpoint(label, model)
+    if on_checkpoint is not None:
+        on_checkpoint("final", model)
     return TrainResult(last_loss, global_step)

@@ -386,8 +386,9 @@ def test_four_hop_train_and_generate(tmp_path, monkeypatch):
 
 def test_a_fork_that_fails_runs_in_process(data_dir, tmp_path, monkeypatch, capsys):
     # train validates and generate decodes the 6 test records in 2 packs of
-    # 3; with 2 workers allowed but no fork to be had, both work in-process,
-    # with the bytes of one process, and report no data error
+    # 3; with 2 workers allowed but no fork to be had, each tries one fork
+    # for its second pack and decodes it in-process, with the bytes of one
+    # process, and reports no data error
     monkeypatch.setattr(model_module, "PACK_SIZE", 3)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, "val_max_examples": 6}))
@@ -413,7 +414,9 @@ def test_a_fork_that_fails_runs_in_process(data_dir, tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(os, "fork", failing_fork)
     assert outputs(2) == one
-    assert len(tried) >= 2  # train's validation worker and generate's second pack
+    records = [json.loads(line) for line in one["metrics.jsonl"].splitlines()]
+    validations = sum(r["event"] == "validation" for r in records)
+    assert validations > 1 and len(tried) == validations + 1  # and generate's one
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert "data error" not in capsys.readouterr().err
 
@@ -497,10 +500,15 @@ class TestTrain:
     @pytest.mark.parametrize("config", [
         {"d_model": 10, "n_heads": 3}, {"d_model": 0}, {"d_model": "64"},
         {"lr_alpha": "x"}, {"gamma_low": None}, {"n_enc_layers": -1}, {"n_dec_layers": 0},
-        {"max_len": 2**40},
+        {"max_len": 2**40}, {"d_model": 2**63, "n_heads": 1}, {"n_enc_layers": 10**7},
     ], ids=["heads_misfit", "zero_width", "string_int", "string_float", "null_float",
-            "negative_encoder_layers", "no_decoder_layers", "huge_max_len"])
-    def test_config_the_model_rejects_is_error(self, data_dir, tmp_path, capsys, config):
+            "negative_encoder_layers", "no_decoder_layers", "huge_max_len",
+            "huge_d_model", "huge_layer_count"])
+    def test_config_the_model_rejects_is_error(self, data_dir, tmp_path, capsys,
+                                               monkeypatch, config):
+        # rejected before any parameter is allocated
+        monkeypatch.setattr(cli, "QuestionRewriter",
+                            lambda *args, **kw: pytest.fail("the model was built"))
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
         assert run("train", "--config", cfg, "--data", data_dir,

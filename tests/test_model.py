@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import itertools
+import math
 import os
 import signal
 import threading
@@ -19,6 +20,7 @@ from qrewrite.model import (
     StepInput,
     accumulated_attention,
     final_step_loss,
+    parameter_shapes,
     within_step_causal_mask,
 )
 
@@ -94,6 +96,19 @@ class TestConfig:
 
     def test_encoder_may_have_no_layers(self):
         assert ModelConfig(vocab_size=10, n_enc_layers=0).n_enc_layers == 0
+
+    def test_the_parameter_cap_admits_a_model_of_exactly_its_size(self):
+        # one vocabulary entry is two parameters: its embedding row of one
+        # column and its output bias
+        dims = dict(d_model=1, n_heads=1, d_ff=1, n_enc_layers=0, n_dec_layers=1)
+        rest = sum(math.prod(shape) for _, shape in
+                   parameter_shapes(ModelConfig(vocab_size=1, **dims))) - 2
+        vocab = (model_module.MAX_PARAMETERS - rest) // 2
+        cfg = ModelConfig(vocab_size=vocab, **dims)
+        assert sum(math.prod(shape) for _, shape in parameter_shapes(cfg)) == (
+            model_module.MAX_PARAMETERS)
+        with pytest.raises(ShapeError, match="MAX_PARAMETERS"):
+            ModelConfig(vocab_size=vocab + 1, **dims)
 
 
 class TestEncoder:

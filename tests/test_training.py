@@ -11,7 +11,7 @@ from qrewrite import autodiff as ad
 from qrewrite import dataio, synthetic, training
 from qrewrite import model as model_module
 from qrewrite.autodiff import Tensor
-from qrewrite.errors import ConfigError, DivergenceError, LengthError, ShapeError
+from qrewrite.errors import ConfigError, DivergenceError, ShapeError
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import ModelConfig, QuestionRewriter, final_step_loss
 from qrewrite.training import (
@@ -208,11 +208,17 @@ class TestAdamW:
         assert np.abs(p.data).max() < 1e-2
 
     def test_clip_grad_norm(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.array([3.0, 4.0])
-        norm = clip_grad_norm({"p": p}, max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+        # norms 5 and 1.5 (between max_norm and twice it) clip to 1; 0.5
+        # stays as it is
+        for grad, norm in (([3.0, 4.0], 5.0), ([0.9, 1.2], 1.5), ([0.3, 0.4], 0.5)):
+            p = Tensor(np.zeros(2), requires_grad=True)
+            p.grad = np.array(grad)
+            assert clip_grad_norm({"p": p}, max_norm=1.0) == pytest.approx(norm)
+            if norm > 1.0:
+                assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+                assert np.allclose(p.grad * norm, grad, rtol=1e-12, atol=0)
+            else:
+                assert p.grad.tolist() == grad
 
 
 class LoopAdamW:
@@ -466,6 +472,27 @@ def test_validation_encodes_each_step_once(monkeypatch):
     assert math.isfinite(record["val_loss"])
 
 
+def test_val_loss_is_the_mean_of_the_final_step_losses(monkeypatch):
+    # the plain mean over the pool of each example's final-step loss,
+    # computed here from the results of _validate's rewrite_packed
+    examples, voc = mixed_hop_batch((1, 3, 2, 2))
+    model = small_model(voc)
+    results = []
+    rewrite_packed = QuestionRewriter.rewrite_packed
+
+    def kept(self, *args, **kw):
+        results.extend(rewrite_packed(self, *args, **kw))
+        return results
+
+    monkeypatch.setattr(QuestionRewriter, "rewrite_packed", kept)
+    record = _validate(model, examples, voc)
+    losses = [final_step_loss(res.final_logits, voc.encode(ex.gold_question),
+                              voc.eos_id).item()
+              for res, ex in zip(results, examples, strict=True)]
+    assert len(set(losses)) == len(losses) == 4
+    assert abs(record["val_loss"] - math.fsum(losses) / len(losses)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the batched graph pass
 
@@ -609,18 +636,8 @@ def test_no_graph_outlives_its_backward(monkeypatch):
         live["validate"].append(graph_nodes())
         return validate(*args)
 
-    # a forked validation runs the probe above in the worker, where its
-    # count is lost: count at the hand-off in this process instead (the
-    # pool is one pack, so no other worker is submitted to here)
-    submit = model_module.ForkedWorker.submit
-
-    def counted_submit(self, *args):
-        live["validate"].append(graph_nodes())
-        submit(self, *args)
-
     monkeypatch.setattr(AdamW, "step", counted_step)
     monkeypatch.setattr(training, "_validate", counted_validate)
-    monkeypatch.setattr(model_module.ForkedWorker, "submit", counted_submit)
     cfg = CurriculumConfig(warmup_steps=2, batch_size=2, rho=0.5)
     result = train(model, examples, cfg, voc, val_examples=examples)
     assert len(live["adamw"]) == result.total_steps > 3
@@ -629,7 +646,7 @@ def test_no_graph_outlives_its_backward(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# validation forked beside training
+# validation's pack shares forked from training
 
 
 class TestForkedValidation:
@@ -681,13 +698,13 @@ class TestForkedValidation:
         try:
             train(small_model(voc, n_enc_layers=1, n_dec_layers=1), examples, cfg, voc,
                   val_examples=examples, on_checkpoint=save, on_event=records.append)
-        except (Exception, KeyboardInterrupt) as exc:
+        except Exception as exc:
             raised = type(exc), str(exc)
         finally:
             monkeypatch.setattr(os, "fork", fork)
         return records, checkpoints, raised, len(forks)
 
-    # 2 records: one pack; 9: three packs, so the validation child forks too
+    # 2 records: one pack; 9: three packs, so each validation forks once
     @pytest.mark.parametrize("val_max_examples", [2, 9])
     @pytest.mark.parametrize("plateau_patience", [0, 1])
     def test_forked_equals_in_process_byte_for_byte(self, monkeypatch, tmp_path,
@@ -700,12 +717,9 @@ class TestForkedValidation:
         assert raised is None and records and "val_loss" in records[0]
         assert set(checkpoints) == {"H1", "H2", "H3", "final"}
         assert forked[:3] == (records, checkpoints, None)
-        # the first validation forks the run's one worker, unless patience
-        # steers training by the loss: then each validation runs in-process
-        # and forks for its second pack share
+        # each validation forks for its second pack share; training never forks
         validations = sum(r["event"] == "validation" for r in records)
-        in_process = validations if val_max_examples == 9 else 0
-        assert (forks, forked[3]) == (0, in_process if plateau_patience else 1)
+        assert (forks, forked[3]) == (0, validations if val_max_examples == 9 else 0)
 
     def test_a_divergence_after_a_forked_validation_emits_what_one_process_does(
             self, monkeypatch, tmp_path):
@@ -723,34 +737,9 @@ class TestForkedValidation:
         assert runs[0][2] == (DivergenceError, "non-finite loss nan at step 3, H=2")
         assert runs[0][:3] == runs[1][:3]
         assert [r["event"] for r in runs[0][0]] == ["validation"] * 2 + ["checkpoint"]
-        assert runs[1][3] == 1  # the second validation was pending at the error
+        assert runs[1][3] == 2  # each validation forked for its second pack share
 
-    def test_a_failing_validation_fails_alike_in_a_child(self, monkeypatch, tmp_path):
-        def failing(model, examples, voc):
-            raise LengthError("validation failed")
-
-        monkeypatch.setattr(training, "_validate", failing)
-        runs = [self.train_on(monkeypatch, tmp_path, workers) for workers in (1, 2)]
-        assert runs[0][0] == runs[1][0] == []
-        assert runs[0][2] == runs[1][2] == (LengthError, "validation failed")
-        assert runs[1][3] == 1
-
-    def test_an_interrupt_reaps_the_pending_validation(self, monkeypatch, tmp_path):
-        batch_losses = training._batch_losses
-        calls = []
-
-        def interrupted(model, examples, voc):
-            calls.append(1)
-            if len(calls) == 4:  # H=2's second update: the second validation pends
-                raise KeyboardInterrupt
-            return batch_losses(model, examples, voc)
-
-        monkeypatch.setattr(training, "_batch_losses", interrupted)
-        records, _, raised, forks = self.train_on(monkeypatch, tmp_path, 2)
-        assert raised == (KeyboardInterrupt, "") and forks == 1
-        assert [r["event"] for r in records] == ["validation"]
-
-    # 2 records: one pack; 9: three packs, so in-process validation forks too
+    # 2 records: one pack; 9: three packs, so each validation tries a fork
     @pytest.mark.parametrize("val_max_examples", [2, 9])
     def test_a_fork_that_fails_validates_in_process(self, monkeypatch, tmp_path,
                                                     val_max_examples):
@@ -760,28 +749,6 @@ class TestForkedValidation:
                 for workers in (1, 2)]
         assert runs[0][2] is None and "val_loss" in runs[0][0][0]
         assert runs[1][:3] == runs[0][:3]
-        # the worker's fork is tried once; each validation then tries one
-        # for its second pack share
         validations = sum(r["event"] == "validation" for r in runs[0][0])
-        assert runs[1][3] == 1 + (validations if val_max_examples == 9 else 0)
+        assert runs[1][3] == (validations if val_max_examples == 9 else 0)
         assert len(os.listdir("/proc/self/fd")) == open_fds
-
-    def test_a_worker_that_dies_between_validations_names_its_exit_status(
-            self, monkeypatch, tmp_path):
-        join = model_module.ForkedWorker.join
-        killed = []
-
-        def join_then_kill(self):
-            result = join(self)
-            if not killed:  # the first validation lands, then its worker dies
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)  # left unreaped
-                killed.append(self.pid)
-            return result
-
-        monkeypatch.setattr(model_module.ForkedWorker, "join", join_then_kill)
-        records, _, raised, forks = self.train_on(monkeypatch, tmp_path, 2,
-                                                  val_max_examples=2)
-        assert raised == (RuntimeError, f"forked worker {killed[0]} exited with status -9 "
-                                         "and no result")
-        assert [r["event"] for r in records] == ["validation"] and forks == 1

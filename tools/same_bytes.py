@@ -6,17 +6,19 @@ compare two revisions' bytes.
 Exports ``--against`` and ``--rev`` (default HEAD) with ``git archive`` into
 a temporary directory and runs one fixed matrix of ``qrewrite`` commands on
 each, from each revision's own ``src/``, with BLAS pinned to one thread.
-Every output is written twice: once with every usable CPU, where training
-validates in a forked worker and generation decodes packs in forked
-workers, into a ``*-all-cpus`` directory, and once pinned with ``taskset``
-to the first usable CPU, where both run in-process, into its ``*-one-cpu``
+Every output is written twice: once with every usable CPU, where each
+share of packs but the parent's is decoded in a forked child, into a
+``*-all-cpus`` directory, and once pinned with ``taskset`` to the first
+usable CPU, where every pack is decoded in-process, into its ``*-one-cpu``
 twin:
 
   * the train-1hop and train-multihop set-ups of ``perfbench/workloads.py``
-    on seeds 1-3, and the two-pack set-up (1/2/3 hops, 4 training and 12
+    on seeds 1-3, which validate one pack at most and so run in-process on
+    both sides, and the two-pack set-up (1/2/3 hops, 4 training and 12
     validation records per hop, 30 entities, seed 3, d_model 16), whose
-    36-record validation pool spans two packs, so the validation worker
-    forks again: gen-data, arrange, then train at f64 and f32 (14 pairs);
+    36-record validation pool spans two packs, so each validation forks
+    for its second: gen-data, arrange, then train at f64 and f32 (14
+    pairs);
   * the generate workload's fixture checkpoint on every arranged test
     record of its data: ``generate --emit-intermediates`` plain, with
     ``--ablate sa``, with ``--ablate ca`` and at ``--precision f32``, each
