@@ -479,7 +479,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # a numeric failure is reported by its typed error alone
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         _eprint(f"usage error: {exc}")
         return 1

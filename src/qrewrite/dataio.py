@@ -208,9 +208,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
     A truncated file, bytes after the last tensor, a set header flag, a
     header that is not a JSON object, lacks a key or holds a value of the
     wrong JSON type, a tensor entry without a string name or a shape of
-    positive integers, a tensor name that comes twice, or a header config
-    that a config file could not give (see ``load_config``) or that
-    ``ModelConfig`` rejects raise ``DataFormatError`` naming the file.
+    positive integers, a tensor name that comes twice, a tensor value that
+    is NaN or infinite, or a header config that a config file could not
+    give (see ``load_config``) or that ``ModelConfig`` rejects raise
+    ``DataFormatError`` naming the file.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -254,6 +255,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, str, dict[str, np.nd
                 f"byte {end} of {len(raw)}"
             )
         arrays[name] = np.frombuffer(raw[offset:end], dtype=dtype).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise DataFormatError(f"{path}: tensor {name!r} holds a NaN or infinite value")
         offset = end
     if offset != len(raw):
         raise DataFormatError(

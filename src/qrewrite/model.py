@@ -75,17 +75,17 @@ Conventions, fixed here once:
     validation; one example, with gradients or under no_grad, is the graph
     batch of one.  A pack's bits depend on its own examples only, so the
     packs run on up to one process per usable CPU when this process runs a
-    single OS thread (BLAS pinned to one): a child forked per share decodes
-    each other share of packs and pipes its results back.  Outputs repeat
-    byte for byte whatever the CPU count; a child's memory is not in this
-    process's RSS.
+    single OS thread (BLAS pinned to one): one function, _run_shares, forks
+    a child per share of packs beyond this process's own, which decodes it,
+    pipes its results back and exits, and decodes here a share whose pipe
+    or fork cannot be made.  Outputs repeat byte for byte whatever the CPU
+    count; a child's memory is not in this process's RSS.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -612,93 +612,57 @@ def _run_share(fn, share) -> dict:
     return out
 
 
-class ForkedWorker:
-    """A forked child that runs ``fn()`` once: ``join`` returns what it
-    returned there or re-raises what it raised.  The child works on the
-    memory this process had at the fork, pickles its outcome down a pipe
-    and always leaves by ``os._exit``, so it never returns into the
-    caller's code.  If the pipe or the fork cannot be made, ``fn()`` runs
-    here instead, at once.  ``join`` reaps the child and raises
-    ``RuntimeError`` naming its exit status if it died without a result;
-    ``close`` kills and reaps a child that was not joined."""
-
-    def __init__(self, fn):
-        self.pid, self._results = None, None
-        fds = []
-        try:
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            self._outcome = _outcome(fn)
-            return
-        results_r, results_w = fds
-        if pid == 0:
-            status = 1
-            try:
-                os.close(results_r)
-                with open(results_w, "wb") as results:
-                    pickle.dump(_outcome(fn), results, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(results_w)
-        self.pid, self._results = pid, open(results_r, "rb")
-
-    def join(self):
-        """What ``fn()`` returned; what it raised is raised."""
-        if self._results is not None:
-            try:
-                self._outcome = pickle.load(self._results)
-            except (EOFError, pickle.UnpicklingError):
-                self._outcome = False, RuntimeError(
-                    f"forked worker {self.pid} exited with status {self._reap()} "
-                    "and no result")
-            else:
-                self._reap()
-        returned, value = self._outcome
-        if not returned:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Kill and reap the child, if it was not joined."""
-        if self._results is not None:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            self._reap()
-
-    def _reap(self) -> int:
-        """Close the pipe and wait for the child: its exit status."""
-        self._results.close()
-        self._results = None
-        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _outcome(fn) -> tuple[bool, object]:
-    """(True, what ``fn()`` returned) or (False, the exception it raised)."""
-    try:
-        return True, fn()
-    except Exception as exc:
-        return False, exc
-
-
 def _run_shares(fn, own, others: list) -> dict:
     """``_run_share`` of every share, merged: ``own`` in this process and
-    each of ``others`` in a ``ForkedWorker`` of its own.  Every worker is
-    reaped before this returns or raises."""
-    workers = []
+    each of ``others`` in a child forked for it, which works on the memory
+    this process had at the fork, pickles its dict down a pipe and always
+    leaves by ``os._exit``.  A share whose pipe or fork cannot be made runs
+    here at once.  After its own share this process reads and reaps the
+    children in share order; one that died without a result raises
+    ``RuntimeError`` naming its exit status.  A child not yet read when this
+    returns or raises is killed and reaped."""
+
+    def reap(pid: int) -> int:
+        children.pop(pid).close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    out, children = {}, {}
     try:
         for share in others:
-            workers.append(ForkedWorker(functools.partial(_run_share, fn, share)))
-        out = _run_share(fn, own)
-        for worker in workers:
-            out.update(worker.join())
+            fds = []
+            try:
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                out.update(_run_share(fn, share))
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(fds[0])
+                    with open(fds[1], "wb") as results:
+                        pickle.dump(_run_share(fn, share), results, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fds[1])
+            children[pid] = open(fds[0], "rb")
+        out.update(_run_share(fn, own))
+        for pid in list(children):
+            try:
+                out.update(pickle.load(children[pid]))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"forked worker {pid} exited with status {reap(pid)} "
+                                   "and no result") from None
+            reap(pid)
         return out
     finally:
-        for worker in workers:
-            worker.close()
+        for pid in list(children):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            reap(pid)
 
 
 class QuestionRewriter:

@@ -452,6 +452,11 @@ def train(
             }
             if val_pool:
                 record.update(_validate(model, val_pool, voc))
+                if not math.isfinite(record["val_loss"]):
+                    raise DivergenceError(
+                        f"non-finite validation loss {record['val_loss']} at step "
+                        f"{global_step}, H={main}"
+                    )
             emit(record)
             if cfg.plateau_patience and val_pool:
                 if record["val_loss"] < best_val - 1e-6:

@@ -334,6 +334,33 @@ def test_checkpoint_header_that_misfits_the_model_is_data_error(
     assert "checkpoint.bin: " in err and "Traceback" not in err
 
 
+def no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# lr_alpha 1e308 blows the parameters up: on 4 records the first update's
+# batch loss is still finite and validation after it is not; on 8 the
+# second update's batch loss is not
+@pytest.mark.parametrize("n_train, diverged", [(4, "validation loss nan at step 1"),
+                                               (8, "loss nan at step 1")])
+def test_a_diverged_run_is_one_numeric_failure(n_train, diverged, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run("gen-data", "--out", data, "--hops", "1", "--train", n_train, "--valid", "2",
+               "--test", "1", "--entities", "12", "--seed", "1") == 0
+    for split in ("train", "valid", "test"):
+        assert run("arrange", "--in", data / f"{split}.jsonl", "--out", data / "a.jsonl") == 0
+        (data / "a.jsonl").replace(data / f"{split}.jsonl")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d_model": 16, "n_heads": 2, "d_ff": 32, "n_enc_layers": 1,
+                               "n_dec_layers": 1, "lr_alpha": 1e308, "warmup_steps": 0,
+                               "batch_size": 4}))
+    capsys.readouterr()
+    assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 3
+    assert capsys.readouterr().err == f"numeric failure: non-finite {diverged}, H=1\n"
+    for line in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=no_constant)
+
+
 TINY_CONFIG = {
     "d_model": 16, "n_heads": 2, "d_ff": 24, "n_enc_layers": 1, "n_dec_layers": 1,
     "lr_alpha": 1e-3, "warmup_steps": 2, "batch_size": 8,

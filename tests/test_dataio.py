@@ -81,6 +81,8 @@ def corrupt_checkpoint(path, defect):
             (spec,) = [t for t in header["tensors"] if t["name"] == "emb.tok"]
             header["tensors"].append(dict(spec))
             body += np.full(spec["shape"], 7.0, dtype=f"<f{raw[6]}").tobytes()
+        elif defect == "non_finite_value":  # the first tensor's first value a NaN
+            body = np.array([np.nan], dtype=f"<f{raw[6]}").tobytes() + body[raw[6]:]
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         if defect == "header_not_json":
             blob = blob[:-1]
@@ -232,7 +234,7 @@ class TestCheckpoints:
         "zero_decoder_layers", "bool_tensor_shape", "tensors_5", "tensors_null",
         "int_vocab_sha256", "float_d_model", "float_max_len", "string_mode",
         "huge_d_model", "huge_layer_count", "huge_max_len", "overflowing_shape",
-        "zero_size_shape", "repeated_tensor_name",
+        "zero_size_shape", "repeated_tensor_name", "non_finite_value",
     ])
     def test_malformed_checkpoint(self, tmp_path, defect):
         path = tmp_path / "ck.bin"
@@ -242,6 +244,9 @@ class TestCheckpoints:
             dataio.load_model(path)  # reads the file with load_checkpoint first
         if defect.startswith("no_"):
             assert repr(defect[3:]) in str(err.value)
+        if defect == "non_finite_value":
+            first = next(iter(self._model().params))
+            assert f"tensor {first!r} holds a NaN or infinite value" in str(err.value)
 
     def test_mode_overrides_on_load(self, tmp_path):
         m = self._model()

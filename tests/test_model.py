@@ -1012,6 +1012,56 @@ class TestForkedPacks:
                 == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
         assert len(os.listdir("/proc/self/fd")) == open_fds
 
+    def test_a_pipe_that_fails_decodes_in_process(self, monkeypatch):
+        # 3 shares: the first child's pipe fails, so that share decodes
+        # here, and the second share still forks
+        m = pack_model()
+        examples = self.examples(m)
+        in_workers(monkeypatch, 1)
+        expected = m.rewrite_packed(examples, BOS, EOS)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        pipes, forks = [], []
+        pipe, fork = os.pipe, os.fork
+
+        def failing_first_pipe():
+            pipes.append(1)
+            if len(pipes) == 1:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", failing_first_pipe)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        in_workers(monkeypatch, 3)
+        results = m.rewrite_packed(examples, BOS, EOS)
+        assert (len(pipes), len(forks)) == (2, 1)
+        assert ([[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in results]
+                == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(self, monkeypatch):
+        m = pack_model()
+        parent = os.getpid()
+        reaped = []
+        waitpid = os.waitpid
+
+        def interrupted_here(fn, share):
+            if os.getpid() != parent:
+                signal.pause()  # a child that would never finish on its own
+            raise KeyboardInterrupt
+
+        def recorded_waitpid(pid, options):
+            reaped.append(waitpid(pid, options))
+            return reaped[-1]
+
+        monkeypatch.setattr(model_module, "_run_share", interrupted_here)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        in_workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            m.rewrite_packed(self.examples(m), BOS, EOS)
+        assert len(reaped) == 2
+        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+                   for _, status in reaped)
+
     def test_one_pack_never_forks(self, monkeypatch):
         m = pack_model()
         assert model_module._workers(1) == 1
