@@ -4,9 +4,10 @@ Flat row-major numpy buffers and the handful of differentiable operations a
 small encoder-decoder transformer needs: an affine map (``linear``: matmul,
 optional bias and residual add and ReLU as one node, bit-equal to the
 chain; a plain product is ``linear(x, w)``), fused multi-head attention
-with a masked softmax over row segments packed into one op (one index takes
-every segment's keys from stacked rows, and backward scatter-adds into
-those rows), layer normalization, a row lookup (``embed``: optionally
+with a masked softmax over row segments packed into one op (keys and values
+are lists of blocks; one index takes every segment's keys from the blocks'
+stacked rows, and backward scatter-adds into those rows, each block taking
+its own), layer normalization, a row lookup (``embed``: optionally
 scaled and plus position rows, one node), cross-entropy.  Every tensor is
 2-D or smaller.  No general broadcasting; the only implicit broadcast is a
 bias row added to every row of a matrix.
@@ -279,24 +280,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     return out
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors vertically; backward splits the gradient back."""
-    if not tensors:
-        raise ShapeError("concat_rows of an empty sequence")
-    width = tensors[0].shape[1]
-    for t in tensors:
-        if t.data.ndim != 2 or t.shape[1] != width:
-            raise ShapeError("concat_rows: all blocks must share their width")
-    out = _result(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), None)
-    if out.requires_grad:
-        offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
-        def bwd(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                _accumulate(t, g[lo:hi], shared=True)
-        out._backward = bwd
-    return out
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] of shape {a.shape}")
@@ -326,12 +309,30 @@ def _lookup(table: np.ndarray, ids: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     return table[idx], idx
 
 
-def _scatter_add(t: Tensor, rows: np.ndarray, grad: np.ndarray) -> None:
-    """Add the gradient row ``grad[i]`` into row ``rows[i]`` of ``t``'s
-    gradient; a row named twice gets both."""
-    full = np.zeros_like(t.data)
-    np.add.at(full, rows, grad)
-    _accumulate(t, full)
+def _stack(blocks: Sequence[Tensor]) -> np.ndarray:
+    """The rows of the 2-D ``blocks`` stacked in order: a lone block's own
+    array, else a copy."""
+    return blocks[0].data if len(blocks) == 1 else np.concatenate([t.data for t in blocks])
+
+
+def _scatter_add(blocks: Sequence[Tensor], rows: np.ndarray | None, grad: np.ndarray) -> None:
+    """Add the gradient row ``grad[i]`` into row ``rows[i]`` of the rows of
+    ``blocks`` stacked in order; a row named twice gets both, and None
+    names every row once, in order.  A lone block takes the stack's
+    gradient as it is; several take copies of their row ranges of it, cast
+    once to the stack's dtype."""
+    dtype = np.result_type(*(t.data for t in blocks))
+    if rows is not None:
+        full = np.zeros((sum(len(t.data) for t in blocks), grad.shape[1]), dtype)
+        np.add.at(full, rows, grad)
+        grad = full
+    if len(blocks) == 1:
+        _accumulate(blocks[0], grad)
+        return
+    grad, lo = np.asarray(grad, dtype), 0
+    for t in blocks:
+        _accumulate(t, grad[lo:lo + len(t.data)], shared=True)
+        lo += len(t.data)
 
 
 def embed(table: Tensor, ids: Sequence[int], scale: float | None = None,
@@ -346,7 +347,7 @@ def embed(table: Tensor, ids: Sequence[int], scale: float | None = None,
         rows = rows * scale
     out = _result(rows if pos is None else rows + pos, (table,), None)
     if out.requires_grad:
-        out._backward = lambda g: _scatter_add(table, idx, g if scale is None else g * scale)
+        out._backward = lambda g: _scatter_add([table], idx, g if scale is None else g * scale)
     return out
 
 
@@ -467,31 +468,36 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return p, _unpad(_merge(p @ vh), layout)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
-              layout: Padded) -> Tensor:
+def attention(q: Tensor, k: Sequence[Tensor], v: Sequence[Tensor], n_heads: int,
+              index: np.ndarray, layout: Padded) -> Tensor:
     """Multi-head scaled dot-product attention of segments packed along the
     rows of one graph node.
 
-    ``q`` is (m, d); ``k`` and ``v`` are (n, d) stacked rows.  Head h owns
-    columns h*d_k..(h+1)*d_k of each, and of the (m, d) result.  The
+    ``q`` is (m, d); ``k`` and ``v`` are lists of (rows, d) blocks, and the
+    keys and values are their rows stacked in order (n rows each).  Head h
+    owns columns h*d_k..(h+1)*d_k of each, and of the (m, d) result.  The
     (segments, n_max) ``index`` takes each segment's padded keys and values
     from the stacked rows, and ``layout`` pads its queries and masks its
-    keys; ``segment_layout`` builds both.  Inside the op the segments run as
-    one batched matmul over (segments, heads, rows, n_max), heads an array
-    axis; masked keys get probability exactly zero.  Backward, per head
-    with P the attention weights and dO the output gradient: dV = P^T dO,
-    dP = dO V^T, dS = P * (dP - rowsum(dP * P)), then dQ = dS K / sqrt(d_k)
-    and dK = dS^T Q / sqrt(d_k).  The gradients of the key columns some
-    query sees scatter-add into the stacked rows they came from, so
-    segments that share a row add their gradients there.
+    keys; ``segment_layout`` builds both.  The stack is a copy that lives
+    only while forward or backward runs, so no graph node holds it.  Inside
+    the op the segments run as one batched matmul over (segments, heads,
+    rows, n_max), heads an array axis; masked keys get probability exactly
+    zero.  Backward, per head with P the attention weights and dO the
+    output gradient: dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP *
+    P)), then dQ = dS K / sqrt(d_k) and dK = dS^T Q / sqrt(d_k).  The
+    gradients of the key columns some query sees scatter-add into the
+    stacked rows they came from, so segments that share a row add their
+    gradients there, and each block takes its rows of the stack.  The
+    parents are ``(q, *k, *v)``.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("attention expects 2-D q, k and v")
-    (m, d), n = q.data.shape, k.data.shape[0]
-    if k.data.shape != (n, d) or v.data.shape != (n, d) or n == 0:
-        raise ShapeError(
-            f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit"
-        )
+    if q.data.ndim != 2 or not k or len(k) != len(v):
+        raise ShapeError(f"attention: q {q.shape}, {len(k)} key and {len(v)} value blocks")
+    m, d = q.data.shape
+    if any(t.data.ndim != 2 or t.data.shape[1] != d for t in (*k, *v)):
+        raise ShapeError(f"attention: key and value blocks must be 2-D and {d} wide")
+    n, n_v = sum(len(t.data) for t in k), sum(len(t.data) for t in v)
+    if n != n_v or n == 0:
+        raise ShapeError(f"attention: {n} key rows and {n_v} value rows")
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
     n_seg, allow = len(layout.q_valid), layout.allow
@@ -507,23 +513,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
             raise ShapeError(f"attention: mask {allow.shape} for keys {index.shape}")
         if not allow.any(axis=2).all():
             raise ShapeError("attention: a query row has no permitted keys")
-    p, out = _attend(q.data, k.data[index], v.data[index], n_heads, layout)
-    out = _result(out, (q, k, v), None)
+    p, out = _attend(q.data, _stack(k)[index], _stack(v)[index], n_heads, layout)
+    out = _result(out, (q, *k, *v), None)
     if out.requires_grad:
         seen = np.ones(index.shape, dtype=bool) if allow is None else allow.any(axis=1)
         rows = index[seen]  # the stacked row of each key column a query sees
         if len(rows) == n and (rows == np.arange(n)).all():
             rows = None  # every row once, in order
 
-        def scatter(t: Tensor, padded: np.ndarray) -> None:  # padded keys -> rows of t
-            if rows is None:
-                _accumulate(t, padded[seen])
-            else:
-                _scatter_add(t, rows, padded[seen])
-
         def bwd(g):
-            # rebuilt rather than kept alive until now
-            qs, kh, vh = _operands(q.data, k.data[index], v.data[index], n_heads, layout)
+            # the stacks rebuilt rather than kept alive until now
+            qs, kh, vh = _operands(q.data, _stack(k)[index], _stack(v)[index], n_heads, layout)
             if layout.q_index is None:
                 g3 = g.reshape(len(p), layout.m_max, d)
             else:
@@ -533,8 +533,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, index: np.ndarray,
             dp = gh @ vh.transpose(0, 1, 3, 2)
             ds = p * (dp - (dp * p).sum(axis=3, keepdims=True))
             _accumulate(q, _unpad(_merge(ds @ kh), layout) * (1.0 / np.sqrt(d // n_heads)))
-            scatter(k, _merge(ds.transpose(0, 1, 3, 2) @ qs))
-            scatter(v, _merge(p.transpose(0, 1, 3, 2) @ gh))
+            _scatter_add(k, rows, _merge(ds.transpose(0, 1, 3, 2) @ qs)[seen])
+            _scatter_add(v, rows, _merge(p.transpose(0, 1, 3, 2) @ gh)[seen])
         out._backward = bwd
     return out
 

@@ -30,7 +30,8 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or greedy decoding a non-finite
+    logit."""
 
 
 class GenerationError(RuntimeError):

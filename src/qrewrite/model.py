@@ -54,13 +54,14 @@ Conventions, fixed here once:
     The cache keeps one (rows, d_model) K/V block per layer and step,
     stacking the step's segments, with the heads packed along the columns;
     only the fused attention op splits them, as an array axis.  A pass
-    attends over the stack of the sealed blocks and this step's blocks
-    (cross-attention stacks its blocks once per step) by one key index
-    that names each segment's sealed and new rows in it; the op's backward
-    scatter-adds into the stacked rows, so the final loss reaches every
-    earlier step of its own example.  A sealing pass skips the last
-    layer's attention, feed-forward and output head, whose results nothing
-    reads;
+    hands the attention op the list of the sealed blocks and this step's
+    block (cross-attention builds its list once per step) and one key
+    index that names each segment's sealed and new rows in their stack;
+    the op stacks the blocks only while its forward or backward runs, and
+    its backward scatter-adds into the stacked rows and hands each block
+    its own, so the final loss reaches every earlier step of its own
+    example.  A sealing pass skips the last layer's attention,
+    feed-forward and output head, whose results nothing reads;
   * under no_grad a pack's cache is one preallocated, zeroed (segments,
     rows, d_model) K and one V store per layer (self- and cross-attention),
     sized upfront for the pack: a step writes its rows in place after the
@@ -98,7 +99,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import LengthError, ShapeError
+from .errors import DivergenceError, LengthError, ShapeError
 
 
 # the position table holds max_len rows and a pack's self-attention cache
@@ -227,13 +228,6 @@ def _sealed_rows(
     return [np.concatenate(rows[s]) if rows[s] else empty for s in segs], offset
 
 
-def _gather(blocks: Sequence[Tensor], index: np.ndarray | None = None) -> Tensor:
-    """Rows ``index`` of the stacked ``blocks``; None takes them all."""
-    rows = blocks[0] if len(blocks) == 1 else ad.concat_rows(blocks)
-    # a row lookup whose backward scatter-adds into the looked-up rows
-    return rows if index is None else ad.embed(rows, index)
-
-
 class PackCache:
     """K/V rows sealed by completed steps of a pack of examples (no_grad),
     and the weight arrays its passes read.
@@ -281,15 +275,15 @@ class GraphState:
     themselves, never to an earlier pass of the step.  ``n_fed[j]`` rows of
     segment j were fed by the last pass (0 when it fed none), whose K/V
     rows ``blocks[i]`` are the step's block of layer i.  Self-attention
-    keys stack the cache's sealed blocks ``sa_k[i]`` (with accumulated
+    keys are the cache's sealed blocks ``sa_k[i]`` (with accumulated
     self-attention) and the pass's block; ``sealed[j]`` indexes segment
-    j's rows in that stack and ``n_sealed`` counts the sealed rows.
-    Cross-attention keys ``ca_k[i]`` stack the sealed context blocks (with
+    j's rows in their stack and ``n_sealed`` counts the sealed rows.
+    Cross-attention keys ``ca_k[i]`` list the sealed context blocks (with
     accumulated cross-attention) and this step's block ``ca_current_k[i]``,
-    once per step; ``ca_rows[j]`` index segment j's rows in that stack and
-    ``ca_own[j]`` its rows in this step's block.  A pass attends over the
-    stacks in place: one key index per pass names each fed segment's rows,
-    and no row is copied out of its stack first.  The state serves its
+    once per step; ``ca_rows[j]`` index segment j's rows in their stack
+    and ``ca_own[j]`` its rows in this step's block.  A pass hands the
+    attention op the block lists and one key index that names each fed
+    segment's rows; no node holds a stacked copy.  The state serves its
     step until the step seals.
     """
 
@@ -317,9 +311,9 @@ class GraphState:
                         for p, own in zip(prior, self.ca_own)]
         self.ca_index = None  # this step's block rows that seal, None for all
         self.ca_current_k, self.ca_current_v = ca_current_k, ca_current_v
-        self.ca_k = [_gather([*blocks, k] if with_ca else [k])
+        self.ca_k = [[*blocks, k] if with_ca else [k]
                      for blocks, k in zip(cache.ca_keys, ca_current_k)]
-        self.ca_v = [_gather([*blocks, v] if with_ca else [v])
+        self.ca_v = [[*blocks, v] if with_ca else [v]
                      for blocks, v in zip(cache.ca_values, ca_current_v)]
         self._sa = self._ca = None
 
@@ -344,8 +338,7 @@ class GraphState:
     def attend_self(self, i: int, q: Tensor, n_heads: int) -> Tensor:
         """Layer ``i``'s self-attention of ``q`` over the sealed and new rows."""
         k, v = self.blocks[i]
-        return ad.attention(q, _gather([*self.sa_k[i], k]), _gather([*self.sa_v[i], v]),
-                            n_heads, *self._sa)
+        return ad.attention(q, [*self.sa_k[i], k], [*self.sa_v[i], v], n_heads, *self._sa)
 
     def attend_cross(self, i: int, q: Tensor, n_heads: int) -> Tensor:
         return ad.attention(q, self.ca_k[i], self.ca_v[i], n_heads, *self._ca)
@@ -365,8 +358,10 @@ class GraphState:
         """Layer ``i``'s K/V blocks of this step, segment by segment: self-
         attention keys and values of the last pass, then cross-attention
         keys and values."""
-        return (*self.blocks[i], _gather([self.ca_current_k[i]], self.ca_index),
-                _gather([self.ca_current_v[i]], self.ca_index))
+        k, v, index = self.ca_current_k[i], self.ca_current_v[i], self.ca_index
+        if index is not None:  # row lookups whose backward scatter-adds into k and v
+            k, v = ad.embed(k, index), ad.embed(v, index)
+        return (*self.blocks[i], k, v)
 
 
 class PassLayout(NamedTuple):
@@ -552,26 +547,18 @@ def accumulated_attention(
     the m queries belong to the last m rows of the current block (m may not
     exceed its row count) and query i sees the current rows up to its own;
     otherwise every query sees the whole current block.  Heads are packed
-    along the columns of every argument and of the result.
+    along the columns of every argument and of the result; the attention
+    op checks the blocks' widths and counts.
     """
-    width = q.shape[1]
-    for blk in (*prior_keys, *prior_values, current_k, current_v):
-        if blk.shape[1] != width:
-            raise ShapeError(
-                f"attention block width {blk.shape[1]} != query width {width}"
-            )
-    if len(prior_keys) != len(prior_values):
-        raise ShapeError("prior key/value block counts differ")
-    keys = ad.concat_rows([*prior_keys, current_k]) if prior_keys else current_k
-    values = ad.concat_rows([*prior_values, current_v]) if prior_values else current_v
     if causal_within_step and q.shape[0] > current_k.shape[0]:
         raise ShapeError(
             "causal attention needs at most one query per current-block row"
         )
+    keys = [*prior_keys, current_k]
     # one segment: every row of the stack, the queries its last rows
-    layout = ad.segment_layout([q.shape[0]], [np.arange(keys.shape[0])],
+    layout = ad.segment_layout([q.shape[0]], [np.arange(sum(len(k.data) for k in keys))],
                                causal_within_step)
-    return ad.attention(q, keys, values, n_heads, *layout)
+    return ad.attention(q, keys, [*prior_values, current_v], n_heads, *layout)
 
 
 def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
@@ -748,7 +735,8 @@ class QuestionRewriter:
         for w in self._enc_layers:
             h = ad.layer_norm_rows(x, w["ln1.g"], w["ln1.b"])
             k, v = ad.linear(h, w["sa.wk"]), ad.linear(h, w["sa.wv"])
-            attended = ad.attention(ad.linear(h, w["sa.wq"]), k, v, self.cfg.n_heads, *layout)
+            attended = ad.attention(ad.linear(h, w["sa.wq"]), [k], [v], self.cfg.n_heads,
+                                    *layout)
             x = ad.linear(attended, w["sa.wo"], w["sa.bo"], residual=x)
             h = ad.layer_norm_rows(x, w["ln2.g"], w["ln2.b"])
             h = ad.linear(h, w["ff.w1"], w["ff.b1"], relu=True)
@@ -879,6 +867,8 @@ class QuestionRewriter:
         Each pass feeds one token per live segment.  A segment leaves at
         <eos>, or when its step reaches max_len, which is flagged as
         truncation, not an error.  Ties break toward the lowest token id.
+        A pick whose logit is not finite (a NaN row picks its first NaN)
+        raises ``DivergenceError``.
         """
         live = list(range(len(state.segs)))
         outs = {j: StepOutput([], False, [] if collect_logits else None) for j in live}
@@ -886,8 +876,13 @@ class QuestionRewriter:
         with ad.no_grad():
             while live:
                 logits = self.decode_token(state, tokens, active=live)
+                picks = logits.argmax(axis=1)
+                chosen = logits[np.arange(len(picks)), picks]
+                if not np.isfinite(chosen).all():
+                    raise DivergenceError(
+                        f"non-finite logit {chosen[~np.isfinite(chosen)][0]} in a greedy pick")
                 still, tokens = [], []
-                picks = logits.argmax(axis=1).tolist()
+                picks = picks.tolist()
                 for row, (j, tok) in enumerate(zip(live, picks)):
                     out = outs[j]
                     if collect_logits:

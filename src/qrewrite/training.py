@@ -370,7 +370,9 @@ def train(
 ) -> TrainResult:
     """Run the full curriculum; deterministic given (seed, config,
     examples).  The examples are grouped by hop count, in input order
-    within each group; every count from 1 to the highest needs one.
+    within each group.  Every main complexity the curriculum trains at
+    needs an example: every count from 1 to the highest, or under
+    ``standard`` the highest alone, so it trains on the levels present.
     Validation decodes the first ``val_max_examples`` of ``val_examples``
     stably sorted by hop count, so the lowest hops come first.
 
@@ -386,11 +388,10 @@ def train(
     for ex in examples:
         groups.setdefault(ex.hops, []).append(ex)
     n_max = max(groups, default=1)
-    for h in range(1, n_max + 1):
+    h_sequence = [n_max] if cfg.curriculum == "standard" else list(range(1, n_max + 1))
+    for h in h_sequence:
         if not groups.get(h):
             raise ConfigError(f"dataset has no examples at complexity {h}")
-
-    h_sequence = [n_max] if cfg.curriculum == "standard" else list(range(1, n_max + 1))
     steps_per_h = {
         h: _planned_steps(groups, h, cfg) * cfg.epochs_per_main_complexity
         for h in h_sequence

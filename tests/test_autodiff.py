@@ -119,7 +119,7 @@ class TestLinear:
         for _ in range(2):
             keys, values = ad.linear(ctx, wk), ad.linear(ctx, wq)
             q = ad.linear(ad.layer_norm_rows(x, g, beta), wq)
-            attended = ad.attention(q, keys, values, 2, *plain_layout(3, 5))
+            attended = ad.attention(q, [keys], [values], 2, *plain_layout(3, 5))
             x = linear(attended, w, b if bias else None, x if residual else None, transpose)
         return ad.cross_entropy(x, [0, 4, 5])
 
@@ -308,25 +308,32 @@ class TestBackward:
 
     def test_first_gradients_of_a_shared_array_are_copies(self):
         # add hands its output gradient to both parents, linear to its
-        # residual, concat_rows views of it to each block: each parent keeps
-        # a copy, so the second backward adds into each gradient once
+        # residual, attention over lists of blocks views of its stacked key
+        # and value gradients to each block (the value blocks are the
+        # leaves d and e): each parent keeps a copy, so the second backward
+        # adds into each gradient once, no two gradients share a buffer and
+        # none keeps a larger array alive
         rng = np.random.default_rng(7)
-        a, b, c, x = (t(rng.normal(size=(2, 3)), grad=True) for _ in range(4))
+        a, b, c, x, d, e = (t(rng.normal(size=(2, 3)), grad=True) for _ in range(6))
         w = t(rng.normal(size=(3, 3)), grad=True)
-        weights = t(rng.normal(size=(4, 3)))
+        q, weights = (t(rng.normal(size=(3, 3))) for _ in range(2))
+        layout = ad.segment_layout([3], [np.arange(4)])
+        leaves = dict(zip("abcxwde", (a, b, c, x, w, d, e)))
 
         def backward():
-            rows = ad.concat_rows([ad.add(a, b), ad.linear(x, w, residual=c)])
-            ad.sum_all(ad.mul(rows, weights)).backward()
+            keys = [ad.add(a, b), ad.linear(x, w, residual=c)]
+            out = ad.attention(q, keys, [d, e], 1, *layout)
+            ad.sum_all(ad.mul(out, weights)).backward()
 
         backward()
-        once = {name: p.grad.copy() for name, p in zip("abcxw", (a, b, c, x, w))}
+        once = {name: p.grad.copy() for name, p in leaves.items()}
         backward()
-        for name, p in zip("abcxw", (a, b, c, x, w)):
+        for name, p in leaves.items():
             np.testing.assert_array_equal(p.grad, 2 * once[name], err_msg=name)
-        grads = [a.grad, b.grad, c.grad, x.grad, w.grad]
+        grads = [p.grad for p in leaves.values()]
         assert not any(np.shares_memory(g, h) for i, g in enumerate(grads)
                        for h in grads[i + 1:])
+        assert all(g.base is None for g in grads)
 
     def test_non_scalar_backward_rejected(self):
         w = t(np.ones((2, 2)), grad=True)
@@ -517,7 +524,7 @@ class TestAttention:
     def test_matches_per_head_loop(self, n_heads, m, n, causal):
         rng = np.random.default_rng(n_heads * 100 + m * 10 + n)
         q, k, v, allow = self._inputs(rng, n_heads, m, n, causal)
-        got = ad.attention(q, k, v, n_heads, *plain_layout(m, n, causal)).data
+        got = ad.attention(q, [k], [v], n_heads, *plain_layout(m, n, causal)).data
         expected = per_head_attention(q.data, k.data, v.data, n_heads, allow)
         assert got.shape == (m, q.shape[1])
         assert np.abs(got - expected).max() <= 1e-12
@@ -530,7 +537,7 @@ class TestAttention:
         layout = plain_layout(m, n, causal)
 
         def f():
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, *layout), w))
+            return ad.sum_all(ad.mul(ad.attention(q, [k], [v], n_heads, *layout), w))
 
         err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
                             n_samples=60, rng=rng)
@@ -541,11 +548,11 @@ class TestAttention:
         q, k, v, _ = self._inputs(rng, 2, 2, 3, True, grad=True)
         # the last key is visible only to the last query
         layout = plain_layout(2, 3, causal=True)
-        out = ad.attention(q, k, v, 2, *layout)
+        out = ad.attention(q, [k], [v], 2, *layout)
         shifted = t(v.data.copy())
         shifted.data[2] += 1e3
         np.testing.assert_array_equal(
-            ad.attention(q, k, shifted, 2, *layout).data[0], out.data[0]
+            ad.attention(q, [k], [shifted], 2, *layout).data[0], out.data[0]
         )
         first_row = np.zeros(out.shape)
         first_row[0] = 1.0
@@ -562,14 +569,14 @@ class TestAttention:
             return ad.Padded(2, None, np.ones((1, 2), dtype=bool), allow[None])
 
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 6))), t(np.zeros((3, 6))), 2, *plain_layout(2, 3))
+            ad.attention(q, [t(np.zeros((3, 6)))], [t(np.zeros((3, 6)))], 2, *plain_layout(2, 3))
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 3, *plain_layout(2, 3))
+            ad.attention(q, [t(np.zeros((3, 4)))], [t(np.zeros((3, 4)))], 3, *plain_layout(2, 3))
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2, index,
+            ad.attention(q, [t(np.zeros((3, 4)))], [t(np.zeros((3, 4)))], 2, index,
                          masked(np.ones((2, 2), dtype=bool)))
         with pytest.raises(ShapeError):
-            ad.attention(q, t(np.zeros((3, 4))), t(np.zeros((3, 4))), 2, index,
+            ad.attention(q, [t(np.zeros((3, 4)))], [t(np.zeros((3, 4)))], 2, index,
                          masked(np.array([[True, False, False], [False] * 3])))
 
 
@@ -577,7 +584,7 @@ class TestAttention:
     def test_segments_attend_alone(self, n_heads, shapes, causal):
         rng = np.random.default_rng(len(shapes) * 10 + n_heads)
         q, k, v, layout, alone = packed_inputs(rng, n_heads, shapes, causal)
-        got = ad.attention(q, k, v, n_heads, *layout).data
+        got = ad.attention(q, [k], [v], n_heads, *layout).data
         expected = np.concatenate(
             [per_head_attention(*qkv, n_heads, allow) for *qkv, allow in alone]
         )
@@ -590,7 +597,7 @@ class TestAttention:
         w = t(rng.normal(size=q.shape))
 
         def f():
-            out = ad.attention(q, k, v, n_heads, *layout)
+            out = ad.attention(q, [k], [v], n_heads, *layout)
             return ad.sum_all(ad.mul(out, w))
 
         err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
@@ -612,8 +619,8 @@ class TestAttention:
         q, k, v, allow = TestAttention._inputs(rng, 2, 3, 5, causal, grad=True)
         masked = ad.Padded(3, None, np.ones((1, 3), dtype=bool),
                            None if allow is None else allow[None])
-        plain = ad.attention(q, k, v, 2, np.arange(5)[None], masked)
-        one = ad.attention(q, k, v, 2, *plain_layout(3, 5, causal))
+        plain = ad.attention(q, [k], [v], 2, np.arange(5)[None], masked)
+        one = ad.attention(q, [k], [v], 2, *plain_layout(3, 5, causal))
         np.testing.assert_array_equal(one.data, plain.data)
         ad.sum_all(plain).backward()
         grads = [x.grad.copy() for x in (q, k, v)]
@@ -636,7 +643,7 @@ class TestAttention:
         layout = ad.segment_layout(counts, keys, causal)
 
         def f():
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, *layout), w))
+            return ad.sum_all(ad.mul(ad.attention(q, [k], [v], n_heads, *layout), w))
 
         err = ad.grad_check(f, {"q": q, "k": k, "v": v}, eps=1e-5,
                             n_samples=60, rng=rng)
@@ -647,7 +654,7 @@ class TestAttention:
         lo = 0
         for m, rows in zip(counts, keys):
             ks, vs = t(k.data[rows], grad=True), t(v.data[rows], grad=True)
-            out = ad.attention(t(q.data[lo:lo + m]), ks, vs, n_heads,
+            out = ad.attention(t(q.data[lo:lo + m]), [ks], [vs], n_heads,
                                *plain_layout(m, len(rows), causal))
             ad.sum_all(ad.mul(out, t(w.data[lo:lo + m]))).backward()
             for total, alone in zip(expected, (ks.grad, vs.grad)):
@@ -672,10 +679,10 @@ class TestAttention:
         k, v = (t(rng.normal(size=(7, 4)), grad=True) for _ in range(2))
         w = t(rng.normal(size=q.shape))
         index, layout = ad.segment_layout(counts, keys)
-        ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, index, layout), w)).backward()
+        ad.sum_all(ad.mul(ad.attention(q, [k], [v], n_heads, index, layout), w)).backward()
         kc, vc = (t(x.data[index.ravel()], grad=True) for x in (k, v))
         copies = np.arange(index.size).reshape(index.shape)
-        ad.sum_all(ad.mul(ad.attention(t(q.data), kc, vc, n_heads, copies, layout),
+        ad.sum_all(ad.mul(ad.attention(t(q.data), [kc], [vc], n_heads, copies, layout),
                           w)).backward()
         for x, copy in ((k, kc), (v, vc)):
             expected = np.zeros_like(x.data)
@@ -683,6 +690,46 @@ class TestAttention:
             np.testing.assert_array_equal(x.grad, expected)
         seen = np.unique(np.concatenate(keys))
         assert not np.any(np.delete(k.grad, seen, axis=0))
+
+    @pytest.mark.parametrize("keys", [
+        [np.arange(0, 5)],                           # every row once, in order
+        [np.array([4, 1]), np.array([0, 1, 2])],     # rows shared and out of order
+    ], ids=["in-order", "scattered"])
+    def test_blocks_take_their_rows_of_the_stacked_gradient(self, keys):
+        # attention over two blocks against the same attention over one
+        # block of their stacked rows: the same bits forward, and each
+        # block's gradient is its rows of the stacked one, bit for bit
+        rng = np.random.default_rng(9)
+        n_heads, counts = 2, [1] * (len(keys) - 1) + [2]
+        q = t(rng.normal(size=(sum(counts), 4)), grad=True)
+        ka, kb, va, vb = (t(rng.normal(size=(rows, 4)), grad=True) for rows in (3, 2, 3, 2))
+        k, v = (t(np.concatenate([a.data, b.data]), grad=True) for a, b in ((ka, kb), (va, vb)))
+        w = t(rng.normal(size=q.shape))
+        index, layout = ad.segment_layout(counts, keys)
+        split = ad.attention(q, [ka, kb], [va, vb], n_heads, index, layout)
+        ad.sum_all(ad.mul(split, w)).backward()
+        q_split = q.grad
+        ad.zero_grads([q])
+        whole = ad.attention(q, [k], [v], n_heads, index, layout)
+        ad.sum_all(ad.mul(whole, w)).backward()
+        assert np.array_equal(split.data, whole.data)
+        assert np.array_equal(q_split, q.grad)
+        for a, b, stacked in ((ka, kb, k), (va, vb, v)):
+            assert np.array_equal(a.grad, stacked.grad[:3])
+            assert np.array_equal(b.grad, stacked.grad[3:])
+        assert np.abs(kb.grad).max() > 0.0 and np.abs(vb.grad).max() > 0.0
+
+    def test_block_list_errors(self):
+        # key and value lists of 2-D blocks as wide as q, in equal numbers
+        # and with equal row totals
+        q, index, layout = t(np.zeros((2, 4))), *plain_layout(2, 3)
+        k2, k1 = t(np.zeros((2, 4))), t(np.zeros((1, 4)))
+        for k, v in (([], []), ([k2, k1], [t(np.zeros((3, 4)))]),
+                     ([k2, t(np.zeros((1, 6)))], [k2, k1]), ([k2, k1], [k2, k2]),
+                     ([k2, t(np.zeros(4))], [k2, k1])):
+            with pytest.raises(ShapeError):
+                ad.attention(q, k, v, 2, index, layout)
+        assert ad.attention(q, [k2, k1], [k1, k2], 2, index, layout).shape == (2, 4)
 
     def test_segments_shape_errors(self):
         q, k = t(np.zeros((3, 4))), t(np.zeros((5, 4)))
@@ -696,18 +743,18 @@ class TestAttention:
             ad.segment_layout([3], [np.arange(2)], causal=True)
         ad.segment_layout([1, 2], [np.arange(2), np.arange(2, 5)])  # adjacent ranges
         with pytest.raises(ShapeError):  # keys past the end of k
-            ad.attention(q, k, k, 2, *ad.segment_layout([1, 2], [np.arange(2),
+            ad.attention(q, [k], [k], 2, *ad.segment_layout([1, 2], [np.arange(2),
                                                                  np.arange(3, 6)]))
         with pytest.raises(ShapeError):  # keys before the start of k
-            ad.attention(q, k, k, 2, *ad.segment_layout([1, 2], [np.arange(-1, 1),
+            ad.attention(q, [k], [k], 2, *ad.segment_layout([1, 2], [np.arange(-1, 1),
                                                                  np.arange(2, 5)]))
         with pytest.raises(ShapeError):  # queries do not cover q
-            ad.attention(q, k, k, 2, *ad.segment_layout([1, 1], [np.arange(2),
+            ad.attention(q, [k], [k], 2, *ad.segment_layout([1, 1], [np.arange(2),
                                                                  np.arange(2, 5)]))
         index, _ = plain_layout(3, 5)
         _, layout = ad.segment_layout([1, 2], [np.arange(2), np.arange(2, 5)])
         with pytest.raises(ShapeError):  # an index for another number of segments
-            ad.attention(q, k, k, 2, index, layout)
+            ad.attention(q, [k], [k], 2, index, layout)
 
 
 def attend_where(q, k, v, n_heads, layout):
@@ -746,15 +793,6 @@ def test_attend_in_place_equals_where_formula(seed):
 
 
 class TestStructuralOps:
-    def test_concat_rows_roundtrip_gradient(self):
-        a = t(np.ones((2, 3)), grad=True)
-        b = t(np.ones((1, 3)), grad=True)
-        out = ad.concat_rows([a, b])
-        assert out.shape == (3, 3)
-        ad.sum_all(ad.mul(out, t(np.arange(9.0).reshape(3, 3)))).backward()
-        np.testing.assert_allclose(a.grad, np.arange(6.0).reshape(2, 3))
-        np.testing.assert_allclose(b.grad, [[6.0, 7.0, 8.0]])
-
     def test_embedding_scatter_add(self):
         table = t(np.ones((5, 2)), grad=True)
         rows = ad.embed(table, [1, 1, 3])

@@ -338,27 +338,64 @@ def no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-# lr_alpha 1e308 blows the parameters up: on 4 records the first update's
-# batch loss is still finite and validation after it is not; on 8 the
-# second update's batch loss is not
-@pytest.mark.parametrize("n_train, diverged", [(4, "validation loss nan at step 1"),
-                                               (8, "loss nan at step 1")])
-def test_a_diverged_run_is_one_numeric_failure(n_train, diverged, tmp_path, capsys):
+def tiny_run(tmp_path, n_train, hops="1", **config):
+    """An arranged dataset of ``n_train`` training, 2 validation and 1 test
+    records at ``hops``, and a d_model-16 config with ``config`` on top."""
     data = tmp_path / "data"
-    assert run("gen-data", "--out", data, "--hops", "1", "--train", n_train, "--valid", "2",
+    assert run("gen-data", "--out", data, "--hops", hops, "--train", n_train, "--valid", "2",
                "--test", "1", "--entities", "12", "--seed", "1") == 0
     for split in ("train", "valid", "test"):
         assert run("arrange", "--in", data / f"{split}.jsonl", "--out", data / "a.jsonl") == 0
         (data / "a.jsonl").replace(data / f"{split}.jsonl")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"d_model": 16, "n_heads": 2, "d_ff": 32, "n_enc_layers": 1,
-                               "n_dec_layers": 1, "lr_alpha": 1e308, "warmup_steps": 0,
-                               "batch_size": 4}))
+                               "n_dec_layers": 1, "warmup_steps": 0, "batch_size": 4,
+                               **config}))
+    return data, cfg
+
+
+# lr_alpha 1e308 blows the parameters up: on 4 records the first update's
+# batch loss is still finite, and validation's first greedy pick after it
+# is not; on 8 the second update's batch loss is not
+@pytest.mark.parametrize("n_train, diverged", [
+    pytest.param(4, "logit nan in a greedy pick", id="4-logit nan in a greedy pick"),
+    pytest.param(8, "loss nan at step 1, H=1", id="8-loss nan at step 1"),
+])
+def test_a_diverged_run_is_one_numeric_failure(n_train, diverged, tmp_path, capsys):
+    data, cfg = tiny_run(tmp_path, n_train, lr_alpha=1e308)
     capsys.readouterr()
     assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 3
-    assert capsys.readouterr().err == f"numeric failure: non-finite {diverged}, H=1\n"
+    assert capsys.readouterr().err == f"numeric failure: non-finite {diverged}\n"
     for line in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines():
         json.loads(line, parse_constant=no_constant)
+
+
+def test_generate_on_a_diverged_checkpoint_is_one_numeric_failure(tmp_path, capsys):
+    # without a validation split nothing runs a forward pass after the
+    # one update, so training exits 0 with finite parameters up to ~5e307;
+    # generate's first greedy pick over them is NaN
+    data, cfg = tiny_run(tmp_path, 4, lr_alpha=1e308)
+    (data / "valid.jsonl").unlink()
+    assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 0
+    capsys.readouterr()
+    assert run("generate", "--checkpoint", tmp_path / "run" / "checkpoint-final.bin",
+               "--data", data / "test.jsonl", "--vocab", data / "vocab.txt",
+               "--out", tmp_path / "pred.jsonl") == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite logit nan in a greedy pick\n"
+
+
+def test_a_two_hop_dataset_trains_under_standard(tmp_path, capsys):
+    # standard trains once at the highest hop count, on the levels present
+    # (tests/test_training.py checks that the other curricula still need
+    # every level from 1)
+    data, cfg = tiny_run(tmp_path, 4, hops="2", lr_alpha=1e-3, curriculum="standard")
+    capsys.readouterr()
+    assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 0
+    assert capsys.readouterr().err == ""
+    labels = [json.loads(line).get("label") for line in
+              (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+    assert [label for label in labels if label] == ["H2"]
+    assert (tmp_path / "run" / "checkpoint-final.bin").is_file()
 
 
 TINY_CONFIG = {

@@ -251,13 +251,14 @@ class TestDecoding:
         assert res.final_tokens == []
         assert res.cache.step_lengths == [[1]]  # the <bos> row only
 
-    def test_no_grad_decoding_concatenates_nothing(self, monkeypatch):
+    def test_pack_decoding_runs_no_multi_block_attention(self, monkeypatch):
+        # a pack attends over its stores in place; only the encoder calls
+        # the attention op, over its one block of keys
         m = tiny_model(seed=17, max_len=16)
         calls = []
-        concat_rows = ad.concat_rows
-        monkeypatch.setattr(
-            ad, "concat_rows", lambda ts: calls.append(len(ts)) or concat_rows(ts)
-        )
+        attention = ad.attention
+        monkeypatch.setattr(ad, "attention", lambda q, k, v, *a: (
+            calls.append(len(k)) or attention(q, k, v, *a)))
         with ad.no_grad():
             cache = pack_of_one(m, n_steps=2)
             state = m.start_step(*m.encode([StepInput([3, 4, 5], 1)]), cache)
@@ -268,7 +269,7 @@ class TestDecoding:
             m.rewrite_packed([[StepInput([3, 4], 1), StepInput([5], 2)],
                               [StepInput([6, 7, 8], 1)]], BOS, EOS)
         assert len(out.question_tokens) > 1
-        assert calls == []
+        assert calls and set(calls) == {1}
 
     def test_tie_break_lowest_token_id(self):
         m = tiny_model()
@@ -560,8 +561,10 @@ class TestPackedDecoding:
     @pytest.mark.parametrize("sa, ca", ACCUMULATION_MODES)
     @pytest.mark.parametrize("n_segments", [1, 3])
     def test_graph_and_pack_passes_give_the_same_bits(self, n_segments, sa, ca, dtype):
-        # a step sealed by one block pass, then the next step teacher-forced,
-        # on the graph and in a pack; segments of unequal lengths.  With
+        # two steps each sealed by one block pass, then the third step
+        # teacher-forced, on the graph and in a pack; segments of unequal
+        # lengths, so the graph's passes attend over lists of two sealed
+        # blocks and the current one.  With
         # both accumulations each segment's keys start at column 0 of its
         # padded row on both executors, so f64 is bit for bit.  An ablated
         # pack window starts after the masked sealed columns, so its softmax
@@ -576,21 +579,25 @@ class TestPackedDecoding:
             return [list(rng.integers(lo, m.cfg.vocab_size, size=n)) for n in lengths]
 
         docs = [[StepInput(ids, t + 1) for ids in rows((4, 2, 5)[:n_segments])]
-                for t in range(2)]
-        questions = [[BOS, *q] for q in rows((5, 1, 6)[:n_segments])]
+                for t in range(3)]
+        questions = [[[BOS, *q] for q in rows(lengths[:n_segments])]
+                     for lengths in ((5, 1, 6), (2, 7, 3))]
         golds = [[BOS, *g] for g in rows((4, 6, 2)[:n_segments])]
         encodings = [m.encode(step) for step in docs]
         cache = AttentionCache(m.cfg.n_dec_layers, n_segments)
-        state = m.start_step(*encodings[0], cache)
-        m._pass(state, questions, False)
-        m.seal_step(state, cache)
-        graph = m._pass(m.start_step(*encodings[1], cache), golds, True).data
+        for encoding, step_questions in zip(encodings, questions):
+            state = m.start_step(*encoding, cache)
+            m._pass(state, step_questions, False)
+            m.seal_step(state, cache)
+        assert all(len(blocks) == 2 for blocks in cache.sa_keys + cache.ca_keys)
+        graph = m._pass(m.start_step(*encodings[2], cache), golds, True).data
         with ad.no_grad():
-            pack = m._pack_cache(n_segments, 2 * m.cfg.max_len, 12)
-            state = m.start_step(*encodings[0], pack)
-            m._pass(state, questions, False)
-            m.seal_step(state, pack)
-            packed = m._pass(m.start_step(*encodings[1], pack), golds, True)
+            pack = m._pack_cache(n_segments, 3 * m.cfg.max_len, 15)
+            for encoding, step_questions in zip(encodings, questions):
+                state = m.start_step(*encoding, pack)
+                m._pass(state, step_questions, False)
+                m.seal_step(state, pack)
+            packed = m._pass(m.start_step(*encodings[2], pack), golds, True)
         assert graph.shape == packed.shape == (sum(map(len, golds)), m.cfg.vocab_size)
         if dtype == np.float64 and sa and ca:
             assert np.array_equal(graph, packed)
@@ -1115,7 +1122,7 @@ class TestForkedPacks:
 
 
 def test_graph_passes_gather_no_key_rows(monkeypatch):
-    # a 1/2/3-hop batch with gradients attends over the stacked K/V blocks
+    # a 1/2/3-hop batch with gradients attends over lists of K/V blocks
     # through one key index per pass: the only row lookups left are token
     # embeddings and the gathers that seal a step's blocks
     m = tiny_model(seed=6)

@@ -397,6 +397,24 @@ def test_no_examples_is_a_config_error():
         train(small_model(voc), [], CurriculumConfig(), voc)
 
 
+@pytest.mark.parametrize("curriculum", training.CURRICULUM_VARIANTS)
+def test_standard_alone_trains_without_one_hop_examples(curriculum):
+    # standard trains once, at the highest hop count, on the levels
+    # present; the sweeps from H = 1 need every level up to the highest,
+    # and an empty dataset has none under any curriculum
+    examples, voc = mixed_hop_batch((2, 3, 2))
+    cfg = CurriculumConfig(curriculum=curriculum, batch_size=2, warmup_steps=1)
+    model = small_model(voc, n_enc_layers=1, n_dec_layers=1)
+    if curriculum == "standard":
+        result = train(model, examples, cfg, voc)
+        assert result.total_steps == 2 and math.isfinite(result.final_train_loss)
+    else:
+        with pytest.raises(ConfigError, match="no examples at complexity 1"):
+            train(model, examples, cfg, voc)
+    with pytest.raises(ConfigError, match="no examples at complexity 1"):
+        train(model, [], cfg, voc)
+
+
 def test_train_groups_its_examples_by_hop(monkeypatch, tmp_path):
     # interleaved hop levels train as the same list stably sorted by hop:
     # the same records and checkpoint bytes.  Validation decodes the lowest
