@@ -2,20 +2,27 @@
 
 Subcommands: gen-data, arrange, train, generate, evaluate, grad-check.
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure.
+
+Only ``generate`` forks, to decode its independent packs on every usable
+CPU; every other command, training included, runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import dataio, metrics, synthetic, training
+from . import dataio, metrics, model as model_module, synthetic, training
 from .docgraph import ArrangedExample, make_step_inputs, step_tokens
 from .errors import (
     ArrangementError,
@@ -237,6 +244,106 @@ def cmd_train(args) -> int:
 # generate
 
 
+def _workers(n_jobs: int) -> int:
+    """Processes that run ``n_jobs`` independent jobs (packs) at once: up
+    to one per usable CPU when this process can fork safely, else 1
+    (in-process).  Forking is safe only from a single OS thread, so that
+    no BLAS or other thread is copied in mid-lock; without procfs the
+    count is unknown."""
+    if n_jobs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return min(n_jobs, len(os.sched_getaffinity(0))) if threads == 1 else 1
+
+
+def _run_share(fn, share) -> dict:
+    """{item: fn(item)} over ``share`` in order, up to the first item whose
+    call raises; that item maps to its exception."""
+    out = {}
+    for item in share:
+        try:
+            out[item] = fn(item)
+        except Exception as exc:
+            out[item] = exc
+            break
+    return out
+
+
+def _run_shares(fn, own, others: list) -> dict:
+    """``_run_share`` of every share, merged: ``own`` in this process and
+    each of ``others`` in a child forked for it, which works on the memory
+    this process had at the fork, pickles its dict down a pipe and always
+    leaves by ``os._exit``.  A share whose pipe or fork cannot be made runs
+    here at once.  After its own share this process reads and reaps the
+    children in share order; one that died without a result raises
+    ``RuntimeError`` naming its exit status.  A child not yet read when this
+    returns or raises is killed and reaped."""
+
+    def reap(pid: int) -> int:
+        children.pop(pid).close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    out, children = {}, {}
+    try:
+        for share in others:
+            fds = []
+            try:
+                fds += os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                out.update(_run_share(fn, share))
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(fds[0])
+                    with open(fds[1], "wb") as results:
+                        pickle.dump(_run_share(fn, share), results, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fds[1])
+            children[pid] = open(fds[0], "rb")
+        out.update(_run_share(fn, own))
+        for pid in list(children):
+            try:
+                out.update(pickle.load(children[pid]))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"forked worker {pid} exited with status {reap(pid)} "
+                                   "and no result") from None
+            reap(pid)
+        return out
+    finally:
+        for pid in list(children):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            reap(pid)
+
+
+def _rewrite_forked(model: QuestionRewriter, examples: list, bos: int, eos: int) -> list:
+    """``model.rewrite_packed`` of ``examples``, one pack of ``PACK_SIZE`` a
+    call, on W = ``_workers`` processes: share w holds packs w, w + W, ...,
+    this process decodes the share with the most steps and forked children
+    the others.  A pack's bits depend on its own examples only, so results
+    and the error raised, the first failing pack's, are one process's."""
+    size = model_module.PACK_SIZE
+    packs = [examples[lo:lo + size] for lo in range(0, len(examples), size)]
+    n_workers = _workers(len(packs))
+    shares = [range(w, len(packs), n_workers) for w in range(n_workers)]
+    own = max(shares, key=lambda share: sum(len(steps) for p in share for steps in packs[p]))
+    outcomes = _run_shares(lambda p: model.rewrite_packed(packs[p], bos, eos), own,
+                           [s for s in shares if s is not own])
+    for p in range(len(packs)):
+        if isinstance(outcomes[p], Exception):
+            raise outcomes[p]
+    return [res for p in range(len(packs)) for res in outcomes[p]]
+
+
 def cmd_generate(args) -> int:
     voc = Vocab.load(args.vocab)
     overrides = {}
@@ -257,9 +364,8 @@ def cmd_generate(args) -> int:
             _eprint(f"record {rec.get('id', '?')!r}: {exc}")
             prepared.append(exc)
     decodable = [p for p in prepared if not isinstance(p, Exception)]
-    results = iter(model.rewrite_packed(
-        [steps for _, steps in decodable], voc.bos_id, voc.eos_id
-    ))
+    results = iter(_rewrite_forked(model, [steps for _, steps in decodable], voc.bos_id,
+                                   voc.eos_id))
     out, truncated = [], []
     for rec, p in zip(records, prepared):
         if isinstance(p, Exception):

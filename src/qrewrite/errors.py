@@ -30,8 +30,8 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss, or greedy decoding a non-finite
-    logit."""
+    """Training produced a non-finite loss or parameters whose squared norm
+    is not finite, or greedy decoding a non-finite logit."""
 
 
 class GenerationError(RuntimeError):

@@ -72,26 +72,16 @@ Conventions, fixed here once:
     end], a view when the fed segments are a contiguous run, with a mask
     per segment; it builds no key index and gathers no rows.  A lockstep
     pick (one row per segment) is laid out from the segments' ends alone;
-  * without a graph, packs of PACK_SIZE examples serve generation and
-    validation; one example, with gradients or under no_grad, is the graph
-    batch of one.  A pack's bits depend on its own examples only, so the
-    packs run on up to one process per usable CPU when this process runs a
-    single OS thread (BLAS pinned to one): one function, _run_shares, forks
-    a child per share of packs beyond this process's own, which decodes it,
-    pipes its results back and exits, and decodes here a share whose pipe
-    or fork cannot be made.  Outputs repeat byte for byte whatever the CPU
-    count; a child's memory is not in this process's RSS.
+  * without a graph, packs of PACK_SIZE examples, decoded one after another,
+    serve generation and validation; one example, with gradients or under
+    no_grad, is the graph batch of one.  This module starts no process.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
 import math
-import os
-import pickle
-import signal
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -571,87 +561,6 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
-def _workers(n_jobs: int) -> int:
-    """Processes that run ``n_jobs`` independent jobs (packs) at once: up
-    to one per usable CPU when this process can fork safely, else 1
-    (in-process).  Forking is safe only from a single OS thread, so that
-    no BLAS or other thread is copied in mid-lock; without procfs the
-    count is unknown."""
-    if n_jobs < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 1
-    return min(n_jobs, len(os.sched_getaffinity(0))) if threads == 1 else 1
-
-
-def _run_share(fn, share) -> dict:
-    """{item: fn(item)} over ``share`` in order, up to the first item whose
-    call raises; that item maps to its exception."""
-    out = {}
-    for item in share:
-        try:
-            out[item] = fn(item)
-        except Exception as exc:
-            out[item] = exc
-            break
-    return out
-
-
-def _run_shares(fn, own, others: list) -> dict:
-    """``_run_share`` of every share, merged: ``own`` in this process and
-    each of ``others`` in a child forked for it, which works on the memory
-    this process had at the fork, pickles its dict down a pipe and always
-    leaves by ``os._exit``.  A share whose pipe or fork cannot be made runs
-    here at once.  After its own share this process reads and reaps the
-    children in share order; one that died without a result raises
-    ``RuntimeError`` naming its exit status.  A child not yet read when this
-    returns or raises is killed and reaped."""
-
-    def reap(pid: int) -> int:
-        children.pop(pid).close()
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-    out, children = {}, {}
-    try:
-        for share in others:
-            fds = []
-            try:
-                fds += os.pipe()
-                pid = os.fork()
-            except OSError:
-                for fd in fds:
-                    os.close(fd)
-                out.update(_run_share(fn, share))
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(fds[0])
-                    with open(fds[1], "wb") as results:
-                        pickle.dump(_run_share(fn, share), results, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(fds[1])
-            children[pid] = open(fds[0], "rb")
-        out.update(_run_share(fn, own))
-        for pid in list(children):
-            try:
-                out.update(pickle.load(children[pid]))
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"forked worker {pid} exited with status {reap(pid)} "
-                                   "and no result") from None
-            reap(pid)
-        return out
-    finally:
-        for pid in list(children):
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            reap(pid)
-
-
 class QuestionRewriter:
     """Encoder-decoder with accumulated attention, parameters shared by all steps."""
 
@@ -1012,37 +921,17 @@ class QuestionRewriter:
         collect_logits: bool = False,
     ) -> list[RewriteResult]:
         """Rewrite many examples under ``no_grad`` and without a graph, in
-        consecutive packs of ``PACK_SIZE`` decoded in lockstep; results
-        follow ``examples``.
-
-        Every step picks greedily in its pack; intermediate steps seal.
-        With ``gold_finals`` each final step is also teacher-forced
-        (``final_logits``) from the same step state.
-
-        A pack's bits depend on its own examples only, so W = ``_workers``
-        processes may decode the packs at once: share w holds packs w,
-        w + W, ..., this process decodes the share with the most steps and
-        forked children the others.  The error raised is that of the first
-        failing pack, as in one process.
-        """
-        packs = [slice(lo, lo + PACK_SIZE) for lo in range(0, len(examples), PACK_SIZE)]
-
-        def rewrite(p: int) -> list[RewriteResult]:
-            golds = None if gold_finals is None else gold_finals[packs[p]]
-            with ad.no_grad():
-                return self._rewrite(examples[packs[p]], bos, eos, golds, None,
-                                     collect_logits)
-
-        n_workers = _workers(len(packs))
-        shares = [range(w, len(packs), n_workers) for w in range(n_workers)]
-        own = max(shares, key=lambda share: sum(
-            len(steps) for p in share for steps in examples[packs[p]]))
-        outcomes = _run_shares(rewrite, own, [s for s in shares if s is not own])
+        consecutive packs of ``PACK_SIZE`` decoded in lockstep one after
+        another; results follow ``examples``.  Every step picks greedily in
+        its pack; intermediate steps seal.  With ``gold_finals`` each final
+        step is also teacher-forced (``final_logits``) from the same step
+        state."""
         results = []
-        for p in range(len(packs)):
-            if isinstance(outcomes[p], Exception):
-                raise outcomes[p]
-            results += outcomes[p]
+        for lo in range(0, len(examples), PACK_SIZE):
+            golds = None if gold_finals is None else gold_finals[lo:lo + PACK_SIZE]
+            with ad.no_grad():
+                results += self._rewrite(examples[lo:lo + PACK_SIZE], bos, eos, golds,
+                                         None, collect_logits)
         return results
 
     def _rewrite(

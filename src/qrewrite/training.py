@@ -467,6 +467,10 @@ def train(
                     stale += 1
                     if stale >= cfg.plateau_patience:
                         break
+        sq_norm = np.dot(optimizer.data, optimizer.data) if main == n_max else 0.0
+        if not math.isfinite(sq_norm):  # no forward pass may read the last update
+            raise DivergenceError(f"non-finite squared parameter norm {sq_norm} at step "
+                                  f"{global_step}, H={main}")
         label = f"H{main}"
         emit({"event": "checkpoint", "step": global_step, "H": main, "label": label})
         if on_checkpoint is not None:

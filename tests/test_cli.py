@@ -1,23 +1,29 @@
 import errno
 import hashlib
+import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qrewrite import cli, dataio, metrics, training
 from qrewrite import model as model_module
 from qrewrite.cli import main
 from qrewrite.docgraph import make_step_inputs
-from qrewrite.model import QuestionRewriter
+from qrewrite.errors import ShapeError
+from qrewrite.model import QuestionRewriter, StepInput
 from qrewrite.vocab import Vocab
 
 from test_dataio import corrupt_checkpoint
+from test_model import BOS, EOS, pack_examples, pack_model
 
 
 def run(*argv):
@@ -370,15 +376,31 @@ def test_a_diverged_run_is_one_numeric_failure(n_train, diverged, tmp_path, caps
         json.loads(line, parse_constant=no_constant)
 
 
-def test_generate_on_a_diverged_checkpoint_is_one_numeric_failure(tmp_path, capsys):
-    # without a validation split nothing runs a forward pass after the
-    # one update, so training exits 0 with finite parameters up to ~5e307;
-    # generate's first greedy pick over them is NaN
+def test_a_run_whose_last_update_diverges_is_one_numeric_failure(tmp_path, capsys):
+    # without a validation split nothing runs a forward pass after the one
+    # update, which leaves finite parameters up to ~5e307: train checks their
+    # squared norm before it writes the last checkpoints
     data, cfg = tiny_run(tmp_path, 4, lr_alpha=1e308)
     (data / "valid.jsonl").unlink()
-    assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 0
     capsys.readouterr()
-    assert run("generate", "--checkpoint", tmp_path / "run" / "checkpoint-final.bin",
+    assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: non-finite squared parameter norm inf at step 1, H=1\n")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["metrics.jsonl"]
+
+
+def test_generate_on_a_diverged_checkpoint_is_one_numeric_failure(tmp_path, capsys):
+    # a checkpoint of finite parameters scaled up to ~1e300, which train
+    # would no longer write: generate's first greedy pick over them is NaN
+    data, cfg = tiny_run(tmp_path, 4, lr_alpha=1e-3)
+    assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 0
+    model = dataio.load_model(tmp_path / "run" / "checkpoint-final.bin")
+    for p in model.params.values():
+        p.data = p.data * 1e300
+    dataio.save_checkpoint(tmp_path / "diverged.bin", model,
+                           Vocab.load(data / "vocab.txt").sha256())
+    capsys.readouterr()
+    assert run("generate", "--checkpoint", tmp_path / "diverged.bin",
                "--data", data / "test.jsonl", "--vocab", data / "vocab.txt",
                "--out", tmp_path / "pred.jsonl") == 3
     assert capsys.readouterr().err == "numeric failure: non-finite logit nan in a greedy pick\n"
@@ -450,15 +472,15 @@ def test_four_hop_train_and_generate(tmp_path, monkeypatch):
 
 def test_a_fork_that_fails_runs_in_process(data_dir, tmp_path, monkeypatch, capsys):
     # train validates and generate decodes the 6 test records in 2 packs of
-    # 3; with 2 workers allowed but no fork to be had, each tries one fork
-    # for its second pack and decodes it in-process, with the bytes of one
-    # process, and reports no data error
+    # 3; with 2 workers allowed but no fork to be had, train tries none and
+    # generate tries one for its second pack and decodes it in-process, with
+    # the bytes of one process, and reports no data error
     monkeypatch.setattr(model_module, "PACK_SIZE", 3)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, "val_max_examples": 6}))
 
     def outputs(workers):
-        monkeypatch.setattr(model_module, "_workers", lambda n_jobs: min(n_jobs, workers))
+        monkeypatch.setattr(cli, "_workers", lambda n_jobs: min(n_jobs, workers))
         out = tmp_path / f"run-{workers}"
         assert run("train", "--config", cfg, "--data", data_dir, "--out", out) == 0
         assert run("generate", "--checkpoint", out / "checkpoint-final.bin",
@@ -479,10 +501,260 @@ def test_a_fork_that_fails_runs_in_process(data_dir, tmp_path, monkeypatch, caps
     monkeypatch.setattr(os, "fork", failing_fork)
     assert outputs(2) == one
     records = [json.loads(line) for line in one["metrics.jsonl"].splitlines()]
-    validations = sum(r["event"] == "validation" for r in records)
-    assert validations > 1 and len(tried) == validations + 1  # and generate's one
+    assert sum(r["event"] == "validation" for r in records) > 1 and len(tried) == 1
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert "data error" not in capsys.readouterr().err
+
+
+def test_train_never_forks(data_dir, tmp_path, monkeypatch):
+    # a host that looks forkable (two usable CPUs, one thread): validation's
+    # 6 records span two packs of 3 and train still tries no fork, while
+    # generate tries one for the second of its 2 packs
+    monkeypatch.setattr(model_module, "PACK_SIZE", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"] if path == "/proc/self/task"
+                        else listdir(path))
+    tried = []
+
+    def failing_fork():
+        tried.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "val_max_examples": 6}))
+    out = tmp_path / "run"
+    assert run("train", "--config", cfg, "--data", data_dir, "--out", out) == 0
+    assert tried == []
+    assert run("generate", "--checkpoint", out / "checkpoint-final.bin",
+               "--data", data_dir / "test.jsonl", "--vocab", data_dir / "vocab.txt",
+               "--out", out / "pred.jsonl") == 0
+    assert tried == [1]
+
+
+def in_workers(monkeypatch, n_workers):
+    """Make ``cli._rewrite_forked`` decode on ``n_workers`` processes (at
+    most one per pack), whatever the host's CPUs and threads."""
+    monkeypatch.setattr(cli, "_workers", lambda n_packs: min(n_packs, n_workers))
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# forking under pytest is forced below, so the host's BLAS may run threads
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestForkedPacks:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self, monkeypatch):
+        monkeypatch.setattr(model_module, "PACK_SIZE", 3)
+
+        def hung(signum, frame):
+            raise TimeoutError("forked decoding still waits for a worker after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def examples(self, m, seed=9):
+        # 12 examples of 1-4 steps: 4 packs of 3
+        rng = np.random.default_rng(seed)
+        return [ex for _ in range(2) for ex in pack_examples(rng, m.cfg.vocab_size)]
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_forked_equals_in_process_bit_for_bit(self, n_workers, monkeypatch):
+        m = pack_model()
+        examples = self.examples(m)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        in_process = m.rewrite_packed(examples, BOS, EOS)
+        in_workers(monkeypatch, n_workers)
+        forked = cli._rewrite_forked(m, examples, BOS, EOS)
+        assert len(forks) == n_workers - 1
+        for a, b in zip(in_process, forked, strict=True):
+            assert a.intermediate_tokens == b.intermediate_tokens
+            assert a.final_tokens == b.final_tokens
+            assert a.truncated == b.truncated
+        assert any(any(r.truncated) for r in in_process)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_a_failing_pack_fails_alike_in_a_child_or_the_parent(self, n_workers,
+                                                                 monkeypatch):
+        m = pack_model()
+        examples = self.examples(m)
+        owned = []
+        run_share = cli._run_share
+        monkeypatch.setattr(cli, "_run_share",
+                            lambda fn, share: owned.append(share) or run_share(fn, share))
+        in_process, decoded_here = [], []
+        for p in range(4):
+            bad = list(examples)
+            bad[3 * p + 1] = []  # an example with no steps
+            in_workers(monkeypatch, 1)
+            in_process.append(outcome(lambda: cli._rewrite_forked(m, bad, BOS, EOS)))
+            in_workers(monkeypatch, n_workers)
+            owned.clear()
+            assert outcome(lambda: cli._rewrite_forked(m, bad, BOS, EOS)) == in_process[p]
+            decoded_here.append(p in owned[0])  # or in a child
+        assert set(in_process) == {(ShapeError, "rewrite: every example needs a step")}
+        assert set(decoded_here) == {True, False}
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_the_first_failing_pack_in_input_order_wins(self, n_workers, monkeypatch):
+        m = pack_model()
+        no_steps = ShapeError, "rewrite: every example needs a step"
+        for first, second in itertools.permutations(range(4), 2):
+            for empty_first in (True, False):
+                bad = self.examples(m)
+                bad[3 * first] = [] if empty_first else [StepInput([10**6], 1)]
+                bad[3 * second + 2] = [StepInput([10**6], 1)] if empty_first else []
+                in_workers(monkeypatch, 1)
+                expected = outcome(lambda: cli._rewrite_forked(m, bad, BOS, EOS))
+                assert (expected == no_steps) == (empty_first == (first < second))
+                in_workers(monkeypatch, n_workers)
+                assert outcome(lambda: cli._rewrite_forked(m, bad, BOS, EOS)) == expected
+
+    def test_a_worker_that_dies_names_its_exit_status(self, monkeypatch):
+        m = pack_model()
+        parent, run_share = os.getpid(), cli._run_share
+        monkeypatch.setattr(cli, "_run_share", lambda fn, share: (
+            run_share(fn, share) if os.getpid() == parent else os._exit(3)))
+        in_workers(monkeypatch, 3)  # the second child is reaped after the raise
+        with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
+            cli._rewrite_forked(m, self.examples(m), BOS, EOS)
+
+    def test_a_fork_that_fails_decodes_in_process(self, monkeypatch):
+        m = pack_model()
+        examples = self.examples(m)
+        in_workers(monkeypatch, 1)
+        expected = cli._rewrite_forked(m, examples, BOS, EOS)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        tried = []
+
+        def failing_fork():
+            tried.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        in_workers(monkeypatch, 2)
+        results = cli._rewrite_forked(m, examples, BOS, EOS)
+        assert tried == [1]
+        assert ([[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in results]
+                == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_a_pipe_that_fails_decodes_in_process(self, monkeypatch):
+        # 3 shares: the first child's pipe fails, so that share decodes
+        # here, and the second share still forks
+        m = pack_model()
+        examples = self.examples(m)
+        in_workers(monkeypatch, 1)
+        expected = cli._rewrite_forked(m, examples, BOS, EOS)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        pipes, forks = [], []
+        pipe, fork = os.pipe, os.fork
+
+        def failing_first_pipe():
+            pipes.append(1)
+            if len(pipes) == 1:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", failing_first_pipe)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        in_workers(monkeypatch, 3)
+        results = cli._rewrite_forked(m, examples, BOS, EOS)
+        assert (len(pipes), len(forks)) == (2, 1)
+        assert ([[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in results]
+                == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(self, monkeypatch):
+        m = pack_model()
+        parent = os.getpid()
+        reaped = []
+        waitpid = os.waitpid
+
+        def interrupted_here(fn, share):
+            if os.getpid() != parent:
+                signal.pause()  # a child that would never finish on its own
+            raise KeyboardInterrupt
+
+        def recorded_waitpid(pid, options):
+            reaped.append(waitpid(pid, options))
+            return reaped[-1]
+
+        monkeypatch.setattr(cli, "_run_share", interrupted_here)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        in_workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            cli._rewrite_forked(m, self.examples(m), BOS, EOS)
+        assert len(reaped) == 2
+        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+                   for _, status in reaped)
+
+    def test_one_pack_never_forks(self, monkeypatch):
+        m = pack_model()
+        assert cli._workers(1) == 1
+        in_workers(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one pack"))
+        examples = self.examples(m)[:3]
+        assert [r.final_tokens for r in cli._rewrite_forked(m, examples, BOS, EOS)]
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_the_parent_decodes_the_share_with_the_most_steps(self, n_workers,
+                                                              monkeypatch):
+        m = pack_model()
+        owned = []
+        run_share = cli._run_share
+        monkeypatch.setattr(cli, "_run_share",
+                            lambda fn, share: owned.append(share) or run_share(fn, share))
+        in_workers(monkeypatch, n_workers)
+        for heavy in range(n_workers):
+            examples = self.examples(m)
+            for p in range(4):  # pack p: one step an example, 4 in share ``heavy``
+                for i in range(3 * p, 3 * p + 3):
+                    examples[i] = examples[i][:4 if p % n_workers == heavy else 1]
+            owned.clear()
+            cli._rewrite_forked(m, examples, BOS, EOS)
+            assert owned == [range(heavy, 4, n_workers)]
+
+    def test_workers_one_per_usable_cpu_from_one_thread(self, monkeypatch):
+        threads = ["1"]
+        listdir = os.listdir
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "listdir", lambda path: threads if path == "/proc/self/task"
+                            else listdir(path))
+        assert [cli._workers(n) for n in (1, 2, 4)] == [1, 2, 3]
+        threads.append("2")  # a BLAS thread: forking would copy it mid-lock
+        assert cli._workers(4) == 1
+
+    def test_workers_stay_one_for_one_pack_or_a_second_thread(self, monkeypatch):
+        # the host's own thread listing: fewer than 2 packs never fork, and
+        # neither does a process with a live second thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [cli._workers(n) for n in (0, 1)] == [1, 1]
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert cli._workers(4) == 1
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
 
 
 def test_generate_keeps_failed_records_in_place(data_dir, train_dir, tmp_path, capsys):

@@ -1,10 +1,6 @@
 import contextlib
-import errno
 import itertools
 import math
-import os
-import signal
-import threading
 
 import numpy as np
 import pytest
@@ -880,245 +876,6 @@ class TestPackedDecoding:
         split = m.rewrite_packed(examples, BOS, EOS)
         assert ([[*r.intermediate_tokens, r.final_tokens] for r in split]
                 == [[*r.intermediate_tokens, r.final_tokens] for r in whole])
-
-
-def in_workers(monkeypatch, n_workers):
-    """Make ``rewrite_packed`` decode on ``n_workers`` processes (at most
-    one per pack), whatever the host's CPUs and threads."""
-    monkeypatch.setattr(model_module, "_workers", lambda n_packs: min(n_packs, n_workers))
-
-
-def outcome(fn):
-    """What ``fn()`` returns, or the type and message of what it raises."""
-    try:
-        return fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-# forking under pytest is forced below, so the host's BLAS may run threads
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-class TestForkedPacks:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self, monkeypatch):
-        monkeypatch.setattr(model_module, "PACK_SIZE", 3)
-
-        def hung(signum, frame):
-            raise TimeoutError("rewrite_packed still waits for a worker after 60 s")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def examples(self, m, seed=9):
-        # 12 examples of 1-4 steps: 4 packs of 3
-        rng = np.random.default_rng(seed)
-        return [ex for _ in range(2) for ex in pack_examples(rng, m.cfg.vocab_size)]
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_forked_equals_in_process_bit_for_bit(self, n_workers, monkeypatch):
-        m = pack_model()
-        examples = self.examples(m)
-        rng = np.random.default_rng(10)
-        golds = [list(rng.integers(3, m.cfg.vocab_size, size=rng.integers(1, 6)))
-                 for _ in examples]
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        runs = {}
-        for workers in (1, n_workers):
-            in_workers(monkeypatch, workers)
-            runs[workers] = (m.rewrite_packed(examples, BOS, EOS, gold_finals=golds),
-                             m.rewrite_packed(examples, BOS, EOS, collect_logits=True))
-        assert len(forks) == 2 * (n_workers - 1)
-        for one, many in zip(*runs.values()):
-            for a, b in zip(one, many, strict=True):
-                assert a.intermediate_tokens == b.intermediate_tokens
-                assert a.final_tokens == b.final_tokens
-                assert a.truncated == b.truncated
-                if a.final_logits is not None:
-                    assert a.final_logits.dtype == b.final_logits.dtype
-                    assert np.array_equal(a.final_logits.data, b.final_logits.data)
-                assert (a.step_logits is None) == (b.step_logits is None)
-                for rows, other in zip(a.step_logits or [], b.step_logits or [],
-                                       strict=True):
-                    assert len(rows) == len(other)
-                    for x, y in zip(rows, other):
-                        assert x.dtype == y.dtype and np.array_equal(x.data, y.data)
-        assert any(any(r.truncated) for r in runs[1][1])
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_a_failing_pack_fails_alike_in_a_child_or_the_parent(self, n_workers,
-                                                                 monkeypatch):
-        m = pack_model()
-        examples = self.examples(m)
-        owned = []
-        run_share = model_module._run_share
-        monkeypatch.setattr(model_module, "_run_share",
-                            lambda fn, share: owned.append(share) or run_share(fn, share))
-        in_process, decoded_here = [], []
-        for p in range(4):
-            bad = list(examples)
-            bad[3 * p + 1] = []  # an example with no steps
-            in_workers(monkeypatch, 1)
-            in_process.append(outcome(lambda: m.rewrite_packed(bad, BOS, EOS)))
-            in_workers(monkeypatch, n_workers)
-            owned.clear()
-            assert outcome(lambda: m.rewrite_packed(bad, BOS, EOS)) == in_process[p]
-            decoded_here.append(p in owned[0])  # or in a child
-        assert set(in_process) == {(ShapeError, "rewrite: every example needs a step")}
-        assert set(decoded_here) == {True, False}
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_the_first_failing_pack_in_input_order_wins(self, n_workers, monkeypatch):
-        m = pack_model()
-        no_steps = ShapeError, "rewrite: every example needs a step"
-        for first, second in itertools.permutations(range(4), 2):
-            for empty_first in (True, False):
-                bad = self.examples(m)
-                bad[3 * first] = [] if empty_first else [StepInput([10**6], 1)]
-                bad[3 * second + 2] = [StepInput([10**6], 1)] if empty_first else []
-                in_workers(monkeypatch, 1)
-                expected = outcome(lambda: m.rewrite_packed(bad, BOS, EOS))
-                assert (expected == no_steps) == (empty_first == (first < second))
-                in_workers(monkeypatch, n_workers)
-                assert outcome(lambda: m.rewrite_packed(bad, BOS, EOS)) == expected
-
-    def test_a_worker_that_dies_names_its_exit_status(self, monkeypatch):
-        m = pack_model()
-        parent, run_share = os.getpid(), model_module._run_share
-        monkeypatch.setattr(model_module, "_run_share", lambda fn, share: (
-            run_share(fn, share) if os.getpid() == parent else os._exit(3)))
-        in_workers(monkeypatch, 3)  # the second child is reaped after the raise
-        with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
-            m.rewrite_packed(self.examples(m), BOS, EOS)
-
-    def test_a_fork_that_fails_decodes_in_process(self, monkeypatch):
-        m = pack_model()
-        examples = self.examples(m)
-        in_workers(monkeypatch, 1)
-        expected = m.rewrite_packed(examples, BOS, EOS)
-        open_fds = len(os.listdir("/proc/self/fd"))
-        tried = []
-
-        def failing_fork():
-            tried.append(1)
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", failing_fork)
-        in_workers(monkeypatch, 2)
-        results = m.rewrite_packed(examples, BOS, EOS)
-        assert tried == [1]
-        assert ([[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in results]
-                == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
-        assert len(os.listdir("/proc/self/fd")) == open_fds
-
-    def test_a_pipe_that_fails_decodes_in_process(self, monkeypatch):
-        # 3 shares: the first child's pipe fails, so that share decodes
-        # here, and the second share still forks
-        m = pack_model()
-        examples = self.examples(m)
-        in_workers(monkeypatch, 1)
-        expected = m.rewrite_packed(examples, BOS, EOS)
-        open_fds = len(os.listdir("/proc/self/fd"))
-        pipes, forks = [], []
-        pipe, fork = os.pipe, os.fork
-
-        def failing_first_pipe():
-            pipes.append(1)
-            if len(pipes) == 1:
-                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-            return pipe()
-
-        monkeypatch.setattr(os, "pipe", failing_first_pipe)
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        in_workers(monkeypatch, 3)
-        results = m.rewrite_packed(examples, BOS, EOS)
-        assert (len(pipes), len(forks)) == (2, 1)
-        assert ([[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in results]
-                == [[*r.intermediate_tokens, r.final_tokens, r.truncated] for r in expected])
-        assert len(os.listdir("/proc/self/fd")) == open_fds
-
-    def test_an_interrupt_in_the_parent_kills_and_reaps_every_child(self, monkeypatch):
-        m = pack_model()
-        parent = os.getpid()
-        reaped = []
-        waitpid = os.waitpid
-
-        def interrupted_here(fn, share):
-            if os.getpid() != parent:
-                signal.pause()  # a child that would never finish on its own
-            raise KeyboardInterrupt
-
-        def recorded_waitpid(pid, options):
-            reaped.append(waitpid(pid, options))
-            return reaped[-1]
-
-        monkeypatch.setattr(model_module, "_run_share", interrupted_here)
-        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
-        in_workers(monkeypatch, 3)
-        with pytest.raises(KeyboardInterrupt):
-            m.rewrite_packed(self.examples(m), BOS, EOS)
-        assert len(reaped) == 2
-        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-                   for _, status in reaped)
-
-    def test_one_pack_never_forks(self, monkeypatch):
-        m = pack_model()
-        assert model_module._workers(1) == 1
-        in_workers(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one pack"))
-        examples = self.examples(m)[:3]
-        assert [r.final_tokens for r in m.rewrite_packed(examples, BOS, EOS)]
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_the_parent_decodes_the_share_with_the_most_steps(self, n_workers,
-                                                              monkeypatch):
-        m = pack_model()
-        owned = []
-        run_share = model_module._run_share
-        monkeypatch.setattr(model_module, "_run_share",
-                            lambda fn, share: owned.append(share) or run_share(fn, share))
-        in_workers(monkeypatch, n_workers)
-        for heavy in range(n_workers):
-            examples = self.examples(m)
-            for p in range(4):  # pack p: one step an example, 4 in share ``heavy``
-                for i in range(3 * p, 3 * p + 3):
-                    examples[i] = examples[i][:4 if p % n_workers == heavy else 1]
-            owned.clear()
-            m.rewrite_packed(examples, BOS, EOS)
-            assert owned == [range(heavy, 4, n_workers)]
-
-    def test_workers_one_per_usable_cpu_from_one_thread(self, monkeypatch):
-        threads = ["1"]
-        listdir = os.listdir
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "listdir", lambda path: threads if path == "/proc/self/task"
-                            else listdir(path))
-        assert [model_module._workers(n) for n in (1, 2, 4)] == [1, 2, 3]
-        threads.append("2")  # a BLAS thread: forking would copy it mid-lock
-        assert model_module._workers(4) == 1
-
-    def test_workers_stay_one_for_one_pack_or_a_second_thread(self, monkeypatch):
-        # the host's own thread listing: fewer than 2 packs never fork, and
-        # neither does a process with a live second thread
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert [model_module._workers(n) for n in (0, 1)] == [1, 1]
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            assert model_module._workers(4) == 1
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
 
 
 def test_graph_passes_gather_no_key_rows(monkeypatch):

@@ -1,17 +1,13 @@
-import errno
 import gc
 import math
-import os
-import signal
 
 import numpy as np
 import pytest
 
 from qrewrite import autodiff as ad
 from qrewrite import dataio, synthetic, training
-from qrewrite import model as model_module
 from qrewrite.autodiff import Tensor
-from qrewrite.errors import ConfigError, DivergenceError, ShapeError
+from qrewrite.errors import ConfigError, ShapeError
 from qrewrite.docgraph import make_step_inputs
 from qrewrite.model import ModelConfig, QuestionRewriter, final_step_loss
 from qrewrite.training import (
@@ -419,7 +415,6 @@ def test_train_groups_its_examples_by_hop(monkeypatch, tmp_path):
     # interleaved hop levels train as the same list stably sorted by hop:
     # the same records and checkpoint bytes.  Validation decodes the lowest
     # hops first, in input order within each hop, cut to val_max_examples
-    monkeypatch.setattr(model_module, "_workers", lambda n_jobs: 1)
     examples, voc = mixed_hop_batch((2, 1, 3, 1, 2, 3, 3, 2, 1))
     pools = []
     validate = training._validate
@@ -661,112 +656,3 @@ def test_no_graph_outlives_its_backward(monkeypatch):
     assert len(live["adamw"]) == result.total_steps > 3
     assert len(live["validate"]) == 3
     assert live == {"adamw": [0] * result.total_steps, "validate": [0, 0, 0]}
-
-
-# ---------------------------------------------------------------------------
-# validation's pack shares forked from training
-
-
-class TestForkedValidation:
-    @pytest.fixture(autouse=True)
-    def no_child_left(self, monkeypatch):
-        monkeypatch.setattr(model_module, "PACK_SIZE", 3)
-
-        def hung(signum, frame):
-            raise TimeoutError("train still waits for a validation after 60 s")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def train_on(monkeypatch, tmp_path, workers, fork_fails=False, **overrides):
-        """``train`` of a 1/2/3-hop set, validated on itself, on ``workers``
-        processes: its records, its checkpoints' bytes by label, what it
-        raised (type and message) and the forks this process made, or
-        tried to make if ``fork_fails``."""
-        monkeypatch.setattr(model_module, "_workers", lambda n_jobs: min(n_jobs, workers))
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(1)
-            if fork_fails:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        examples, voc = mixed_hop_batch((1, 2, 3, 1, 2, 3, 3, 2, 1))
-        records, checkpoints = [], {}
-
-        def save(label, m):
-            path = tmp_path / f"{workers}-{label}.bin"
-            dataio.save_checkpoint(path, m, "00" * 32)
-            checkpoints[label] = path.read_bytes()
-
-        cfg = CurriculumConfig(**{"lr_alpha": 1e-2, "warmup_steps": 2, "batch_size": 4,
-                                  "epochs_per_main_complexity": 2, **overrides})
-        raised = None
-        try:
-            train(small_model(voc, n_enc_layers=1, n_dec_layers=1), examples, cfg, voc,
-                  val_examples=examples, on_checkpoint=save, on_event=records.append)
-        except Exception as exc:
-            raised = type(exc), str(exc)
-        finally:
-            monkeypatch.setattr(os, "fork", fork)
-        return records, checkpoints, raised, len(forks)
-
-    # 2 records: one pack; 9: three packs, so each validation forks once
-    @pytest.mark.parametrize("val_max_examples", [2, 9])
-    @pytest.mark.parametrize("plateau_patience", [0, 1])
-    def test_forked_equals_in_process_byte_for_byte(self, monkeypatch, tmp_path,
-                                                    val_max_examples, plateau_patience):
-        runs = [self.train_on(monkeypatch, tmp_path, workers,
-                              val_max_examples=val_max_examples,
-                              plateau_patience=plateau_patience)
-                for workers in (1, 2)]
-        (records, checkpoints, raised, forks), forked = runs
-        assert raised is None and records and "val_loss" in records[0]
-        assert set(checkpoints) == {"H1", "H2", "H3", "final"}
-        assert forked[:3] == (records, checkpoints, None)
-        # each validation forks for its second pack share; training never forks
-        validations = sum(r["event"] == "validation" for r in records)
-        assert (forks, forked[3]) == (0, validations if val_max_examples == 9 else 0)
-
-    def test_a_divergence_after_a_forked_validation_emits_what_one_process_does(
-            self, monkeypatch, tmp_path):
-        batch_losses = training._batch_losses
-        calls = []
-
-        def diverging(model, examples, voc):
-            calls.append(1)
-            losses = batch_losses(model, examples, voc)
-            return losses if len(calls) != 4 else [ad.scale(loss, math.nan) for loss in losses]
-
-        monkeypatch.setattr(training, "_batch_losses", diverging)
-        runs = [calls.clear() or self.train_on(monkeypatch, tmp_path, workers)
-                for workers in (1, 2)]
-        assert runs[0][2] == (DivergenceError, "non-finite loss nan at step 3, H=2")
-        assert runs[0][:3] == runs[1][:3]
-        assert [r["event"] for r in runs[0][0]] == ["validation"] * 2 + ["checkpoint"]
-        assert runs[1][3] == 2  # each validation forked for its second pack share
-
-    # 2 records: one pack; 9: three packs, so each validation tries a fork
-    @pytest.mark.parametrize("val_max_examples", [2, 9])
-    def test_a_fork_that_fails_validates_in_process(self, monkeypatch, tmp_path,
-                                                    val_max_examples):
-        open_fds = len(os.listdir("/proc/self/fd"))
-        runs = [self.train_on(monkeypatch, tmp_path, workers, fork_fails=workers > 1,
-                              val_max_examples=val_max_examples)
-                for workers in (1, 2)]
-        assert runs[0][2] is None and "val_loss" in runs[0][0][0]
-        assert runs[1][:3] == runs[0][:3]
-        validations = sum(r["event"] == "validation" for r in runs[0][0])
-        assert runs[1][3] == (validations if val_max_examples == 9 else 0)
-        assert len(os.listdir("/proc/self/fd")) == open_fds

@@ -1,48 +1,46 @@
-"""Check that forked runs write the same bytes as one-CPU runs, and
-compare two revisions' bytes.
+"""Compare two revisions' bytes over a fixed matrix of commands, and check
+that forked generation writes the same bytes as one-CPU generation.
 
     python3 tools/same_bytes.py --against <rev> [--rev <rev>]
 
 Exports ``--against`` and ``--rev`` (default HEAD) with ``git archive`` into
 a temporary directory and runs one fixed matrix of ``qrewrite`` commands on
-each, from each revision's own ``src/``, with BLAS pinned to one thread.
-Every output is written twice: once with every usable CPU, where each
-share of packs but the parent's is decoded in a forked child, into a
-``*-all-cpus`` directory, and once pinned with ``taskset`` to the first
-usable CPU, where every pack is decoded in-process, into its ``*-one-cpu``
-twin:
+each, from each revision's own ``src/``, with BLAS pinned to one thread:
 
   * the train-1hop and train-multihop set-ups of ``perfbench/workloads.py``
-    on seeds 1-3, which validate one pack at most and so run in-process on
-    both sides, and the two-pack set-up (1/2/3 hops, 4 training and 12
+    on seeds 1-3, and the two-pack set-up (1/2/3 hops, 4 training and 12
     validation records per hop, 30 entities, seed 3, d_model 16), whose
-    36-record validation pool spans two packs, so each validation forks
-    for its second: gen-data, arrange, then train at f64 and f32 (14
-    pairs);
+    36-record validation pool spans two packs: gen-data, arrange, then
+    train at f64 and f32, each once, with every usable CPU (training runs
+    in one process);
   * the generate workload's fixture checkpoint on every arranged test
     record of its data: ``generate --emit-intermediates`` plain, with
     ``--ablate sa``, with ``--ablate ca`` and at ``--precision f32``, each
-    followed by ``evaluate`` (4 pairs).
+    followed by ``evaluate``.  Each is written twice: with every usable
+    CPU, where each share of packs but the parent's is decoded in a forked
+    child, into a ``*-all-cpus`` directory, and pinned with ``taskset`` to
+    the first usable CPU, where every pack is decoded in-process, into its
+    ``*-one-cpu`` twin (4 pairs).
 
 Every command runs with relative paths, and its exit status and output go
 to one ``commands.txt`` per revision.  ``manifest-generate.json``, which
 holds an absolute path, is never compared.  Prints the number of usable
 CPUs; a table of the output directories and the files that differ between
-the revisions; and, for each revision, a table of the 18 forked outputs
-against their one-CPU twins.  Exit status:
+the revisions; and, for each revision, a table of the 4 forked generate
+outputs against their one-CPU twins.  Exit status:
 
   0  every command succeeded and every file is equal;
   1  for information: files differ between the revisions, or a command of
-     ``--against`` failed or one of its forked outputs differs from its
-     twin (a change may move bytes on purpose, and a fix must not fail
-     because its parent was broken);
+     ``--against`` failed or one of its forked generate outputs differs
+     from its twin (a change may move bytes on purpose, and a fix must not
+     fail because its parent was broken);
   2  a revision cannot be exported;
-  3  a command of ``--rev`` failed, or a forked output of ``--rev`` differs
-     from its one-CPU twin.
+  3  a command of ``--rev`` failed, or a forked generate output of
+     ``--rev`` differs from its one-CPU twin.
 
-With one usable CPU both sides of every pair run in-process, so the pairs
-prove nothing.  To check uncommitted work, pass ``--rev $(git stash
-create)`` (after ``git add`` for new files).
+With one usable CPU both sides of every generate pair run in-process, so
+the pairs prove nothing.  To check uncommitted work, pass ``--rev $(git
+stash create)`` (after ``git add`` for new files).
 """
 
 from __future__ import annotations
@@ -115,8 +113,7 @@ def gen_data(run: Runner, out: str, hops: str, train: int, valid: int, test: int
 def train_case(run: Runner, case: str, config: dict, hops: str, train: int,
                valid: int, test: int, seed: int, entities: int = ENTITIES) -> None:
     """gen-data into ``case``, arrange its training and validation splits,
-    then train ``config`` on them at each precision, with every usable CPU
-    and on one."""
+    then train ``config`` on them at each precision."""
     gen_data(run, f"{case}/data", hops, train, valid, test, seed, entities)
     (run.work / case / "arranged").mkdir(parents=True, exist_ok=True)
     for split in ["train", "valid"] if valid else ["train"]:
@@ -126,10 +123,8 @@ def train_case(run: Runner, case: str, config: dict, hops: str, train: int,
     (run.work / case / "arranged" / "vocab.txt").write_bytes(vocab)
     (run.work / case / "config.json").write_text(json.dumps(config, sort_keys=True))
     for precision in PRECISIONS:
-        for one_cpu, side in SIDES.items():
-            out = f"{case}/train-{precision}{side}"
-            run("train", "--config", f"{case}/config.json", "--data", f"{case}/arranged",
-                "--out", out, "--precision", precision, one_cpu=one_cpu)
+        run("train", "--config", f"{case}/config.json", "--data", f"{case}/arranged",
+            "--out", f"{case}/train-{precision}", "--precision", precision)
 
 
 def run_matrix(tree: Path, work: Path) -> int:
@@ -251,8 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"usable CPUs: {len(CPUS)}; one-CPU runs are pinned to CPU {CPUS[0]}")
     if len(CPUS) == 1:
-        print("with one usable CPU both sides of every pair run in-process, "
-              "so the pairs prove nothing")
+        print("with one usable CPU both sides of every generate pair run "
+              "in-process, so the pairs prove nothing")
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         works, failed = [], []
         for label, rev in (("against", args.against), ("rev", args.rev)):
