@@ -107,7 +107,8 @@ def check_fields(where: str, obj, fields: dict,
 
 def validate_record(rec: dict) -> None:
     """Raise ``DataFormatError`` naming the record unless every field its
-    readers use is there, of its type."""
+    readers use is there, of its type, and every entity of its documents
+    and bridges is one or more tokens joined by single spaces."""
     where = f"record {rec.get('id', '?')!r}"
     check_fields(where, rec, {**_RECORD_TYPES,
                               **{k: t for k, t in _OPTIONAL_TYPES.items() if k in rec}})
@@ -120,6 +121,16 @@ def validate_record(rec: dict) -> None:
         check_fields(f"{where}: a document", d, _DOC_TYPES)
     if rec["hops"] != len(docs):
         raise DataFormatError(f"{where}: hops={rec['hops']} but {len(docs)} documents")
+    entities = [e for d in docs for e in d["entities"]]
+    if "arrangement" in rec:
+        entities += [e for bridge in rec["arrangement"]["bridges"] for e in bridge]
+    for entity in entities:
+        # entities are the links arrange follows: a blank one would link any
+        # two documents, and "film_3 " would miss "film_3"
+        if not entity or " ".join(entity.split()) != entity:
+            raise DataFormatError(
+                f"{where}: entity {entity!r} is not tokens joined by single spaces"
+            )
 
 
 def record_documents(rec: dict) -> list[Document]:

@@ -1,11 +1,10 @@
-"""Bridge-entity extraction, breadth-first arrangement and step assembly.
+"""Breadth-first arrangement of an example's documents and step assembly.
 
-Entities are detected deterministically: maximal runs of capitalized tokens
-(with "of"/"the" connectors inside a run) unioned with whatever entity
-annotations the dataset record carries.  ``arrange`` orders an example's
-documents breadth-first from the answer document, stepping from a document
-to every other one that shares an entity with it; no graph object is built.
-Each step input is laid out as
+A document's entities are its record's ``entities`` annotations, nothing
+more: two documents are linked when they share one.  ``arrange`` orders an
+example's documents breadth-first from the answer document, stepping from a
+document to every other one that shares an entity with it; no graph object
+is built.  Each step input is laid out as
 
     <ans> answer <bridge> e1 <sep> e2 ... <doc> title <sep> text
 
@@ -21,10 +20,6 @@ from typing import Iterable, Iterator, Sequence
 from . import vocab as V
 from .errors import ArrangementError, DataFormatError, LengthError
 from .model import StepInput
-
-_CONNECTORS = {"of", "the"}
-_LEADING_STOPWORDS = {"the", "a", "an"}
-_STRIP_CHARS = ".,;:!?()[]\"'"
 
 
 @dataclass
@@ -47,80 +42,22 @@ class ArrangedExample:
     reference_intermediates: list[list[str]] = field(default_factory=list)
 
 
-def _clean(token: str) -> str:
-    return token.strip(_STRIP_CHARS)
-
-
-def _is_capitalized(token: str) -> bool:
-    core = _clean(token)
-    return bool(core) and core[0].isupper()
-
-
-def _ends_run(token: str) -> bool:
-    # trailing punctuation ("Atlanta,") closes the current span
-    return token != token.rstrip(_STRIP_CHARS)
-
-
-def extract_entities(doc: Document) -> frozenset[str]:
-    """Candidate entity spans: capitalized runs plus record annotations."""
-    spans: set[str] = set(doc.annotations)
-    tokens = [*doc.title, *doc.text]
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if not _is_capitalized(tokens[i]):
-            i += 1
-            continue
-        run = [_clean(tokens[i])]
-        j = i + 1
-        closed = _ends_run(tokens[i])
-        while j < n and not closed:
-            if _is_capitalized(tokens[j]):
-                run.append(_clean(tokens[j]))
-                closed = _ends_run(tokens[j])
-                j += 1
-                continue
-            # allow up to two lowercase connectors, but only when a
-            # capitalized token follows them
-            k = j
-            connectors = []
-            while (
-                k < n
-                and k - j < 2
-                and _clean(tokens[k]).lower() in _CONNECTORS
-                and not _is_capitalized(tokens[k])
-            ):
-                connectors.append(_clean(tokens[k]))
-                k += 1
-            if connectors and k < n and _is_capitalized(tokens[k]):
-                run.extend(connectors)
-                run.append(_clean(tokens[k]))
-                j = k + 1
-                continue
-            break
-        while run and run[0].lower() in _LEADING_STOPWORDS:
-            run = run[1:]
-        if run:
-            spans.add(" ".join(run))
-        i = j
-    return frozenset(spans)
-
-
 def arrange(docs: Sequence[Document], answer: Sequence[str]) -> ArrangedExample:
     """Order documents by BFS from the answer document and attach bridges.
 
-    A document's neighbors, the documents sharing an entity with it, are
-    visited in ascending document id.  B_t collects the entities of C_t
-    shared with any later document.  Raises ``ArrangementError`` naming the
-    documents that no chain of neighbors reaches from the answer document,
-    and for zero or multiple answer documents.
+    A document's entities are its ``annotations``.  Its neighbors, the
+    documents sharing an entity with it, are visited in ascending document
+    id.  B_t collects the entities of C_t shared with any later document.
+    Raises ``ArrangementError`` naming the documents that no chain of
+    neighbors reaches from the answer document, and for zero or multiple
+    answer documents.
     """
     answer_docs = [d for d in docs if d.is_answer_doc]
     if len(answer_docs) != 1:
         raise ArrangementError(
             f"expected exactly one answer document, found {len(answer_docs)}"
         )
-    ents = {d.doc_id: extract_entities(d) for d in docs}
+    ents = {d.doc_id: d.annotations for d in docs}
     ids = sorted(ents)
     by_id = {d.doc_id: d for d in docs}
     root = answer_docs[0].doc_id

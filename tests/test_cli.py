@@ -222,13 +222,32 @@ WRONG_TYPES = {
 }
 
 
+# an entity that is not tokens joined by single spaces, set on the last
+# arranged record, a 2-hop one
+MALFORMED_ENTITIES = {
+    "blank_entity": lambda rec: [d["entities"].append("") for d in rec["documents"]],
+    "padded_entity": lambda rec: rec["documents"][0]["entities"].append("film_3 "),
+    "blank_bridge": lambda rec: rec["arrangement"].update(bridges=[[""]]),
+}
+
+
 @pytest.mark.parametrize("defect", sorted(WRONG_TYPES))
 def test_wrongly_typed_field_is_data_error(defect, data_dir, train_dir, tmp_path, capsys):
+    check_record_defect(WRONG_TYPES[defect], 1, data_dir, train_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_ENTITIES))
+def test_malformed_entity_is_data_error(defect, data_dir, train_dir, tmp_path, capsys):
+    check_record_defect(MALFORMED_ENTITIES[defect], -1, data_dir, train_dir, tmp_path,
+                        capsys)
+
+
+def check_record_defect(defect, index, data_dir, train_dir, tmp_path, capsys):
     # arrange skips the record, generate emits its empty prediction with
     # the error, and train exits 2; each names the record
     records = dataio.read_records(data_dir / "test.jsonl")
-    WRONG_TYPES[defect](records[1])
-    rid = records[1]["id"]
+    defect(records[index])
+    rid = records[index]["id"]
     data = tmp_path / "data"
     data.mkdir()
     for name in ("valid.jsonl", "vocab.txt"):
@@ -247,8 +266,8 @@ def test_wrongly_typed_field_is_data_error(defect, data_dir, train_dir, tmp_path
                "--out", tmp_path / "p.jsonl") == 0
     preds = dataio.read_records(tmp_path / "p.jsonl")
     assert [p["id"] for p in preds] == [r["id"] for r in records]
-    assert preds[1]["prediction"] == "" and f"record {rid!r}" in preds[1]["error"]
-    assert all("error" not in p for i, p in enumerate(preds) if i != 1)
+    assert preds[index]["prediction"] == "" and f"record {rid!r}" in preds[index]["error"]
+    assert all("error" not in p for p in preds if p["id"] != rid)
     assert "Traceback" not in capsys.readouterr().err
 
     assert run("train", "--data", data, "--out", tmp_path / "run") == 2

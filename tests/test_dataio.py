@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -124,6 +125,28 @@ class TestRecords:
         assert ex.documents[0].is_answer_doc
         assert ex.bridges == [frozenset({"film_3"})]
         assert ex.gold_question[0] == "who"
+
+    @pytest.mark.parametrize("entity", ["", " ", "film_3 ", " film_3", "film  3",
+                                        "film\t3", "film_3\n"])
+    def test_entity_must_be_tokens_joined_by_single_spaces(self, entity):
+        # the entities are the links arrange follows: a blank one would link
+        # both documents, and "film_3 " would not link to "film_3"
+        want = re.escape(f"record 'r1': entity {entity!r}")
+        rec = sample_record()
+        for d in rec["documents"]:
+            d["entities"] = [entity]
+        with pytest.raises(DataFormatError, match=want):
+            dataio.arrange_record(rec)
+        rec = dataio.arrange_record(sample_record())
+        rec["arrangement"]["bridges"] = [[entity]]
+        with pytest.raises(DataFormatError, match=want):
+            dataio.arranged_example(rec)
+
+    def test_multiword_entity_is_one_entity(self):
+        rec = sample_record()
+        for d in rec["documents"]:
+            d["entities"] = ["Christopher Nolan"]
+        assert dataio.arrange_record(rec)["arrangement"]["bridges"] == [["Christopher Nolan"]]
 
     def test_unarranged_record_rejected(self):
         with pytest.raises(DataFormatError, match="arrange"):

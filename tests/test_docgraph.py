@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from qrewrite import docgraph
 from qrewrite import vocab as V
 from qrewrite.docgraph import (
     Document,
     arrange,
     assemble_step_tokens,
-    extract_entities,
     make_step_inputs,
     parse_step_tokens,
+    step_tokens,
 )
 from qrewrite.errors import ArrangementError, DataFormatError, LengthError
 
@@ -18,39 +17,23 @@ def doc(i, text, answer=False, annotations=(), title="t"):
     return Document(i, title.split(), text.split(), answer, frozenset(annotations))
 
 
-class TestExtractEntities:
-    def test_connector_run(self):
-        got = extract_entities(doc(0, "the Battle of Atlanta happened", title=""))
-        assert got == {"Battle of Atlanta"}
-
-    def test_all_lowercase_empty(self):
-        assert extract_entities(doc(0, "nothing capitalized here", title="")) == frozenset()
-
-    def test_annotations_pass_through(self):
-        d = doc(0, "person_7 directed film_3 .", annotations=("person_7", "film_3"), title="")
-        assert extract_entities(d) == {"person_7", "film_3"}
-
-    def test_leading_stopword_stripped(self):
-        got = extract_entities(doc(0, "The Battle of Atlanta was fought", title=""))
-        assert "Battle of Atlanta" in got
-
-    def test_punctuation_detached(self):
-        got = extract_entities(doc(0, "visited Atlanta, Georgia.", title=""))
-        assert got == {"Atlanta", "Georgia"}
-
-    def test_title_contributes(self):
-        got = extract_entities(doc(0, "a radio station", title="WEKL"))
-        assert got == {"WEKL"}
-
-
 class TestBridgeEntities:
     """Bridges are the entities a document shares with later ones, read off
     ``arrange``."""
 
     def test_figure_style_bridge(self):
-        a = doc(0, "Interstellar was directed by Christopher Nolan", answer=True)
-        b = doc(1, "Christopher Nolan was born in London")
-        assert arrange([a, b], ["a"]).bridges == [{"Christopher Nolan"}]
+        texts = ["Interstellar was directed by Christopher Nolan",
+                 "Christopher Nolan was born in London"]
+        a = doc(0, texts[0], answer=True, annotations=("Christopher Nolan",))
+        b = doc(1, texts[1], annotations=("Christopher Nolan",))
+        arranged = arrange([a, b], ["Interstellar"])
+        assert arranged.bridges == [{"Christopher Nolan"}]
+        first = next(step_tokens(arranged))
+        assert first[first.index(V.BRIDGE) + 1:first.index(V.DOC)] == ["Christopher", "Nolan"]
+        # the same texts unannotated share no entity: capitalized words are
+        # no entity of themselves
+        with pytest.raises(ArrangementError, match=r"\[1\]"):
+            arrange([doc(0, texts[0], answer=True), doc(1, texts[1])], ["Interstellar"])
 
     def test_disjoint_docs(self):
         docs = [doc(0, "Alpha here", answer=True), doc(1, "Beta there")]
@@ -81,6 +64,15 @@ class TestBridgeEntities:
 
 
 class TestArrange:
+    def test_annotations_pass_through(self):
+        a = doc(0, "person_7 directed film_3 .", answer=True,
+                annotations=("person_7", "film_3"), title="")
+        b = doc(1, "person_7 met person_9 at film_3 .",
+                annotations=("film_3", "person_7", "person_9"), title="")
+        arr = arrange([a, b], ["person_7"])
+        assert arr.documents[0].annotations == {"person_7", "film_3"}
+        assert arr.bridges == [{"person_7", "film_3"}]
+
     def test_single_document(self):
         arr = arrange([doc(0, "x", answer=True, annotations=("e",))], ["ans"])
         assert [d.doc_id for d in arr.documents] == [0]
@@ -145,7 +137,6 @@ class TestArrange:
                 for i in range(n)
             ]
             arr = arrange(docs, ["a"])
-            # lowercase text and title add no entity: the annotations are all
             adjacent = [[j for j in range(n) if j != i and annos[i] & annos[j]]
                         for i in range(n)]
             order, seen, queue = [], {0}, [0]
@@ -158,7 +149,7 @@ class TestArrange:
                         queue.append(nb)
             assert [d.doc_id for d in arr.documents] == order
             # every later doc shares an entity with an earlier one
-            ents = [extract_entities(d) for d in arr.documents]
+            ents = [d.annotations for d in arr.documents]
             for k in range(1, len(ents)):
                 assert any(ents[k] & ents[j] for j in range(k))
 
@@ -225,18 +216,3 @@ class TestAssembly:
         bridge_id = voc.index[V.BRIDGE]
         assert bridge_id in steps[0].tokens
         assert bridge_id not in steps[1].tokens
-
-
-def test_arrange_extracts_each_documents_entities_once(monkeypatch):
-    calls = []
-
-    def counting(d):
-        calls.append(d.doc_id)
-        return extract_entities(d)
-
-    monkeypatch.setattr(docgraph, "extract_entities", counting)
-    docs = [doc(0, "Alpha met Beta", answer=True), doc(1, "Beta met Gamma"),
-            doc(2, "Gamma met Delta")]
-    arranged = arrange(docs, ["Alpha"])
-    assert [d.doc_id for d in arranged.documents] == [0, 1, 2]
-    assert sorted(calls) == [0, 1, 2]
